@@ -1,47 +1,97 @@
-"""Exact evaluation of the closed-form isolation bounds and step constants,
+"""The closed-form isolation bounds and step constants as plain data,
 attached to verdicts as certificates.
 
-Values are exact big rationals with a log10 companion for display; beyond a
-configurable exponent cap the certificate degrades to formula-only (inputs and
-log10 preserved, exact value omitted).
+A certificate holds its formula terms and a log10 companion for display. The
+exact big rational is computed only when something reads `value` (the oracle
+checks, or a report whose digits fit the printing limit), and only within a
+cost cap; beyond the cap the certificate is formula-only (inputs and log10
+preserved, exact value omitted).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
-from .model import format_rational, min_initial_probability, min_positive_probability
+from .model import ONE, format_rational, min_initial_probability, min_positive_probability
 
 KINDS = ("eps_eventually", "eps_weakly", "N_weakly", "eps_always", "eps_strongly",
          "gap_strongly", "eps_adversarial", "N_adversarial", "lemma1_reach",
          "lemma2_step")
 
-DEFAULT_EXPONENT_CAP_BITS = 1 << 24
+EXPONENT_CAP_BITS = 1 << 24
+
+# Reports print a bound's digits only when its reduced numerator and
+# denominator each have at most this many decimal digits (CPython's default
+# int-to-str limit); longer bounds print `exact: null` with log10 and inputs.
+MAX_STR_DIGITS = 4300
+_DIGIT_CEILING = 10 ** MAX_STR_DIGITS
+_DIGIT_CEILING_BITS = _DIGIT_CEILING.bit_length()   # 2^bits > 10^MAX_STR_DIGITS
 
 
 @dataclass(frozen=True)
 class BoundCert:
-    """One evaluated bound: kind, exact value (or None beyond the cap), inputs."""
+    """One bound as plain data: kind, inputs, log10 and formula terms.
+
+    A formula bound is `alpha0 * base^exponent / n^denom_pow`, with `alpha0`
+    and `n` read from the inputs; the count kinds (N_weakly, N_adversarial,
+    gap_strongly) carry their small exact value in `count` instead. A
+    certificate is never mutated; its exact `value` is computed on first read
+    and cached.
+    """
 
     kind: str
-    value: object
     inputs: dict
     log10: float | None
-    formula_only: bool = False
+    base: Fraction = ONE
+    exponent: int = 0
+    denom_pow: int = 0
+    count: int | tuple | None = None
+
+    @property
+    def formula_only(self):
+        """True when evaluating the power would exceed EXPONENT_CAP_BITS."""
+        return self.count is None and \
+            self.exponent * max(_frac_bits(self.base), 1) > EXPONENT_CAP_BITS
+
+    @cached_property
+    def value(self):
+        """The exact value, or None for a formula-only bound."""
+        if self.count is not None:
+            return self.count
+        if self.formula_only:
+            return None
+        value = self.inputs["alpha0"] * self.base ** self.exponent
+        if self.denom_pow:
+            value /= Fraction(self.inputs["n"]) ** self.denom_pow
+        return value
+
+    def _exact_digits_exceed_limit(self):
+        """Cheap test from the terms: the reduced denominator is at least
+        q^exponent / alpha0.numerator (base = p/q in lowest terms), so its
+        digits exceed the limit when that quotient is at least 2^bits."""
+        q = self.base.denominator
+        return (self.exponent * (q.bit_length() - 1)
+                - self.inputs["alpha0"].numerator.bit_length()) >= _DIGIT_CEILING_BITS
+
+    def _exact(self):
+        if isinstance(self.count, tuple):
+            return list(self.count)
+        if self.count is None and (self.formula_only or self._exact_digits_exceed_limit()):
+            return None
+        value = Fraction(self.value)
+        if value.numerator >= _DIGIT_CEILING or value.denominator >= _DIGIT_CEILING:
+            return None
+        return format_rational(value)
 
     def to_obj(self):
-        if isinstance(self.value, (Fraction, int)):
-            exact = format_rational(Fraction(self.value))
-        elif isinstance(self.value, tuple):
-            exact = list(self.value)
-        else:
-            exact = None
         inputs = {}
         for key, val in self.inputs.items():
             inputs[key] = format_rational(val) if isinstance(val, Fraction) else val
-        return {"kind": self.kind, "exact": exact, "log10": self.log10, "inputs": inputs}
+        return {"kind": self.kind, "exact": self._exact(), "log10": self.log10,
+                "inputs": inputs}
 
 
 def _log10(value):
@@ -55,13 +105,8 @@ def _frac_bits(x):
     return x.numerator.bit_length() + x.denominator.bit_length()
 
 
-def _pow_cost_bits(base, exponent):
-    return exponent * max(_frac_bits(base), 1)
-
-
-def compute_bound(kind, n, a_count, alpha, alpha0, i=None,
-                  exponent_cap_bits=DEFAULT_EXPONENT_CAP_BITS):
-    """Evaluate one bound formula exactly from the model constants.
+def compute_bound(kind, n, a_count, alpha, alpha0, i=None):
+    """One bound formula as a certificate, from the model constants.
 
     n: state count; a_count: action count; alpha: smallest positive transition
     probability; alpha0: smallest positive initial probability; i: step index,
@@ -78,22 +123,22 @@ def compute_bound(kind, n, a_count, alpha, alpha0, i=None,
     inputs = {"n": n, "a_count": a_count, "alpha": alpha, "alpha0": alpha0}
 
     if kind == "N_weakly":
-        return BoundCert(kind, 2 ** n, inputs, None)
+        return BoundCert(kind, inputs, None, count=2 ** n)
     if kind == "N_adversarial":
-        return BoundCert(kind, n + n * n, inputs, None)
+        return BoundCert(kind, inputs, None, count=n + n * n)
     if kind == "gap_strongly":
         # first position within n steps, later positions at most n apart
-        return BoundCert(kind, (n, n), inputs, None)
+        return BoundCert(kind, inputs, None, count=(n, n))
 
     if kind == "lemma2_step":
         if i is None or i < 0:
             raise ValueError("lemma2_step needs a nonnegative step index")
         inputs["i"] = i
-        exponent, base, denom_pow = i, alpha, None
+        exponent, base, denom_pow = i, alpha, 0
     elif kind == "lemma1_reach":
-        exponent, base, denom_pow = n, alpha, None
+        exponent, base, denom_pow = n, alpha, 0
     elif kind == "eps_eventually":
-        exponent, base, denom_pow = (n + 1) * 2 ** n, alpha, None
+        exponent, base, denom_pow = (n + 1) * 2 ** n, alpha, 0
     elif kind == "eps_weakly":
         if n < 2:
             raise ValueError("eps_weakly is defined for n >= 2 only")
@@ -103,66 +148,63 @@ def compute_bound(kind, n, a_count, alpha, alpha0, i=None,
     elif kind == "eps_strongly":
         exponent, base, denom_pow = 2 * n, alpha, 2
     elif kind == "eps_adversarial":
-        exponent, base, denom_pow = n + n * n, Fraction(alpha, a_count), None
+        exponent, base, denom_pow = n + n * n, Fraction(alpha, a_count), 0
     else:  # pragma: no cover - KINDS is closed
         raise AssertionError(kind)
 
     log10 = _log10(alpha0) + exponent * _log10(base)
-    if denom_pow is not None:
+    if denom_pow:
         log10 -= denom_pow * math.log10(n) if n > 1 else 0.0
-    if _pow_cost_bits(base, exponent) > exponent_cap_bits:
-        return BoundCert(kind, None, inputs, log10, formula_only=True)
-    value = alpha0 * base ** exponent
-    if denom_pow is not None:
-        value /= Fraction(n) ** denom_pow
-    return BoundCert(kind, value, inputs, log10)
+    return BoundCert(kind, inputs, log10, base, exponent, denom_pow)
 
 
-def attach_bounds(verdict, m, d0, exponent_cap_bits=DEFAULT_EXPONENT_CAP_BITS):
-    """Attach the bound certificates a verdict carries; returns the verdict.
+def _carried(verdict, n):
+    """(kind, exposed sub-support or None) for each bound a verdict carries."""
+    q, yes = verdict.query, verdict.answer
+    if (q.sync_mode, q.win_mode, yes) == ("eventually", "limit-sure", False):
+        exposed = (verdict.certificate or {}).get("failing_subsupport")
+        return [("eps_eventually", exposed or None)]
+    if yes:
+        if q.win_mode == "bounded":
+            return [("eps_adversarial", None), ("N_adversarial", None)]
+        return []
+    if q.sync_mode == "weakly" and q.win_mode in ("almost-sure", "limit-sure"):
+        return ([("eps_weakly", None)] if n >= 2 else []) + [("N_weakly", None)]
+    if q.sync_mode == "always" and q.win_mode in ("sure", "almost-sure", "limit-sure"):
+        return [("eps_always", None)]
+    if q.sync_mode == "strongly" and q.win_mode == "sure":
+        return [("gap_strongly", None)]
+    if q.sync_mode == "strongly" and q.win_mode in ("almost-sure", "limit-sure"):
+        return [("eps_strongly", None), ("gap_strongly", None)]
+    return []
+
+
+def attach_bounds(verdicts, m, d0):
+    """Attach the bound certificates each verdict of one analysis carries.
 
     No-verdicts for limit-sure eventually carry eps_eventually (with the
     refined alpha0 when the decider exposed a failing sub-support); no-verdicts
     for almost-sure/limit-sure weakly carry eps_weakly and N_weakly; always and
     strongly no-verdicts carry eps_always / eps_strongly with the position-gap
     constants; yes-verdicts for bounded modes carry eps_adversarial and
-    N_adversarial.
+    N_adversarial. Each distinct certificate is built once and every verdict
+    carrying it holds the same object.
     """
-    q = verdict.query
-    if q.initial_support != d0.support():
-        raise ValueError("verdict initial support does not match the distribution")
     n, a_count = m.n, m.action_count
     alpha = min_positive_probability(m)
     alpha0 = min_initial_probability(d0)
-    key = (q.sync_mode, q.win_mode, verdict.answer)
-
-    def add(kind, **kw):
-        verdict.bounds.append(compute_bound(
-            kind, n, a_count, alpha, kw.pop("alpha0", alpha0),
-            exponent_cap_bits=exponent_cap_bits, **kw))
-
-    if key == ("eventually", "limit-sure", False):
-        cert = verdict.certificate or {}
-        exposed = cert.get("failing_subsupport")
-        a0 = min_initial_probability(d0, exposed) if exposed else alpha0
-        add("eps_eventually", alpha0=a0)
-        if exposed:
-            verdict.bounds[-1].inputs["alpha0_support"] = list(exposed)
-    elif q.sync_mode == "weakly" and q.win_mode in ("almost-sure", "limit-sure") \
-            and not verdict.answer:
-        if n >= 2:
-            add("eps_weakly")
-        add("N_weakly")
-    elif q.sync_mode == "always" and q.win_mode in ("sure", "almost-sure", "limit-sure") \
-            and not verdict.answer:
-        add("eps_always")
-    elif q.sync_mode == "strongly" and q.win_mode == "sure" and not verdict.answer:
-        add("gap_strongly")
-    elif q.sync_mode == "strongly" and q.win_mode in ("almost-sure", "limit-sure") \
-            and not verdict.answer:
-        add("eps_strongly")
-        add("gap_strongly")
-    elif q.win_mode == "bounded" and verdict.answer:
-        add("eps_adversarial")
-        add("N_adversarial")
-    return verdict
+    support = d0.support()
+    certs = {}
+    for verdict in verdicts:
+        if verdict.query.initial_support != support:
+            raise ValueError("verdict initial support does not match the distribution")
+        for kind, exposed in _carried(verdict, n):
+            a0 = min_initial_probability(d0, exposed) if exposed else alpha0
+            key = (kind, a0, exposed)
+            if key not in certs:
+                cert = compute_bound(kind, n, a_count, alpha, a0)
+                if exposed:
+                    cert = replace(cert, inputs={**cert.inputs,
+                                                 "alpha0_support": list(exposed)})
+                certs[key] = cert
+            verdict.bounds.append(certs[key])

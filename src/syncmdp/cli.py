@@ -8,6 +8,7 @@ Exit codes: 0 analysis complete, 1 usage error, 2 input error, 3 guard tripped,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -29,6 +30,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # parse_args leaves the parser unchanged: build it once per process
 def _build_parser():
     parser = _Parser(prog="syncmdp",
                      description="Qualitative analysis of synchronizing MDPs")

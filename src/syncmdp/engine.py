@@ -101,8 +101,7 @@ def analyze(m, d0, target, *, limits=None, cache=None):
                                                        lasso=lasso, mec=mec, limits=limits)
         verdicts[(mode, "bounded")] = decide_bounded(m, mode, target, s0,
                                                      lasso=lasso, mec=mec, limits=limits)
-    for verdict in verdicts.values():
-        attach_bounds(verdict, m, d0)
+    attach_bounds(verdicts.values(), m, d0)
 
     violations = check_consistency(verdicts)
     if violations:

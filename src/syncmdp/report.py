@@ -151,8 +151,8 @@ def render_text(report):
         for win in WIN_MODES:
             for b in report["verdicts"][mode][win]["bounds"]:
                 val = b["exact"]
-                if isinstance(val, str) and b["log10"] is not None \
-                        and not -6 < b["log10"] < 6:
+                if b["log10"] is not None and (
+                        val is None or isinstance(val, str) and not -6 < b["log10"] < 6):
                     val = f"10^{b['log10']:.2f}"
                 bound_lines.append(f"  {mode}/{win}: {b['kind']} = {val}")
     if bound_lines:

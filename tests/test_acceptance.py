@@ -5,6 +5,7 @@ its named oracle checks over the analyzed instances at the stated horizons and
 tolerances. Zero violations are allowed anywhere.
 """
 
+import json
 import time
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from syncmdp import analyze, decide_limit_sure, decide_sure, example_model
 from syncmdp.checks import CheckContext, run_checks
 from syncmdp.engine import check_consistency
 from syncmdp.randgen import corpus
+from syncmdp.report import REPORT_VERSION, build_report, render_text
 
 CORPUS_SEED = 20260810
 CORPUS_COUNT = 500
@@ -151,3 +153,18 @@ def test_criterion_7_lasso_integrity(all_analyses):
     assert ran == len(all_analyses)
     report("criterion-7 lasso-integrity",
            f"{ran} instances, matrix powers agree, one extra period verified")
+
+
+def test_corpus_reports_serialize(corpus_analyses):
+    # every corpus report builds and serializes, including the models whose
+    # eps_weakly is too long to print (exact: null with its log10)
+    omitted = 0
+    for an in corpus_analyses:
+        doc = build_report(an, "target")
+        text = json.dumps(doc)
+        assert json.loads(text)["report-version"] == REPORT_VERSION
+        render_text(doc)
+        omitted += any(b["exact"] is None for row in doc["verdicts"].values()
+                       for cell in row.values() for b in cell["bounds"])
+    assert omitted > 0, "corpus has no bound beyond the digit limit"
+    report("corpus-reports", f"{len(corpus_analyses)} reports, {omitted} with omitted digits")

@@ -1,9 +1,12 @@
+import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from syncmdp import (Dist, attach_bounds, compute_bound, decide_bounded,
-                     decide_limit_sure, decide_sure)
+from syncmdp import (Dist, analyze, attach_bounds, compute_bound, decide_bounded,
+                     decide_limit_sure, decide_sure, format_rational)
+from syncmdp.bounds import KINDS
 
 H = Fraction(1, 2)
 
@@ -62,14 +65,14 @@ def test_eps_weakly_refuses_single_state():
 
 def test_formula_only_beyond_cap():
     exact = compute_bound("eps_weakly", 6, 2, H, 1)  # exponent 8 * 4^6 fits the cap
-    capped = compute_bound("eps_weakly", 6, 2, H, 1, exponent_cap_bits=1 << 8)
-    assert exact.value is not None and capped.value is None and capped.formula_only
-    assert capped.log10 == pytest.approx(exact.log10)
-    obj = capped.to_obj()
-    assert obj["exact"] is None and obj["kind"] == "eps_weakly"
-    # astronomically small exponents degrade to formula-only at the default cap
+    assert exact.value is not None and not exact.formula_only
+    # astronomically small exponents degrade to formula-only at the cap
     huge = compute_bound("eps_weakly", 12, 2, H, 1)
-    assert huge.formula_only and huge.log10 < -10 ** 7
+    assert huge.formula_only and huge.value is None
+    assert huge.log10 < -10 ** 7
+    assert huge.log10 == pytest.approx(-(14 * 4 ** 12 * 0.30103 + 4097 * math.log10(12)))
+    obj = huge.to_obj()
+    assert obj["exact"] is None and obj["kind"] == "eps_weakly"
 
 
 def test_monotone_in_alpha_and_n():
@@ -94,7 +97,7 @@ def test_attach_twophase_eps_eventually(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     d0 = Dist.uniform(m.n, [m.state_index("q1"), m.state_index("q3")])
     v = decide_limit_sure(m, "eventually", t, d0.support())
-    attach_bounds(v, m, d0)
+    attach_bounds([v], m, d0)
     eps = next(b for b in v.bounds if b.kind == "eps_eventually")
     assert eps.value == Fraction(1, 2 ** 193)
     assert eps.inputs["alpha0"] == Fraction(1, 2)
@@ -103,7 +106,7 @@ def test_attach_twophase_eps_eventually(twophase):
 def test_attach_loopback_bounded_weakly(loopback):
     m, t = loopback.mdp, loopback.targets["target"]
     v = decide_bounded(m, "weakly", t, loopback.initial.support())
-    attach_bounds(v, m, loopback.initial)
+    attach_bounds([v], m, loopback.initial)
     eps = next(b for b in v.bounds if b.kind == "eps_adversarial")
     assert eps.value == Fraction(1, 4) ** 12
     steps = next(b for b in v.bounds if b.kind == "N_adversarial")
@@ -114,7 +117,7 @@ def test_attach_leaves_unmatched_verdicts_alone(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     d0 = Dist.dirac(m.n, m.state_index("q3"))
     v = decide_sure(m, "eventually", t, d0.support())
-    attach_bounds(v, m, d0)
+    attach_bounds([v], m, d0)
     assert v.answer and v.bounds == []
 
 
@@ -122,7 +125,7 @@ def test_attach_requires_matching_support(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     v = decide_sure(m, "eventually", t, m.support(["q3"]))
     with pytest.raises(ValueError):
-        attach_bounds(v, m, Dist.dirac(m.n, 0))
+        attach_bounds([v], m, Dist.dirac(m.n, 0))
 
 
 def test_refined_alpha0_via_failing_subsupport():
@@ -142,8 +145,72 @@ def test_refined_alpha0_via_failing_subsupport():
     v = decide_limit_sure(m, "eventually", t, pm.initial.support())
     assert not v.answer
     assert set(v.certificate["failing_subsupport"].names(m.states)) == {"x"}
-    attach_bounds(v, m, pm.initial)
+    attach_bounds([v], m, pm.initial)
     eps = next(b for b in v.bounds if b.kind == "eps_eventually")
     # alpha0 refined to d0(x) = 3/4 instead of the full-support minimum 1/4
     assert eps.inputs["alpha0"] == Fraction(3, 4)
+    assert eps.inputs["alpha0_support"] == [m.state_index("x")]
     assert eps.value == Fraction(3, 4)  # alpha = 1 so the power vanishes
+
+
+def _eager(kind, n, a_count, alpha, alpha0):
+    """The bound formulas evaluated directly."""
+    n_pow = Fraction(n)
+    return {
+        "eps_eventually": alpha0 * alpha ** ((n + 1) * 2 ** n),
+        "eps_weakly": alpha0 * alpha ** ((n + 2) * 4 ** n) / n_pow ** (2 ** n + 1),
+        "N_weakly": 2 ** n,
+        "eps_always": alpha0 * alpha ** n / n_pow,
+        "eps_strongly": alpha0 * alpha ** (2 * n) / n_pow ** 2,
+        "gap_strongly": (n, n),
+        "eps_adversarial": alpha0 * (alpha / a_count) ** (n + n * n),
+        "N_adversarial": n + n * n,
+        "lemma1_reach": alpha0 * alpha ** n,
+    }[kind]
+
+
+def test_lazy_value_matches_eager_formula():
+    kinds = [k for k in KINDS if k != "lemma2_step"]
+    for n in (2, 3, 5):
+        for alpha in (Fraction(1, 6), Fraction(2, 3), Fraction(1)):
+            for alpha0 in (Fraction(1, 5), Fraction(3, 4), Fraction(1)):
+                for kind in kinds:
+                    cert = compute_bound(kind, n, 3, alpha, alpha0)
+                    assert "value" not in vars(cert)  # nothing evaluated yet
+                    assert cert.value == _eager(kind, n, 3, alpha, alpha0)
+                    assert cert.value is cert.value  # cached on the object
+                for i in (0, 1, 7):
+                    assert compute_bound("lemma2_step", n, 3, alpha, alpha0, i=i).value \
+                        == alpha0 * alpha ** i
+
+
+def test_digit_limit_boundary():
+    tenth = Fraction(1, 10)
+    fits = compute_bound("lemma2_step", 3, 1, tenth, 1, i=4299)   # 4,300 digits
+    assert fits.to_obj()["exact"] == "1/1" + "0" * 4299
+    over = compute_bound("lemma2_step", 3, 1, tenth, 1, i=4300)   # 4,301 digits
+    assert over.to_obj()["exact"] is None
+    assert over.value == tenth ** 4300  # still exact for the checks
+    with pytest.raises(ValueError):
+        format_rational(over.value)
+    assert over.to_obj()["log10"] == pytest.approx(-4300)
+
+
+def test_long_bound_skips_evaluation_in_report():
+    cert = compute_bound("eps_weakly", 8, 3, Fraction(1, 6), 1)
+    assert not cert.formula_only
+    obj = cert.to_obj()
+    assert obj["exact"] is None and obj["log10"] < -10 ** 5
+    assert "value" not in vars(cert)
+
+
+def test_shared_certificates_within_one_analysis(funnel):
+    an = analyze(funnel.mdp, funnel.initial, funnel.targets["target"])
+    always = [an.verdicts[("always", w)] for w in ("sure", "almost-sure", "limit-sure")]
+    certs = [next(b for b in v.bounds if b.kind == "eps_always") for v in always]
+    assert certs[0] is certs[1] is certs[2]
+    by_obj = {}
+    for verdict in an.verdicts.values():
+        for cert in verdict.bounds:
+            key = json.dumps(cert.to_obj(), sort_keys=True)
+            assert by_obj.setdefault(key, cert) is cert

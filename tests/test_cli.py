@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -170,3 +171,53 @@ def test_verify_absorbing_model_vacuous_pass(capsys, tmp_path):
     report = json.loads(out_path.read_text())
     statuses = {item["name"]: item["status"] for item in report["oracle"]}
     assert "fail" not in statuses.values()
+
+
+# n = 5, one action, smallest probability 1/4: eps_weakly = (1/4)^7168 / 5^33
+# has a denominator of more than 4,300 decimal digits.
+LONG_BOUND_MODEL = {
+    "states": ["q0", "q1", "q2", "q3", "q4"], "actions": ["a"],
+    "transitions": [
+        {"from": "q0", "action": "a", "to": "q0", "prob": "1/4"},
+        {"from": "q0", "action": "a", "to": "q1", "prob": "3/4"},
+        {"from": "q1", "action": "a", "to": "q2", "prob": "1"},
+        {"from": "q2", "action": "a", "to": "q3", "prob": "1"},
+        {"from": "q3", "action": "a", "to": "q4", "prob": "1"},
+        {"from": "q4", "action": "a", "to": "q0", "prob": "1/4"},
+        {"from": "q4", "action": "a", "to": "q4", "prob": "3/4"},
+    ],
+    "initial": {"q0": "1"},
+    "targets": {"target": ["q1", "q2", "q3", "q4"]},
+}
+
+
+def test_analyze_bound_beyond_digit_limit(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(LONG_BOUND_MODEL))
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "analyze", "--model", str(path),
+                         "--target", "target", "--json", str(out_path))
+    assert code == 0, err
+    report = json.loads(out_path.read_text())
+    for win in ("almost-sure", "limit-sure"):
+        cell = report["verdicts"]["weakly"][win]
+        assert cell["answer"] == "no"
+        eps = next(b for b in cell["bounds"] if b["kind"] == "eps_weakly")
+        assert eps["exact"] is None
+        assert math.isfinite(eps["log10"]) and eps["log10"] < -4300
+    assert "eps_weakly = 10^-4338.63" in out
+    assert "None" not in out
+
+
+def test_verify_bound_beyond_digit_limit(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(LONG_BOUND_MODEL))
+    out_path = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", "--model", str(path),
+                       "--target", "target", "--json", str(out_path))
+    assert code == 0 and "FAILED" not in err
+    report = json.loads(out_path.read_text())
+    statuses = {item["name"]: item["status"] for item in report["oracle"]}
+    assert "fail" not in statuses.values()
+    # the check reads the exact value even though the report omits its digits
+    assert statuses["near-sync-count-cap"] == "pass"

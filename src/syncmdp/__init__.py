@@ -2,9 +2,9 @@
 rational arithmetic, explicit isolation bounds, and brute-force oracles.
 """
 
-from .adversarial import (AdvVerdictDetail, SupportLasso, decide_bounded,
-                          decide_positive, freezing_strategy,
-                          matrix_power_witness, support_lasso, switch_point)
+from .adversarial import (AdvVerdictDetail, decide_bounded, decide_positive,
+                          freezing_strategy, matrix_power_witness,
+                          support_lasso, switch_point)
 from .bounds import BoundCert, attach_bounds, compute_bound
 from .checks import CheckResult, run_checks
 from .classic import (decide_almost_sure, decide_limit_sure, decide_sure,
@@ -16,13 +16,13 @@ from .model import (BudgetExceeded, Dist, GuardExceeded, Limits, Mdp,
                     SupportSet, SYNC_MODES, Verdict, WIN_MODES, format_rational,
                     lift_with_counter, load_model, min_initial_probability,
                     min_positive_probability, model_to_obj, parse_model,
-                    parse_rational, product_with_counter, project_counter,
-                    serialize_model, step, uniform_strategy)
+                    parse_rational, product_with_counter, serialize_model,
+                    uniform_strategy)
 from .oracle import (MaxMassProfile, Trace, count_synchronized_positions,
                      enumerate_pure_strategies, max_mass_at_step,
-                     max_reach_values, simulate, trace_to_obj)
-from .regions import (EcDecomposition, PreLasso, almost_sure_reach_region,
-                      apre, mec_decomposition, pre, pre_lasso, reach_layers,
-                      sure_reach_region, sure_safety_region)
+                     max_reach_values, simulate)
+from .regions import (EcDecomposition, Lasso, almost_sure_reach_region, apre,
+                      iterate_lasso, mec_decomposition, pre, pre_lasso,
+                      reach_layers, sure_reach_region, sure_safety_region)
 
 __version__ = "0.1.0"

@@ -8,34 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import (DEFAULT_LIMITS, GuardExceeded, ModeQuery, StrategySpec,
-                    SupportSet, Verdict, uniform_strategy)
-from .regions import mec_decomposition
-
-
-@dataclass(frozen=True)
-class SupportLasso:
-    """Ultimately periodic support sequence under the all-actions uniform strategy.
-
-    prefix[i] is the support after i uniform rounds for i <= loop_start +
-    period; the last entry repeats prefix[loop_start] and closes the lasso.
-    """
-
-    prefix: tuple
-    loop_start: int   # l: first index on the loop
-    period: int       # p >= 1
-
-    def distinct(self):
-        return self.prefix[:-1]
-
-    def loop(self):
-        return self.prefix[self.loop_start:self.loop_start + self.period]
-
-    def at(self, i):
-        if i < len(self.prefix):
-            return self.prefix[i]
-        l = self.loop_start
-        return self.prefix[l + (i - l) % self.period]
+from .model import (DEFAULT_LIMITS, ModeQuery, SupportSet, Verdict,
+                    _strategy_table, uniform_strategy)
+from .regions import iterate_lasso, mec_decomposition
 
 
 def post_image(m, s):
@@ -48,26 +23,15 @@ def post_image(m, s):
 
 
 def support_lasso(m, s0, max_len=None):
-    """Iterate the all-actions support image from s0 until the first repetition."""
+    """Support sequence under the all-actions uniform strategy, as a lasso from s0."""
     if not s0:
         raise ValueError("initial support must be nonempty")
-    seen = {}
-    sups = []
-    cur = s0
-    while cur not in seen:
-        if max_len is not None and len(sups) >= max_len:
-            raise GuardExceeded("support-lasso", f"no repetition within {max_len} supports")
-        seen[cur] = len(sups)
-        sups.append(cur)
-        cur = post_image(m, cur)
-    l = seen[cur]
-    sups.append(cur)
-    return SupportLasso(tuple(sups), l, len(sups) - 1 - l)
+    return iterate_lasso(lambda s: post_image(m, s), s0, max_len, "support-lasso")
 
 
 def switch_point(lasso):
     """Freezing switch index: the concrete lasso closure l + p."""
-    return lasso.loop_start + lasso.period
+    return lasso.start + lasso.period
 
 
 def _bool_mul(a, b):
@@ -175,115 +139,74 @@ def freezing_strategy(m, lasso, mec=None, label="freezing"):
     if mec is None:
         mec = mec_decomposition(m)
     sw = switch_point(lasso)
-    share = Fraction(1, m.action_count)
-    uniform_row = {a: share for a in range(m.action_count)}
-    choice = {}
-    update = {}
-    for j in range(sw + 1):
-        for q in range(m.n):
-            if j == sw and mec.internal_actions[q]:
-                acts = mec.internal_actions[q]
-                row = {a: Fraction(1, len(acts)) for a in acts}
-            else:
-                row = dict(uniform_row)
-            choice[(j, q)] = row
-            update[(j, q)] = min(j + 1, sw)
-    return StrategySpec(label, tuple(range(sw + 1)), 0, choice, update)
 
+    def action(j, q):
+        acts = mec.internal_actions[q]
+        if j == sw and acts:
+            return {a: Fraction(1, len(acts)) for a in acts}
+        return None
 
-def _prepare(m, t, s0, lasso, mec, limits):
-    limits = limits or DEFAULT_LIMITS
-    if lasso is None:
-        lasso = support_lasso(m, s0, max_len=limits.max_lasso)
-    if mec is None:
-        mec = mec_decomposition(m)
-    return lasso, mec
+    return _strategy_table(m, label, range(sw + 1), 0, action,
+                           lambda j, q: min(j + 1, sw))
 
 
 def decide_positive(m, sync_mode, t, s0, *, lasso=None, mec=None, limits=None):
     """Membership in the positive winning mode, computed on the support lasso."""
-    lasso, mec = _prepare(m, t, s0, lasso, mec, limits)
-    supports = lasso.distinct()
-    loop = lasso.loop()
-    l, p = lasso.loop_start, lasso.period
-    cond1 = all(s & t for s in supports)
-    te = t & mec.union
-    cond2 = all(s & te for s in loop)
-    graph_test = None
-
-    if sync_mode == "eventually":
-        hit = next((i for i, s in enumerate(supports) if s & t), None)
-        answer = hit is not None
-        failing = None if answer else 0
-    elif sync_mode == "always":
-        answer = cond1
-        failing = None if answer else _first_missing(supports, t)
-        hit = None
-    elif sync_mode == "weakly":
-        hit = next((l + i for i, s in enumerate(loop) if s & t), None)
-        answer = hit is not None
-        failing = None if answer else l
-        graph_test = _graph_test_weakly(m, lasso, t)
-    elif sync_mode == "strongly":
-        answer = all(s & t for s in loop)
-        failing = None if answer else _first_missing(loop, t, offset=l)
-        hit = None
-    else:
-        raise ValueError(f"unknown sync mode {sync_mode!r}")
-
-    detail = AdvVerdictDetail(cond1, cond2, failing, l, p, switch_point(lasso),
-                              graph_test=graph_test)
-    cert = {"kind": f"positive-{sync_mode}", "loop_start": l, "period": p}
-    if answer and hit is not None:
-        cert["hit_index"] = hit
-    witness = uniform_strategy(m) if answer else None
-    return Verdict(ModeQuery(sync_mode, "positive", t, s0), answer,
-                   witness=witness, certificate=cert, detail=detail)
+    return _decide(m, "positive", sync_mode, t, s0, lasso, mec, limits)
 
 
 def decide_bounded(m, sync_mode, t, s0, *, lasso=None, mec=None, limits=None):
     """Membership in the bounded winning mode (mass bounded away from zero)."""
-    lasso, mec = _prepare(m, t, s0, lasso, mec, limits)
-    supports = lasso.distinct()
-    loop = lasso.loop()
-    l, p = lasso.loop_start, lasso.period
-    sw = switch_point(lasso)
-    cond1 = all(s & t for s in supports)
+    return _decide(m, "bounded", sync_mode, t, s0, lasso, mec, limits)
+
+
+def _decide(m, win, sync_mode, t, s0, lasso, mec, limits):
+    """Positive or bounded membership from conditions on the support lasso.
+
+    Positive modes ask whether the target meets the supports; bounded modes
+    ask it of the target inside the end components on the loop.
+    """
+    if lasso is None:
+        lasso = support_lasso(m, s0, max_len=(limits or DEFAULT_LIMITS).max_lasso)
+    if mec is None:
+        mec = mec_decomposition(m)
+    supports, loop = lasso.distinct(), lasso.loop()
+    l, p, sw = lasso.start, lasso.period, switch_point(lasso)
     te = t & mec.union
+    cond1 = all(s & t for s in supports)
     cond2 = all(s & te for s in loop)
+    hit = graph_test = None
 
     if sync_mode == "eventually":
-        # coincides with the positive mode; uniform play is already a witness
+        # bounded coincides with positive here; uniform play is a witness of both
         hit = next((i for i, s in enumerate(supports) if s & t), None)
-        answer = hit is not None
-        failing = None if answer else 0
-        witness = uniform_strategy(m) if answer else None
+        failing = None if hit is not None else 0
+    elif sync_mode == "weakly" and win == "positive":
+        hit = next((l + i for i, s in enumerate(loop) if s & t), None)
+        failing = None if hit is not None else l
+        graph_test = _graph_test_weakly(m, lasso, t)
     elif sync_mode == "weakly":
         hit = next((i for i, s in enumerate(supports) if s & te), None)
-        answer = hit is not None
-        failing = None if answer else 0
-        witness = freezing_strategy(m, lasso, mec) if answer else None
+        failing = None if hit is not None else 0
     elif sync_mode == "strongly":
-        answer = cond2
-        hit = None
-        failing = None if answer else _first_missing(loop, te, offset=l)
-        witness = freezing_strategy(m, lasso, mec) if answer else None
+        failing = _first_missing(loop, t if win == "positive" else te, offset=l)
     elif sync_mode == "always":
-        answer = cond1 and cond2
-        hit = None
-        if answer:
-            failing = None
-        elif not cond1:
-            failing = _first_missing(supports, t)
-        else:
+        failing = _first_missing(supports, t)
+        if failing is None and win == "bounded":
             failing = _first_missing(loop, te, offset=l)
-        witness = freezing_strategy(m, lasso, mec) if answer else None
     else:
         raise ValueError(f"unknown sync mode {sync_mode!r}")
+    answer = failing is None
 
-    detail = AdvVerdictDetail(cond1, cond2, failing, l, p, sw)
-    cert = {"kind": f"bounded-{sync_mode}", "loop_start": l, "period": p, "switch": sw}
+    detail = AdvVerdictDetail(cond1, cond2, failing, l, p, sw, graph_test=graph_test)
+    cert = {"kind": f"{win}-{sync_mode}", "loop_start": l, "period": p}
+    if win == "bounded":
+        cert["switch"] = sw
     if answer and hit is not None:
         cert["hit_index"] = hit
-    return Verdict(ModeQuery(sync_mode, "bounded", t, s0), answer,
+    witness = None
+    if answer:
+        frozen = win == "bounded" and sync_mode != "eventually"
+        witness = freezing_strategy(m, lasso, mec) if frozen else uniform_strategy(m)
+    return Verdict(ModeQuery(sync_mode, win, t, s0), answer,
                    witness=witness, certificate=cert, detail=detail)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 
 from .adversarial import (freezing_strategy, matrix_power_witness, post_image,
                           rows_image)
@@ -27,10 +28,6 @@ class CheckResult:
     status: str            # "pass", "fail" or "skip"
     info: dict
 
-    @property
-    def ok(self):
-        return self.status != "fail"
-
 
 def _bound(verdict, kind):
     for b in verdict.bounds:
@@ -43,44 +40,55 @@ DEFAULT_CHECK_BUDGET = 5000
 
 
 class CheckContext:
-    """Shared simulation artifacts for one analyzed instance."""
+    """Shared simulation artifacts for one analyzed instance, each built on first use."""
 
     def __init__(self, analysis, horizon=None, budget=DEFAULT_CHECK_BUDGET, enum_depth=6):
         self.analysis = analysis
         self.budget = budget
         self.enum_depth = enum_depth
         self.horizon = horizon if horizon is not None else max(50, 4 * analysis.switch)
-        self._traces = None
-        self._profile = None
-        self._enumerated = None
 
-    @property
+    @cached_property
     def traces(self):
-        if self._traces is None:
-            a = self.analysis
-            strategies = {"uniform": uniform_strategy(a.mdp)}
-            strategies["freezing"] = freezing_strategy(a.mdp, a.lasso, a.mec)
-            for verdict in a.verdicts.values():
-                w = verdict.witness
-                if w is not None and w.label not in strategies:
-                    strategies[w.label] = w
-            self._traces = {label: simulate(a.mdp, s, a.initial, self.horizon)
-                            for label, s in strategies.items()}
-        return self._traces
+        a = self.analysis
+        strategies = {"uniform": uniform_strategy(a.mdp)}
+        strategies["freezing"] = freezing_strategy(a.mdp, a.lasso, a.mec)
+        for verdict in a.verdicts.values():
+            w = verdict.witness
+            if w is not None and w.label not in strategies:
+                strategies[w.label] = w
+        return {label: simulate(a.mdp, s, a.initial, self.horizon)
+                for label, s in strategies.items()}
 
-    @property
+    @cached_property
     def profile(self):
-        if self._profile is None:
-            a = self.analysis
-            self._profile = max_mass_at_step(a.mdp, a.target, a.initial, self.horizon)
-        return self._profile
+        a = self.analysis
+        return max_mass_at_step(a.mdp, a.target, a.initial, self.horizon)
+
+    @cached_property
+    def reach_region(self):
+        """The almost-sure reach region of the target."""
+        return almost_sure_reach_region(self.analysis.mdp, self.analysis.target)
+
+    @cached_property
+    def enumerated(self):
+        """Pure-strategy traces at the deepest horizon the budget admits (n <= 4)."""
+        a = self.analysis
+        if a.mdp.n <= 4:
+            for h in range(self.enum_depth, -1, -1):
+                try:
+                    return h, [trace for _, trace in enumerate_pure_strategies(
+                        a.mdp, a.initial, h, budget=self.budget)]
+                except BudgetExceeded:
+                    pass
+        return None, []
 
 
 def check_lasso_integrity(ctx):
     """Lasso closure bounds, matrix-power agreement, and one extra period."""
     a = ctx.analysis
     lasso = a.lasso
-    l, p = lasso.loop_start, lasso.period
+    l, p = lasso.start, lasso.period
     if l + p > 2 ** a.mdp.n:
         return CheckResult("lasso-integrity", "fail",
                            {"reason": f"closure {l}+{p} exceeds 2^n"})
@@ -95,7 +103,7 @@ def check_lasso_integrity(ctx):
                                {"reason": f"period broken at loop offset {j}"})
         cur = post_image(a.mdp, cur)
     tl = a.target_lasso
-    k, r = tl.prefix_len, tl.period
+    k, r = tl.start, tl.period
     if k + r > 2 ** a.mdp.n:
         return CheckResult("lasso-integrity", "fail",
                            {"reason": "predecessor lasso exceeds 2^n"})
@@ -144,8 +152,7 @@ def check_eventually_isolation(ctx):
 def check_reach_value_cap(ctx):
     """Outside the almost-sure reach region the reach value is capped for good."""
     a = ctx.analysis
-    region = almost_sure_reach_region(a.mdp, a.target)
-    if a.s0 <= region:
+    if a.s0 <= ctx.reach_region:
         return CheckResult("reach-value-cap", "skip",
                            {"reason": "initial support is almost-sure for reach"})
     cap = compute_bound("lemma1_reach", a.mdp.n, a.mdp.action_count,
@@ -158,115 +165,57 @@ def check_reach_value_cap(ctx):
                        {"cap": str(cap), "observed_gap": str(worst)})
 
 
-def check_always_prefix_dip(ctx):
-    """Not sure always: within the first n steps the optimum dips below 1 - eps_a.
+def _prefix_dip(mode, win, kind, ctx):
+    """Not `win` `mode`: within the first n steps the optimum dips below 1 - eps.
 
     Note the per-strategy position guarantee does not imply this prefix form
     in general (different strategies may dip at different steps), so a failure
     here is reported with the full profile prefix for inspection.
     """
+    name = f"{mode}-prefix-dip"
     a = ctx.analysis
-    verdict = a.verdicts[("always", "sure")]
+    verdict = a.verdicts[(mode, win)]
     if verdict.answer:
-        return CheckResult("always-prefix-dip", "skip", {"reason": "sure always holds"})
-    cert = _bound(verdict, "eps_always")
+        return CheckResult(name, "skip", {"reason": f"{win} {mode} holds"})
+    cert = _bound(verdict, kind)
     if cert is None or cert.value is None:
-        return CheckResult("always-prefix-dip", "skip", {"reason": "no exact bound"})
+        return CheckResult(name, "skip", {"reason": "no exact bound"})
     prefix = ctx.profile.values[:a.mdp.n + 1]
     if min(prefix) <= 1 - cert.value:
-        return CheckResult("always-prefix-dip", "pass", {"eps": str(cert.value)})
-    return CheckResult("always-prefix-dip", "fail",
+        return CheckResult(name, "pass", {"eps": str(cert.value)})
+    return CheckResult(name, "fail",
                        {"eps": str(cert.value), "prefix": [str(v) for v in prefix]})
 
 
-def check_strongly_prefix_dip(ctx):
-    """Not almost-sure strongly: same min-over-prefix form against eps_s."""
+def _sync_count_cap(name, win, ctx):
+    """Not `win` weakly: at most 2^n synchronized positions along any strategy.
+
+    Sure: positions with all mass in the target. Almost-sure: positions with
+    mass strictly above 1 - eps_weakly.
+    """
     a = ctx.analysis
-    verdict = a.verdicts[("strongly", "almost-sure")]
+    verdict = a.verdicts[("weakly", win)]
     if verdict.answer:
-        return CheckResult("strongly-prefix-dip", "skip",
-                           {"reason": "almost-sure strongly holds"})
-    cert = _bound(verdict, "eps_strongly")
-    if cert is None or cert.value is None:
-        return CheckResult("strongly-prefix-dip", "skip", {"reason": "no exact bound"})
-    prefix = ctx.profile.values[:a.mdp.n + 1]
-    if min(prefix) <= 1 - cert.value:
-        return CheckResult("strongly-prefix-dip", "pass", {"eps": str(cert.value)})
-    return CheckResult("strongly-prefix-dip", "fail",
-                       {"eps": str(cert.value), "prefix": [str(v) for v in prefix]})
-
-
-def _enumerated(ctx):
-    """Pure-strategy traces at the deepest horizon the budget admits (n <= 4)."""
-    if ctx._enumerated is not None:
-        return ctx._enumerated
-    a = ctx.analysis
-    if a.mdp.n > 4:
-        ctx._enumerated = (None, [])
-        return ctx._enumerated
-    h = ctx.enum_depth
-    while h >= 0:
-        try:
-            ctx._enumerated = (h, [trace for _, trace in
-                                   enumerate_pure_strategies(a.mdp, a.initial, h,
-                                                             budget=ctx.budget)])
-            return ctx._enumerated
-        except BudgetExceeded:
-            h -= 1
-    ctx._enumerated = (None, [])
-    return ctx._enumerated
-
-
-def check_full_sync_count_cap(ctx):
-    """Not sure weakly: any strategy is fully synchronized at most 2^n times."""
-    a = ctx.analysis
-    if a.answer("weakly", "sure"):
-        return CheckResult("full-sync-count-cap", "skip", {"reason": "sure weakly holds"})
+        return CheckResult(name, "skip", {"reason": f"{win} weakly holds"})
+    if win == "sure":
+        threshold, strict = ONE, False
+    else:
+        if a.mdp.n < 2:
+            return CheckResult(name, "skip", {"reason": "eps_weakly undefined for n=1"})
+        cert = _bound(verdict, "eps_weakly")
+        if cert is None or cert.value is None:
+            return CheckResult(name, "skip", {"reason": "no exact bound"})
+        threshold, strict = 1 - cert.value, True
     cap = 2 ** a.mdp.n
-    for label, trace in ctx.traces.items():
-        count, _ = count_synchronized_positions(trace, a.target, ONE, strict=False)
+    depth, enumerated = ctx.enumerated
+    for label, trace in [*ctx.traces.items(), *((t.strategy_label, t) for t in enumerated)]:
+        count, _ = count_synchronized_positions(trace, a.target, threshold, strict=strict)
         if count > cap:
-            return CheckResult("full-sync-count-cap", "fail",
-                               {"strategy": label, "count": count})
-    depth, enumerated = _enumerated(ctx)
-    for trace in enumerated:
-        count, _ = count_synchronized_positions(trace, a.target, ONE, strict=False)
-        if count > cap:
-            return CheckResult("full-sync-count-cap", "fail",
-                               {"strategy": trace.strategy_label, "count": count})
-    return CheckResult("full-sync-count-cap", "pass",
-                       {"cap": cap, "enumeration_depth": depth})
-
-
-def check_near_sync_count_cap(ctx):
-    """Not almost-sure weakly: at most 2^n strictly (1-eps_w)-synchronized steps."""
-    a = ctx.analysis
-    verdict = a.verdicts[("weakly", "almost-sure")]
-    if verdict.answer:
-        return CheckResult("near-sync-count-cap", "skip",
-                           {"reason": "almost-sure weakly holds"})
-    if a.mdp.n < 2:
-        return CheckResult("near-sync-count-cap", "skip",
-                           {"reason": "eps_weakly undefined for n=1"})
-    cert = _bound(verdict, "eps_weakly")
-    if cert is None or cert.value is None:
-        return CheckResult("near-sync-count-cap", "skip", {"reason": "no exact bound"})
-    threshold = 1 - cert.value
-    cap = 2 ** a.mdp.n
-    for label, trace in ctx.traces.items():
-        count, _ = count_synchronized_positions(trace, a.target, threshold, strict=True)
-        if count > cap:
-            return CheckResult("near-sync-count-cap", "fail",
-                               {"strategy": label, "count": count})
-    depth, enumerated = _enumerated(ctx)
-    for trace in enumerated:
-        count, _ = count_synchronized_positions(trace, a.target, threshold, strict=True)
-        if count > cap:
-            return CheckResult("near-sync-count-cap", "fail",
-                               {"strategy": trace.strategy_label, "count": count})
-    return CheckResult("near-sync-count-cap", "pass",
-                       {"cap": cap, "enumeration_depth": depth,
-                        "enumerated": len(enumerated)})
+            return CheckResult(name, "fail", {"strategy": label, "count": count})
+    info = {"cap": cap, "enumeration_depth": depth}
+    if strict:
+        info["enumerated"] = len(enumerated)
+    return CheckResult(name, "pass", info)
 
 
 def check_freezing_bound(ctx):
@@ -299,7 +248,7 @@ def check_positive_definition(ctx):
     window = a.switch + a.lasso.period
     trace = simulate(a.mdp, uniform_strategy(a.mdp), a.initial, window)
     masses = [d.mass_in(a.target) for d in trace.dists]
-    l = a.lasso.loop_start
+    l = a.lasso.start
     facts = {
         "eventually": any(v > 0 for v in masses),
         "always": all(v > 0 for v in masses),
@@ -334,7 +283,7 @@ def check_support_monotonicity(ctx):
 def check_region_dp(ctx):
     """The almost-sure reach region matches DP-limit classification per state."""
     a = ctx.analysis
-    region = almost_sure_reach_region(a.mdp, a.target)
+    region = ctx.reach_region
     reach = max_reach_values(a.mdp, a.target, REGION_DP_HORIZON)
     cap = a.alpha ** a.mdp.n
     for q in range(a.mdp.n):
@@ -405,10 +354,10 @@ ALL_CHECKS = {
     "step-decay-cap": check_step_decay_cap,
     "eventually-isolation": check_eventually_isolation,
     "reach-value-cap": check_reach_value_cap,
-    "always-prefix-dip": check_always_prefix_dip,
-    "strongly-prefix-dip": check_strongly_prefix_dip,
-    "full-sync-count-cap": check_full_sync_count_cap,
-    "near-sync-count-cap": check_near_sync_count_cap,
+    "always-prefix-dip": partial(_prefix_dip, "always", "sure", "eps_always"),
+    "strongly-prefix-dip": partial(_prefix_dip, "strongly", "almost-sure", "eps_strongly"),
+    "full-sync-count-cap": partial(_sync_count_cap, "full-sync-count-cap", "sure"),
+    "near-sync-count-cap": partial(_sync_count_cap, "near-sync-count-cap", "almost-sure"),
     "freezing-lower-bound": check_freezing_bound,
     "positive-definition-sim": check_positive_definition,
     "support-monotonicity": check_support_monotonicity,

@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .model import (DEFAULT_LIMITS, GuardExceeded, ModeQuery, StrategySpec,
-                    SupportSet, Verdict, lift_with_counter, product_with_counter)
+from .model import (DEFAULT_LIMITS, GuardExceeded, ModeQuery, SupportSet, Verdict,
+                    _strategy_table, lift_with_counter, product_with_counter)
 from .regions import (almost_sure_reach_region, pre, pre_lasso, reach_layers,
                       sure_safety_region)
 
@@ -54,21 +54,13 @@ def _subsets_desc(t):
             yield SupportSet.of(t.width, combo)
 
 
-def _uniform_row(m):
-    share = Fraction(1, m.action_count)
-    return {a: share for a in range(m.action_count)}
-
-
-def _first_action_into(m, q, target):
+def _step_into(m, q, target):
+    """Dirac row on the first action keeping every successor of q inside `target`."""
     for a in range(m.action_count):
         s = m.succ_bits(q, a)
         if s & target.bits == s:
-            return a
+            return {a: Fraction(1)}
     return None
-
-
-def _dirac(a):
-    return {a: Fraction(1)}
 
 
 def synthesize_sure_eventually_strategy(m, t, s0, k, *, lasso=None, limits=None):
@@ -83,77 +75,52 @@ def synthesize_sure_eventually_strategy(m, t, s0, k, *, lasso=None, limits=None)
     chain = [lasso.at(j) for j in range(k + 1)]
     if not s0 <= chain[k]:
         raise ValueError("initial support is not contained in the k-fold predecessor")
-    uniform = _uniform_row(m)
-    choice = {}
-    update = {}
-    for j in range(k, -1, -1):
-        for q in range(m.n):
-            row = dict(uniform)
-            if j >= 1 and q in chain[j]:
-                a = _first_action_into(m, q, chain[j - 1])
-                row = _dirac(a)
-            choice[(j, q)] = row
-            update[(j, q)] = max(j - 1, 0)
-    return StrategySpec(f"countdown[{k}]", tuple(range(k, -1, -1)), k, choice, update)
+
+    def action(j, q):
+        return _step_into(m, q, chain[j - 1]) if j >= 1 and q in chain[j] else None
+
+    return _strategy_table(m, f"countdown[{k}]", range(k, -1, -1), k, action,
+                           lambda j, q: max(j - 1, 0))
 
 
-def _safety_strategy(m, region, label="stay-safe"):
+def _safety_strategy(m, region):
     """Memoryless: inside the safety region, pick an action that stays inside."""
-    uniform = _uniform_row(m)
-    choice = {}
-    update = {}
-    for q in range(m.n):
-        row = dict(uniform)
-        if q in region:
-            row = _dirac(_first_action_into(m, q, region))
-        choice[(0, q)] = row
-        update[(0, q)] = 0
-    return StrategySpec(label, (0,), 0, choice, update)
+    return _strategy_table(
+        m, "stay-safe", (0,), 0,
+        lambda mem, q: _step_into(m, q, region) if q in region else None,
+        lambda mem, q: 0)
 
 
-def _reach_then_stay_strategy(m, safe, layers, label="attract-then-stay"):
+def _reach_then_stay_strategy(m, safe, layers):
     """Memoryless: walk down the attractor layers into `safe`, then stay."""
-    uniform = _uniform_row(m)
-    choice = {}
-    update = {}
-    for q in range(m.n):
-        row = dict(uniform)
+    def action(mem, q):
         if q in safe:
-            row = _dirac(_first_action_into(m, q, safe))
-        else:
-            rank = next((j for j, layer in enumerate(layers) if q in layer), None)
-            if rank is not None:
-                row = _dirac(_first_action_into(m, q, layers[rank - 1]))
-        choice[(0, q)] = row
-        update[(0, q)] = 0
-    return StrategySpec(label, (0,), 0, choice, update)
+            return _step_into(m, q, safe)
+        rank = next((j for j, layer in enumerate(layers) if q in layer), None)
+        return None if rank is None else _step_into(m, q, layers[rank - 1])
+
+    return _strategy_table(m, "attract-then-stay", (0,), 0, action, lambda mem, q: 0)
 
 
-def _cycle_strategy(m, s, k, r, lasso_of_s, label=None):
-    """Countdown into the recurrent set, then cycle it through its r-step loop."""
+def _cycle_strategy(m, k, r, lasso_of_s):
+    """Countdown into the recurrent set, then cycle it through its r-step loop.
+
+    Memory ("down", j) pushes Pre^j into Pre^(j-1); ("cyc", phi) sits at level r - phi.
+    """
     chain = [lasso_of_s.at(j) for j in range(max(k, r) + 1)]
-    uniform = _uniform_row(m)
     memory = [("down", j) for j in range(k, 0, -1)] + [("cyc", phi) for phi in range(r)]
-    choice = {}
-    update = {}
-    for j in range(k, 0, -1):
-        for q in range(m.n):
-            row = dict(uniform)
-            if q in chain[j]:
-                row = _dirac(_first_action_into(m, q, chain[j - 1]))
-            choice[(("down", j), q)] = row
-            update[(("down", j), q)] = ("down", j - 1) if j > 1 else ("cyc", 0)
-    for phi in range(r):
-        level = r - phi
-        for q in range(m.n):
-            row = dict(uniform)
-            if q in chain[level]:
-                row = _dirac(_first_action_into(m, q, chain[level - 1]))
-            choice[(("cyc", phi), q)] = row
-            update[(("cyc", phi), q)] = ("cyc", (phi + 1) % r)
+
+    def action(mem, q):
+        level = mem[1] if mem[0] == "down" else r - mem[1]
+        return _step_into(m, q, chain[level - 1]) if q in chain[level] else None
+
+    def update(mem, q):
+        if mem[0] == "cyc":
+            return ("cyc", (mem[1] + 1) % r)
+        return ("down", mem[1] - 1) if mem[1] > 1 else ("cyc", 0)
+
     initial = ("down", k) if k >= 1 else ("cyc", 0)
-    return StrategySpec(label or f"countdown-cycle[{k},{r}]",
-                        tuple(memory), initial, choice, update)
+    return _strategy_table(m, f"countdown-cycle[{k},{r}]", memory, initial, action, update)
 
 
 def decide_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
@@ -184,7 +151,7 @@ def decide_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
             k = next((i for i, sup in enumerate(sl.distinct()) if s0 <= sup), None)
             if k is None:
                 continue
-            witness = _cycle_strategy(m, s, k, r, sl)
+            witness = _cycle_strategy(m, k, r, sl)
             cert = {"kind": "sure-weakly", "set": s, "k": k, "r": r}
             return Verdict(query, True, witness=witness, certificate=cert)
         return Verdict(query, False)
@@ -217,7 +184,7 @@ def _limit_event_yes(m, t, s0, cache, limits):
         lasso = _lasso(m, t, cache, limits)
         if any(s0 <= sup for sup in lasso.distinct()):
             return True
-        k, r = lasso.prefix_len, lasso.period
+        k, r = lasso.start, lasso.period
         region = _product_region(m, r, lift_with_counter(lasso.supports[k], r, 0).bits, cache)
         return any(lift_with_counter(s0, r, tt) <= region for tt in range(r))
 
@@ -244,7 +211,7 @@ def decide_limit_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
 
     if sync_mode == "eventually":
         lasso = _lasso(m, t, cache, limits)
-        k, r = lasso.prefix_len, lasso.period
+        k, r = lasso.start, lasso.period
         big_r = lasso.supports[k]
         base = {"k": k, "r": r, "R": big_r}
         sure_v = decide_sure(m, "eventually", t, s0, cache=cache, limits=limits)
@@ -366,12 +333,8 @@ def recheck_certificate(m, verdict):
         region = almost_sure_reach_region(prod, lift_with_counter(big_r, r, 0))
         return (cert["product_region"] == region
                 and lift_with_counter(q.initial_support, r, cert["phase"]) <= region)
-    if kind == "almost-sure-weakly":
-        t2 = cert["t_prime"]
-        return (t2 <= q.target and _limit_event_yes(m, t2, q.initial_support, None, DEFAULT_LIMITS)
-                and _limit_event_yes(m, pre(m, t2), t2, None, DEFAULT_LIMITS))
-    if kind == "almost-sure-eventually":
-        if cert["via"] == "sure":
+    if kind in ("almost-sure-weakly", "almost-sure-eventually"):
+        if cert.get("via") == "sure":
             return q.initial_support <= _iter_pre(m, q.target, cert["sure_k"])
         t2 = cert["t_prime"]
         return (t2 <= q.target and _limit_event_yes(m, t2, q.initial_support, None, DEFAULT_LIMITS)

@@ -30,23 +30,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def nonnegative_int(text):
+    """argparse type of the guard and horizon flags."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+    return value
+
+
 @functools.cache  # parse_args leaves the parser unchanged: build it once per process
 def _build_parser():
     parser = _Parser(prog="syncmdp",
                      description="Qualitative analysis of synchronizing MDPs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, target=True, budget=Limits.budget):
+    def common(p, target=True):
         p.add_argument("--model", required=True, help="model JSON path")
         if target:
             p.add_argument("--target", required=True, help="named target set")
         p.add_argument("--json", help="write the JSON report to this path")
-        p.add_argument("--max-lasso", type=int, default=Limits.max_lasso,
+        p.add_argument("--max-lasso", type=nonnegative_int, default=Limits.max_lasso,
                        help="guard: longest support lasso explored")
-        p.add_argument("--subset-width", type=int, default=Limits.subset_width,
+        p.add_argument("--subset-width", type=nonnegative_int, default=Limits.subset_width,
                        help="guard: largest target open to subset search")
-        p.add_argument("--budget", type=int, default=budget,
-                       help="guard: strategy enumeration work budget")
 
     p_an = sub.add_parser("analyze", help="full 4x5 verdict matrix with bounds")
     common(p_an)
@@ -55,10 +61,12 @@ def _build_parser():
                       help="include full witness strategy tables in the JSON report")
 
     p_ve = sub.add_parser("verify", help="run the oracle invariant battery")
-    common(p_ve, budget=DEFAULT_CHECK_BUDGET)
-    p_ve.add_argument("--horizon", type=int, default=None,
+    common(p_ve)
+    p_ve.add_argument("--budget", type=nonnegative_int, default=DEFAULT_CHECK_BUDGET,
+                      help="guard: strategy enumeration work budget")
+    p_ve.add_argument("--horizon", type=nonnegative_int, default=None,
                       help="simulation/DP horizon (default max(50, 4*lasso))")
-    p_ve.add_argument("--enum-depth", type=int, default=6,
+    p_ve.add_argument("--enum-depth", type=nonnegative_int, default=6,
                       help="pure-strategy enumeration depth at tiny scale")
 
     p_re = sub.add_parser("regions", help="print one region computation")
@@ -70,9 +78,7 @@ def _build_parser():
 
 def _load(args):
     pm = load_model(args.model)
-    limits = Limits(max_lasso=args.max_lasso, subset_width=args.subset_width,
-                    budget=args.budget)
-    return pm, limits
+    return pm, Limits(max_lasso=args.max_lasso, subset_width=args.subset_width)
 
 
 def _named_set(pm, name):
@@ -102,13 +108,14 @@ def _parse_query(text):
 
 
 def _cmd_analyze(args):
+    query = _parse_query(args.query) if args.query else None
     pm, limits = _load(args)
     target = _named_set(pm, args.target)
     analysis = analyze(pm.mdp, pm.initial, target, limits=limits)
     report = build_report(analysis, args.target, model_path=args.model,
                           include_strategies=args.strategies)
-    if args.query:
-        mode, win = _parse_query(args.query)
+    if query:
+        mode, win = query
         cell = report["verdicts"][mode][win]
         if args.json:
             with open(args.json, "w", encoding="utf-8") as handle:
@@ -142,7 +149,7 @@ def _cmd_regions(args):
     if args.which == "pre-lasso":
         lasso = pre_lasso(m, s, max_len=limits.max_lasso)
         out = {"supports": [list(x.names(m.states)) for x in lasso.distinct()],
-               "k": lasso.prefix_len, "r": lasso.period}
+               "k": lasso.start, "r": lasso.period}
     elif args.which == "mec":
         mec = mec_decomposition(m)
         out = {"components": [list(c.names(m.states)) for c in mec.components],
@@ -173,7 +180,7 @@ def main(argv=None):
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_regions(args)
-    except (ModelFormatError, FileNotFoundError, KeyError) as exc:
+    except (ModelFormatError, OSError, UnicodeDecodeError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except GuardExceeded as exc:

@@ -79,13 +79,12 @@ def check_consistency(verdicts):
     return bad
 
 
-def analyze(m, d0, target, *, limits=None, cache=None):
+def analyze(m, d0, target, *, limits=None):
     """Run the full 4x5 verdict matrix with bounds; raises on gate violations."""
     limits = limits or DEFAULT_LIMITS
-    cache = {} if cache is None else cache
     s0 = d0.support()
     target_lasso = pre_lasso(m, target, max_len=limits.max_lasso)
-    cache.setdefault(("pre-lasso", target.bits), target_lasso)
+    cache = {("pre-lasso", target.bits): target_lasso}
     lasso = support_lasso(m, s0, max_len=limits.max_lasso)
     mec = mec_decomposition(m)
 

@@ -46,7 +46,6 @@ class Limits:
 
     max_lasso: int = 1 << 16      # longest support/predecessor lasso explored
     subset_width: int = 16        # largest target set open to subset search
-    budget: int = 10 ** 6         # strategy-enumeration work budget
 
 DEFAULT_LIMITS = Limits()
 
@@ -58,10 +57,13 @@ def parse_rational(text, location=None):
     """Parse a decimal-integer "p" or "p/q" string into an exact Fraction."""
     if not isinstance(text, str) or (m := _RATIONAL_RE.match(text.strip())) is None:
         raise ModelFormatError(f"malformed rational {text!r}", location)
-    den = int(m.group(2)) if m.group(2) else 1
+    try:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError:  # beyond the interpreter's integer-string digit limit
+        raise ModelFormatError("rational has too many digits", location) from None
     if den == 0:
         raise ModelFormatError(f"zero denominator in rational {text!r}", location)
-    return Fraction(int(m.group(1)), den)
+    return Fraction(num, den)
 
 
 def format_rational(value):
@@ -328,33 +330,27 @@ class StrategySpec:
         return self.update[(mem, q)]
 
 
+def _strategy_table(m, label, memory, initial, action, update):
+    """Finite-memory strategy filled in cell by cell, memory-major over the states.
+
+    action(mem, q) is the cell's action row, or None for uniform play over all
+    actions (one row object shared by every such cell); update(mem, q) is the
+    next memory value.
+    """
+    share = Fraction(1, m.action_count)
+    uniform = {a: share for a in range(m.action_count)}
+    choice = {}
+    nxt = {}
+    for mem in memory:
+        for q in range(m.n):
+            choice[(mem, q)] = action(mem, q) or uniform
+            nxt[(mem, q)] = update(mem, q)
+    return StrategySpec(label, tuple(memory), initial, choice, nxt)
+
+
 def uniform_strategy(m, label="uniform"):
     """The memoryless strategy playing every action with equal probability."""
-    share = Fraction(1, m.action_count)
-    row = {a: share for a in range(m.action_count)}
-    choice = {(0, q): dict(row) for q in range(m.n)}
-    update = {(0, q): 0 for q in range(m.n)}
-    return StrategySpec(label, (0,), 0, choice, update)
-
-
-def step(m, d, strategy, mem):
-    """One exact image of `d` under the strategy's action mixture at memory `mem`.
-
-    The single-memory signature requires the update to agree across the current
-    support; strategies whose memory depends on the visited state must go
-    through the joint simulation in the oracle module instead.
-    """
-    nexts = {strategy.next_memory(mem, q) for q in d.mass}
-    if len(nexts) != 1:
-        raise ValueError("memory update depends on the state; use oracle.simulate")
-    out = {}
-    for q, w in d.mass.items():
-        for a, pa in strategy.action_row(mem, q).items():
-            if pa == 0:
-                continue
-            for q2, p in m.delta[q][a].mass.items():
-                out[q2] = out.get(q2, ZERO) + w * pa * p
-    return Dist(m.n, out), nexts.pop()
+    return _strategy_table(m, label, (0,), 0, lambda mem, q: None, lambda mem, q: 0)
 
 
 @dataclass(frozen=True)
@@ -424,16 +420,6 @@ def lift_with_counter(s, r, t):
     return SupportSet(s.width * r, bits)
 
 
-def project_counter(sp, r):
-    """Projection of a product support back onto the base state space."""
-    if r < 1 or sp.width % r:
-        raise ValueError("support width is not a multiple of the counter modulus")
-    bits = 0
-    for idx in sp:
-        bits |= 1 << idx // r
-    return SupportSet(sp.width // r, bits)
-
-
 # --- model documents ------------------------------------------------------------
 
 @dataclass
@@ -455,7 +441,7 @@ def parse_model(doc):
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ModelFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("top-level document must be an object")
@@ -479,6 +465,13 @@ def parse_model(doc):
     aidx = {a: i for i, a in enumerate(actions)}
     n = len(states)
 
+    def lookup(index, name, what, loc):
+        if not isinstance(name, str) or name not in index:
+            raise ModelFormatError(f"unknown {what} {name!r}", loc)
+        return index[name]
+
+    if not isinstance(doc["transitions"], list):
+        raise ModelFormatError("must be a list of transition objects", "transitions")
     entries = {}
     for pos, tr in enumerate(doc["transitions"]):
         loc = f"transitions[{pos}]"
@@ -487,13 +480,9 @@ def parse_model(doc):
         for key in ("from", "action", "to", "prob"):
             if key not in tr:
                 raise ModelFormatError(f"missing key {key!r}", loc)
-        if tr["from"] not in sidx:
-            raise ModelFormatError(f"unknown state {tr['from']!r}", loc)
-        if tr["to"] not in sidx:
-            raise ModelFormatError(f"unknown state {tr['to']!r}", loc)
-        if tr["action"] not in aidx:
-            raise ModelFormatError(f"unknown action {tr['action']!r}", loc)
-        q, a, q2 = sidx[tr["from"]], aidx[tr["action"]], sidx[tr["to"]]
+        q = lookup(sidx, tr["from"], "state", loc)
+        q2 = lookup(sidx, tr["to"], "state", loc)
+        a = lookup(aidx, tr["action"], "action", loc)
         if (q, a, q2) in entries:
             raise ModelFormatError(
                 f"duplicate transition ({tr['from']}, {tr['action']}, {tr['to']})", loc)
@@ -521,25 +510,23 @@ def parse_model(doc):
         raise ModelFormatError("must be a nonempty object", "initial")
     mass = {}
     for name, text in init.items():
-        if name not in sidx:
-            raise ModelFormatError(f"unknown state {name!r}", "initial")
-        mass[sidx[name]] = parse_rational(text, "initial")
+        mass[lookup(sidx, name, "state", "initial")] = parse_rational(text, "initial")
     try:
         initial = Dist(n, mass)
     except ValueError as exc:
         raise ModelFormatError(str(exc), "initial") from exc
 
+    if not isinstance(doc.get("targets", {}), dict):
+        raise ModelFormatError("must be an object", "targets")
     targets = {}
     for name, members in doc.get("targets", {}).items():
         loc = f"targets[{name}]"
         if not isinstance(members, list):
             raise ModelFormatError("target must be a list of state names", loc)
-        for s in members:
-            if s not in sidx:
-                raise ModelFormatError(f"unknown state {s!r}", loc)
-        if len(set(members)) != len(members):
+        indices = [lookup(sidx, s, "state", loc) for s in members]
+        if len(set(indices)) != len(indices):
             raise ModelFormatError("duplicate state in target", loc)
-        targets[name] = SupportSet.of(n, (sidx[s] for s in members))
+        targets[name] = SupportSet.of(n, indices)
 
     return ParsedModel(mdp, initial, targets)
 

@@ -23,9 +23,6 @@ class Trace:
     strategy_label: str
     horizon: int
 
-    def masses(self, t):
-        return tuple(d.mass_in(t) for d in self.dists)
-
 
 @dataclass(frozen=True)
 class MaxMassProfile:
@@ -120,8 +117,8 @@ def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
     nodes = _history_tree(m, d0, h, budget=budget)
     count = len(nodes)
     a_count = m.action_count
-    if a_count > 1 and count * math.log2(a_count) + math.log2(max(count, 1)) \
-            > math.log2(budget):
+    if budget < 1 or a_count > 1 and count * math.log2(a_count) \
+            + math.log2(max(count, 1)) > math.log2(budget):
         raise BudgetExceeded("strategy-enumeration",
                              f"{a_count}^{count} strategies exceed budget {budget}")
     one = Fraction(1)
@@ -161,14 +158,6 @@ def _assignment_strategy(m, assignment, rows):
     label = "pure[" + ",".join(str(a) for a in assignment.values()) + "]"
     memory = tuple(sorted(prefixes)) + (done,)
     return StrategySpec(label, memory, (), choice, update)
-
-
-def trace_to_obj(trace, m):
-    """JSON-ready dump of a trace for external plotting."""
-    from .model import format_rational
-    return [{"step": i, "mass": {m.states[q]: format_rational(p)
-                                 for q, p in d.mass.items()}}
-            for i, d in enumerate(trace.dists)]
 
 
 def count_synchronized_positions(trace, t, threshold, strict=True):

@@ -46,43 +46,53 @@ def apre(m, y, x):
 
 
 @dataclass(frozen=True)
-class PreLasso:
-    """The ultimately periodic iterated-predecessor sequence of a target set.
+class Lasso:
+    """An ultimately periodic support sequence s_0, s_1 = step(s_0), ...
 
-    supports[i] is the i-fold predecessor of the target for i <= prefix_len +
-    period; the last entry repeats supports[prefix_len] and closes the lasso.
+    supports[i] is s_i for i <= start + period; the last entry repeats
+    supports[start] and closes the lasso.
     """
 
     supports: tuple
-    prefix_len: int   # k: first index whose support recurs
-    period: int       # r >= 1: distance to the recurrence
+    start: int    # first index whose support recurs
+    period: int   # >= 1: distance to the recurrence
 
     def distinct(self):
         """All pairwise-distinct supports (everything before the closing repeat)."""
         return self.supports[:-1]
 
+    def loop(self):
+        return self.supports[self.start:self.start + self.period]
+
     def at(self, i):
         """Support at an arbitrary iteration index i >= 0."""
         if i < len(self.supports):
             return self.supports[i]
-        k = self.prefix_len
-        return self.supports[k + (i - k) % self.period]
+        return self.supports[self.start + (i - self.start) % self.period]
+
+
+def iterate_lasso(step, start, max_len, stage):
+    """Iterate `step` from `start` until the first repeated support.
+
+    More than `max_len` distinct supports (when not None) trips the guard of `stage`.
+    """
+    seen = {}
+    sups = []
+    cur = start
+    while cur not in seen:
+        if max_len is not None and len(sups) >= max_len:
+            raise GuardExceeded(stage, f"no repetition within {max_len} supports")
+        seen[cur] = len(sups)
+        sups.append(cur)
+        cur = step(cur)
+    k = seen[cur]
+    sups.append(cur)
+    return Lasso(tuple(sups), k, len(sups) - 1 - k)
 
 
 def pre_lasso(m, t, max_len=None):
-    """Iterate `pre` from `t` until the first repeated support."""
-    seen = {}
-    sups = []
-    cur = t
-    while cur not in seen:
-        if max_len is not None and len(sups) >= max_len:
-            raise GuardExceeded("pre-lasso", f"no repetition within {max_len} supports")
-        seen[cur] = len(sups)
-        sups.append(cur)
-        cur = pre(m, cur)
-    k = seen[cur]
-    sups.append(cur)
-    return PreLasso(tuple(sups), k, len(sups) - 1 - k)
+    """The iterated-predecessor lasso of a target set."""
+    return iterate_lasso(lambda y: pre(m, y), t, max_len, "pre-lasso")
 
 
 def sure_safety_region(m, t):

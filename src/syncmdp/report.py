@@ -4,7 +4,7 @@ one analyzed model, with optional oracle-check results.
 
 from __future__ import annotations
 
-import math
+from dataclasses import asdict
 
 from .model import SYNC_MODES, WIN_MODES, SupportSet, format_rational
 
@@ -47,20 +47,6 @@ def _jsonable(value, states, product_names=None):
     return value
 
 
-def _detail_obj(detail):
-    if detail is None:
-        return None
-    return {
-        "condition1": detail.condition1,
-        "condition2": detail.condition2,
-        "failing_index": detail.failing_index,
-        "loop_start": detail.loop_start,
-        "period": detail.period,
-        "switch": detail.switch,
-        "graph_test": detail.graph_test,
-    }
-
-
 def _verdict_obj(verdict, m, include_strategies):
     product_names = None
     cert = verdict.certificate
@@ -71,7 +57,7 @@ def _verdict_obj(verdict, m, include_strategies):
     out = {
         "answer": "yes" if verdict.answer else "no",
         "certificate": _jsonable(cert, m.states, product_names),
-        "detail": _detail_obj(verdict.detail),
+        "detail": None if verdict.detail is None else asdict(verdict.detail),
         "bounds": [b.to_obj() for b in verdict.bounds],
     }
     if include_strategies:
@@ -102,12 +88,12 @@ def build_report(analysis, target_name, oracle_results=None, model_path=None,
             "ec-union": _names(analysis.mec.union, m.states),
             "support-lasso": {
                 "prefix": [_names(s, m.states) for s in analysis.lasso.distinct()],
-                "loop-start": analysis.lasso.loop_start,
+                "loop-start": analysis.lasso.start,
                 "period": analysis.lasso.period,
             },
             "pre-lasso": {
                 "supports": [_names(s, m.states) for s in analysis.target_lasso.distinct()],
-                "k": analysis.target_lasso.prefix_len,
+                "k": analysis.target_lasso.start,
                 "r": analysis.target_lasso.period,
             },
             "switch-point": analysis.switch,

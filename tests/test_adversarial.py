@@ -18,15 +18,15 @@ def names(m, s):
 def test_support_lasso_drain(drain):
     m = drain.mdp
     lasso = support_lasso(m, drain.initial.support())
-    assert [names(m, s) for s in lasso.prefix] == [{"q0"}, {"q0", "q1"}, {"q0", "q1"}]
-    assert lasso.loop_start == 1 and lasso.period == 1
+    assert [names(m, s) for s in lasso.supports] == [{"q0"}, {"q0", "q1"}, {"q0", "q1"}]
+    assert lasso.start == 1 and lasso.period == 1
     assert switch_point(lasso) == 2
 
 
 def test_support_lasso_funnel(funnel):
     m = funnel.mdp
     lasso = support_lasso(m, funnel.initial.support())
-    assert lasso.loop_start == 3 and lasso.period == 1
+    assert lasso.start == 3 and lasso.period == 1
     assert names(m, lasso.at(3)) == {"q0", "q1", "q2", "q3"}
     assert names(m, lasso.at(100)) == {"q0", "q1", "q2", "q3"}
 
@@ -34,7 +34,7 @@ def test_support_lasso_funnel(funnel):
 def test_support_lasso_absorbing():
     pm = build(ABSORBING)
     lasso = support_lasso(pm.mdp, pm.initial.support())
-    assert lasso.loop_start == 0 and lasso.period == 1
+    assert lasso.start == 0 and lasso.period == 1
     assert switch_point(lasso) == 1
 
 
@@ -61,7 +61,7 @@ def test_matrix_power_matches_lasso(funnel, loopback, twophase):
         m = pm.mdp
         s0 = pm.initial.support()
         lasso = support_lasso(m, s0)
-        for i in range(lasso.loop_start + lasso.period + 1):
+        for i in range(lasso.start + lasso.period + 1):
             assert rows_image(matrix_power_witness(m, i), s0) == lasso.at(i)
 
 

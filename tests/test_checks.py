@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from syncmdp import analyze, example_model, simulate, trace_to_obj, uniform_strategy
+from syncmdp import analyze, example_model
 from syncmdp.checks import ALL_CHECKS, CheckContext, run_checks
 from syncmdp.randgen import corpus
 
@@ -55,16 +55,6 @@ def test_names_filter_restricts_run():
     an = analyze(pm.mdp, pm.initial, pm.targets["target"])
     results = run_checks(an, names={"lasso-integrity"})
     assert [r.name for r in results] == ["lasso-integrity"]
-
-
-def test_trace_export_schema():
-    pm = example_model("drain")
-    m = pm.mdp
-    trace = simulate(m, uniform_strategy(m), pm.initial, 2)
-    obj = trace_to_obj(trace, m)
-    assert obj[0] == {"step": 0, "mass": {"q0": "1"}}
-    assert obj[1] == {"step": 1, "mass": {"q0": "1/2", "q1": "1/2"}}
-    assert obj[2]["mass"]["q0"] == "1/4"
 
 
 def test_check_context_default_horizon():

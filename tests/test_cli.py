@@ -6,6 +6,8 @@ import pytest
 from syncmdp import example_path, serialize_model, example_model
 from syncmdp.cli import main
 
+from conftest import ABSORBING
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -72,11 +74,70 @@ def test_missing_file_is_input_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_unreadable_model_is_input_error(capsys, tmp_path):
+    not_utf8 = tmp_path / "bad.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    for path in (not_utf8, tmp_path):
+        code, _, err = run(capsys, "analyze", "--model", str(path), "--target", "t")
+        assert code == 2 and "input error" in err
+
+
 def test_malformed_model_is_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"states": []}')
     code, _, err = run(capsys, "analyze", "--model", str(bad), "--target", "t")
     assert code == 2
+
+
+# Wrong-typed or oversized fields: each must be an input error at its location.
+MALFORMED = [
+    ({"transitions": 5}, "transitions"),
+    ({"targets": []}, "targets"),
+    ({"transitions": [{"from": ["t"], "action": "a", "to": "t", "prob": "1"}]},
+     "transitions[0]"),
+    ({"initial": {"t": "1" * 5001}}, "initial"),
+]
+
+
+@pytest.mark.parametrize("change,location", MALFORMED)
+def test_malformed_field_is_located_input_error(capsys, tmp_path, change, location):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(ABSORBING, **change)))
+    code, _, err = run(capsys, "analyze", "--model", str(bad), "--target", "target")
+    assert code == 2
+    assert f"input error: {location}: " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--max-lasso", "-1"],
+    ["analyze", "--subset-width", "-2"],
+    ["regions", "--set", "target", "--which", "mec", "--max-lasso", "-1"],
+    ["verify", "--budget", "-1"],
+    ["verify", "--horizon", "-1"],
+    ["verify", "--enum-depth", "-5"],
+    ["verify", "--horizon", "ten"],
+    ["analyze", "--budget", "5"],
+    ["regions", "--set", "target", "--which", "mec", "--budget", "5"],
+])
+def test_bad_flag_values_are_usage_errors(capsys, argv):
+    target = [] if argv[0] == "regions" else ["--target", "target"]
+    code, _, err = run(capsys, *argv, "--model", example_path("funnel"), *target)
+    assert code == 1
+    assert "error: " in err and "Traceback" not in err
+
+
+def test_zero_flag_values_are_accepted(capsys):
+    code, out, _ = run(capsys, "verify", "--model", example_path("funnel"),
+                       "--target", "target", "--budget", "0", "--horizon", "0",
+                       "--enum-depth", "0")
+    assert code == 0 and "oracle checks" in out
+
+
+def test_bad_query_is_rejected_before_the_analysis(capsys):
+    # a one-support lasso guard would trip (exit 3) if the analysis ran first
+    code, out, err = run(capsys, "analyze", "--model", example_path("funnel"),
+                         "--target", "target", "--max-lasso", "1", "--query", "nope")
+    assert code == 2 and "query" in err and out == ""
 
 
 def test_usage_error(capsys):

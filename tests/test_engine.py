@@ -44,6 +44,6 @@ def test_analysis_carries_model_constants(funnel):
     an = analyze(funnel.mdp, funnel.initial, funnel.targets["target"])
     assert an.alpha == Fraction(1, 2)
     assert an.alpha0 == 1
-    assert an.switch == an.lasso.loop_start + an.lasso.period == 4
+    assert an.switch == an.lasso.start + an.lasso.period == 4
     assert len(an.verdicts) == 20
-    assert an.target_lasso.prefix_len == 1 and an.target_lasso.period == 1
+    assert an.target_lasso.start == 1 and an.target_lasso.period == 1

@@ -5,8 +5,8 @@ import pytest
 from syncmdp import (Dist, ModeQuery, ModelFormatError, StrategySpec, SupportSet,
                      format_rational, min_initial_probability,
                      min_positive_probability, model_to_obj, parse_model,
-                     parse_rational, product_with_counter, serialize_model, step,
-                     uniform_strategy)
+                     parse_rational, product_with_counter, serialize_model,
+                     simulate, uniform_strategy)
 
 from conftest import ABSORBING, build
 
@@ -155,30 +155,16 @@ def test_product_preserves_mass_and_alpha(funnel):
 
 def test_step_examples(funnel, loopback):
     m = funnel.mdp
-    d, mem = step(m, Dist.dirac(4, 0), uniform_strategy(m), 0)
-    assert d == Dist(4, {0: Fraction(1, 2), 1: Fraction(1, 2)})
-    assert mem == 0
+    uniform = uniform_strategy(m)
+    trace = simulate(m, uniform, Dist.dirac(4, 0), 1)
+    assert trace.dists[1] == Dist(4, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+    assert all(uniform.next_memory(0, q) == 0 for q in range(m.n))
     absorbing = build(ABSORBING).mdp
     d0 = Dist.dirac(1, 0)
-    d, _ = step(absorbing, d0, uniform_strategy(absorbing), 0)
-    assert d == d0
+    assert simulate(absorbing, uniform_strategy(absorbing), d0, 1).dists[1] == d0
     m3 = loopback.mdp
-    d, _ = step(m3, Dist.dirac(3, 2), uniform_strategy(m3), 0)
-    assert d == Dist.dirac(3, 0)
-
-
-def test_step_rejects_state_dependent_memory(funnel):
-    m = funnel.mdp
-    base = uniform_strategy(m)
-    update = dict(base.update)
-    choice = dict(base.choice)
-    for q in range(m.n):
-        choice[(1, q)] = dict(base.choice[(0, q)])
-        update[(1, q)] = 1
-    update[(0, 0)] = 1  # only state q0 moves the memory
-    s = StrategySpec("splitter", (0, 1), 0, choice, update)
-    with pytest.raises(ValueError, match="memory update depends"):
-        step(m, Dist.uniform(4, [0, 1]), s, 0)
+    trace = simulate(m3, uniform_strategy(m3), Dist.dirac(3, 2), 1)
+    assert trace.dists[1] == Dist.dirac(3, 0)
 
 
 def test_support_set_ops():

@@ -1,14 +1,15 @@
 """Property-based invariants over randomly drawn models."""
 
+import json
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from syncmdp import (Dist, Mdp, ParsedModel, SupportSet, almost_sure_reach_region,
-                     analyze, apre, decide_limit_sure, decide_sure,
-                     lift_with_counter, matrix_power_witness, mec_decomposition,
-                     parse_model, pre, pre_lasso, product_with_counter,
-                     project_counter, serialize_model, simulate, step,
+from syncmdp import (Dist, Mdp, ModelFormatError, ParsedModel, SupportSet,
+                     almost_sure_reach_region, analyze, apre, decide_limit_sure,
+                     decide_sure, lift_with_counter, matrix_power_witness,
+                     mec_decomposition, model_to_obj, parse_model, pre, pre_lasso,
+                     product_with_counter, serialize_model, simulate,
                      support_lasso, sure_safety_region, uniform_strategy)
 from syncmdp.adversarial import post_image, rows_image
 from syncmdp.oracle import max_mass_at_step
@@ -68,7 +69,7 @@ def test_pre_monotone(inst, data):
 @settings(max_examples=60, deadline=None)
 def test_step_is_exact_and_stays_in_image(inst):
     m, d0, _ = inst
-    d1, _ = step(m, d0, uniform_strategy(m), 0)
+    d1 = simulate(m, uniform_strategy(m), d0, 1).dists[1]
     assert sum(d1.mass.values()) == 1
     assert d1.support() <= post_image(m, d0.support())
 
@@ -80,9 +81,10 @@ def test_product_projection_commutes_with_step(inst, r, t_raw):
     t = t_raw % r
     prod = product_with_counter(m, r)
     lifted = Dist(m.n * r, {q * r + (r - 1 - t): p for q, p in d0.mass.items()})
-    stepped_prod, _ = step(prod, lifted, uniform_strategy(prod), 0)
-    stepped_base, _ = step(m, d0, uniform_strategy(m), 0)
-    assert project_counter(stepped_prod.support(), r) == stepped_base.support()
+    stepped_prod = simulate(prod, uniform_strategy(prod), lifted, 1).dists[1]
+    stepped_base = simulate(m, uniform_strategy(m), d0, 1).dists[1]
+    assert SupportSet.of(m.n, {idx // r for idx in stepped_prod.mass}) \
+        == stepped_base.support()
     projected = {}
     for idx, p in stepped_prod.mass.items():
         projected[idx // r] = projected.get(idx // r, Fraction(0)) + p
@@ -103,7 +105,7 @@ def test_serialize_parse_identity(inst):
 def test_pre_lasso_periodic_beyond_closure(inst):
     m, _, t = inst
     lasso = pre_lasso(m, t)
-    k, r = lasso.prefix_len, lasso.period
+    k, r = lasso.start, lasso.period
     assert k + r <= 2 ** m.n
     cur = t
     for _ in range(k):
@@ -120,8 +122,8 @@ def test_support_lasso_matches_matrix_powers(inst):
     m, d0, _ = inst
     s0 = d0.support()
     lasso = support_lasso(m, s0)
-    assert lasso.loop_start + lasso.period <= 2 ** m.n
-    for i in range(lasso.loop_start + lasso.period + 1):
+    assert lasso.start + lasso.period <= 2 ** m.n
+    for i in range(lasso.start + lasso.period + 1):
         assert rows_image(matrix_power_witness(m, i), s0) == lasso.at(i)
 
 
@@ -220,3 +222,55 @@ def test_simulation_below_dp_optimum(inst, h):
     trace = simulate(m, uniform_strategy(m), d0, h)
     for i in range(h + 1):
         assert trace.dists[i].mass_in(t) <= profile.values[i]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["1", "1/2", "0", "1/0", "s0", "a0", "1" * 5001]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+
+
+def parses_or_rejects(doc):
+    try:
+        assert isinstance(parse_model(doc), ParsedModel)
+    except ModelFormatError:
+        pass
+
+
+def field_paths(doc, prefix=()):
+    """Key/index paths to every value nested in a decoded document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+@given(json_values)
+@settings(max_examples=200, deadline=None)
+def test_any_json_value_parses_or_is_rejected(value):
+    parses_or_rejects(value)
+    parses_or_rejects(json.dumps(value))
+
+
+@given(instances(max_states=3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_single_field_mutation_parses_or_is_rejected(inst, data):
+    m, d0, t = inst
+    doc = model_to_obj(ParsedModel(m, d0, {"t": t}))
+    path = data.draw(st.sampled_from(list(field_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        parent[path[-1]] = data.draw(json_values)
+    else:
+        del parent[path[-1]]
+    parses_or_rejects(doc)
+    parses_or_rejects(json.dumps(doc))

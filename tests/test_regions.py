@@ -30,7 +30,7 @@ def test_apre_examples(funnel):
 def test_pre_lasso_funnel(funnel):
     m = funnel.mdp
     lasso = pre_lasso(m, m.support(["q2"]))
-    assert lasso.prefix_len == 1 and lasso.period == 1
+    assert lasso.start == 1 and lasso.period == 1
     assert [names(m, s) for s in lasso.supports] == [{"q2"}, {"q1"}, {"q1"}]
     assert lasso.at(7) == lasso.supports[1]
 
@@ -38,7 +38,7 @@ def test_pre_lasso_funnel(funnel):
 def test_pre_lasso_twophase(twophase):
     m = twophase.mdp
     lasso = pre_lasso(m, m.support(["q2", "q3"]))
-    assert lasso.prefix_len == 0 and lasso.period == 2
+    assert lasso.start == 0 and lasso.period == 2
     assert names(m, lasso.supports[1]) == {"q1", "q4"}
     assert lasso.supports[2] == lasso.supports[0]
 
@@ -46,7 +46,7 @@ def test_pre_lasso_twophase(twophase):
 def test_pre_lasso_fixpoint_at_root(funnel):
     m = funnel.mdp
     lasso = pre_lasso(m, m.full_support())
-    assert lasso.prefix_len == 0 and lasso.period == 1
+    assert lasso.start == 0 and lasso.period == 1
 
 
 def test_pre_lasso_guard(funnel):

@@ -11,7 +11,7 @@ import time
 from collections import Counter
 
 from syncmdp import analyze, serialize_model
-from syncmdp.checks import run_checks
+from syncmdp.checks import DEFAULT_ENUM_DEPTH, run_checks
 from syncmdp.model import ParsedModel
 from syncmdp.randgen import corpus
 
@@ -22,7 +22,7 @@ def main():
     parser.add_argument("--count", type=int, default=500)
     parser.add_argument("--max-states", type=int, default=5)
     parser.add_argument("--horizon", type=int, default=50)
-    parser.add_argument("--enum-depth", type=int, default=6)
+    parser.add_argument("--enum-depth", type=int, default=DEFAULT_ENUM_DEPTH)
     args = parser.parse_args()
 
     t0 = time.time()

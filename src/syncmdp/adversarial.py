@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (DEFAULT_LIMITS, ModeQuery, SupportSet, Verdict,
-                    _strategy_table, uniform_strategy)
+                    _cached, _strategy_table, uniform_strategy)
 from .regions import iterate_lasso, mec_decomposition
 
 
@@ -130,14 +130,12 @@ def _graph_test_weakly(m, lasso, t):
     return any(_self_reaching(m, q) for q in reachable & t)
 
 
-def freezing_strategy(m, lasso, mec=None, label="freezing"):
+def freezing_strategy(m, lasso, mec):
     """Uniform play until the lasso closes, then only end-component-internal actions.
 
     The memory is a step counter saturating at the switch point; transient
     states keep playing all actions uniformly after the switch.
     """
-    if mec is None:
-        mec = mec_decomposition(m)
     sw = switch_point(lasso)
 
     def action(j, q):
@@ -146,30 +144,31 @@ def freezing_strategy(m, lasso, mec=None, label="freezing"):
             return {a: Fraction(1, len(acts)) for a in acts}
         return None
 
-    return _strategy_table(m, label, range(sw + 1), 0, action,
+    return _strategy_table(m, "freezing", range(sw + 1), 0, action,
                            lambda j, q: min(j + 1, sw))
 
 
-def decide_positive(m, sync_mode, t, s0, *, lasso=None, mec=None, limits=None):
+def decide_positive(m, sync_mode, t, s0, *, cache=None, limits=None):
     """Membership in the positive winning mode, computed on the support lasso."""
-    return _decide(m, "positive", sync_mode, t, s0, lasso, mec, limits)
+    return _decide(m, "positive", sync_mode, t, s0, cache, limits)
 
 
-def decide_bounded(m, sync_mode, t, s0, *, lasso=None, mec=None, limits=None):
+def decide_bounded(m, sync_mode, t, s0, *, cache=None, limits=None):
     """Membership in the bounded winning mode (mass bounded away from zero)."""
-    return _decide(m, "bounded", sync_mode, t, s0, lasso, mec, limits)
+    return _decide(m, "bounded", sync_mode, t, s0, cache, limits)
 
 
-def _decide(m, win, sync_mode, t, s0, lasso, mec, limits):
+def _decide(m, win, sync_mode, t, s0, cache, limits):
     """Positive or bounded membership from conditions on the support lasso.
 
     Positive modes ask whether the target meets the supports; bounded modes
     ask it of the target inside the end components on the loop.
     """
-    if lasso is None:
-        lasso = support_lasso(m, s0, max_len=(limits or DEFAULT_LIMITS).max_lasso)
-    if mec is None:
-        mec = mec_decomposition(m)
+    query = ModeQuery(sync_mode, win, t, s0)
+    max_len = (limits or DEFAULT_LIMITS).max_lasso
+    lasso = _cached(cache, ("support-lasso", s0.bits),
+                    lambda: support_lasso(m, s0, max_len=max_len))
+    mec = _cached(cache, ("mec",), lambda: mec_decomposition(m))
     supports, loop = lasso.distinct(), lasso.loop()
     l, p, sw = lasso.start, lasso.period, switch_point(lasso)
     te = t & mec.union
@@ -190,12 +189,10 @@ def _decide(m, win, sync_mode, t, s0, lasso, mec, limits):
         failing = None if hit is not None else 0
     elif sync_mode == "strongly":
         failing = _first_missing(loop, t if win == "positive" else te, offset=l)
-    elif sync_mode == "always":
+    else:  # always
         failing = _first_missing(supports, t)
         if failing is None and win == "bounded":
             failing = _first_missing(loop, te, offset=l)
-    else:
-        raise ValueError(f"unknown sync mode {sync_mode!r}")
     answer = failing is None
 
     detail = AdvVerdictDetail(cond1, cond2, failing, l, p, sw, graph_test=graph_test)
@@ -208,5 +205,4 @@ def _decide(m, win, sync_mode, t, s0, lasso, mec, limits):
     if answer:
         frozen = win == "bounded" and sync_mode != "eventually"
         witness = freezing_strategy(m, lasso, mec) if frozen else uniform_strategy(m)
-    return Verdict(ModeQuery(sync_mode, win, t, s0), answer,
-                   witness=witness, certificate=cert, detail=detail)
+    return Verdict(query, answer, witness=witness, certificate=cert, detail=detail)

@@ -1,5 +1,5 @@
-"""The closed-form isolation bounds and step constants as plain data,
-attached to verdicts as certificates.
+"""The closed-form isolation bounds and step constants as plain data: the
+certificates each verdict cell of one analysis carries.
 
 A certificate holds its formula terms and a log10 companion for display. The
 exact big rational is computed only when something reads `value` (the oracle
@@ -18,8 +18,7 @@ from functools import cached_property
 from .model import ONE, format_rational, min_initial_probability, min_positive_probability
 
 KINDS = ("eps_eventually", "eps_weakly", "N_weakly", "eps_always", "eps_strongly",
-         "gap_strongly", "eps_adversarial", "N_adversarial", "lemma1_reach",
-         "lemma2_step")
+         "gap_strongly", "eps_adversarial", "N_adversarial", "lemma1_reach")
 
 EXPONENT_CAP_BITS = 1 << 24
 
@@ -105,12 +104,11 @@ def _frac_bits(x):
     return x.numerator.bit_length() + x.denominator.bit_length()
 
 
-def compute_bound(kind, n, a_count, alpha, alpha0, i=None):
+def compute_bound(kind, n, a_count, alpha, alpha0):
     """One bound formula as a certificate, from the model constants.
 
     n: state count; a_count: action count; alpha: smallest positive transition
-    probability; alpha0: smallest positive initial probability; i: step index,
-    required for lemma2_step only.
+    probability; alpha0: smallest positive initial probability.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown bound kind {kind!r}")
@@ -130,12 +128,7 @@ def compute_bound(kind, n, a_count, alpha, alpha0, i=None):
         # first position within n steps, later positions at most n apart
         return BoundCert(kind, inputs, None, count=(n, n))
 
-    if kind == "lemma2_step":
-        if i is None or i < 0:
-            raise ValueError("lemma2_step needs a nonnegative step index")
-        inputs["i"] = i
-        exponent, base, denom_pow = i, alpha, 0
-    elif kind == "lemma1_reach":
+    if kind == "lemma1_reach":
         exponent, base, denom_pow = n, alpha, 0
     elif kind == "eps_eventually":
         exponent, base, denom_pow = (n + 1) * 2 ** n, alpha, 0
@@ -180,14 +173,15 @@ def _carried(verdict, n):
 
 
 def attach_bounds(verdicts, m, d0):
-    """Attach the bound certificates each verdict of one analysis carries.
+    """The bound certificates of one analysis: {(sync_mode, win_mode): [BoundCert]}
+    with an entry per verdict. Bounds depend on d0, which the deciders never see.
 
     No-verdicts for limit-sure eventually carry eps_eventually (with the
     refined alpha0 when the decider exposed a failing sub-support); no-verdicts
     for almost-sure/limit-sure weakly carry eps_weakly and N_weakly; always and
     strongly no-verdicts carry eps_always / eps_strongly with the position-gap
     constants; yes-verdicts for bounded modes carry eps_adversarial and
-    N_adversarial. Each distinct certificate is built once and every verdict
+    N_adversarial. Each distinct certificate is built once and every cell
     carrying it holds the same object.
     """
     n, a_count = m.n, m.action_count
@@ -195,9 +189,12 @@ def attach_bounds(verdicts, m, d0):
     alpha0 = min_initial_probability(d0)
     support = d0.support()
     certs = {}
+    bounds = {}
     for verdict in verdicts:
-        if verdict.query.initial_support != support:
+        q = verdict.query
+        if q.initial_support != support:
             raise ValueError("verdict initial support does not match the distribution")
+        cell = bounds[(q.sync_mode, q.win_mode)] = []
         for kind, exposed in _carried(verdict, n):
             a0 = min_initial_probability(d0, exposed) if exposed else alpha0
             key = (kind, a0, exposed)
@@ -207,4 +204,5 @@ def attach_bounds(verdicts, m, d0):
                     cert = replace(cert, inputs={**cert.inputs,
                                                  "alpha0_support": list(exposed)})
                 certs[key] = cert
-            verdict.bounds.append(certs[key])
+            cell.append(certs[key])
+    return bounds

@@ -29,20 +29,20 @@ class CheckResult:
     info: dict
 
 
-def _bound(verdict, kind):
-    for b in verdict.bounds:
-        if b.kind == kind:
-            return b
-    return None
+def _bound(analysis, cell, kind):
+    """The `kind` certificate a verdict cell carries, or None."""
+    return next((b for b in analysis.bounds[cell] if b.kind == kind), None)
 
 
 DEFAULT_CHECK_BUDGET = 5000
+DEFAULT_ENUM_DEPTH = 6
 
 
 class CheckContext:
     """Shared simulation artifacts for one analyzed instance, each built on first use."""
 
-    def __init__(self, analysis, horizon=None, budget=DEFAULT_CHECK_BUDGET, enum_depth=6):
+    def __init__(self, analysis, horizon=None, budget=DEFAULT_CHECK_BUDGET,
+                 enum_depth=DEFAULT_ENUM_DEPTH):
         self.analysis = analysis
         self.budget = budget
         self.enum_depth = enum_depth
@@ -133,12 +133,11 @@ def check_step_decay_cap(ctx):
 
 
 def check_eventually_isolation(ctx):
-    """Not limit-sure eventually: the attached eps_eventually isolates the value."""
+    """Not limit-sure eventually: the eps_eventually of its cell isolates the value."""
     a = ctx.analysis
-    verdict = a.verdicts[("eventually", "limit-sure")]
-    if verdict.answer:
+    if a.answer("eventually", "limit-sure"):
         return CheckResult("eventually-isolation", "skip", {"reason": "limit-sure holds"})
-    cert = _bound(verdict, "eps_eventually")
+    cert = _bound(a, ("eventually", "limit-sure"), "eps_eventually")
     if cert is None or cert.value is None:
         return CheckResult("eventually-isolation", "skip", {"reason": "no exact bound"})
     eps = cert.value
@@ -174,10 +173,9 @@ def _prefix_dip(mode, win, kind, ctx):
     """
     name = f"{mode}-prefix-dip"
     a = ctx.analysis
-    verdict = a.verdicts[(mode, win)]
-    if verdict.answer:
+    if a.answer(mode, win):
         return CheckResult(name, "skip", {"reason": f"{win} {mode} holds"})
-    cert = _bound(verdict, kind)
+    cert = _bound(a, (mode, win), kind)
     if cert is None or cert.value is None:
         return CheckResult(name, "skip", {"reason": "no exact bound"})
     prefix = ctx.profile.values[:a.mdp.n + 1]
@@ -194,15 +192,14 @@ def _sync_count_cap(name, win, ctx):
     mass strictly above 1 - eps_weakly.
     """
     a = ctx.analysis
-    verdict = a.verdicts[("weakly", win)]
-    if verdict.answer:
+    if a.answer("weakly", win):
         return CheckResult(name, "skip", {"reason": f"{win} weakly holds"})
     if win == "sure":
         threshold, strict = ONE, False
     else:
         if a.mdp.n < 2:
             return CheckResult(name, "skip", {"reason": "eps_weakly undefined for n=1"})
-        cert = _bound(verdict, "eps_weakly")
+        cert = _bound(a, ("weakly", win), "eps_weakly")
         if cert is None or cert.value is None:
             return CheckResult(name, "skip", {"reason": "no exact bound"})
         threshold, strict = 1 - cert.value, True
@@ -221,12 +218,11 @@ def _sync_count_cap(name, win, ctx):
 def check_freezing_bound(ctx):
     """Bounded strongly: the freezing witness keeps the certified floor forever."""
     a = ctx.analysis
-    verdict = a.verdicts[("strongly", "bounded")]
-    if not verdict.answer:
+    if not a.answer("strongly", "bounded"):
         return CheckResult("freezing-lower-bound", "skip",
                            {"reason": "not bounded strongly"})
-    cert = _bound(verdict, "eps_adversarial")
-    nsteps = _bound(verdict, "N_adversarial")
+    cert = _bound(a, ("strongly", "bounded"), "eps_adversarial")
+    nsteps = _bound(a, ("strongly", "bounded"), "N_adversarial")
     if cert is None or cert.value is None or nsteps is None:
         return CheckResult("freezing-lower-bound", "skip", {"reason": "no exact bound"})
     n_adv = nsteps.value
@@ -367,8 +363,8 @@ ALL_CHECKS = {
 }
 
 
-def run_checks(analysis, horizon=None, budget=DEFAULT_CHECK_BUDGET, enum_depth=6,
-               names=None):
+def run_checks(analysis, horizon=None, budget=DEFAULT_CHECK_BUDGET,
+               enum_depth=DEFAULT_ENUM_DEPTH, names=None):
     """Run the invariant battery; budget blowups mark single checks as skipped."""
     ctx = CheckContext(analysis, horizon=horizon, budget=budget, enum_depth=enum_depth)
     results = []

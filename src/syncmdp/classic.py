@@ -2,9 +2,10 @@
 synchronizing modes, with re-checkable certificates and the witness strategies
 the characterizations support directly.
 
-All deciders work on initial supports (winning is support-only). A shared
-`cache` dict keyed by set bits memoizes predecessor lassos, regions and
-counter products across the many sub-queries a full matrix run triggers.
+All deciders work on initial supports (winning is support-only). The memo
+`cache` dict of one analysis, keyed by set bits, holds predecessor lassos,
+regions and counter products across the many sub-queries a full matrix run
+triggers.
 """
 
 from __future__ import annotations
@@ -13,17 +14,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .model import (DEFAULT_LIMITS, GuardExceeded, ModeQuery, SupportSet, Verdict,
-                    _strategy_table, lift_with_counter, product_with_counter)
+                    _cached, _strategy_table, lift_with_counter, product_with_counter)
 from .regions import (almost_sure_reach_region, pre, pre_lasso, reach_layers,
                       sure_safety_region)
-
-
-def _cached(cache, key, make):
-    if cache is None:
-        return make()
-    if key not in cache:
-        cache[key] = make()
-    return cache[key]
 
 
 def _lasso(m, t, cache, limits):
@@ -31,13 +24,14 @@ def _lasso(m, t, cache, limits):
                    lambda: pre_lasso(m, t, max_len=limits.max_lasso))
 
 
-def _product(m, r, cache):
-    return _cached(cache, ("product", r), lambda: product_with_counter(m, r))
+def _product_region(m, lasso, cache):
+    """Almost-sure region for reaching R x {0} in the counter product M x [r],
+    where R is the recurrent support of the predecessor lasso and r its period."""
+    r = lasso.period
+    target_bits = lift_with_counter(lasso.supports[lasso.start], r, 0).bits
 
-
-def _product_region(m, r, target_bits, cache):
     def make():
-        prod = _product(m, r, cache)
+        prod = _cached(cache, ("product", r), lambda: product_with_counter(m, r))
         return almost_sure_reach_region(prod, SupportSet(prod.n, target_bits))
     return _cached(cache, ("product-as-region", r, target_bits), make)
 
@@ -63,15 +57,13 @@ def _step_into(m, q, target):
     return None
 
 
-def synthesize_sure_eventually_strategy(m, t, s0, k, *, lasso=None, limits=None):
+def synthesize_sure_eventually_strategy(m, t, s0, k, *, cache=None, limits=None):
     """Countdown witness: at memory j, push all mass from Pre^j(T) into Pre^(j-1)(T).
 
     Requires s0 inside the k-fold predecessor of t; simulation then puts the
     whole mass in t at step k exactly.
     """
-    limits = limits or DEFAULT_LIMITS
-    if lasso is None:
-        lasso = pre_lasso(m, t, max_len=limits.max_lasso)
+    lasso = _lasso(m, t, cache, limits or DEFAULT_LIMITS)
     chain = [lasso.at(j) for j in range(k + 1)]
     if not s0 <= chain[k]:
         raise ValueError("initial support is not contained in the k-fold predecessor")
@@ -126,8 +118,6 @@ def _cycle_strategy(m, k, r, lasso_of_s):
 def decide_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
     """Sure winning for the given synchronizing mode from the support s0."""
     limits = limits or DEFAULT_LIMITS
-    if not s0:
-        raise ValueError("initial support must be nonempty")
     query = ModeQuery(sync_mode, "sure", t, s0)
 
     if sync_mode == "eventually":
@@ -135,7 +125,7 @@ def decide_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
         k = next((i for i, sup in enumerate(lasso.distinct()) if s0 <= sup), None)
         if k is None:
             return Verdict(query, False)
-        witness = synthesize_sure_eventually_strategy(m, t, s0, k, lasso=lasso)
+        witness = synthesize_sure_eventually_strategy(m, t, s0, k, cache=cache, limits=limits)
         return Verdict(query, True, witness=witness,
                        certificate={"kind": "sure-eventually", "k": k})
 
@@ -163,32 +153,29 @@ def decide_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
                            certificate={"kind": "sure-always", "region": region})
         return Verdict(query, False, certificate={"kind": "sure-always", "region": region})
 
-    if sync_mode == "strongly":
-        safe = _safety(m, t, cache)
-        layers = _cached(cache, ("reach-layers", safe.bits), lambda: reach_layers(m, safe))
-        region = layers[-1]
-        cert = {"kind": "sure-strongly", "safety_region": safe, "reach_region": region}
-        if s0 <= region:
-            return Verdict(query, True, certificate=cert,
-                           witness=_reach_then_stay_strategy(m, safe, layers))
-        return Verdict(query, False, certificate=cert)
-
-    raise ValueError(f"unknown sync mode {sync_mode!r}")
+    safe = _safety(m, t, cache)   # strongly
+    layers = _cached(cache, ("reach-layers", safe.bits), lambda: reach_layers(m, safe))
+    region = layers[-1]
+    cert = {"kind": "sure-strongly", "safety_region": safe, "reach_region": region}
+    if s0 <= region:
+        return Verdict(query, True, certificate=cert,
+                       witness=_reach_then_stay_strategy(m, safe, layers))
+    return Verdict(query, False, certificate=cert)
 
 
-def _limit_event_yes(m, t, s0, cache, limits):
-    """Plain yes/no core of limit-sure eventually (memoized)."""
-    key = ("limit-event", t.bits, s0.bits)
-
+def _limit_eventually(m, t, s0, cache, limits):
+    """Memoized core of limit-sure eventually: "sure" when s0 lies inside some
+    Pre^i(t), else the first counter phase whose lift of s0 lies in the
+    product region, else None (not limit-sure winning)."""
     def make():
         lasso = _lasso(m, t, cache, limits)
         if any(s0 <= sup for sup in lasso.distinct()):
-            return True
-        k, r = lasso.start, lasso.period
-        region = _product_region(m, r, lift_with_counter(lasso.supports[k], r, 0).bits, cache)
-        return any(lift_with_counter(s0, r, tt) <= region for tt in range(r))
+            return "sure"
+        region = _product_region(m, lasso, cache)
+        r = lasso.period
+        return next((tt for tt in range(r) if lift_with_counter(s0, r, tt) <= region), None)
 
-    return _cached(cache, key, make)
+    return _cached(cache, ("limit-event", t.bits, s0.bits), make)
 
 
 def _expose_failing_subsupport(m, t, s0, cache, limits):
@@ -197,60 +184,50 @@ def _expose_failing_subsupport(m, t, s0, cache, limits):
     for q in list(cur):
         if len(cur) > 1:
             cand = cur - SupportSet.of(cur.width, [q])
-            if not _limit_event_yes(m, t, cand, cache, limits):
+            if _limit_eventually(m, t, cand, cache, limits) is None:
                 cur = cand
     return cur
+
+
+def _coinciding(m, query, cache, limits):
+    """A mode decided by the stronger winning mode it coincides with: limit-sure
+    equals almost-sure for weakly and strongly, and all three classic winning
+    modes coincide for always."""
+    decide = decide_sure if query.sync_mode == "always" else decide_almost_sure
+    inner = decide(m, query.sync_mode, query.target, query.initial_support,
+                   cache=cache, limits=limits)
+    return Verdict(query, inner.answer, witness=inner.witness, certificate=inner.certificate)
 
 
 def decide_limit_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
     """Limit-sure winning; weakly/strongly/always delegate to their coinciding modes."""
     limits = limits or DEFAULT_LIMITS
-    if not s0:
-        raise ValueError("initial support must be nonempty")
     query = ModeQuery(sync_mode, "limit-sure", t, s0)
+    if sync_mode != "eventually":
+        return _coinciding(m, query, cache, limits)
 
-    if sync_mode == "eventually":
-        lasso = _lasso(m, t, cache, limits)
-        k, r = lasso.start, lasso.period
-        big_r = lasso.supports[k]
-        base = {"k": k, "r": r, "R": big_r}
+    lasso = _lasso(m, t, cache, limits)
+    k, r = lasso.start, lasso.period
+    base = {"k": k, "r": r, "R": lasso.supports[k]}
+    via = _limit_eventually(m, t, s0, cache, limits)
+    if via == "sure":
         sure_v = decide_sure(m, "eventually", t, s0, cache=cache, limits=limits)
-        if sure_v.answer:
-            cert = {"kind": "limit-sure-eventually", "via": "sure",
-                    "sure_k": sure_v.certificate["k"], **base}
-            return Verdict(query, True, witness=sure_v.witness, certificate=cert)
-        target = lift_with_counter(big_r, r, 0)
-        region = _product_region(m, r, target.bits, cache)
-        for tt in range(r):
-            if lift_with_counter(s0, r, tt) <= region:
-                cert = {"kind": "limit-sure-eventually", "via": "product",
-                        "phase": tt, "product_region": region, **base}
-                return Verdict(query, True, certificate=cert)
-        exposed = _expose_failing_subsupport(m, t, s0, cache, limits)
-        cert = {"kind": "limit-sure-eventually", "via": None,
-                "failing_subsupport": exposed, **base}
-        return Verdict(query, False, certificate=cert)
-
-    if sync_mode in ("weakly", "strongly"):
-        # limit-sure and almost-sure coincide for these modes
-        inner = decide_almost_sure(m, sync_mode, t, s0, cache=cache, limits=limits)
-        return Verdict(query, inner.answer, witness=inner.witness,
-                       certificate=inner.certificate)
-
-    if sync_mode == "always":
-        # all three classic winning modes coincide for always
-        inner = decide_sure(m, "always", t, s0, cache=cache, limits=limits)
-        return Verdict(query, inner.answer, witness=inner.witness,
-                       certificate=inner.certificate)
-
-    raise ValueError(f"unknown sync mode {sync_mode!r}")
+        cert = {"kind": "limit-sure-eventually", "via": "sure",
+                "sure_k": sure_v.certificate["k"], **base}
+        return Verdict(query, True, witness=sure_v.witness, certificate=cert)
+    if via is not None:
+        cert = {"kind": "limit-sure-eventually", "via": "product", "phase": via,
+                "product_region": _product_region(m, lasso, cache), **base}
+        return Verdict(query, True, certificate=cert)
+    exposed = _expose_failing_subsupport(m, t, s0, cache, limits)
+    cert = {"kind": "limit-sure-eventually", "via": None,
+            "failing_subsupport": exposed, **base}
+    return Verdict(query, False, certificate=cert)
 
 
 def decide_almost_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
     """Almost-sure winning for the given synchronizing mode."""
     limits = limits or DEFAULT_LIMITS
-    if not s0:
-        raise ValueError("initial support must be nonempty")
     query = ModeQuery(sync_mode, "almost-sure", t, s0)
 
     if sync_mode == "weakly":
@@ -258,12 +235,10 @@ def decide_almost_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
             raise GuardExceeded("subset-search",
                                 f"target has {len(t)} states, guard is {limits.subset_width}")
         for t2 in _subsets_desc(t):
-            if not _limit_event_yes(m, t2, s0, cache, limits):
-                continue
-            pre_t2 = pre(m, t2)
-            if _limit_event_yes(m, pre_t2, t2, cache, limits):
-                cert = {"kind": "almost-sure-weakly", "t_prime": t2}
-                return Verdict(query, True, certificate=cert)
+            if (_limit_eventually(m, t2, s0, cache, limits) is not None
+                    and _limit_eventually(m, pre(m, t2), t2, cache, limits) is not None):
+                return Verdict(query, True, certificate={"kind": "almost-sure-weakly",
+                                                         "t_prime": t2})
         return Verdict(query, False)
 
     if sync_mode == "eventually":
@@ -280,19 +255,14 @@ def decide_almost_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
         return Verdict(query, False)
 
     if sync_mode == "always":
-        inner = decide_sure(m, "always", t, s0, cache=cache, limits=limits)
-        return Verdict(query, inner.answer, witness=inner.witness,
-                       certificate=inner.certificate)
+        return _coinciding(m, query, cache, limits)
 
-    if sync_mode == "strongly":
-        safe = _safety(m, t, cache)
-        region = _cached(cache, ("as-reach", safe.bits),
-                         lambda: almost_sure_reach_region(m, safe))
-        cert = {"kind": "almost-sure-strongly", "safety_region": safe,
-                "as_reach_region": region}
-        return Verdict(query, s0 <= region, certificate=cert)
-
-    raise ValueError(f"unknown sync mode {sync_mode!r}")
+    safe = _safety(m, t, cache)   # strongly
+    region = _cached(cache, ("as-reach", safe.bits),
+                     lambda: almost_sure_reach_region(m, safe))
+    cert = {"kind": "almost-sure-strongly", "safety_region": safe,
+            "as_reach_region": region}
+    return Verdict(query, s0 <= region, certificate=cert)
 
 
 def _iter_pre(m, s, k):
@@ -337,8 +307,9 @@ def recheck_certificate(m, verdict):
         if cert.get("via") == "sure":
             return q.initial_support <= _iter_pre(m, q.target, cert["sure_k"])
         t2 = cert["t_prime"]
-        return (t2 <= q.target and _limit_event_yes(m, t2, q.initial_support, None, DEFAULT_LIMITS)
-                and _limit_event_yes(m, pre(m, t2), t2, None, DEFAULT_LIMITS))
+        return (t2 <= q.target
+                and _limit_eventually(m, t2, q.initial_support, None, DEFAULT_LIMITS) is not None
+                and _limit_eventually(m, pre(m, t2), t2, None, DEFAULT_LIMITS) is not None)
     if kind == "almost-sure-strongly":
         safe = sure_safety_region(m, q.target)
         region = almost_sure_reach_region(m, safe)

@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .checks import DEFAULT_CHECK_BUDGET, run_checks
+from .checks import DEFAULT_CHECK_BUDGET, DEFAULT_ENUM_DEPTH, run_checks
 from .engine import ConsistencyError, analyze
 from .model import (GuardExceeded, Limits, ModelFormatError, SYNC_MODES,
                     WIN_MODES, load_model)
@@ -66,7 +66,7 @@ def _build_parser():
                       help="guard: strategy enumeration work budget")
     p_ve.add_argument("--horizon", type=nonnegative_int, default=None,
                       help="simulation/DP horizon (default max(50, 4*lasso))")
-    p_ve.add_argument("--enum-depth", type=nonnegative_int, default=6,
+    p_ve.add_argument("--enum-depth", type=nonnegative_int, default=DEFAULT_ENUM_DEPTH,
                       help="pure-strategy enumeration depth at tiny scale")
 
     p_re = sub.add_parser("regions", help="print one region computation")
@@ -88,11 +88,14 @@ def _named_set(pm, name):
     return pm.targets[name]
 
 
+def _write_json(path, obj):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(obj, indent=2) + "\n")
+
+
 def _emit(args, report):
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
+        _write_json(args.json, report)
     print(render_text(report))
 
 
@@ -118,9 +121,7 @@ def _cmd_analyze(args):
         mode, win = query
         cell = report["verdicts"][mode][win]
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(cell, handle, indent=2)
-                handle.write("\n")
+            _write_json(args.json, cell)
         print(f"{mode}:{win} = {cell['answer']}")
         return 0
     _emit(args, report)
@@ -160,11 +161,9 @@ def _cmd_regions(args):
         out = {"reach": list(sure_reach_region(m, s).names(m.states))}
     else:
         out = {"almost-sure": list(almost_sure_reach_region(m, s).names(m.states))}
-    text = json.dumps(out, indent=2)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    print(text)
+        _write_json(args.json, out)
+    print(json.dumps(out, indent=2))
     return 0
 
 

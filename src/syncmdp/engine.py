@@ -1,6 +1,6 @@
 """Full-matrix analysis of one model: every synchronizing mode against every
-winning mode, bounds attached, and an internal consistency gate over the known
-identities between the twenty verdicts.
+winning mode, the bounds of each cell, and an internal consistency gate over
+the known identities between the twenty verdicts.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class ConsistencyError(RuntimeError):
 
 @dataclass
 class ModelAnalysis:
-    """Everything one model/target pair yields: constants, lassos, verdicts."""
+    """Everything one model/target pair yields: constants, lassos, verdicts, bounds."""
 
     mdp: object
     initial: object
@@ -39,7 +39,8 @@ class ModelAnalysis:
     mec: object
     switch: int
     verdicts: dict            # (sync_mode, win_mode) -> Verdict
-    cache: dict
+    bounds: dict              # (sync_mode, win_mode) -> [BoundCert]
+    cache: dict               # the deciders' memo
 
     def answer(self, sync_mode, win_mode):
         return self.verdicts[(sync_mode, win_mode)].answer
@@ -84,23 +85,18 @@ def analyze(m, d0, target, *, limits=None):
     limits = limits or DEFAULT_LIMITS
     s0 = d0.support()
     target_lasso = pre_lasso(m, target, max_len=limits.max_lasso)
-    cache = {("pre-lasso", target.bits): target_lasso}
     lasso = support_lasso(m, s0, max_len=limits.max_lasso)
     mec = mec_decomposition(m)
+    # seeded up front, so a guard trips in this stage order whatever cell runs first
+    cache = {("pre-lasso", target.bits): target_lasso,
+             ("support-lasso", s0.bits): lasso, ("mec",): mec}
 
-    verdicts = {}
-    for mode in SYNC_MODES:
-        verdicts[(mode, "sure")] = decide_sure(m, mode, target, s0,
-                                               cache=cache, limits=limits)
-        verdicts[(mode, "almost-sure")] = decide_almost_sure(m, mode, target, s0,
-                                                             cache=cache, limits=limits)
-        verdicts[(mode, "limit-sure")] = decide_limit_sure(m, mode, target, s0,
-                                                           cache=cache, limits=limits)
-        verdicts[(mode, "positive")] = decide_positive(m, mode, target, s0,
-                                                       lasso=lasso, mec=mec, limits=limits)
-        verdicts[(mode, "bounded")] = decide_bounded(m, mode, target, s0,
-                                                     lasso=lasso, mec=mec, limits=limits)
-    attach_bounds(verdicts.values(), m, d0)
+    deciders = {"sure": decide_sure, "almost-sure": decide_almost_sure,
+                "limit-sure": decide_limit_sure, "positive": decide_positive,
+                "bounded": decide_bounded}
+    verdicts = {(mode, win): decide(m, mode, target, s0, cache=cache, limits=limits)
+                for mode in SYNC_MODES for win, decide in deciders.items()}
+    bounds = attach_bounds(verdicts.values(), m, d0)
 
     violations = check_consistency(verdicts)
     if violations:
@@ -109,5 +105,5 @@ def analyze(m, d0, target, *, limits=None):
     return ModelAnalysis(
         mdp=m, initial=d0, target=target, s0=s0,
         alpha=min_positive_probability(m), alpha0=min_initial_probability(d0),
-        target_lasso=target_lasso, lasso=lasso, mec=mec,
-        switch=switch_point(lasso), verdicts=verdicts, cache=cache)
+        target_lasso=target_lasso, lasso=lasso, mec=mec, switch=switch_point(lasso),
+        verdicts=verdicts, bounds=bounds, cache=cache)

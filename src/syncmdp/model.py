@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 SYNC_MODES = ("always", "eventually", "weakly", "strongly")
@@ -348,9 +348,18 @@ def _strategy_table(m, label, memory, initial, action, update):
     return StrategySpec(label, tuple(memory), initial, choice, nxt)
 
 
-def uniform_strategy(m, label="uniform"):
+def _cached(cache, key, make):
+    """The deciders' memo: `cache[key]`, made on first use (no memo when cache is None)."""
+    if cache is None:
+        return make()
+    if key not in cache:
+        cache[key] = make()
+    return cache[key]
+
+
+def uniform_strategy(m):
     """The memoryless strategy playing every action with equal probability."""
-    return _strategy_table(m, label, (0,), 0, lambda mem, q: None, lambda mem, q: 0)
+    return _strategy_table(m, "uniform", (0,), 0, lambda mem, q: None, lambda mem, q: 0)
 
 
 @dataclass(frozen=True)
@@ -373,7 +382,7 @@ class ModeQuery:
             raise ValueError("initial support must be nonempty")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     """Answer to a ModeQuery plus whatever makes it re-checkable."""
 
@@ -382,7 +391,6 @@ class Verdict:
     witness: StrategySpec | None = None
     certificate: dict | None = None
     detail: object | None = None
-    bounds: list = field(default_factory=list)
 
 
 # --- tracking-counter product -------------------------------------------------
@@ -472,7 +480,7 @@ def parse_model(doc):
 
     if not isinstance(doc["transitions"], list):
         raise ModelFormatError("must be a list of transition objects", "transitions")
-    entries = {}
+    masses = {}   # (q, a) -> {q2: p}, in document order
     for pos, tr in enumerate(doc["transitions"]):
         loc = f"transitions[{pos}]"
         if not isinstance(tr, dict):
@@ -483,16 +491,17 @@ def parse_model(doc):
         q = lookup(sidx, tr["from"], "state", loc)
         q2 = lookup(sidx, tr["to"], "state", loc)
         a = lookup(aidx, tr["action"], "action", loc)
-        if (q, a, q2) in entries:
+        mass = masses.setdefault((q, a), {})
+        if q2 in mass:
             raise ModelFormatError(
                 f"duplicate transition ({tr['from']}, {tr['action']}, {tr['to']})", loc)
-        entries[(q, a, q2)] = parse_rational(tr["prob"], loc)
+        mass[q2] = parse_rational(tr["prob"], loc)
 
     rows = []
     for q in range(n):
         row = []
         for a in range(len(actions)):
-            mass = {q2: p for (qq, aa, q2), p in entries.items() if (qq, aa) == (q, a)}
+            mass = masses.get((q, a))
             if not mass:
                 raise ModelFormatError(
                     f"missing distribution for ({states[q]}, {actions[a]})", "transitions")

@@ -135,52 +135,29 @@ def almost_sure_reach_region(m, t):
         y = x
 
 
-def strongly_connected_components(nodes, successors):
-    """Iterative Tarjan; returns components as lists, in root-discovery order."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comps = []
-    counter = [0]
+def _closure(start, step):
+    """Smallest bit mask containing `start` and closed under q -> step[q]."""
+    seen = frontier = start
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= step[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen
 
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(successors(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(successors(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
+
+def _sccs(nodes, succ):
+    """Strongly connected components (bit masks) of the graph q -> succ[q] on
+    `nodes`: the component of q is what q reaches and what reaches q back."""
+    pred = {q: sum(1 << p for p, out in succ.items() if out >> q & 1) for q in succ}
+    comps = []
+    while nodes:
+        start = nodes & -nodes
+        comps.append(_closure(start, succ) & _closure(start, pred))
+        nodes &= ~comps[-1]
     return comps
 
 
@@ -200,33 +177,32 @@ class EcDecomposition:
 
 def mec_decomposition(m):
     """All maximal end components by iterative SCC refinement."""
-    work = [m.full_support()]
+    work = [(1 << m.n) - 1]
     found = []
     while work:
-        s = work.pop()
-        if not s:
-            continue
-        sbits = s.bits
-        inside = {}
-        for q in s:
-            inside[q] = [a for a in range(m.action_count)
-                         if m.succ_bits(q, a) & sbits == m.succ_bits(q, a)]
-        bad = [q for q, acts in inside.items() if not acts]
-        if bad:
-            work.append(s - SupportSet.of(m.n, bad))
-            continue
-
-        def succs(q):
+        sbits = work.pop()
+        inside, succ, bad = {}, {}, 0
+        rest = sbits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            q = low.bit_length() - 1
+            acts = [a for a in range(m.action_count) if m.succ_bits(q, a) & ~sbits == 0]
             out = 0
-            for a in inside[q]:
+            for a in acts:
                 out |= m.succ_bits(q, a)
-            return SupportSet(m.n, out)
-
-        comps = strongly_connected_components(list(s), succs)
+            inside[q], succ[q] = acts, out
+            if not acts:
+                bad |= low
+        if bad:
+            if sbits != bad:
+                work.append(sbits & ~bad)
+            continue
+        comps = _sccs(sbits, succ)
         if len(comps) == 1:
-            found.append((s, inside))
+            found.append((SupportSet(m.n, sbits), inside))
         else:
-            work.extend(SupportSet.of(m.n, c) for c in comps)
+            work.extend(comps)
 
     found.sort(key=lambda pair: min(pair[0]))
     union = m.empty_support()

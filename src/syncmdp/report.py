@@ -47,7 +47,7 @@ def _jsonable(value, states, product_names=None):
     return value
 
 
-def _verdict_obj(verdict, m, include_strategies):
+def _verdict_obj(verdict, bounds, m, include_strategies):
     product_names = None
     cert = verdict.certificate
     if cert and "r" in cert:
@@ -58,7 +58,7 @@ def _verdict_obj(verdict, m, include_strategies):
         "answer": "yes" if verdict.answer else "no",
         "certificate": _jsonable(cert, m.states, product_names),
         "detail": None if verdict.detail is None else asdict(verdict.detail),
-        "bounds": [b.to_obj() for b in verdict.bounds],
+        "bounds": [b.to_obj() for b in bounds],
     }
     if include_strategies:
         out["witness"] = _strategy_obj(verdict.witness, m)
@@ -99,7 +99,8 @@ def build_report(analysis, target_name, oracle_results=None, model_path=None,
             "switch-point": analysis.switch,
         },
         "verdicts": {
-            mode: {win: _verdict_obj(analysis.verdicts[(mode, win)], m, include_strategies)
+            mode: {win: _verdict_obj(analysis.verdicts[(mode, win)],
+                                     analysis.bounds[(mode, win)], m, include_strategies)
                    for win in WIN_MODES}
             for mode in SYNC_MODES
         },

@@ -41,10 +41,6 @@ def test_eps_adversarial_formula():
 
 def test_reach_and_step_caps():
     assert compute_bound("lemma1_reach", 3, 1, H, H).value == H * H ** 3
-    assert compute_bound("lemma2_step", 3, 1, H, 1, i=0).value == 1
-    assert compute_bound("lemma2_step", 3, 1, H, 1, i=5).value == H ** 5
-    with pytest.raises(ValueError):
-        compute_bound("lemma2_step", 3, 1, H, 1)
 
 
 def test_input_validation():
@@ -97,8 +93,8 @@ def test_attach_twophase_eps_eventually(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     d0 = Dist.uniform(m.n, [m.state_index("q1"), m.state_index("q3")])
     v = decide_limit_sure(m, "eventually", t, d0.support())
-    attach_bounds([v], m, d0)
-    eps = next(b for b in v.bounds if b.kind == "eps_eventually")
+    bounds = attach_bounds([v], m, d0)[("eventually", "limit-sure")]
+    eps = next(b for b in bounds if b.kind == "eps_eventually")
     assert eps.value == Fraction(1, 2 ** 193)
     assert eps.inputs["alpha0"] == Fraction(1, 2)
 
@@ -106,10 +102,10 @@ def test_attach_twophase_eps_eventually(twophase):
 def test_attach_loopback_bounded_weakly(loopback):
     m, t = loopback.mdp, loopback.targets["target"]
     v = decide_bounded(m, "weakly", t, loopback.initial.support())
-    attach_bounds([v], m, loopback.initial)
-    eps = next(b for b in v.bounds if b.kind == "eps_adversarial")
+    bounds = attach_bounds([v], m, loopback.initial)[("weakly", "bounded")]
+    eps = next(b for b in bounds if b.kind == "eps_adversarial")
     assert eps.value == Fraction(1, 4) ** 12
-    steps = next(b for b in v.bounds if b.kind == "N_adversarial")
+    steps = next(b for b in bounds if b.kind == "N_adversarial")
     assert steps.value == 12
 
 
@@ -117,8 +113,7 @@ def test_attach_leaves_unmatched_verdicts_alone(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     d0 = Dist.dirac(m.n, m.state_index("q3"))
     v = decide_sure(m, "eventually", t, d0.support())
-    attach_bounds([v], m, d0)
-    assert v.answer and v.bounds == []
+    assert v.answer and attach_bounds([v], m, d0) == {("eventually", "sure"): []}
 
 
 def test_attach_requires_matching_support(twophase):
@@ -145,8 +140,8 @@ def test_refined_alpha0_via_failing_subsupport():
     v = decide_limit_sure(m, "eventually", t, pm.initial.support())
     assert not v.answer
     assert set(v.certificate["failing_subsupport"].names(m.states)) == {"x"}
-    attach_bounds([v], m, pm.initial)
-    eps = next(b for b in v.bounds if b.kind == "eps_eventually")
+    bounds = attach_bounds([v], m, pm.initial)[("eventually", "limit-sure")]
+    eps = next(b for b in bounds if b.kind == "eps_eventually")
     # alpha0 refined to d0(x) = 3/4 instead of the full-support minimum 1/4
     assert eps.inputs["alpha0"] == Fraction(3, 4)
     assert eps.inputs["alpha0_support"] == [m.state_index("x")]
@@ -170,25 +165,21 @@ def _eager(kind, n, a_count, alpha, alpha0):
 
 
 def test_lazy_value_matches_eager_formula():
-    kinds = [k for k in KINDS if k != "lemma2_step"]
     for n in (2, 3, 5):
         for alpha in (Fraction(1, 6), Fraction(2, 3), Fraction(1)):
             for alpha0 in (Fraction(1, 5), Fraction(3, 4), Fraction(1)):
-                for kind in kinds:
+                for kind in KINDS:
                     cert = compute_bound(kind, n, 3, alpha, alpha0)
                     assert "value" not in vars(cert)  # nothing evaluated yet
                     assert cert.value == _eager(kind, n, 3, alpha, alpha0)
                     assert cert.value is cert.value  # cached on the object
-                for i in (0, 1, 7):
-                    assert compute_bound("lemma2_step", n, 3, alpha, alpha0, i=i).value \
-                        == alpha0 * alpha ** i
 
 
 def test_digit_limit_boundary():
     tenth = Fraction(1, 10)
-    fits = compute_bound("lemma2_step", 3, 1, tenth, 1, i=4299)   # 4,300 digits
+    fits = compute_bound("lemma1_reach", 4299, 1, tenth, 1)   # 4,300 digits
     assert fits.to_obj()["exact"] == "1/1" + "0" * 4299
-    over = compute_bound("lemma2_step", 3, 1, tenth, 1, i=4300)   # 4,301 digits
+    over = compute_bound("lemma1_reach", 4300, 1, tenth, 1)   # 4,301 digits
     assert over.to_obj()["exact"] is None
     assert over.value == tenth ** 4300  # still exact for the checks
     with pytest.raises(ValueError):
@@ -206,11 +197,11 @@ def test_long_bound_skips_evaluation_in_report():
 
 def test_shared_certificates_within_one_analysis(funnel):
     an = analyze(funnel.mdp, funnel.initial, funnel.targets["target"])
-    always = [an.verdicts[("always", w)] for w in ("sure", "almost-sure", "limit-sure")]
-    certs = [next(b for b in v.bounds if b.kind == "eps_always") for v in always]
+    always = [an.bounds[("always", w)] for w in ("sure", "almost-sure", "limit-sure")]
+    certs = [next(b for b in bounds if b.kind == "eps_always") for bounds in always]
     assert certs[0] is certs[1] is certs[2]
     by_obj = {}
-    for verdict in an.verdicts.values():
-        for cert in verdict.bounds:
+    for bounds in an.bounds.values():
+        for cert in bounds:
             key = json.dumps(cert.to_obj(), sort_keys=True)
             assert by_obj.setdefault(key, cert) is cert

@@ -168,6 +168,15 @@ def test_guard_exit_code(capsys):
     assert "guard" in err
 
 
+def test_guard_names_the_first_stage(capsys):
+    # the analysis builds the pre-lasso before the support lasso, whichever
+    # matrix cell needs one first
+    code, _, err = run(capsys, "analyze", "--model", example_path("loopback"),
+                       "--target", "target", "--max-lasso", "1")
+    assert code == 3
+    assert "stage pre-lasso" in err
+
+
 def test_regions_pre_lasso(capsys):
     code, out, _ = run(capsys, "regions", "--model", example_path("funnel"),
                        "--set", "target", "--which", "pre-lasso")

@@ -7,7 +7,7 @@ deepest horizon the enumeration budget admits per instance.
 import random
 
 from syncmdp import (BudgetExceeded, decide_positive, decide_sure,
-                     enumerate_pure_strategies, pre, support_lasso)
+                     enumerate_pure_strategies, pre)
 from syncmdp.randgen import random_instance
 
 MAX_DEPTH = 3
@@ -63,8 +63,7 @@ def test_positive_eventually_against_brute_force():
     for inst in tiny_instances(123, 50):
         m, t, s0 = inst.mdp, inst.target, inst.s0
         h, traces = brute_traces(inst)
-        lasso = support_lasso(m, s0)
-        v = decide_positive(m, "eventually", t, s0, lasso=lasso)
+        v = decide_positive(m, "eventually", t, s0)
         hit = v.certificate.get("hit_index") if v.answer else None
         brute = any(any(d.mass_in(t) > 0 for d in trace.dists)
                     for trace in traces)

@@ -1,10 +1,17 @@
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from syncmdp import Verdict, analyze, example_model
+from syncmdp import (Verdict, analyze, decide_almost_sure, decide_bounded,
+                     decide_limit_sure, decide_positive, decide_sure, example_model)
+from syncmdp import engine
 from syncmdp.engine import ConsistencyError, check_consistency
 from syncmdp.model import SYNC_MODES, WIN_MODES, ModeQuery, SupportSet
+
+DECIDERS = (decide_sure, decide_almost_sure, decide_limit_sure, decide_positive,
+            decide_bounded)
 
 
 def _fake_matrix(answers):
@@ -47,3 +54,36 @@ def test_analysis_carries_model_constants(funnel):
     assert an.switch == an.lasso.start + an.lasso.period == 4
     assert len(an.verdicts) == 20
     assert an.target_lasso.start == 1 and an.target_lasso.period == 1
+
+
+@pytest.mark.parametrize("decide", DECIDERS, ids=lambda f: f.__name__)
+def test_deciders_reject_empty_support_and_unknown_mode(funnel, decide):
+    m, t = funnel.mdp, funnel.targets["target"]
+    with pytest.raises(ValueError, match="nonempty"):
+        decide(m, "eventually", t, m.empty_support())
+    with pytest.raises(ValueError, match="unknown sync mode"):
+        decide(m, "sometimes", t, funnel.initial.support())
+
+
+def test_verdicts_are_immutable_and_bounds_cover_every_cell(funnel):
+    an = analyze(funnel.mdp, funnel.initial, funnel.targets["target"])
+    verdict = an.verdicts[("always", "sure")]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        verdict.answer = not verdict.answer
+    assert set(an.bounds) == {(mode, win) for mode in SYNC_MODES for win in WIN_MODES}
+    assert [b.kind for b in an.bounds[("always", "sure")]] == ["eps_always"]
+
+
+def test_analyze_calls_each_decider_once_per_cell(funnel, monkeypatch):
+    calls = Counter()
+
+    def counted(decide):
+        def wrapper(*args, **kwargs):
+            calls[decide.__name__] += 1
+            return decide(*args, **kwargs)
+        return wrapper
+
+    for decide in DECIDERS:
+        monkeypatch.setattr(engine, decide.__name__, counted(decide))
+    analyze(funnel.mdp, funnel.initial, funnel.targets["target"])
+    assert calls == {decide.__name__: len(SYNC_MODES) for decide in DECIDERS}

@@ -7,19 +7,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .model import (DEFAULT_LIMITS, ModeQuery, SupportSet, Verdict,
-                    _cached, _strategy_table, uniform_strategy)
-from .regions import iterate_lasso, mec_decomposition
+                    _cached, _iter_bits, _strategy_table, uniform_strategy)
+from .regions import _closure, iterate_lasso, mec_decomposition
+
+
+def rows_image(rows, s):
+    """Row-or of a boolean matrix over a source support."""
+    bits = 0
+    for q in s:
+        bits |= rows[q]
+    return SupportSet(s.width, bits)
 
 
 def post_image(m, s):
     """One-step support image when every action is played with positive probability."""
-    bits = 0
-    for q in s:
-        for a in range(m.action_count):
-            bits |= m.succ_bits(q, a)
-    return SupportSet(m.n, bits)
+    return rows_image(m.post, s)
 
 
 def support_lasso(m, s0, max_len=None):
@@ -29,40 +35,29 @@ def support_lasso(m, s0, max_len=None):
     return iterate_lasso(lambda s: post_image(m, s), s0, max_len, "support-lasso")
 
 
+def _support_lasso(m, s0, cache, limits):
+    return _cached(cache, ("support-lasso", s0.bits),
+                   lambda: support_lasso(m, s0, max_len=limits.max_lasso))
+
+
+def _mec(m, cache):
+    return _cached(cache, ("mec",), lambda: mec_decomposition(m))
+
+
 def switch_point(lasso):
     """Freezing switch index: the concrete lasso closure l + p."""
     return lasso.start + lasso.period
 
 
 def _bool_mul(a, b):
-    out = []
-    for row in a:
-        acc = 0
-        bits = row
-        while bits:
-            low = bits & -bits
-            acc |= b[low.bit_length() - 1]
-            bits ^= low
-        out.append(acc)
-    return out
-
-
-def one_step_matrix(m):
-    """Boolean one-step reachability matrix (rows as successor bitmasks)."""
-    rows = []
-    for q in range(m.n):
-        acc = 0
-        for a in range(m.action_count):
-            acc |= m.succ_bits(q, a)
-        rows.append(acc)
-    return tuple(rows)
+    return [reduce(or_, (b[q] for q in _iter_bits(row)), 0) for row in a]
 
 
 def matrix_power_witness(m, i):
-    """Exact-step boolean reachability M^i, computed by successive squaring."""
+    """Exact-step boolean reachability M^i (M's rows are m.post), by successive squaring."""
     if i < 0:
         raise ValueError("exponent must be nonnegative")
-    base = list(one_step_matrix(m))
+    base = list(m.post)
     result = [1 << q for q in range(m.n)]
     e = i
     while e:
@@ -72,14 +67,6 @@ def matrix_power_witness(m, i):
         if e:
             base = _bool_mul(base, base)
     return tuple(result)
-
-
-def rows_image(rows, s):
-    """Row-or of a boolean matrix over a source support."""
-    bits = 0
-    for q in s:
-        bits |= rows[q]
-    return SupportSet(s.width, bits)
 
 
 @dataclass(frozen=True)
@@ -105,29 +92,13 @@ class AdvVerdictDetail:
 
 
 def _first_missing(supports, t, offset=0):
-    for i, s in enumerate(supports):
-        if not s & t:
-            return offset + i
-    return None
-
-
-def _self_reaching(m, q):
-    """Whether q can reach itself in >= 1 step in the all-actions graph."""
-    cur = SupportSet.of(m.n, [q])
-    seen = set()
-    while cur not in seen:
-        seen.add(cur)
-        cur = post_image(m, cur)
-        if q in cur:
-            return True
-    return False
+    return next((offset + i for i, s in enumerate(supports) if not s & t), None)
 
 
 def _graph_test_weakly(m, lasso, t):
-    reachable = m.empty_support()
-    for s in lasso.distinct():
-        reachable = reachable | s
-    return any(_self_reaching(m, q) for q in reachable & t)
+    """Some reachable target state reaches itself in >= 1 step of the all-actions graph."""
+    reachable = reduce(or_, lasso.distinct())
+    return any(_closure(m.post[q], m.post) >> q & 1 for q in reachable & t)
 
 
 def freezing_strategy(m, lasso, mec):
@@ -165,10 +136,8 @@ def _decide(m, win, sync_mode, t, s0, cache, limits):
     ask it of the target inside the end components on the loop.
     """
     query = ModeQuery(sync_mode, win, t, s0)
-    max_len = (limits or DEFAULT_LIMITS).max_lasso
-    lasso = _cached(cache, ("support-lasso", s0.bits),
-                    lambda: support_lasso(m, s0, max_len=max_len))
-    mec = _cached(cache, ("mec",), lambda: mec_decomposition(m))
+    lasso = _support_lasso(m, s0, cache, limits or DEFAULT_LIMITS)
+    mec = _mec(m, cache)
     supports, loop = lasso.distinct(), lasso.loop()
     l, p, sw = lasso.start, lasso.period, switch_point(lasso)
     te = t & mec.union
@@ -202,7 +171,8 @@ def _decide(m, win, sync_mode, t, s0, cache, limits):
     if answer and hit is not None:
         cert["hit_index"] = hit
     witness = None
-    if answer:
-        frozen = win == "bounded" and sync_mode != "eventually"
-        witness = freezing_strategy(m, lasso, mec) if frozen else uniform_strategy(m)
+    if answer and win == "bounded" and sync_mode != "eventually":
+        witness = _cached(cache, ("freezing", s0.bits), lambda: freezing_strategy(m, lasso, mec))
+    elif answer:
+        witness = _cached(cache, ("uniform",), lambda: uniform_strategy(m))
     return Verdict(query, answer, witness=witness, certificate=cert, detail=detail)

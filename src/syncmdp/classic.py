@@ -40,8 +40,12 @@ def _safety(m, t, cache):
     return _cached(cache, ("safety", t.bits), lambda: sure_safety_region(m, t))
 
 
-def _subsets_desc(t):
-    """Nonempty subsets of a support in decreasing cardinality, then index order."""
+def _subsets_desc(t, limits):
+    """Nonempty subsets of a target in decreasing cardinality, then index order;
+    a target wider than the subset-width guard trips it before the first one."""
+    if len(t) > limits.subset_width:
+        raise GuardExceeded("subset-search",
+                            f"target has {len(t)} states, guard is {limits.subset_width}")
     members = list(t)
     for size in range(len(members), 0, -1):
         for combo in combinations(members, size):
@@ -50,8 +54,7 @@ def _subsets_desc(t):
 
 def _step_into(m, q, target):
     """Dirac row on the first action keeping every successor of q inside `target`."""
-    for a in range(m.action_count):
-        s = m.succ_bits(q, a)
+    for a, s in enumerate(m.succ[q]):
         if s & target.bits == s:
             return {a: Fraction(1)}
     return None
@@ -75,23 +78,16 @@ def synthesize_sure_eventually_strategy(m, t, s0, k, *, cache=None, limits=None)
                            lambda j, q: max(j - 1, 0))
 
 
-def _safety_strategy(m, region):
-    """Memoryless: inside the safety region, pick an action that stays inside."""
-    return _strategy_table(
-        m, "stay-safe", (0,), 0,
-        lambda mem, q: _step_into(m, q, region) if q in region else None,
-        lambda mem, q: 0)
-
-
-def _reach_then_stay_strategy(m, safe, layers):
-    """Memoryless: walk down the attractor layers into `safe`, then stay."""
+def _reach_then_stay_strategy(m, safe, layers, label):
+    """Memoryless: walk down the attractor layers into `safe`, then stay (with
+    layers == [safe], the stay-safe witness of sure always)."""
     def action(mem, q):
         if q in safe:
             return _step_into(m, q, safe)
         rank = next((j for j, layer in enumerate(layers) if q in layer), None)
         return None if rank is None else _step_into(m, q, layers[rank - 1])
 
-    return _strategy_table(m, "attract-then-stay", (0,), 0, action, lambda mem, q: 0)
+    return _strategy_table(m, label, (0,), 0, action, lambda mem, q: 0)
 
 
 def _cycle_strategy(m, k, r, lasso_of_s):
@@ -116,8 +112,16 @@ def _cycle_strategy(m, k, r, lasso_of_s):
 
 
 def decide_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
-    """Sure winning for the given synchronizing mode from the support s0."""
-    limits = limits or DEFAULT_LIMITS
+    """Sure winning for the given synchronizing mode from the support s0.
+
+    Memoized per analysis: the almost-sure and limit-sure deciders delegate
+    here for always and eventually, and share the verdict and its witness.
+    """
+    return _cached(cache, ("sure", sync_mode, t.bits, s0.bits),
+                   lambda: _decide_sure(m, sync_mode, t, s0, cache, limits or DEFAULT_LIMITS))
+
+
+def _decide_sure(m, sync_mode, t, s0, cache, limits):
     query = ModeQuery(sync_mode, "sure", t, s0)
 
     if sync_mode == "eventually":
@@ -130,10 +134,7 @@ def decide_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
                        certificate={"kind": "sure-eventually", "k": k})
 
     if sync_mode == "weakly":
-        if len(t) > limits.subset_width:
-            raise GuardExceeded("subset-search",
-                                f"target has {len(t)} states, guard is {limits.subset_width}")
-        for s in _subsets_desc(t):
+        for s in _subsets_desc(t, limits):
             sl = _lasso(m, s, cache, limits)
             r = next((i for i in range(1, len(sl.supports)) if s <= sl.supports[i]), None)
             if r is None:
@@ -149,7 +150,8 @@ def decide_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
     if sync_mode == "always":
         region = _safety(m, t, cache)
         if s0 <= region:
-            return Verdict(query, True, witness=_safety_strategy(m, region),
+            witness = _reach_then_stay_strategy(m, region, [region], "stay-safe")
+            return Verdict(query, True, witness=witness,
                            certificate={"kind": "sure-always", "region": region})
         return Verdict(query, False, certificate={"kind": "sure-always", "region": region})
 
@@ -159,7 +161,7 @@ def decide_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
     cert = {"kind": "sure-strongly", "safety_region": safe, "reach_region": region}
     if s0 <= region:
         return Verdict(query, True, certificate=cert,
-                       witness=_reach_then_stay_strategy(m, safe, layers))
+                       witness=_reach_then_stay_strategy(m, safe, layers, "attract-then-stay"))
     return Verdict(query, False, certificate=cert)
 
 
@@ -231,10 +233,7 @@ def decide_almost_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
     query = ModeQuery(sync_mode, "almost-sure", t, s0)
 
     if sync_mode == "weakly":
-        if len(t) > limits.subset_width:
-            raise GuardExceeded("subset-search",
-                                f"target has {len(t)} states, guard is {limits.subset_width}")
-        for t2 in _subsets_desc(t):
+        for t2 in _subsets_desc(t, limits):
             if (_limit_eventually(m, t2, s0, cache, limits) is not None
                     and _limit_eventually(m, pre(m, t2), t2, cache, limits) is not None):
                 return Verdict(query, True, certificate={"kind": "almost-sure-weakly",

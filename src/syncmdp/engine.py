@@ -7,13 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adversarial import (decide_bounded, decide_positive, mec_decomposition,
-                          support_lasso, switch_point)
+from .adversarial import _mec, _support_lasso, decide_bounded, decide_positive, switch_point
 from .bounds import attach_bounds
-from .classic import decide_almost_sure, decide_limit_sure, decide_sure
+from .classic import _lasso, decide_almost_sure, decide_limit_sure, decide_sure
 from .model import (DEFAULT_LIMITS, SYNC_MODES, min_initial_probability,
                     min_positive_probability)
-from .regions import pre_lasso
 
 
 class ConsistencyError(RuntimeError):
@@ -84,12 +82,11 @@ def analyze(m, d0, target, *, limits=None):
     """Run the full 4x5 verdict matrix with bounds; raises on gate violations."""
     limits = limits or DEFAULT_LIMITS
     s0 = d0.support()
-    target_lasso = pre_lasso(m, target, max_len=limits.max_lasso)
-    lasso = support_lasso(m, s0, max_len=limits.max_lasso)
-    mec = mec_decomposition(m)
+    cache = {}
     # seeded up front, so a guard trips in this stage order whatever cell runs first
-    cache = {("pre-lasso", target.bits): target_lasso,
-             ("support-lasso", s0.bits): lasso, ("mec",): mec}
+    target_lasso = _lasso(m, target, cache, limits)
+    lasso = _support_lasso(m, s0, cache, limits)
+    mec = _mec(m, cache)
 
     deciders = {"sure": decide_sure, "almost-sure": decide_almost_sure,
                 "limit-sure": decide_limit_sure, "positive": decide_positive,

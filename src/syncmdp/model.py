@@ -12,6 +12,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 SYNC_MODES = ("always", "eventually", "weakly", "strongly")
 WIN_MODES = ("sure", "almost-sure", "limit-sure", "positive", "bounded")
@@ -66,6 +68,14 @@ def parse_rational(text, location=None):
     return Fraction(num, den)
 
 
+def _iter_bits(bits):
+    """Indices of the set bits of a mask, in increasing order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 def format_rational(value):
     value = Fraction(value)
     if value.denominator == 1:
@@ -101,11 +111,7 @@ class SupportSet:
         return 0 <= q < self.width and self.bits >> q & 1 == 1
 
     def __iter__(self):
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return _iter_bits(self.bits)
 
     def __len__(self):
         return self.bits.bit_count()
@@ -129,9 +135,6 @@ class SupportSet:
 
     def __le__(self, other):
         return self.bits & ~self._compatible(other).bits == 0
-
-    def complement(self):
-        return SupportSet(self.width, ~self.bits & (1 << self.width) - 1)
 
     def names(self, state_names):
         return tuple(state_names[q] for q in self)
@@ -178,10 +181,7 @@ class Dist:
         return self.mass.get(q, ZERO)
 
     def support(self):
-        bits = 0
-        for q in self.mass:
-            bits |= 1 << q
-        return SupportSet(self.width, bits)
+        return SupportSet.of(self.width, self.mass)
 
     def mass_in(self, s):
         return sum((p for q, p in self.mass.items() if q in s), ZERO)
@@ -192,7 +192,11 @@ class Dist:
 
 
 class Mdp:
-    """Finite MDP (Q, A, delta) with a total, exact transition function."""
+    """Finite MDP (Q, A, delta) with a total, exact transition function.
+
+    succ[q][a] is the bit mask of Supp(delta(q, a)) and post[q] the union of
+    succ[q] over the actions: every support operator reads these rows.
+    """
 
     def __init__(self, states, actions, delta):
         states = tuple(states)
@@ -223,9 +227,8 @@ class Mdp:
         self.actions = actions
         self.delta = tuple(rows)
         self._state_index = {s: i for i, s in enumerate(states)}
-        self._action_index = {a: i for i, a in enumerate(actions)}
-        self._succ = tuple(tuple(row[a].support().bits for a in range(len(actions)))
-                           for row in self.delta)
+        self.succ = tuple(tuple(d.support().bits for d in row) for row in self.delta)
+        self.post = tuple(reduce(or_, row) for row in self.succ)
 
     @property
     def n(self):
@@ -239,15 +242,6 @@ class Mdp:
         if name not in self._state_index:
             raise KeyError(f"unknown state {name!r}")
         return self._state_index[name]
-
-    def action_index(self, name):
-        if name not in self._action_index:
-            raise KeyError(f"unknown action {name!r}")
-        return self._action_index[name]
-
-    def succ_bits(self, q, a):
-        """Bitmask of Supp(delta(q, a))."""
-        return self._succ[q][a]
 
     def empty_support(self):
         return SupportSet(self.n)
@@ -268,13 +262,7 @@ class Mdp:
 
 def min_positive_probability(m):
     """Smallest positive transition probability of the MDP (alpha)."""
-    best = None
-    for row in m.delta:
-        for d in row:
-            for p in d.mass.values():
-                if best is None or p < best:
-                    best = p
-    return best
+    return min(p for row in m.delta for d in row for p in d.mass.values())
 
 
 def min_initial_probability(d0, restrict=None):
@@ -322,12 +310,6 @@ class StrategySpec:
         for key, nxt in self.update.items():
             if nxt not in memo:
                 raise ValueError(f"memory update at {key} leaves the memory set")
-
-    def action_row(self, mem, q):
-        return self.choice[(mem, q)]
-
-    def next_memory(self, mem, q):
-        return self.update[(mem, q)]
 
 
 def _strategy_table(m, label, memory, initial, action, update):
@@ -400,12 +382,17 @@ def product_index(r, q, i):
     return q * r + (r - 1 - i)
 
 
+def product_state_names(states, r):
+    """Names "q@i" of the product states, in product index order."""
+    return [f"{s}@{i}" for s in states for i in range(r - 1, -1, -1)]
+
+
 def product_with_counter(m, r):
     """The MDP M x [r] tracking the step count modulo r alongside the state."""
     if r < 1:
         raise ValueError("counter modulus must be at least 1")
     n = m.n
-    names = [f"{s}@{i}" for s in m.states for i in range(r - 1, -1, -1)]
+    names = product_state_names(m.states, r)
     rows = []
     for q in range(n):
         for i in range(r - 1, -1, -1):
@@ -422,10 +409,7 @@ def lift_with_counter(s, r, t):
     """Support s x {t} inside the counter product."""
     if not 0 <= t < r:
         raise ValueError("counter value out of range")
-    bits = 0
-    for q in s:
-        bits |= 1 << product_index(r, q, t)
-    return SupportSet(s.width * r, bits)
+    return SupportSet.of(s.width * r, (product_index(r, q, t) for q in s))
 
 
 # --- model documents ------------------------------------------------------------

@@ -40,8 +40,8 @@ def simulate(m, strategy, d0, h):
     for _ in range(h):
         nxt = {}
         for (mem, q), w in joint.items():
-            mem2 = strategy.next_memory(mem, q)
-            for a, pa in strategy.action_row(mem, q).items():
+            mem2 = strategy.update[(mem, q)]
+            for a, pa in strategy.choice[(mem, q)].items():
                 if pa == 0:
                     continue
                 for q2, p in m.delta[q][a].mass.items():

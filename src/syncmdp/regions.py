@@ -8,8 +8,10 @@ vectors and every fixpoint is iterated to exact stabilization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
-from .model import GuardExceeded, SupportSet
+from .model import GuardExceeded, SupportSet, _iter_bits
 
 
 def _width_check(m, s):
@@ -22,9 +24,8 @@ def pre(m, y):
     """States with an action whose whole successor support lies inside `y`."""
     ybits = _width_check(m, y)
     bits = 0
-    for q in range(m.n):
-        for a in range(m.action_count):
-            s = m.succ_bits(q, a)
+    for q, row in enumerate(m.succ):
+        for s in row:
             if s & ybits == s:
                 bits |= 1 << q
                 break
@@ -36,9 +37,8 @@ def apre(m, y, x):
     ybits = _width_check(m, y)
     xbits = _width_check(m, x)
     bits = 0
-    for q in range(m.n):
-        for a in range(m.action_count):
-            s = m.succ_bits(q, a)
+    for q, row in enumerate(m.succ):
+        for s in row:
             if s & ybits == s and s & xbits:
                 bits |= 1 << q
                 break
@@ -140,10 +140,8 @@ def _closure(start, step):
     seen = frontier = start
     while frontier:
         nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= step[low.bit_length() - 1]
-            frontier ^= low
+        for q in _iter_bits(frontier):
+            nxt |= step[q]
         frontier = nxt & ~seen
         seen |= frontier
     return seen
@@ -182,18 +180,11 @@ def mec_decomposition(m):
     while work:
         sbits = work.pop()
         inside, succ, bad = {}, {}, 0
-        rest = sbits
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            q = low.bit_length() - 1
-            acts = [a for a in range(m.action_count) if m.succ_bits(q, a) & ~sbits == 0]
-            out = 0
-            for a in acts:
-                out |= m.succ_bits(q, a)
-            inside[q], succ[q] = acts, out
-            if not acts:
-                bad |= low
+        for q in _iter_bits(sbits):
+            inside[q] = [a for a, s in enumerate(m.succ[q]) if s & ~sbits == 0]
+            succ[q] = reduce(or_, (m.succ[q][a] for a in inside[q]), 0)
+            if not inside[q]:
+                bad |= 1 << q
         if bad:
             if sbits != bad:
                 work.append(sbits & ~bad)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
-from .model import SYNC_MODES, WIN_MODES, SupportSet, format_rational
+from .model import SYNC_MODES, WIN_MODES, SupportSet, format_rational, product_state_names
 
 REPORT_VERSION = 1
 
@@ -52,8 +52,7 @@ def _verdict_obj(verdict, bounds, m, include_strategies):
     cert = verdict.certificate
     if cert and "r" in cert:
         # limit-sure certificates carry sets over the counter product
-        r = cert["r"]
-        product_names = [f"{s}@{i}" for s in m.states for i in range(r - 1, -1, -1)]
+        product_names = product_state_names(m.states, cert["r"])
     out = {
         "answer": "yes" if verdict.answer else "no",
         "certificate": _jsonable(cert, m.states, product_names),

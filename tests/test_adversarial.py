@@ -5,7 +5,7 @@ import pytest
 from syncmdp import (Dist, decide_bounded, decide_positive, freezing_strategy,
                      matrix_power_witness, mec_decomposition, simulate,
                      support_lasso, switch_point, uniform_strategy)
-from syncmdp.adversarial import one_step_matrix, rows_image
+from syncmdp.adversarial import rows_image
 from syncmdp.model import GuardExceeded
 
 from conftest import ABSORBING, build
@@ -52,8 +52,8 @@ def test_support_lasso_guard(funnel):
 def test_matrix_power_identity_and_one(drain):
     m = drain.mdp
     assert matrix_power_witness(m, 0) == (0b01, 0b10)
-    assert matrix_power_witness(m, 1) == one_step_matrix(m)
-    assert one_step_matrix(m) == (0b11, 0b10)
+    assert matrix_power_witness(m, 1) == m.post
+    assert m.post == (0b11, 0b10)
 
 
 def test_matrix_power_matches_lasso(funnel, loopback, twophase):

@@ -6,7 +6,9 @@ import pytest
 
 from syncmdp import (Verdict, analyze, decide_almost_sure, decide_bounded,
                      decide_limit_sure, decide_positive, decide_sure, example_model)
-from syncmdp import engine
+from syncmdp import adversarial, classic, engine, model
+from syncmdp.examples import EXAMPLE_MODELS
+from syncmdp.randgen import corpus
 from syncmdp.engine import ConsistencyError, check_consistency
 from syncmdp.model import SYNC_MODES, WIN_MODES, ModeQuery, SupportSet
 
@@ -87,3 +89,33 @@ def test_analyze_calls_each_decider_once_per_cell(funnel, monkeypatch):
         monkeypatch.setattr(engine, decide.__name__, counted(decide))
     analyze(funnel.mdp, funnel.initial, funnel.targets["target"])
     assert calls == {decide.__name__: len(SYNC_MODES) for decide in DECIDERS}
+
+
+def test_each_witness_is_built_once_per_analysis(monkeypatch):
+    # the deciders share one memo: a witness several cells carry is built once,
+    # and the sure verdict of each sync mode is decided once
+    built, sure = [], Counter()
+    table, decide = model._strategy_table, classic._decide_sure
+
+    def counting_table(m, label, *args):
+        built.append(label)
+        return table(m, label, *args)
+
+    def counting_decide(m, sync_mode, *args):
+        sure[sync_mode] += 1
+        return decide(m, sync_mode, *args)
+
+    for module in (model, classic, adversarial):
+        monkeypatch.setattr(module, "_strategy_table", counting_table)
+    monkeypatch.setattr(classic, "_decide_sure", counting_decide)
+    cases = [(pm.mdp, pm.initial, pm.targets["target"])
+             for pm in map(example_model, EXAMPLE_MODELS)]
+    cases += [(inst.mdp, inst.initial, inst.target) for inst in corpus(20260810, 20)]
+    for m, d0, t in cases:
+        built.clear()
+        sure.clear()
+        a = analyze(m, d0, t)
+        witnesses = {id(v.witness): v.witness.label for v in a.verdicts.values() if v.witness}
+        assert sorted(built) == sorted(witnesses.values())
+        assert len(set(built)) == len(built)
+        assert sure == Counter(SYNC_MODES)

@@ -158,7 +158,7 @@ def test_step_examples(funnel, loopback):
     uniform = uniform_strategy(m)
     trace = simulate(m, uniform, Dist.dirac(4, 0), 1)
     assert trace.dists[1] == Dist(4, {0: Fraction(1, 2), 1: Fraction(1, 2)})
-    assert all(uniform.next_memory(0, q) == 0 for q in range(m.n))
+    assert all(uniform.update[(0, q)] == 0 for q in range(m.n))
     absorbing = build(ABSORBING).mdp
     d0 = Dist.dirac(1, 0)
     assert simulate(absorbing, uniform_strategy(absorbing), d0, 1).dists[1] == d0
@@ -175,7 +175,7 @@ def test_support_set_ops():
     assert list(s - t) == [0]
     assert s & t <= s and not s <= t
     assert len(s) == 2 and 3 in s and 1 not in s
-    assert list(s.complement()) == [1, 2, 4]
+    assert list(SupportSet.full(5) - s) == [1, 2, 4]
     assert not SupportSet(5)
     with pytest.raises(ValueError):
         s | SupportSet.of(4, [1])

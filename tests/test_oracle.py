@@ -16,7 +16,7 @@ def hold_strategy(m, plan):
     for q in range(m.n):
         name = m.states[q]
         if name in plan:
-            choice[(0, q)] = {m.action_index(plan[name]): Fraction(1)}
+            choice[(0, q)] = {m.actions.index(plan[name]): Fraction(1)}
         else:
             share = Fraction(1, m.action_count)
             choice[(0, q)] = {a: share for a in range(m.action_count)}
@@ -33,7 +33,7 @@ def switch_strategy(m, state, first, then, at):
         for q in range(m.n):
             if m.states[q] == state:
                 action = first if j < at else then
-                choice[(j, q)] = {m.action_index(action): Fraction(1)}
+                choice[(j, q)] = {m.actions.index(action): Fraction(1)}
             else:
                 choice[(j, q)] = {a: share for a in range(m.action_count)}
             update[(j, q)] = min(j + 1, at)

@@ -47,6 +47,19 @@ def instances(draw, max_states=4, max_actions=2):
     return m, d0, t
 
 
+@given(mdps(max_states=5, max_actions=3))
+@settings(max_examples=60, deadline=None)
+def test_successor_table_is_the_support_of_delta(m):
+    for q in range(m.n):
+        assert len(m.succ[q]) == m.action_count
+        for a, d in enumerate(m.delta[q]):
+            assert SupportSet(m.n, m.succ[q][a]) == d.support()
+        union = m.empty_support()
+        for d in m.delta[q]:
+            union = union | d.support()
+        assert SupportSet(m.n, m.post[q]) == union
+
+
 @given(instances())
 @settings(max_examples=60, deadline=None)
 def test_apre_with_full_set_is_pre(inst):
@@ -151,7 +164,7 @@ def test_mec_components_verbatim(inst):
             acts = dec.internal_actions[q]
             assert acts, "closedness requires an internal action"
             for a in acts:
-                assert SupportSet(m.n, m.succ_bits(q, a)) <= comp
+                assert SupportSet(m.n, m.succ[q][a]) <= comp
         members = list(comp)
         for u in members:
             reached = {u}
@@ -159,7 +172,7 @@ def test_mec_components_verbatim(inst):
             while frontier:
                 v = frontier.pop()
                 for a in dec.internal_actions[v]:
-                    for w in SupportSet(m.n, m.succ_bits(v, a)):
+                    for w in SupportSet(m.n, m.succ[v][a]):
                         if w not in reached:
                             reached.add(w)
                             frontier.append(w)

@@ -1,5 +1,6 @@
 """Smoke tests of the experiment scripts: they run against the package in src/."""
 
+import json
 import os
 import subprocess
 import sys
@@ -25,3 +26,11 @@ def test_verify_corpus():
     done = run_script("verify_corpus.py", "--count", "5")
     assert done.returncode == 0, done.stderr
     assert "all checks pass" in done.stdout
+
+
+def test_report_digest():
+    done = run_script("report_digest.py", "--count", "3")
+    assert done.returncode == 0, done.stderr
+    line = json.loads(done.stdout)
+    assert len(line["analyze"]) == len(line["verify"]) == 64
+    assert line["models"] == {"analyze": 2 * 3 + 3 * 3, "verify": 3 + 4}

@@ -21,12 +21,15 @@ def main():
     parser.add_argument("--seed", type=int, default=20260810)
     parser.add_argument("--count", type=int, default=500)
     parser.add_argument("--max-states", type=int, default=5)
+    parser.add_argument("--max-actions", type=int, default=2)
+    parser.add_argument("--max-denominator", type=int, default=4)
     parser.add_argument("--horizon", type=int, default=50)
     parser.add_argument("--enum-depth", type=int, default=DEFAULT_ENUM_DEPTH)
     args = parser.parse_args()
 
     t0 = time.time()
-    instances = corpus(args.seed, args.count, max_states=args.max_states)
+    instances = corpus(args.seed, args.count, max_states=args.max_states,
+                       max_actions=args.max_actions, max_denominator=args.max_denominator)
     tally = Counter()
     first_failure = None
     for idx, inst in enumerate(instances):
@@ -38,7 +41,9 @@ def main():
                 first_failure = (idx, inst, result)
 
     elapsed = time.time() - t0
-    print(f"{args.count} instances (seed {args.seed}) in {elapsed:.1f} s")
+    print(f"{args.count} instances (seed {args.seed}, n <= {args.max_states}, "
+          f"actions <= {args.max_actions}, denominators <= {args.max_denominator}) "
+          f"in {elapsed:.1f} s")
     names = sorted({name for name, _ in tally})
     for name in names:
         parts = [f"{status}={tally[(name, status)]}"

@@ -5,7 +5,7 @@ brute-force strategy enumeration. Nothing here shares code with the deciders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
 
@@ -13,7 +13,7 @@ from .adversarial import (freezing_strategy, matrix_power_witness, post_image,
                           rows_image)
 from .bounds import compute_bound
 from .classic import recheck_certificate
-from .model import BudgetExceeded, ONE, ZERO, uniform_strategy
+from .model import BudgetExceeded, ONE, ZERO, _cached, uniform_strategy
 from .oracle import (count_synchronized_positions, enumerate_pure_strategies,
                      max_mass_at_step, max_reach_values, simulate)
 from .regions import almost_sure_reach_region
@@ -50,14 +50,25 @@ class CheckContext:
 
     @cached_property
     def traces(self):
+        """One trace per strategy the checks read (uniform and freezing play, the
+        witnesses), each simulated once to the longest window a check reads."""
         a = self.analysis
-        strategies = {"uniform": uniform_strategy(a.mdp)}
-        strategies["freezing"] = freezing_strategy(a.mdp, a.lasso, a.mec)
+        m = a.mdp
+        strategies = {
+            "uniform": _cached(a.cache, ("uniform",), lambda: uniform_strategy(m)),
+            "freezing": _cached(a.cache, ("freezing", a.s0.bits),
+                                lambda: freezing_strategy(m, a.lasso, a.mec)),
+        }
         for verdict in a.verdicts.values():
             w = verdict.witness
             if w is not None and w.label not in strategies:
                 strategies[w.label] = w
-        return {label: simulate(a.mdp, s, a.initial, self.horizon)
+        # positive-definition-sim and freezing-lower-bound read past the horizon
+        windows = {"uniform": a.switch + a.lasso.period}
+        nsteps = _bound(a, ("strongly", "bounded"), "N_adversarial")
+        if nsteps is not None:
+            windows["freezing"] = a.switch + 3 * nsteps.value
+        return {label: simulate(m, s, a.initial, max(self.horizon, windows.get(label, 0)))
                 for label, s in strategies.items()}
 
     @cached_property
@@ -205,10 +216,13 @@ def _sync_count_cap(name, win, ctx):
         threshold, strict = 1 - cert.value, True
     cap = 2 ** a.mdp.n
     depth, enumerated = ctx.enumerated
-    for label, trace in [*ctx.traces.items(), *((t.strategy_label, t) for t in enumerated)]:
+    within = [replace(t, dists=t.dists[:ctx.horizon + 1], horizon=ctx.horizon)
+              for t in ctx.traces.values()]
+    for trace in [*within, *enumerated]:
         count, _ = count_synchronized_positions(trace, a.target, threshold, strict=strict)
         if count > cap:
-            return CheckResult(name, "fail", {"strategy": label, "count": count})
+            return CheckResult(name, "fail", {"strategy": trace.strategy_label,
+                                              "count": count})
     info = {"cap": cap, "enumeration_depth": depth}
     if strict:
         info["enumerated"] = len(enumerated)
@@ -227,7 +241,7 @@ def check_freezing_bound(ctx):
         return CheckResult("freezing-lower-bound", "skip", {"reason": "no exact bound"})
     n_adv = nsteps.value
     h = a.switch + 3 * n_adv
-    trace = simulate(a.mdp, freezing_strategy(a.mdp, a.lasso, a.mec), a.initial, h)
+    trace = ctx.traces["freezing"]
     start = a.switch + n_adv
     for i in range(start, h + 1):
         if trace.dists[i].mass_in(a.target) < cert.value:
@@ -242,8 +256,7 @@ def check_positive_definition(ctx):
     """Positive verdicts match the definition on one extra lasso period of play."""
     a = ctx.analysis
     window = a.switch + a.lasso.period
-    trace = simulate(a.mdp, uniform_strategy(a.mdp), a.initial, window)
-    masses = [d.mass_in(a.target) for d in trace.dists]
+    masses = [d.mass_in(a.target) for d in ctx.traces["uniform"].dists[:window + 1]]
     l = a.lasso.start
     facts = {
         "eventually": any(v > 0 for v in masses),

@@ -228,8 +228,17 @@ def decide_limit_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
 
 
 def decide_almost_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
-    """Almost-sure winning for the given synchronizing mode."""
-    limits = limits or DEFAULT_LIMITS
+    """Almost-sure winning for the given synchronizing mode.
+
+    Memoized per analysis like `decide_sure`: limit-sure weakly and strongly
+    and almost-sure eventually delegate here and share the verdict.
+    """
+    return _cached(cache, ("almost-sure", sync_mode, t.bits, s0.bits),
+                   lambda: _decide_almost_sure(m, sync_mode, t, s0, cache,
+                                               limits or DEFAULT_LIMITS))
+
+
+def _decide_almost_sure(m, sync_mode, t, s0, cache, limits):
     query = ModeQuery(sync_mode, "almost-sure", t, s0)
 
     if sync_mode == "weakly":

@@ -6,20 +6,29 @@ tolerances. Zero violations are allowed anywhere.
 """
 
 import json
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from syncmdp import analyze, decide_limit_sure, decide_sure, example_model
+from syncmdp import ParsedModel, analyze, decide_limit_sure, decide_sure, example_model
+from syncmdp import serialize_model
 from syncmdp.checks import CheckContext, run_checks
+from syncmdp.cli import main
 from syncmdp.engine import check_consistency
-from syncmdp.randgen import corpus
+from syncmdp.randgen import corpus, random_instance
 from syncmdp.report import REPORT_VERSION, build_report, render_text
 
 CORPUS_SEED = 20260810
 CORPUS_COUNT = 500
 EXAMPLE_MODELS = ("drain", "funnel", "loopback", "twophase")
+
+# second tier, past the toy corpus: n = 6, 7, 8 with up to 3 actions and
+# denominators <= 8, from a seed fixed before this tier first ran
+WIDE_TIER_SEED = 20261018
+WIDE_TIER_SIZES = (6, 7, 8)
+WIDE_TIER_PER_SIZE = 8
 
 
 def report(criterion, detail):
@@ -168,3 +177,23 @@ def test_corpus_reports_serialize(corpus_analyses):
                        for cell in row.values() for b in cell["bounds"])
     assert omitted > 0, "corpus has no bound beyond the digit limit"
     report("corpus-reports", f"{len(corpus_analyses)} reports, {omitted} with omitted digits")
+
+
+def _wide_tier():
+    rng = random.Random(WIDE_TIER_SEED)
+    return [pytest.param(f"n{n}-{i}", random_instance(rng, n=n, max_actions=3,
+                                                      max_denominator=8), id=f"n{n}-{i}")
+            for n in WIDE_TIER_SIZES for i in range(WIDE_TIER_PER_SIZE)]
+
+
+@pytest.mark.parametrize("name, inst", _wide_tier())
+def test_wide_tier_verify_through_cli(name, inst, tmp_path, capsys):
+    model = tmp_path / f"{name}.json"
+    model.write_text(serialize_model(ParsedModel(inst.mdp, inst.initial, {"target": inst.target})))
+    out = tmp_path / f"{name}.verify.json"
+    code = main(["verify", "--model", str(model), "--target", "target", "--json", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    failed = [item["name"] for item in json.loads(out.read_text())["oracle"]
+              if item["status"] == "fail"]
+    assert failed == [], f"{name}: {failed}"

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from syncmdp import analyze, example_model
+from syncmdp import analyze, checks, example_model
 from syncmdp.checks import ALL_CHECKS, CheckContext, run_checks
 from syncmdp.randgen import corpus
 
@@ -62,3 +62,21 @@ def test_check_context_default_horizon():
     an = analyze(pm.mdp, pm.initial, pm.targets["target"])
     ctx = CheckContext(an)
     assert ctx.horizon == max(50, 4 * an.switch)
+
+
+def test_battery_simulates_each_strategy_once_from_the_memo(monkeypatch):
+    pm = example_model("loopback")
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    played = []
+    simulate = checks.simulate
+
+    def spy(m, strategy, d0, h):
+        played.append(strategy)
+        return simulate(m, strategy, d0, h)
+    monkeypatch.setattr(checks, "simulate", spy)
+    statuses = {r.name: r.status for r in run_checks(an)}
+    assert statuses["freezing-lower-bound"] == statuses["positive-definition-sim"] == "pass"
+    labels = [s.label for s in played]
+    assert len(labels) == len(set(labels)), labels
+    assert played[0] is an.cache[("uniform",)]
+    assert played[1] is an.cache[("freezing", an.s0.bits)]

@@ -93,29 +93,34 @@ def test_analyze_calls_each_decider_once_per_cell(funnel, monkeypatch):
 
 def test_each_witness_is_built_once_per_analysis(monkeypatch):
     # the deciders share one memo: a witness several cells carry is built once,
-    # and the sure verdict of each sync mode is decided once
-    built, sure = [], Counter()
-    table, decide = model._strategy_table, classic._decide_sure
+    # and the sure and almost-sure verdicts of each sync mode are decided once
+    built, sure, almost_sure = [], Counter(), Counter()
+    table = model._strategy_table
 
     def counting_table(m, label, *args):
         built.append(label)
         return table(m, label, *args)
 
-    def counting_decide(m, sync_mode, *args):
-        sure[sync_mode] += 1
-        return decide(m, sync_mode, *args)
+    def counting(decide, tally):
+        def wrapper(m, sync_mode, *args):
+            tally[sync_mode] += 1
+            return decide(m, sync_mode, *args)
+        return wrapper
 
     for module in (model, classic, adversarial):
         monkeypatch.setattr(module, "_strategy_table", counting_table)
-    monkeypatch.setattr(classic, "_decide_sure", counting_decide)
+    monkeypatch.setattr(classic, "_decide_sure", counting(classic._decide_sure, sure))
+    monkeypatch.setattr(classic, "_decide_almost_sure",
+                        counting(classic._decide_almost_sure, almost_sure))
     cases = [(pm.mdp, pm.initial, pm.targets["target"])
              for pm in map(example_model, EXAMPLE_MODELS)]
     cases += [(inst.mdp, inst.initial, inst.target) for inst in corpus(20260810, 20)]
     for m, d0, t in cases:
         built.clear()
         sure.clear()
+        almost_sure.clear()
         a = analyze(m, d0, t)
         witnesses = {id(v.witness): v.witness.label for v in a.verdicts.values() if v.witness}
         assert sorted(built) == sorted(witnesses.values())
         assert len(set(built)) == len(built)
-        assert sure == Counter(SYNC_MODES)
+        assert sure == almost_sure == Counter(SYNC_MODES)

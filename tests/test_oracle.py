@@ -1,10 +1,15 @@
+import math
+import re
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from syncmdp import (BudgetExceeded, Dist, StrategySpec, count_synchronized_positions,
-                     enumerate_pure_strategies, max_mass_at_step, max_reach_values,
-                     simulate, uniform_strategy)
+from syncmdp import (BudgetExceeded, Dist, Mdp, StrategySpec,
+                     count_synchronized_positions, enumerate_pure_strategies,
+                     max_mass_at_step, max_reach_values, simulate, uniform_strategy)
+from syncmdp.model import ZERO
 
 from conftest import ABSORBING, build
 
@@ -159,3 +164,224 @@ def test_max_reach_values(funnel):
     assert vals[m.state_index("q3")] == 0
     # q0 must first flip out of its self-loop, then one b step: lag of one
     assert 1 - vals[m.state_index("q0")] == Fraction(1, 2) ** 199
+
+
+# --- the integer kernels against the Fraction loops they replaced ---------------
+#
+# The reference functions below are the oracle's former Fraction loops, kept
+# verbatim apart from their names: the integer kernels must give equal traces,
+# profile values, reach values, and the same enumeration in the same order.
+
+def ref_simulate(m, strategy, d0, h):
+    joint = {(strategy.initial_memory, q): p for q, p in d0.mass.items()}
+    dists = [d0]
+    for _ in range(h):
+        nxt = {}
+        for (mem, q), w in joint.items():
+            mem2 = strategy.update[(mem, q)]
+            for a, pa in strategy.choice[(mem, q)].items():
+                if pa == 0:
+                    continue
+                for q2, p in m.delta[q][a].mass.items():
+                    key = (mem2, q2)
+                    nxt[key] = nxt.get(key, ZERO) + w * pa * p
+        joint = nxt
+        mass = {}
+        for (_, q), w in joint.items():
+            mass[q] = mass.get(q, ZERO) + w
+        dists.append(Dist(m.n, mass))
+    return tuple(dists)
+
+
+def ref_max_mass_at_step(m, t, d0, h):
+    w = [Fraction(1) if q in t else ZERO for q in range(m.n)]
+    values = [sum((p * w[q] for q, p in d0.mass.items()), ZERO)]
+    for _ in range(h):
+        w = [max(sum((p * w[q2] for q2, p in m.delta[q][a].mass.items()), ZERO)
+                 for a in range(m.action_count))
+             for q in range(m.n)]
+        values.append(sum((p * w[q] for q, p in d0.mass.items()), ZERO))
+    return tuple(values)
+
+
+def ref_max_reach_values(m, t, h):
+    vals = [Fraction(1) if q in t else ZERO for q in range(m.n)]
+    for _ in range(h):
+        vals = [Fraction(1) if q in t else
+                max(sum((p * vals[q2] for q2, p in m.delta[q][a].mass.items()), ZERO)
+                    for a in range(m.action_count))
+                for q in range(m.n)]
+    return tuple(vals)
+
+
+def ref_history_tree(m, d0, h, budget=None):
+    level = [(q,) for q in sorted(d0.mass)]
+    nodes = []
+    for depth in range(h):
+        nodes.extend(level)
+        if budget is not None and len(nodes) > budget:
+            raise BudgetExceeded("strategy-enumeration",
+                                 f"history tree exceeds {budget} nodes")
+        if depth == h - 1:
+            break
+        nxt = []
+        for hist in level:
+            q = hist[-1]
+            for a in range(m.action_count):
+                for q2 in sorted(m.delta[q][a].mass):
+                    nxt.append(hist + (a, q2))
+        level = nxt
+    return nodes
+
+
+def ref_enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
+    nodes = ref_history_tree(m, d0, h, budget=budget)
+    count = len(nodes)
+    a_count = m.action_count
+    if budget < 1 or a_count > 1 and count * math.log2(a_count) \
+            + math.log2(max(count, 1)) > math.log2(budget):
+        raise BudgetExceeded("strategy-enumeration",
+                             f"{a_count}^{count} strategies exceed budget {budget}")
+    one = Fraction(1)
+    share = Fraction(1, a_count)
+    rows = {"uniform": {a: share for a in range(a_count)},
+            "dirac": [{a: one} for a in range(a_count)]}
+    for picks in iproduct(range(a_count), repeat=count):
+        assignment = dict(zip(nodes, picks))
+        strategy = ref_assignment_strategy(m, assignment, rows)
+        yield strategy, ref_simulate(m, strategy, d0, h)
+
+
+def ref_assignment_strategy(m, assignment, rows):
+    uniform = rows["uniform"]
+    dirac = rows["dirac"]
+    choice = {}
+    update = {}
+    done = "done"
+    prefixes = {()}
+    for hist in assignment:
+        prefixes.add(hist[:-1])
+    for prefix in prefixes:
+        for q in range(m.n):
+            hist = prefix + (q,)
+            if hist in assignment:
+                a = assignment[hist]
+                choice[(prefix, q)] = dirac[a]
+                nxt = hist + (a,)
+                update[(prefix, q)] = nxt if nxt in prefixes else done
+            else:
+                choice[(prefix, q)] = uniform
+                update[(prefix, q)] = done
+    for q in range(m.n):
+        choice[(done, q)] = uniform
+        update[(done, q)] = done
+    label = "pure[" + ",".join(str(a) for a in assignment.values()) + "]"
+    memory = tuple(sorted(prefixes)) + (done,)
+    return StrategySpec(label, memory, (), choice, update)
+
+
+@st.composite
+def rows(draw, keys, max_denominator=8, max_support=8, zeros=False):
+    """A distribution over `keys` with denominator at most max_denominator;
+    with `zeros`, some keys may carry an explicit zero."""
+    size = draw(st.integers(1, min(len(keys), max_denominator, max_support)))
+    support = draw(st.permutations(keys))[:size]
+    denom = draw(st.integers(size, max_denominator))
+    cuts = sorted(draw(st.sets(st.integers(1, denom - 1), min_size=size - 1,
+                               max_size=size - 1))) if size > 1 else []
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
+    row = {k: Fraction(c, denom) for k, c in zip(support, parts)}
+    if zeros:
+        for k in keys:
+            if k not in row and draw(st.booleans()):
+                row[k] = Fraction(0)
+    return row
+
+
+@st.composite
+def wide_instances(draw, max_states=6, min_actions=1, max_actions=3, max_support=8):
+    """Models past the toy corpus: n <= 6, three actions, denominators <= 8
+    (narrower supports keep a pure-strategy enumeration within budget)."""
+    n = draw(st.integers(1, max_states))
+    a_count = draw(st.integers(min_actions, max_actions))
+    delta = [[Dist(n, draw(rows(range(n), max_support=max_support))) for _ in range(a_count)]
+             for _ in range(n)]
+    m = Mdp([f"s{i}" for i in range(n)], [f"a{j}" for j in range(a_count)], delta)
+    d0 = Dist(n, draw(rows(range(n), max_support=max_support)))
+    t = {q for q in range(n) if draw(st.booleans())}
+    return m, d0, m.support(m.states[q] for q in t)
+
+
+@st.composite
+def memory_strategies(draw, m, max_memory=3):
+    """A randomized finite-memory strategy with up to three memory values;
+    rows may be shared between cells and may hold zero-probability actions."""
+    memory = tuple(range(draw(st.integers(1, max_memory))))
+    shared = draw(rows(range(m.action_count), zeros=True))
+    choice = {}
+    update = {}
+    for mem in memory:
+        for q in range(m.n):
+            choice[(mem, q)] = shared if draw(st.booleans()) else \
+                draw(rows(range(m.action_count), zeros=True))
+            update[(mem, q)] = draw(st.sampled_from(memory))
+    return StrategySpec("mixed", memory, draw(st.sampled_from(memory)), choice, update)
+
+
+@given(wide_instances(), st.data(), st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_simulate_matches_fraction_loop(inst, data, h):
+    m, d0, _ = inst
+    strategy = data.draw(memory_strategies(m))
+    for s in (strategy, uniform_strategy(m)):
+        trace = simulate(m, s, d0, h)
+        assert trace.dists == ref_simulate(m, s, d0, h)
+        assert (trace.strategy_label, trace.horizon) == (s.label, h)
+        assert all(sum(d.mass.values()) == 1 for d in trace.dists)
+        assert [list(d.mass) for d in trace.dists] == [sorted(d.mass) for d in trace.dists]
+
+
+@given(wide_instances(), st.integers(0, 30))
+@settings(max_examples=60, deadline=None)
+def test_dp_kernels_match_fraction_loops(inst, h):
+    m, d0, t = inst
+    assert max_mass_at_step(m, t, d0, h).values == ref_max_mass_at_step(m, t, d0, h)
+    assert max_reach_values(m, t, h) == ref_max_reach_values(m, t, h)
+
+
+@given(wide_instances(max_states=3, min_actions=2, max_support=2), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_enumeration_matches_fraction_loop(inst, h):
+    m, d0, _ = inst
+    try:
+        expected = list(ref_enumerate_pure_strategies(m, d0, h, budget=5000))
+    except BudgetExceeded:
+        return
+    got = list(enumerate_pure_strategies(m, d0, h, budget=5000))
+    assert [s.label for s, _ in got] == [s.label for s, _ in expected]
+    for (s, trace), (s_ref, dists_ref) in zip(got, expected):
+        assert s == s_ref and list(s.choice) == list(s_ref.choice)
+        assert trace.dists == dists_ref
+        assert (trace.strategy_label, trace.horizon) == (s.label, h)
+
+
+@given(wide_instances(max_states=4), st.integers(0, 5), st.sampled_from([0, 1, 40, 400]))
+@settings(max_examples=40, deadline=None)
+def test_enumeration_guards_match_fraction_loop(inst, h, budget):
+    m, d0, _ = inst
+    try:
+        expected = sum(1 for _ in ref_enumerate_pure_strategies(m, d0, h, budget=budget))
+    except BudgetExceeded as exc:
+        with pytest.raises(BudgetExceeded, match=re.escape(str(exc))):
+            next(enumerate_pure_strategies(m, d0, h, budget=budget))
+        return
+    assert sum(1 for _ in enumerate_pure_strategies(m, d0, h, budget=budget)) == expected
+
+
+def test_simulate_rejects_a_step_that_does_not_sum_to_one(funnel):
+    m = funnel.mdp
+    leaky = StrategySpec("leaky", (0,), 0, {(0, q): {0: Fraction(1)} for q in range(m.n)},
+                         {(0, q): 0 for q in range(m.n)})
+    leaky.choice[(0, m.state_index("q0"))] = {0: Fraction(1, 2)}  # bypasses validation
+    with pytest.raises(ValueError, match="distribution sums to 1/2"):
+        simulate(m, leaky, funnel.initial, 1)

@@ -2,9 +2,12 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+from syncmdp import randgen
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,7 +28,32 @@ def test_analyze_examples():
 def test_verify_corpus():
     done = run_script("verify_corpus.py", "--count", "5")
     assert done.returncode == 0, done.stderr
+    assert "n <= 5, actions <= 2, denominators <= 4" in done.stdout
     assert "all checks pass" in done.stdout
+
+
+def test_verify_corpus_wide_tier():
+    done = run_script("verify_corpus.py", "--count", "3", "--seed", "7", "--max-states", "7",
+                      "--max-actions", "3", "--max-denominator", "8")
+    assert done.returncode == 0, done.stderr
+    assert "3 instances (seed 7, n <= 7, actions <= 3, denominators <= 8)" in done.stdout
+    assert "all checks pass" in done.stdout
+
+
+def test_verify_corpus_passes_the_tier_flags_to_the_generator(monkeypatch, capsys):
+    drawn = {}
+
+    def fake_corpus(seed, count, **kwargs):
+        drawn.update(kwargs, seed=seed, count=count)
+        return []
+    monkeypatch.setattr(randgen, "corpus", fake_corpus)
+    script = runpy.run_path(str(ROOT / "scripts" / "verify_corpus.py"))
+    monkeypatch.setattr(sys, "argv", ["verify_corpus.py", "--count", "0", "--seed", "3",
+                                      "--max-states", "8", "--max-actions", "3",
+                                      "--max-denominator", "8"])
+    assert script["main"]() == 0
+    assert drawn == {"seed": 3, "count": 0, "max_states": 8, "max_actions": 3,
+                     "max_denominator": 8}
 
 
 def test_report_digest():

@@ -18,9 +18,8 @@ from .model import (BudgetExceeded, Dist, GuardExceeded, Limits, Mdp,
                     min_positive_probability, model_to_obj, parse_model,
                     parse_rational, product_with_counter, serialize_model,
                     uniform_strategy)
-from .oracle import (MaxMassProfile, Trace, count_synchronized_positions,
-                     enumerate_pure_strategies, max_mass_at_step,
-                     max_reach_values, simulate)
+from .oracle import (Trace, count_synchronized_positions, enumerate_pure_strategies,
+                     max_mass_at_step, max_reach_values, simulate)
 from .regions import (EcDecomposition, Lasso, almost_sure_reach_region, apre,
                       iterate_lasso, mec_decomposition, pre, pre_lasso,
                       reach_layers, sure_reach_region, sure_safety_region)

@@ -14,8 +14,8 @@ from .adversarial import (freezing_strategy, matrix_power_witness, post_image,
 from .bounds import compute_bound
 from .classic import recheck_certificate
 from .model import BudgetExceeded, ONE, ZERO, _cached, uniform_strategy
-from .oracle import (count_synchronized_positions, enumerate_pure_strategies,
-                     max_mass_at_step, max_reach_values, simulate)
+from .oracle import (enumerate_pure_strategies, max_mass_at_step, max_reach_values,
+                     simulate)
 from .regions import almost_sure_reach_region
 
 REGION_DP_HORIZON = 200
@@ -77,6 +77,16 @@ class CheckContext:
         return max_mass_at_step(a.mdp, a.target, a.initial, self.horizon)
 
     @cached_property
+    def count_traces(self):
+        """(traces, masses) for the sync-count caps: the simulated traces cut to the
+        horizon, then the enumerated ones; masses[id(d)] is the target mass of each
+        distinct Dist (a prefix the enumerated strategies share is one), summed once."""
+        traces = [replace(t, dists=t.dists[:self.horizon + 1], horizon=self.horizon)
+                  for t in self.traces.values()] + self.enumerated[1]
+        dists = {id(d): d for trace in traces for d in trace.dists}
+        return traces, {key: d.mass_in(self.analysis.target) for key, d in dists.items()}
+
+    @cached_property
     def reach_region(self):
         """The almost-sure reach region of the target."""
         return almost_sure_reach_region(self.analysis.mdp, self.analysis.target)
@@ -133,7 +143,7 @@ def check_step_decay_cap(ctx):
         return CheckResult("step-decay-cap", "skip", {"reason": "sure eventually holds"})
     alpha_i = a.alpha0
     slack = None
-    for i, v in enumerate(ctx.profile.values):
+    for i, v in enumerate(ctx.profile):
         if v > 1 - alpha_i:
             return CheckResult("step-decay-cap", "fail", {"step": i, "value": str(v)})
         gap = (1 - alpha_i) - v
@@ -152,8 +162,8 @@ def check_eventually_isolation(ctx):
     if cert is None or cert.value is None:
         return CheckResult("eventually-isolation", "skip", {"reason": "no exact bound"})
     eps = cert.value
-    worst = min((1 - v for v in ctx.profile.values), default=ONE)
-    if any(v > 1 - eps for v in ctx.profile.values):
+    worst = min((1 - v for v in ctx.profile), default=ONE)
+    if any(v > 1 - eps for v in ctx.profile):
         return CheckResult("eventually-isolation", "fail", {"eps": str(eps)})
     return CheckResult("eventually-isolation", "pass",
                        {"eps_log10": cert.log10, "observed_gap": str(worst)})
@@ -167,10 +177,10 @@ def check_reach_value_cap(ctx):
                            {"reason": "initial support is almost-sure for reach"})
     cap = compute_bound("lemma1_reach", a.mdp.n, a.mdp.action_count,
                         a.alpha, a.alpha0).value
-    for i, v in enumerate(ctx.profile.values):
+    for i, v in enumerate(ctx.profile):
         if v > 1 - cap:
             return CheckResult("reach-value-cap", "fail", {"step": i, "value": str(v)})
-    worst = min(1 - v for v in ctx.profile.values)
+    worst = min(1 - v for v in ctx.profile)
     return CheckResult("reach-value-cap", "pass",
                        {"cap": str(cap), "observed_gap": str(worst)})
 
@@ -189,7 +199,7 @@ def _prefix_dip(mode, win, kind, ctx):
     cert = _bound(a, (mode, win), kind)
     if cert is None or cert.value is None:
         return CheckResult(name, "skip", {"reason": "no exact bound"})
-    prefix = ctx.profile.values[:a.mdp.n + 1]
+    prefix = ctx.profile[:a.mdp.n + 1]
     if min(prefix) <= 1 - cert.value:
         return CheckResult(name, "pass", {"eps": str(cert.value)})
     return CheckResult(name, "fail",
@@ -216,10 +226,10 @@ def _sync_count_cap(name, win, ctx):
         threshold, strict = 1 - cert.value, True
     cap = 2 ** a.mdp.n
     depth, enumerated = ctx.enumerated
-    within = [replace(t, dists=t.dists[:ctx.horizon + 1], horizon=ctx.horizon)
-              for t in ctx.traces.values()]
-    for trace in [*within, *enumerated]:
-        count, _ = count_synchronized_positions(trace, a.target, threshold, strict=strict)
+    traces, masses = ctx.count_traces
+    synced = {key for key, v in masses.items() if v > threshold or not strict and v == threshold}
+    for trace in traces:
+        count = sum(id(d) in synced for d in trace.dists)
         if count > cap:
             return CheckResult(name, "fail", {"strategy": trace.strategy_label,
                                               "count": count})

@@ -134,18 +134,23 @@ def _decide_sure(m, sync_mode, t, s0, cache, limits):
                        certificate={"kind": "sure-eventually", "k": k})
 
     if sync_mode == "weakly":
-        for s in _subsets_desc(t, limits):
+        # Pre is monotone, so the recurring subsets S of t (S <= Pre^r(S), r >= 1) are
+        # closed under union (Pre^lcm(r1, r2) keeps both) and s0 <= Pre^k(S) holds for
+        # one iff it holds for the largest, T*: the gfp of S -> S & Pre^L(S), L a multiple
+        # of the period past the start of S's pre-lasso. Each round drops a state.
+        s = t
+        while s:
             sl = _lasso(m, s, cache, limits)
             r = next((i for i in range(1, len(sl.supports)) if s <= sl.supports[i]), None)
-            if r is None:
-                continue
-            k = next((i for i, sup in enumerate(sl.distinct()) if s0 <= sup), None)
-            if k is None:
-                continue
-            witness = _cycle_strategy(m, k, r, sl)
-            cert = {"kind": "sure-weakly", "set": s, "k": k, "r": r}
-            return Verdict(query, True, witness=witness, certificate=cert)
-        return Verdict(query, False)
+            if r is not None:
+                break
+            s = s & sl.at((sl.start + 1) * sl.period)
+        k = next((i for i, sup in enumerate(sl.distinct()) if s0 <= sup), None) if s else None
+        if k is None:
+            return Verdict(query, False)
+        witness = _cycle_strategy(m, k, r, sl)
+        cert = {"kind": "sure-weakly", "set": s, "k": k, "r": r}
+        return Verdict(query, True, witness=witness, certificate=cert)
 
     if sync_mode == "always":
         region = _safety(m, t, cache)

@@ -2,7 +2,8 @@
 against the oracle battery, or print region computations.
 
 Exit codes: 0 analysis complete, 1 usage error, 2 input error, 3 guard tripped,
-4 internal consistency gate failed (an engine bug, reported with diagnostics).
+4 internal consistency gate failed (an engine bug, reported with diagnostics),
+5 `verify` found a failed oracle check (named on stderr).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _build_parser():
         p.add_argument("--max-lasso", type=nonnegative_int, default=Limits.max_lasso,
                        help="guard: longest support lasso explored")
         p.add_argument("--subset-width", type=nonnegative_int, default=Limits.subset_width,
-                       help="guard: largest target open to subset search")
+                       help="guard: largest target open to the almost-sure weakly subset search")
 
     p_an = sub.add_parser("analyze", help="full 4x5 verdict matrix with bounds")
     common(p_an)
@@ -140,6 +141,7 @@ def _cmd_verify(args):
     failed = [r.name for r in results if r.status == "fail"]
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
+        return 5
     return 0
 
 

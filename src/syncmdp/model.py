@@ -47,7 +47,7 @@ class Limits:
     """Guard thresholds for the exponential stages of the analysis."""
 
     max_lasso: int = 1 << 16      # longest support/predecessor lasso explored
-    subset_width: int = 16        # largest target set open to subset search
+    subset_width: int = 16        # largest target open to the almost-sure weakly subset search
 
 DEFAULT_LIMITS = Limits()
 
@@ -183,12 +183,6 @@ class Dist:
     @classmethod
     def dirac(cls, width, q):
         return cls(width, {q: ONE})
-
-    @classmethod
-    def uniform(cls, width, indices):
-        indices = list(indices)
-        share = Fraction(1, len(indices))
-        return cls(width, {q: share for q in indices})
 
     def __getitem__(self, q):
         return self.mass.get(q, ZERO)

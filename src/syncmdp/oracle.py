@@ -30,13 +30,6 @@ class Trace:
     horizon: int
 
 
-@dataclass(frozen=True)
-class MaxMassProfile:
-    """values[i] = sup over all strategies of the target mass at exactly step i."""
-
-    values: tuple
-
-
 def _numerators(rows):
     """(LCD, scaled rows): each {key: Fraction} row as {key: integer numerator}."""
     den = math.lcm(*{p.denominator for row in rows for p in row.values()})
@@ -87,7 +80,7 @@ def simulate(m, strategy, d0, h):
 
 
 def max_mass_at_step(m, t, d0, h):
-    """Optimal exactly-at-step-i target mass for every i <= h.
+    """Optimal exactly-at-step-i target mass for every i <= h, as a tuple indexed by i.
 
     Backward induction on w_i(q) = best probability of sitting in t after
     exactly i steps from q; history does not help for a fixed-step objective.
@@ -102,7 +95,7 @@ def max_mass_at_step(m, t, d0, h):
         w = [max(sum(p * w[q2] for q2, p in succ) for succ in rows[q]) for q in range(m.n)]
         total *= den
         values.append(Fraction(sum(p * w[q] for q, p in init.items()), total))
-    return MaxMassProfile(tuple(values))
+    return tuple(values)
 
 
 def max_reach_values(m, t, h):

@@ -168,10 +168,6 @@ class EcDecomposition:
     component_of: tuple        # state -> component index, None outside the union
     internal_actions: tuple    # state -> actions staying inside its component
 
-    def component(self, q):
-        idx = self.component_of[q]
-        return None if idx is None else self.components[idx]
-
 
 def mec_decomposition(m):
     """All maximal end components by iterative SCC refinement."""

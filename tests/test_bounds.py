@@ -91,7 +91,8 @@ def test_weakly_below_eventually_below_alpha0():
 
 def test_attach_twophase_eps_eventually(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
-    d0 = Dist.uniform(m.n, [m.state_index("q1"), m.state_index("q3")])
+    half = Fraction(1, 2)
+    d0 = Dist(m.n, {m.state_index("q1"): half, m.state_index("q3"): half})
     v = decide_limit_sure(m, "eventually", t, d0.support())
     bounds = attach_bounds([v], m, d0)[("eventually", "limit-sure")]
     eps = next(b for b in bounds if b.kind == "eps_eventually")

@@ -2,11 +2,12 @@
 assertions for the checks the other test modules do not already drive.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from syncmdp import analyze, checks, example_model
+from syncmdp import analyze, checks, count_synchronized_positions, example_model
 from syncmdp.checks import ALL_CHECKS, CheckContext, run_checks
 from syncmdp.randgen import corpus
 
@@ -80,3 +81,48 @@ def test_battery_simulates_each_strategy_once_from_the_memo(monkeypatch):
     assert len(labels) == len(set(labels)), labels
     assert played[0] is an.cache[("uniform",)]
     assert played[1] is an.cache[("freezing", an.s0.bits)]
+
+
+def ref_sync_count_cap(ctx, threshold, strict):
+    """Reference: the first trace over the 2^n cap by the oracle's own count of
+    each trace (the simulated ones cut to the horizon), as the cap reports it."""
+    a = ctx.analysis
+    within = [replace(t, dists=t.dists[:ctx.horizon + 1], horizon=ctx.horizon)
+              for t in ctx.traces.values()]
+    for trace in [*within, *ctx.enumerated[1]]:
+        count, _ = count_synchronized_positions(trace, a.target, threshold, strict=strict)
+        if count > 2 ** a.mdp.n:
+            return {"strategy": trace.strategy_label, "count": count}
+    return None
+
+
+class _Half:
+    value = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("horizon", [None, 3])
+def test_sync_count_caps_count_like_the_oracle(sample_analyses, monkeypatch, horizon):
+    # planted "not weakly" verdicts and eps_weakly = 1/2 make both caps count,
+    # and fail, on the models that do synchronize; at horizon 3 the simulated
+    # traces run past the horizon and the enumerated ones past its cut
+    failed = 0
+    for an in sample_analyses:
+        verdicts = dict(an.verdicts)
+        for win in ("sure", "almost-sure"):
+            verdicts[("weakly", win)] = replace(verdicts[("weakly", win)], answer=False)
+        ctx = CheckContext(replace(an, verdicts=verdicts), horizon=horizon)
+        ctx.traces, ctx.enumerated   # simulated before the bound is planted
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, "_bound", lambda analysis, cell, kind: _Half)
+            for name, threshold, strict in (("full-sync-count-cap", 1, False),
+                                            ("near-sync-count-cap", Fraction(1, 2), True)):
+                result = ALL_CHECKS[name](ctx)
+                if result.status == "skip":
+                    assert name == "near-sync-count-cap" and an.mdp.n < 2
+                    continue
+                ref = ref_sync_count_cap(ctx, threshold, strict)
+                assert result.status == ("pass" if ref is None else "fail")
+                if ref is not None:
+                    assert result.info == ref
+                    failed += 1
+    assert failed

@@ -5,7 +5,9 @@ import pytest
 from syncmdp import (Dist, SupportSet, decide_almost_sure, decide_limit_sure,
                      decide_sure, recheck_certificate, simulate,
                      synthesize_sure_eventually_strategy)
+from syncmdp import classic
 from syncmdp.model import GuardExceeded, Limits
+from syncmdp.regions import pre_lasso
 
 from conftest import ABSORBING, build
 
@@ -191,9 +193,37 @@ def test_certificates_recheck_on_examples(drain, funnel, loopback, twophase):
 def test_subset_search_guard(funnel):
     m = funnel.mdp
     limits = Limits(subset_width=0)
-    with pytest.raises(GuardExceeded):
-        decide_sure(m, "weakly", m.support(["q2"]), funnel.initial.support(),
-                    limits=limits)
+    with pytest.raises(GuardExceeded) as exc:
+        decide_almost_sure(m, "weakly", m.support(["q2"]), funnel.initial.support(),
+                           limits=limits)
+    assert exc.value.stage == "subset-search"
+
+
+def test_sure_weakly_builds_at_most_one_lasso_per_target_state(monkeypatch):
+    # s0 -> ... -> s9 -> sink: no nonempty subset of T = {s0..s9} recurs, so a
+    # search over subsets would build all 2^10 - 1 of their predecessor lassos
+    names = [f"s{i}" for i in range(10)] + ["sink"]
+    m = build({
+        "states": names, "actions": ["a"],
+        "transitions": [{"from": q, "action": "a", "to": nxt, "prob": "1"}
+                        for q, nxt in zip(names, names[1:] + ["sink"])],
+        "initial": {"s0": "1"},
+        "targets": {"target": names[:10]},
+    })
+    built = []
+
+    def counting(mdp, t, max_len=None):
+        built.append(t)
+        return pre_lasso(mdp, t, max_len=max_len)
+    monkeypatch.setattr(classic, "pre_lasso", counting)
+    v = decide_sure(m.mdp, "weakly", m.targets["target"], m.initial.support(), cache={})
+    assert not v.answer
+    assert len(built) <= 10   # each fixpoint round drops a state; the empty set needs none
+    # with the limit set to zero the fixpoint still decides: only the
+    # almost-sure weakly search is a subset search
+    v = decide_sure(m.mdp, "weakly", m.targets["target"], m.initial.support(),
+                    limits=Limits(subset_width=0))
+    assert not v.answer
 
 
 def test_support_only_dependence(funnel):
@@ -204,5 +234,5 @@ def test_support_only_dependence(funnel):
         for decide in (decide_sure, decide_almost_sure, decide_limit_sure):
             assert decide(m, mode, t, s0).answer == decide(m, mode, t, s0).answer
     d_a = Dist(4, {0: Fraction(1, 4), 1: Fraction(3, 4)})
-    d_b = Dist.uniform(4, [0, 1])
+    d_b = Dist(4, {0: Fraction(1, 2), 1: Fraction(1, 2)})
     assert d_a.support() == d_b.support() == s0

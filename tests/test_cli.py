@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from syncmdp import example_path, serialize_model, example_model
+from syncmdp import checks, example_path, serialize_model, example_model
+from syncmdp.checks import CheckResult
 from syncmdp.cli import main
 
 from conftest import ABSORBING
@@ -175,6 +176,30 @@ def test_guard_names_the_first_stage(capsys):
                        "--target", "target", "--max-lasso", "1")
     assert code == 3
     assert "stage pre-lasso" in err
+
+
+def test_subset_width_guard_exit_code(capsys):
+    # the almost-sure weakly search over subsets of the target is the stage
+    # the subset-width guard bounds
+    code, _, err = run(capsys, "analyze", "--model", example_path("loopback"),
+                       "--target", "target", "--subset-width", "0")
+    assert code == 3
+    assert "stage subset-search" in err
+
+
+def test_verify_failed_check_exit_code(capsys, tmp_path, monkeypatch):
+    def planted(ctx):
+        return CheckResult("lasso-integrity", "fail", {"reason": "planted"})
+    monkeypatch.setitem(checks.ALL_CHECKS, "lasso-integrity", planted)
+    out_path = tmp_path / "verify.json"
+    code, out, err = run(capsys, "verify", "--model", example_path("loopback"),
+                         "--target", "target", "--json", str(out_path))
+    assert code == 5
+    assert "FAILED checks: lasso-integrity" in err
+    report = json.loads(out_path.read_text())
+    statuses = {item["name"]: item["status"] for item in report["oracle"]}
+    assert statuses["lasso-integrity"] == "fail"
+    assert "oracle checks" in out
 
 
 def test_regions_pre_lasso(capsys):

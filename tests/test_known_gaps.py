@@ -39,7 +39,7 @@ def test_prefix_dp_form_has_a_counterexample():
     # per-step optima: a fresh strategy can sit in the target at every single
     # step, so the DP prefix minimum never dips below 1
     profile = max_mass_at_step(m, t, d0, m.n)
-    assert min(profile.values) == 1 > 1 - eps.value
+    assert min(profile) == 1 > 1 - eps.value
 
     # the per-strategy statement does hold: every pure strategy to depth n has
     # a step where the target mass falls to 1 - eps or lower

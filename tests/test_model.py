@@ -114,7 +114,8 @@ def test_min_positive_probability_examples(funnel):
 
 def test_min_initial_probability():
     assert min_initial_probability(Dist.dirac(3, 0)) == 1
-    assert min_initial_probability(Dist.uniform(4, [1, 3])) == Fraction(1, 2)
+    half = Fraction(1, 2)
+    assert min_initial_probability(Dist(4, {1: half, 3: half})) == half
     d = Dist(2, {0: Fraction(2, 3), 1: Fraction(1, 3)})
     assert min_initial_probability(d, SupportSet.of(2, [0])) == Fraction(2, 3)
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,12 +13,13 @@ from syncmdp import (Dist, Mdp, ModelFormatError, ParsedModel, SupportSet,
                      product_with_counter, serialize_model, simulate,
                      support_lasso, sure_safety_region, uniform_strategy)
 from syncmdp.adversarial import post_image, rows_image
+from syncmdp.classic import _cycle_strategy
 from syncmdp.oracle import max_mass_at_step
 
 
 @st.composite
-def dists(draw, n):
-    size = draw(st.integers(1, n))
+def dists(draw, n, max_size=None):
+    size = draw(st.integers(1, min(n, max_size or n)))
     support = draw(st.permutations(range(n)))[:size]
     weights = [draw(st.integers(1, 4)) for _ in range(size)]
     total = sum(weights)
@@ -25,10 +27,10 @@ def dists(draw, n):
 
 
 @st.composite
-def mdps(draw, max_states=4, max_actions=2):
+def mdps(draw, max_states=4, max_actions=2, max_support=None):
     n = draw(st.integers(1, max_states))
     a = draw(st.integers(1, max_actions))
-    rows = [[draw(dists(n)) for _ in range(a)] for _ in range(n)]
+    rows = [[draw(dists(n, max_support)) for _ in range(a)] for _ in range(n)]
     return Mdp([f"s{i}" for i in range(n)], [f"a{j}" for j in range(a)], rows)
 
 
@@ -220,6 +222,45 @@ def test_support_only_dependence(inst, data):
             == decide_limit_sure(m, mode, t, d1.support()).answer
 
 
+def ref_sure_weakly(m, t, s0):
+    """Reference: search the nonempty subsets of t by decreasing size, then index
+    order, for the first recurring one (s <= Pre^r(s), r >= 1) whose predecessor
+    lasso reaches s0; (set, k, r, lasso), or None when no subset qualifies."""
+    members = list(t)
+    for size in range(len(members), 0, -1):
+        for combo in combinations(members, size):
+            s = SupportSet.of(t.width, combo)
+            sl = pre_lasso(m, s)
+            r = next((i for i in range(1, len(sl.supports)) if s <= sl.supports[i]), None)
+            if r is None:
+                continue
+            k = next((i for i, sup in enumerate(sl.distinct()) if s0 <= sup), None)
+            if k is None:
+                continue
+            return s, k, r, sl
+    return None
+
+
+# successor supports of at most two states keep Pre selective, so the largest
+# recurring subset is often a proper subset of the target with a period > 1
+@given(mdps(max_states=6, max_actions=3, max_support=2), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sure_weakly_fixpoint_matches_subset_search(m, data):
+    t = data.draw(supports(m.n))
+    d0 = data.draw(dists(m.n))
+    cache = {}
+    for s0 in [d0.support(), *(SupportSet.of(m.n, [q]) for q in range(m.n))]:
+        v = decide_sure(m, "weakly", t, s0, cache=cache)
+        ref = ref_sure_weakly(m, t, s0)
+        assert v.answer == (ref is not None)
+        if ref is None:
+            assert v.certificate is None and v.witness is None
+            continue
+        s, k, r, sl = ref
+        assert v.certificate == {"kind": "sure-weakly", "set": s, "k": k, "r": r}
+        assert v.witness == _cycle_strategy(m, k, r, sl)
+
+
 @given(instances())
 @settings(max_examples=25, deadline=None)
 def test_full_matrix_is_consistent(inst):
@@ -234,7 +275,7 @@ def test_simulation_below_dp_optimum(inst, h):
     profile = max_mass_at_step(m, t, d0, h)
     trace = simulate(m, uniform_strategy(m), d0, h)
     for i in range(h + 1):
-        assert trace.dists[i].mass_in(t) <= profile.values[i]
+        assert trace.dists[i].mass_in(t) <= profile[i]
 
 
 json_values = st.recursive(

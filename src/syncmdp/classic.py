@@ -41,15 +41,14 @@ def _safety(m, t, cache):
 
 
 def _subsets_desc(t, limits):
-    """Nonempty subsets of a target in decreasing cardinality, then index order;
-    a target wider than the subset-width guard trips it before the first one."""
+    """Bit masks of the nonempty subsets of a target in decreasing cardinality, then
+    index order; a target wider than the subset-width guard trips it before the first one."""
     if len(t) > limits.subset_width:
         raise GuardExceeded("subset-search",
                             f"target has {len(t)} states, guard is {limits.subset_width}")
-    members = list(t)
+    members = [1 << q for q in t]
     for size in range(len(members), 0, -1):
-        for combo in combinations(members, size):
-            yield SupportSet.of(t.width, combo)
+        yield from map(sum, combinations(members, size))
 
 
 def _step_into(m, q, target):
@@ -247,9 +246,17 @@ def _decide_almost_sure(m, sync_mode, t, s0, cache, limits):
     query = ModeQuery(sync_mode, "almost-sure", t, s0)
 
     if sync_mode == "weakly":
-        for t2 in _subsets_desc(t, limits):
-            if (_limit_eventually(m, t2, s0, cache, limits) is not None
-                    and _limit_eventually(m, pre(m, t2), t2, cache, limits) is not None):
+        # Mass in T' is mass in any superset: skip subsets of sets s0 cannot limit-sure reach.
+        failed = []
+        for bits in _subsets_desc(t, limits):
+            if any(bits & ~f == 0 for f in failed):
+                continue
+            t2 = SupportSet(t.width, bits)
+            if _limit_eventually(m, t2, s0, cache, limits) is None:
+                if t2 == t:
+                    break
+                failed.append(bits)
+            elif _limit_eventually(m, pre(m, t2), t2, cache, limits) is not None:
                 return Verdict(query, True, certificate={"kind": "almost-sure-weakly",
                                                          "t_prime": t2})
         return Verdict(query, False)

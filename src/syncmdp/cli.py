@@ -3,7 +3,7 @@ against the oracle battery, or print region computations.
 
 Exit codes: 0 analysis complete, 1 usage error, 2 input error, 3 guard tripped,
 4 internal consistency gate failed (an engine bug, reported with diagnostics),
-5 `verify` found a failed oracle check (named on stderr).
+5 `verify` found a failed oracle check (named on stderr, then a command replaying it).
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import shlex
 import sys
 
-from .checks import DEFAULT_CHECK_BUDGET, DEFAULT_ENUM_DEPTH, run_checks
+from .checks import CheckContext, DEFAULT_CHECK_BUDGET, DEFAULT_ENUM_DEPTH, run_checks
 from .engine import ConsistencyError, analyze
 from .model import (GuardExceeded, Limits, ModelFormatError, SYNC_MODES,
                     WIN_MODES, load_model)
@@ -141,6 +142,10 @@ def _cmd_verify(args):
     failed = [r.name for r in results if r.status == "fail"]
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
+        horizon = CheckContext(analysis, horizon=args.horizon).horizon
+        print(shlex.join(["syncmdp", "verify", "--model", args.model, "--target", args.target,
+                          "--horizon", str(horizon), "--enum-depth", str(args.enum_depth),
+                          "--budget", str(args.budget)]), file=sys.stderr)
         return 5
     return 0
 

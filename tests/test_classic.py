@@ -226,6 +226,31 @@ def test_sure_weakly_builds_at_most_one_lasso_per_target_state(monkeypatch):
     assert not v.answer
 
 
+def test_almost_sure_weakly_skips_subsets_of_an_unreachable_target(monkeypatch):
+    # s0 sits in an absorbing sink outside T = {t0..t9}: s0 cannot limit-sure
+    # reach T, hence no subset of it, and a search over all subsets would try
+    # each of the 2^10 - 1
+    names = [f"t{i}" for i in range(10)]
+    m = build({
+        "states": names + ["sink"], "actions": ["a"],
+        "transitions": [{"from": q, "action": "a", "to": nxt, "prob": "1"}
+                        for q, nxt in zip(names + ["sink"], names[1:] + ["t0", "sink"])],
+        "initial": {"sink": "1"},
+        "targets": {"target": names},
+    })
+    tried = []
+    limit_eventually = classic._limit_eventually
+
+    def counting(mdp, t, s0, cache, limits):
+        tried.append(t)
+        return limit_eventually(mdp, t, s0, cache, limits)
+    monkeypatch.setattr(classic, "_limit_eventually", counting)
+    v = decide_almost_sure(m.mdp, "weakly", m.targets["target"], m.initial.support(),
+                           cache={})
+    assert not v.answer
+    assert len(tried) <= 2
+
+
 def test_support_only_dependence(funnel):
     # two distributions with equal support get identical verdicts
     m, t = funnel.mdp, funnel.targets["target"]

@@ -1,9 +1,10 @@
 import json
 import math
+import shlex
 
 import pytest
 
-from syncmdp import checks, example_path, serialize_model, example_model
+from syncmdp import analyze, checks, example_path, serialize_model, example_model
 from syncmdp.checks import CheckResult
 from syncmdp.cli import main
 
@@ -200,6 +201,16 @@ def test_verify_failed_check_exit_code(capsys, tmp_path, monkeypatch):
     statuses = {item["name"]: item["status"] for item in report["oracle"]}
     assert statuses["lasso-integrity"] == "fail"
     assert "oracle checks" in out
+    # the replay line names this run's settings, the default horizon resolved
+    pm = example_model("loopback")
+    horizon = checks.CheckContext(analyze(pm.mdp, pm.initial, pm.targets["target"])).horizon
+    replay = (f"syncmdp verify --model {example_path('loopback')} --target target "
+              f"--horizon {horizon} --enum-depth {checks.DEFAULT_ENUM_DEPTH} "
+              f"--budget {checks.DEFAULT_CHECK_BUDGET}")
+    assert err.splitlines()[-1] == replay
+    code, _, err = run(capsys, *shlex.split(replay)[1:])
+    assert code == 5
+    assert err.splitlines()[-1] == replay
 
 
 def test_regions_pre_lasso(capsys):

@@ -7,13 +7,14 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from syncmdp import (Dist, Mdp, ModelFormatError, ParsedModel, SupportSet,
-                     almost_sure_reach_region, analyze, apre, decide_limit_sure,
-                     decide_sure, lift_with_counter, matrix_power_witness,
+                     almost_sure_reach_region, analyze, apre, decide_almost_sure,
+                     decide_limit_sure, decide_sure, lift_with_counter, matrix_power_witness,
                      mec_decomposition, model_to_obj, parse_model, pre, pre_lasso,
                      product_with_counter, serialize_model, simulate,
                      support_lasso, sure_safety_region, uniform_strategy)
 from syncmdp.adversarial import post_image, rows_image
-from syncmdp.classic import _cycle_strategy
+from syncmdp.classic import _cycle_strategy, _limit_eventually
+from syncmdp.model import DEFAULT_LIMITS
 from syncmdp.oracle import max_mass_at_step
 
 
@@ -259,6 +260,49 @@ def test_sure_weakly_fixpoint_matches_subset_search(m, data):
         s, k, r, sl = ref
         assert v.certificate == {"kind": "sure-weakly", "set": s, "k": k, "r": r}
         assert v.witness == _cycle_strategy(m, k, r, sl)
+
+
+def ref_almost_sure_weakly(m, t, s0):
+    """Reference: the first nonempty subset T' of t, by decreasing size, then index
+    order, with s0 limit-sure eventually in T' and T' limit-sure eventually in
+    Pre(T'), trying every subset; None when none qualifies."""
+    cache = {}
+    members = list(t)
+    for size in range(len(members), 0, -1):
+        for combo in combinations(members, size):
+            t2 = SupportSet.of(t.width, combo)
+            if (_limit_eventually(m, t2, s0, cache, DEFAULT_LIMITS) is not None
+                    and _limit_eventually(m, pre(m, t2), t2, cache, DEFAULT_LIMITS) is not None):
+                return t2
+    return None
+
+
+@given(mdps(max_states=6, max_actions=3, max_support=2), st.data())
+@settings(max_examples=250, deadline=None)
+def test_almost_sure_weakly_pruned_search_matches_full_search(m, data):
+    t = data.draw(supports(m.n))
+    d0 = data.draw(dists(m.n))
+    cache = {}
+    for s0 in [d0.support(), *(SupportSet.of(m.n, [q]) for q in range(m.n))]:
+        v = decide_almost_sure(m, "weakly", t, s0, cache=cache)
+        ref = ref_almost_sure_weakly(m, t, s0)
+        assert v.answer == (ref is not None)
+        if ref is None:
+            assert v.certificate is None
+        else:
+            assert v.certificate == {"kind": "almost-sure-weakly", "t_prime": ref}
+
+
+# the almost-sure weakly search skips every subset of a target that s0 cannot
+# limit-sure reach: sound only if reaching a target implies reaching its supersets
+@given(mdps(max_states=6, max_actions=3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_limit_sure_eventually_is_monotone_in_the_target(m, data):
+    a = data.draw(supports(m.n))
+    bigger = a | data.draw(supports(m.n))
+    s0 = data.draw(supports(m.n, nonempty=True))
+    if _limit_eventually(m, a, s0, {}, DEFAULT_LIMITS) is not None:
+        assert _limit_eventually(m, bigger, s0, {}, DEFAULT_LIMITS) is not None
 
 
 @given(instances())

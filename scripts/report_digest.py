@@ -18,16 +18,30 @@ verify
 
 N is `--count` (default 500). A model whose analysis raises contributes the
 exception instead of a report.
+
+With `--cli` it digests instead what `syncmdp.cli.main` returns, writes and
+prints for the same models: the exit code, the `--json` file, stdout and
+stderr of `analyze --strategies` (analyze tiers) and of `verify` (verify
+tier). Each model is written to `model.json` in one temporary working
+directory, so the path inside the reports is the same on every run. Of the
+package this mode uses only `cli.main`, the model generator and
+`serialize_model`, so it can digest an older commit's CLI as well:
+`PYTHONPATH=<old checkout>/src python3 scripts/report_digest.py --cli`.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
 import sys
+import tempfile
 
-from syncmdp import analyze, example_model
+from syncmdp import ParsedModel, analyze, example_model, serialize_model
 from syncmdp.checks import run_checks
+from syncmdp.cli import main as cli_main
 from syncmdp.examples import EXAMPLE_MODELS
 from syncmdp.randgen import corpus, random_instance
 from syncmdp.report import build_report
@@ -58,10 +72,32 @@ def report_line(mdp, initial, target, verify):
     return json.dumps(report).encode("utf-8") + b"\n"
 
 
-def digest(models, verify):
+def cli_record(mdp, initial, target, verify):
+    """Exit code, --json file, stdout and stderr of one CLI call on the model,
+    run in the current directory."""
+    with open("model.json", "w", encoding="utf-8") as handle:
+        handle.write(serialize_model(ParsedModel(mdp, initial, {"target": target})))
+    with contextlib.suppress(FileNotFoundError):
+        os.remove("report.json")
+    argv = ["verify" if verify else "analyze", "--model", "model.json", "--target", "target",
+            "--json", "report.json"] + ([] if verify else ["--strategies"])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    try:
+        with open("report.json", "rb") as handle:
+            written = handle.read()
+    except FileNotFoundError:
+        written = None
+    record = {"exit": code, "json": None if written is None else written.decode("utf-8"),
+              "stdout": out.getvalue(), "stderr": err.getvalue()}
+    return json.dumps(record).encode("utf-8") + b"\n"
+
+
+def digest(models, verify, record=report_line):
     h = hashlib.sha256()
     for mdp, initial, target in models:
-        h.update(report_line(mdp, initial, target, verify))
+        h.update(record(mdp, initial, target, verify))
     return h.hexdigest()
 
 
@@ -70,23 +106,34 @@ def main():
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--count", type=int, default=500,
                         help="models per corpus; caps the large and verify tiers too")
+    parser.add_argument("--cli", action="store_true",
+                        help="digest the exit code, --json file and output of cli.main")
     args = parser.parse_args()
 
     analyzed = [inst for seed in CORPUS_SEEDS for inst in corpus(seed, args.count)]
     analyzed += large_tier(min(args.count, LARGE_PER_SIZE))
+    analyzed = [(i.mdp, i.initial, i.target) for i in analyzed]
     verified = [(i.mdp, i.initial, i.target)
                 for i in corpus(CORPUS_SEEDS[0], min(args.count, VERIFY_COUNT))]
     for name in EXAMPLE_MODELS:
         pm = example_model(name)
         verified.append((pm.mdp, pm.initial, pm.targets["target"]))
 
-    print(json.dumps({
-        "analyze": digest(((i.mdp, i.initial, i.target) for i in analyzed), verify=False),
-        "verify": digest(verified, verify=True),
-        "models": {"analyze": len(analyzed), "verify": len(verified)},
-    }))
+    if args.cli:
+        home = os.getcwd()
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                line = {"cli-analyze": digest(analyzed, False, record=cli_record),
+                        "cli-verify": digest(verified, True, record=cli_record)}
+            finally:
+                os.chdir(home)
+    else:
+        line = {"analyze": digest(analyzed, verify=False),
+                "verify": digest(verified, verify=True)}
+    line["models"] = {"analyze": len(analyzed), "verify": len(verified)}
+    print(json.dumps(line))
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -86,9 +86,14 @@ class BoundCert:
         return format_rational(value)
 
     def to_obj(self):
-        inputs = {}
-        for key, val in self.inputs.items():
-            inputs[key] = format_rational(val) if isinstance(val, Fraction) else val
+        """The report object, built once and shared by every cell carrying this
+        certificate: read it, do not mutate it."""
+        return self._report_obj
+
+    @cached_property
+    def _report_obj(self):
+        inputs = {key: format_rational(val) if isinstance(val, Fraction) else val
+                  for key, val in self.inputs.items()}
         return {"kind": self.kind, "exact": self._exact(), "log10": self.log10,
                 "inputs": inputs}
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import shlex
 import sys
 
@@ -20,7 +19,7 @@ from .model import (GuardExceeded, Limits, ModelFormatError, SYNC_MODES,
                     WIN_MODES, load_model)
 from .regions import (almost_sure_reach_region, mec_decomposition, pre_lasso,
                       sure_reach_region, sure_safety_region)
-from .report import build_report, render_text
+from .report import build_report, render_text, to_json
 
 REGION_KINDS = ("pre-lasso", "mec", "safety", "reach", "almost-sure")
 
@@ -90,15 +89,13 @@ def _named_set(pm, name):
     return pm.targets[name]
 
 
-def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(obj, indent=2) + "\n")
-
-
-def _emit(args, report):
+def _emit(args, obj, text=None):
+    """Write obj as JSON to the --json path, if given, and print text (default: that JSON)."""
+    data = to_json(obj) if args.json or text is None else None
     if args.json:
-        _write_json(args.json, report)
-    print(render_text(report))
+        with open(args.json, "w", encoding="utf-8") as handle:
+            handle.write(data + "\n")
+    print(data if text is None else text)
 
 
 def _parse_query(text):
@@ -122,11 +119,9 @@ def _cmd_analyze(args):
     if query:
         mode, win = query
         cell = report["verdicts"][mode][win]
-        if args.json:
-            _write_json(args.json, cell)
-        print(f"{mode}:{win} = {cell['answer']}")
+        _emit(args, cell, f"{mode}:{win} = {cell['answer']}")
         return 0
-    _emit(args, report)
+    _emit(args, report, render_text(report))
     return 0
 
 
@@ -138,7 +133,7 @@ def _cmd_verify(args):
                          enum_depth=args.enum_depth)
     report = build_report(analysis, args.target, oracle_results=results,
                           model_path=args.model)
-    _emit(args, report)
+    _emit(args, report, render_text(report))
     failed = [r.name for r in results if r.status == "fail"]
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
@@ -168,9 +163,7 @@ def _cmd_regions(args):
         out = {"reach": list(sure_reach_region(m, s).names(m.states))}
     else:
         out = {"almost-sure": list(almost_sure_reach_region(m, s).names(m.states))}
-    if args.json:
-        _write_json(args.json, out)
-    print(json.dumps(out, indent=2))
+    _emit(args, out)
     return 0
 
 

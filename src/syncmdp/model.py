@@ -77,7 +77,7 @@ def _iter_bits(bits):
 
 
 def format_rational(value):
-    value = Fraction(value)
+    value = value if isinstance(value, Fraction) else Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -7,6 +7,7 @@ import pytest
 from syncmdp import analyze, checks, example_path, serialize_model, example_model
 from syncmdp.checks import CheckResult
 from syncmdp.cli import main
+from syncmdp.report import build_report
 
 from conftest import ABSORBING
 
@@ -327,3 +328,24 @@ def test_verify_bound_beyond_digit_limit(capsys, tmp_path):
     assert "fail" not in statuses.values()
     # the check reads the exact value even though the report omits its digits
     assert statuses["near-sync-count-cap"] == "pass"
+
+
+def test_query_json_file_is_the_cell_as_indent_2_json(capsys, tmp_path):
+    out_path = tmp_path / "cell.json"
+    code, out, _ = run(capsys, "analyze", "--model", example_path("funnel"), "--target",
+                       "target", "--query", "always:limit-sure", "--json", str(out_path))
+    assert code == 0 and out == "always:limit-sure = no\n"
+    pm = example_model("funnel")
+    report = build_report(analyze(pm.mdp, pm.initial, pm.targets["target"]), "target")
+    cell = report["verdicts"]["always"]["limit-sure"]
+    assert cell["bounds"]  # a cell carrying a shared certificate
+    assert out_path.read_text() == json.dumps(cell, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("which", ["pre-lasso", "mec", "almost-sure"])
+def test_regions_json_file_matches_stdout(capsys, tmp_path, which):
+    out_path = tmp_path / "regions.json"
+    code, out, _ = run(capsys, "regions", "--model", example_path("twophase"), "--set",
+                       "target", "--which", which, "--json", str(out_path))
+    assert code == 0
+    assert out_path.read_text() == out == json.dumps(json.loads(out), indent=2) + "\n"

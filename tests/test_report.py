@@ -1,7 +1,14 @@
 import json
+import math
+from fractions import Fraction
 
-from syncmdp import analyze, decide_limit_sure, example_model
-from syncmdp.report import build_report, render_text
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from syncmdp import analyze, decide_limit_sure, example_model, run_checks
+from syncmdp.examples import EXAMPLE_MODELS
+from syncmdp.randgen import corpus
+from syncmdp.report import build_report, render_text, to_json
 
 from conftest import build
 
@@ -54,3 +61,74 @@ def test_report_round_trips_examples():
         assert json.loads(json.dumps(report)) == report
         assert report["report-version"] == 1
         assert render_text(report)
+
+
+KEYS = st.one_of(st.text(), st.integers(-2 ** 70, 2 ** 70), st.floats(), st.booleans(),
+                 st.none())
+LEAVES = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(-2 ** 80, 2 ** 80),  # beyond 64 bits
+    st.floats(allow_nan=True, allow_infinity=True),  # negative, 1e+300, nan, inf
+    st.sampled_from([-0.0, 1e-7, 1e16, -2.5e300, math.inf, -math.inf, math.nan]),
+    st.text(),  # non-ASCII and control characters
+    st.sampled_from(['"', "\\", '\\"\n\t\x00\x7f', "\u00e9\u2028\U0001f600", ""]),
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(KEYS, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES)
+def test_writer_matches_stdlib_indent_2(tree):
+    assert to_json(tree) == json.dumps(tree, indent=2)
+
+
+def test_writer_matches_stdlib_on_empty_and_nested_containers():
+    for tree in ([], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [(), [[], {}]], {1: {2: [()]}}):
+        assert to_json(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 2), {"k": [Fraction(3)]},
+                                   {(1, 2): "tuple key"}])
+def test_writer_raises_type_error_like_stdlib(value):
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as ours:
+        to_json(value)
+    assert str(ours.value) == str(stdlib.value)
+
+
+def test_writer_matches_stdlib_on_reports():
+    reports = []
+    for name in EXAMPLE_MODELS:
+        pm = example_model(name)
+        an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+        reports.append(build_report(an, "target", include_strategies=True))
+        reports.append(build_report(an, "target", oracle_results=run_checks(an)))
+    for inst in corpus(20260810, 50):
+        reports.append(build_report(analyze(inst.mdp, inst.initial, inst.target), "target"))
+    for report in reports:
+        assert to_json(report) == json.dumps(report, indent=2)
+
+
+def test_shared_certificate_is_formatted_once():
+    pm = example_model("funnel")
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    seen = {}
+    shared = 0
+    for cell, certs in an.bounds.items():
+        for cert in certs:
+            first = seen.setdefault(id(cert), (cell, cert.to_obj()))
+            if first[0] != cell:
+                shared += 1
+                assert cert.to_obj() == first[1]
+                assert cert.to_obj() is first[1]
+    assert shared > 0
+    report = build_report(an, "target")
+    always = [report["verdicts"]["always"][win]["bounds"]
+              for win in ("sure", "almost-sure", "limit-sure")]
+    assert always[0] == always[1] == always[2] != []

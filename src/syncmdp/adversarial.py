@@ -44,6 +44,14 @@ def _mec(m, cache):
     return _cached(cache, ("mec",), lambda: mec_decomposition(m))
 
 
+def _uniform(m, cache):
+    return _cached(cache, ("uniform",), lambda: uniform_strategy(m))
+
+
+def _freezing(m, s0, lasso, mec, cache):
+    return _cached(cache, ("freezing", s0.bits), lambda: freezing_strategy(m, lasso, mec))
+
+
 def switch_point(lasso):
     """Freezing switch index: the concrete lasso closure l + p."""
     return lasso.start + lasso.period
@@ -172,7 +180,7 @@ def _decide(m, win, sync_mode, t, s0, cache, limits):
         cert["hit_index"] = hit
     witness = None
     if answer and win == "bounded" and sync_mode != "eventually":
-        witness = _cached(cache, ("freezing", s0.bits), lambda: freezing_strategy(m, lasso, mec))
+        witness = _freezing(m, s0, lasso, mec, cache)
     elif answer:
-        witness = _cached(cache, ("uniform",), lambda: uniform_strategy(m))
+        witness = _uniform(m, cache)
     return Verdict(query, answer, witness=witness, certificate=cert, detail=detail)

@@ -9,11 +9,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
 
-from .adversarial import (freezing_strategy, matrix_power_witness, post_image,
-                          rows_image)
+from .adversarial import _freezing, _uniform, matrix_power_witness, post_image, rows_image
 from .bounds import compute_bound
 from .classic import recheck_certificate
-from .model import BudgetExceeded, ONE, ZERO, _cached, uniform_strategy
+from .model import BudgetExceeded, ONE
 from .oracle import (enumerate_pure_strategies, max_mass_at_step, max_reach_values,
                      simulate)
 from .regions import almost_sure_reach_region
@@ -55,9 +54,8 @@ class CheckContext:
         a = self.analysis
         m = a.mdp
         strategies = {
-            "uniform": _cached(a.cache, ("uniform",), lambda: uniform_strategy(m)),
-            "freezing": _cached(a.cache, ("freezing", a.s0.bits),
-                                lambda: freezing_strategy(m, a.lasso, a.mec)),
+            "uniform": _uniform(m, a.cache),
+            "freezing": _freezing(m, a.s0, a.lasso, a.mec, a.cache),
         }
         for verdict in a.verdicts.values():
             w = verdict.witness
@@ -98,8 +96,8 @@ class CheckContext:
         if a.mdp.n <= 4:
             for h in range(self.enum_depth, -1, -1):
                 try:
-                    return h, [trace for _, trace in enumerate_pure_strategies(
-                        a.mdp, a.initial, h, budget=self.budget)]
+                    return h, list(enumerate_pure_strategies(a.mdp, a.initial, h,
+                                                             budget=self.budget))
                 except BudgetExceeded:
                     pass
         return None, []

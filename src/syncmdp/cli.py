@@ -179,7 +179,7 @@ def main(argv=None):
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_regions(args)
-    except (ModelFormatError, OSError, UnicodeDecodeError, KeyError) as exc:
+    except (ModelFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except GuardExceeded as exc:

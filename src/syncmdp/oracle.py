@@ -1,6 +1,7 @@
 """Independent ground truth at desk scale: exact distribution simulation, the
 finite-horizon optimum of the per-step target mass by backward induction, and
-brute-force enumeration of history-dependent pure strategies.
+the traces of all history-dependent pure strategies, by brute-force
+enumeration.
 
 Nothing here shares code paths with the deciders; that is the point.
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product as iproduct
 
-from .model import ONE, BudgetExceeded, Dist, StrategySpec
+from .model import BudgetExceeded, Dist
 
 
 @dataclass(frozen=True)
@@ -111,66 +112,53 @@ def max_reach_values(m, t, h):
     return tuple(Fraction(v, total) for v in vals)
 
 
-def _history_tree_size(m, d0, h, budget):
-    """Number of decision nodes (positive-probability histories needing an
-    action), counted per last state level by level without building them."""
-    counts = dict.fromkeys(d0.mass, 1)
-    size = 0
-    for _ in range(h):
-        size += sum(counts.values())
-        if size > budget:
-            raise BudgetExceeded("strategy-enumeration",
-                                 f"history tree exceeds {budget} nodes")
-        nxt = {}
-        for q, c in counts.items():
-            for d in m.delta[q]:
-                for q2 in d.mass:
-                    nxt[q2] = nxt.get(q2, 0) + c
-        counts = nxt
-    return size
-
-
-def _history_levels(m, d0, h):
-    """The decision nodes by depth, each level in (history, action, successor) order."""
-    levels = [[(q,) for q in sorted(d0.mass)]] if h else []
-    while len(levels) < h:
-        levels.append([hist + (a, q2) for hist in levels[-1] for a in range(m.action_count)
-                       for q2 in sorted(m.delta[hist[-1]][a].mass)])
-    return levels
-
-
 def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
-    """Stream every history-dependent pure strategy up to horizon h with its trace.
+    """Stream the trace of every history-dependent pure strategy up to horizon h.
+
+    A decision node is a positive-probability history q_0 a_0 q_1 ... q_i with
+    i < h, which needs an action. The nodes are taken depth-major: depth 0 is
+    Supp(d0) in state order, and depth i + 1 lists, for each node of depth i
+    in turn, its children by action and then by successor state. A strategy is
+    its actions at the nodes in that order, labelled `pure[a,b,...]` by them,
+    and strategies come in the lexicographic order of their actions (the last
+    node fastest).
 
     The budget caps the history-tree size and the total enumeration work
     (#strategies = |A|^nodes, times the tree size); exceeding it raises
     BudgetExceeded before any output so the caller can shrink the instance.
-    Strategies come in the order of their actions at the decision nodes
-    (depth-major, the last node fastest); one walk over the history tree
-    shares each prefix's distribution among the strategies agreeing on it.
+    One walk over the history tree shares each prefix's distribution among
+    the strategies agreeing on it.
     """
     if h < 0:
         raise ValueError("horizon must be nonnegative")
-    count = _history_tree_size(m, d0, h, budget)
+    den, rows = _transition_numerators(m)
+    # the children of node j of a level under action a are consecutive in the
+    # next level, from first[depth][j] + offset[q][a] on, one per successor
+    offset = [list(accumulate(map(len, row), initial=0)) for row in rows]
+    states = []
+    first = []
+    level = sorted(d0.mass)
+    count = 0
+    for depth in range(h):
+        count += len(level)
+        if count > budget:
+            raise BudgetExceeded("strategy-enumeration",
+                                 f"history tree exceeds {budget} nodes")
+        states.append(level)
+        first.append(list(accumulate((offset[q][-1] for q in level), initial=0)))
+        if depth + 1 < h:
+            level = [q2 for q in level for row in rows[q] for q2, _ in row]
     a_count = m.action_count
     if budget < 1 or a_count > 1 and count * math.log2(a_count) \
             + math.log2(max(count, 1)) > math.log2(budget):
         raise BudgetExceeded("strategy-enumeration",
                              f"{a_count}^{count} strategies exceed budget {budget}")
-    levels = _history_levels(m, d0, h)
-    strategy = _pure_strategy_encoder(m, [hist for level in levels for hist in level])
-    states = [[hist[-1] for hist in level] for level in levels]
-    den, rows = _transition_numerators(m)
-    # the children of node j of a level under action a are consecutive in the
-    # next level, from first[depth][j] + offset[q][a] on, one per successor
-    offset = [list(accumulate(map(len, row), initial=0)) for row in rows]
-    first = [list(accumulate((offset[q][-1] for q in level), initial=0)) for level in states]
 
     def walk(depth, mass, total, picks, dists):
-        """(picks, trace dists) of every pick sequence from this depth on, given
-        the integer masses (over `total`) of the live histories at this depth."""
+        """The trace of every pick sequence from this depth on, given the
+        integer masses (over `total`) of the live histories at this depth."""
         if depth == h:
-            yield picks, dists
+            yield Trace(dists, "pure[" + ",".join(map(str, picks)) + "]", h)
             return
         level = states[depth]
         deeper = depth + 1 < h
@@ -190,51 +178,7 @@ def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
 
     total, (init,) = _numerators([d0.mass])
     root = {j: init[q] for j, q in enumerate(states[0])} if h else {}
-    for picks, dists in walk(0, root, total, (), (d0,)):
-        spec = strategy(picks)
-        yield spec, Trace(dists, spec.label, h)
-
-
-def _pure_strategy_encoder(m, nodes):
-    """Finite-memory encoding of a pure strategy from its actions at `nodes`:
-    the memory is the history so far, and play off the tree is uniform."""
-    a_count = m.action_count
-    share = Fraction(1, a_count)
-    uniform = {a: share for a in range(a_count)}
-    dirac = [{a: ONE} for a in range(a_count)]
-    done = "done"
-    prefixes = {()}
-    for hist in nodes:
-        prefixes.add(hist[:-1])
-    position = {hist: j for j, hist in enumerate(nodes)}
-    keys = [None] * len(nodes)            # node j's cell, shared with the tables
-    succ = [done] * (len(nodes) * a_count)  # memory after node j plays a
-    choice = {}
-    update = {}
-    for prefix in prefixes:
-        if prefix:
-            succ[position[prefix[:-1]] * a_count + prefix[-1]] = prefix
-        for q in range(m.n):
-            key = (prefix, q)
-            choice[key] = uniform
-            update[key] = done
-            j = position.get(prefix + (q,))
-            if j is not None:
-                keys[j] = key
-    for q in range(m.n):
-        choice[(done, q)] = uniform
-        update[(done, q)] = done
-    memory = tuple(sorted(prefixes)) + (done,)
-
-    def encode(picks):
-        c = dict(choice)
-        u = dict(update)
-        for j, (key, a) in enumerate(zip(keys, picks)):
-            c[key] = dirac[a]
-            u[key] = succ[j * a_count + a]
-        label = "pure[" + ",".join(map(str, picks)) + "]"
-        return StrategySpec(label, memory, (), c, u)
-    return encode
+    yield from walk(0, root, total, (), (d0,))
 
 
 def count_synchronized_positions(trace, t, threshold, strict=True):

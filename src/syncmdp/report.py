@@ -74,11 +74,6 @@ def _jsonable(value, states, product_names=None):
         return list(value)
     if isinstance(value, dict):
         return {k: _jsonable(v, states, product_names) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v, states, product_names) for v in value]
-    if hasattr(value, "numerator") and hasattr(value, "denominator") \
-            and not isinstance(value, int):
-        return format_rational(value)
     return value
 
 
@@ -139,7 +134,7 @@ def build_report(analysis, target_name, oracle_results=None, model_path=None,
     }
     if oracle_results is not None:
         report["oracle"] = [
-            {"name": r.name, "status": r.status, "info": _jsonable(r.info, m.states)}
+            {"name": r.name, "status": r.status, "info": r.info}
             for r in oracle_results
         ]
     return report

@@ -4,7 +4,7 @@ import shlex
 
 import pytest
 
-from syncmdp import analyze, checks, example_path, serialize_model, example_model
+from syncmdp import analyze, checks, cli, example_path, serialize_model, example_model
 from syncmdp.checks import CheckResult
 from syncmdp.cli import main
 from syncmdp.report import build_report
@@ -90,6 +90,16 @@ def test_malformed_model_is_input_error(capsys, tmp_path):
     bad.write_text('{"states": []}')
     code, _, err = run(capsys, "analyze", "--model", str(bad), "--target", "t")
     assert code == 2
+
+
+def test_engine_key_error_is_not_an_input_error(capsys, monkeypatch):
+    # no input path raises KeyError, so one from the engine is a bug, not exit 2
+    def planted(*args, **kwargs):
+        raise KeyError("planted")
+    monkeypatch.setattr(cli, "analyze", planted)
+    with pytest.raises(KeyError, match="planted"):
+        main(["analyze", "--model", example_path("funnel"), "--target", "target"])
+    assert "input error" not in capsys.readouterr().err
 
 
 # Wrong-typed or oversized fields: each must be an input error at its location.

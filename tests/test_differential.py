@@ -23,9 +23,8 @@ def brute_traces(inst):
     h = MAX_DEPTH
     while True:
         try:
-            return h, [trace for _, trace in
-                       enumerate_pure_strategies(inst.mdp, inst.initial, h,
-                                                 budget=BUDGET)]
+            return h, list(enumerate_pure_strategies(inst.mdp, inst.initial, h,
+                                                     budget=BUDGET))
         except BudgetExceeded:
             h -= 1
 

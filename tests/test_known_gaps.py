@@ -43,7 +43,7 @@ def test_prefix_dp_form_has_a_counterexample():
 
     # the per-strategy statement does hold: every pure strategy to depth n has
     # a step where the target mass falls to 1 - eps or lower
-    for _, trace in enumerate_pure_strategies(m, d0, m.n):
+    for trace in enumerate_pure_strategies(m, d0, m.n):
         masses = [d.mass_in(t) for d in trace.dists]
         assert min(masses) <= 1 - eps.value
 

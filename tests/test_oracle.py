@@ -114,10 +114,17 @@ def test_enumerate_funnel_depth_two(funnel):
     m, t = funnel.mdp, funnel.targets["target"]
     out = list(enumerate_pure_strategies(m, funnel.initial, 2))
     assert len(out) == 32  # |A|^(1 + |A|*|supp(q0)|) decision histories
-    for _, trace in out:
+    for trace in out:
         assert all(d.mass_in(t) <= Fraction(1, 2) for d in trace.dists)
-    labels = {s.label for s, _ in out}
+    labels = {trace.strategy_label for trace in out}
     assert len(labels) == 32
+    assert out[0].strategy_label == "pure[0,0,0,0,0]"
+    assert out[-1].strategy_label == "pure[1,1,1,1,1]"
+    # each history prefix's distribution is one object for all the strategies
+    # that agree on it: 1 initial + 2 after the root's pick + 32 leaves
+    slots = [d for trace in out for d in trace.dists]
+    assert len(slots) == 96 and len({id(d) for d in slots}) == 35
+    assert out[0].dists[1] is out[1].dists[1]
 
 
 def test_enumerate_budget_guard(funnel):
@@ -359,11 +366,10 @@ def test_enumeration_matches_fraction_loop(inst, h):
     except BudgetExceeded:
         return
     got = list(enumerate_pure_strategies(m, d0, h, budget=5000))
-    assert [s.label for s, _ in got] == [s.label for s, _ in expected]
-    for (s, trace), (s_ref, dists_ref) in zip(got, expected):
-        assert s == s_ref and list(s.choice) == list(s_ref.choice)
+    assert [trace.strategy_label for trace in got] == [s.label for s, _ in expected]
+    for trace, (_, dists_ref) in zip(got, expected):
         assert trace.dists == dists_ref
-        assert (trace.strategy_label, trace.horizon) == (s.label, h)
+        assert trace.horizon == h
 
 
 @given(wide_instances(max_states=4), st.integers(0, 5), st.sampled_from([0, 1, 40, 400]))

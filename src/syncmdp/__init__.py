@@ -13,14 +13,13 @@ from .engine import ConsistencyError, ModelAnalysis, analyze, check_consistency
 from .examples import example_model, example_path, example_text
 from .model import (BudgetExceeded, Dist, GuardExceeded, Limits, Mdp,
                     ModeQuery, ModelFormatError, ParsedModel, StrategySpec,
-                    SupportSet, SYNC_MODES, Verdict, WIN_MODES, format_rational,
-                    lift_with_counter, load_model, min_initial_probability,
-                    min_positive_probability, model_to_obj, parse_model,
-                    parse_rational, product_with_counter, serialize_model,
-                    uniform_strategy)
+                    SupportSet, SYNC_MODES, Verdict, WIN_MODES, counter_product,
+                    format_rational, lift_with_counter, load_model,
+                    min_initial_probability, min_positive_probability, model_to_obj,
+                    parse_model, parse_rational, serialize_model, uniform_strategy)
 from .oracle import (Trace, count_synchronized_positions, enumerate_pure_strategies,
                      max_mass_at_step, max_reach_values, simulate)
-from .regions import (EcDecomposition, Lasso, almost_sure_reach_region, apre,
+from .regions import (EcDecomposition, Lasso, PreMap, almost_sure_reach_region, apre,
                       iterate_lasso, mec_decomposition, pre, pre_lasso,
                       reach_layers, sure_reach_region, sure_safety_region)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .model import ONE, format_rational, min_initial_probability, min_positive_probability
+from .model import ONE, format_rational, min_initial_probability
 
 KINDS = ("eps_eventually", "eps_weakly", "N_weakly", "eps_always", "eps_strongly",
          "gap_strongly", "eps_adversarial", "N_adversarial", "lemma1_reach")
@@ -177,9 +177,10 @@ def _carried(verdict, n):
     return []
 
 
-def attach_bounds(verdicts, m, d0):
+def attach_bounds(verdicts, m, d0, alpha, alpha0):
     """The bound certificates of one analysis: {(sync_mode, win_mode): [BoundCert]}
-    with an entry per verdict. Bounds depend on d0, which the deciders never see.
+    with an entry per verdict. Bounds depend on d0, which the deciders never see;
+    the caller computes alpha and alpha0 once per analysis.
 
     No-verdicts for limit-sure eventually carry eps_eventually (with the
     refined alpha0 when the decider exposed a failing sub-support); no-verdicts
@@ -190,8 +191,6 @@ def attach_bounds(verdicts, m, d0):
     carrying it holds the same object.
     """
     n, a_count = m.n, m.action_count
-    alpha = min_positive_probability(m)
-    alpha0 = min_initial_probability(d0)
     support = d0.support()
     certs = {}
     bounds = {}

@@ -1,6 +1,9 @@
 """Oracle cross-checks: every inequality and structural invariant the
 verdicts imply, verified against exact simulation, backward induction, and
-brute-force strategy enumeration. Nothing here shares code with the deciders.
+brute-force strategy enumeration. The simulated strategies are the analysis's
+own witnesses (from its memo), and four checks reuse engine primitives:
+`lasso-integrity` (matrix powers), `reach-value-cap` and `region-dp-agreement`
+(almost_sure_reach_region) and `certificate-recheck` (recheck_certificate).
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@ synchronizing modes, with re-checkable certificates and the witness strategies
 the characterizations support directly.
 
 All deciders work on initial supports (winning is support-only). The memo
-`cache` dict of one analysis, keyed by set bits, holds predecessor lassos,
-regions and counter products across the many sub-queries a full matrix run
-triggers.
+`cache` dict of one analysis, keyed by set bits, holds predecessor lassos, the
+PreMap they step through, regions and counter-product skeletons across the
+many sub-queries a full matrix run triggers.
 """
 
 from __future__ import annotations
@@ -14,26 +14,29 @@ from fractions import Fraction
 from itertools import combinations
 
 from .model import (DEFAULT_LIMITS, GuardExceeded, ModeQuery, SupportSet, Verdict,
-                    _cached, _strategy_table, lift_with_counter, product_with_counter)
-from .regions import (almost_sure_reach_region, pre, pre_lasso, reach_layers,
+                    _cached, _strategy_table, counter_product, lift_with_counter)
+from .regions import (PreMap, almost_sure_reach_region, pre, pre_lasso, reach_layers,
                       sure_safety_region)
+
+
+def _pre_map(m, cache):
+    return _cached(cache, ("pre",), lambda: PreMap(m))
 
 
 def _lasso(m, t, cache, limits):
     return _cached(cache, ("pre-lasso", t.bits),
-                   lambda: pre_lasso(m, t, max_len=limits.max_lasso))
+                   lambda: pre_lasso(m, t, limits.max_lasso, _pre_map(m, cache)))
 
 
 def _product_region(m, lasso, cache):
     """Almost-sure region for reaching R x {0} in the counter product M x [r],
     where R is the recurrent support of the predecessor lasso and r its period."""
-    r = lasso.period
-    target_bits = lift_with_counter(lasso.supports[lasso.start], r, 0).bits
+    r, big_r = lasso.period, lasso.supports[lasso.start]
 
     def make():
-        prod = _cached(cache, ("product", r), lambda: product_with_counter(m, r))
-        return almost_sure_reach_region(prod, SupportSet(prod.n, target_bits))
-    return _cached(cache, ("product-as-region", r, target_bits), make)
+        prod = _cached(cache, ("product", r), lambda: counter_product(m, r))
+        return almost_sure_reach_region(prod, lift_with_counter(big_r, r, 0))
+    return _cached(cache, ("product-as-region", r, big_r.bits), make)
 
 
 def _safety(m, t, cache):
@@ -42,12 +45,14 @@ def _safety(m, t, cache):
 
 def _subsets_desc(t, limits):
     """Bit masks of the nonempty subsets of a target in decreasing cardinality, then
-    index order; a target wider than the subset-width guard trips it before the first one."""
-    if len(t) > limits.subset_width:
+    index order; past the target itself, a target wider than the subset-width guard trips."""
+    members = [1 << q for q in t]
+    if members:
+        yield t.bits
+    if len(members) > limits.subset_width:
         raise GuardExceeded("subset-search",
                             f"target has {len(t)} states, guard is {limits.subset_width}")
-    members = [1 << q for q in t]
-    for size in range(len(members), 0, -1):
+    for size in range(len(members) - 1, 0, -1):
         yield from map(sum, combinations(members, size))
 
 
@@ -177,9 +182,9 @@ def _limit_eventually(m, t, s0, cache, limits):
         lasso = _lasso(m, t, cache, limits)
         if any(s0 <= sup for sup in lasso.distinct()):
             return "sure"
-        region = _product_region(m, lasso, cache)
-        r = lasso.period
-        return next((tt for tt in range(r) if lift_with_counter(s0, r, tt) <= region), None)
+        region = _product_region(m, lasso, cache).bits
+        wide = lift_with_counter(s0, lasso.period, 0).bits   # phase tt: shifted down by tt
+        return next((tt for tt in range(lasso.period) if wide >> tt & ~region == 0), None)
 
     return _cached(cache, ("limit-event", t.bits, s0.bits), make)
 
@@ -247,6 +252,8 @@ def _decide_almost_sure(m, sync_mode, t, s0, cache, limits):
 
     if sync_mode == "weakly":
         # Mass in T' is mass in any superset: skip subsets of sets s0 cannot limit-sure reach.
+        # T''s pre-lasso put Pre(T') in the Pre map, and Pre(T')'s lasso is T''s shifted by one.
+        pre_map = _pre_map(m, cache)
         failed = []
         for bits in _subsets_desc(t, limits):
             if any(bits & ~f == 0 for f in failed):
@@ -256,7 +263,8 @@ def _decide_almost_sure(m, sync_mode, t, s0, cache, limits):
                 if t2 == t:
                     break
                 failed.append(bits)
-            elif _limit_eventually(m, pre(m, t2), t2, cache, limits) is not None:
+            elif _limit_eventually(m, SupportSet(t.width, pre_map[bits]), t2,
+                                   cache, limits) is not None:
                 return Verdict(query, True, certificate={"kind": "almost-sure-weakly",
                                                          "t_prime": t2})
         return Verdict(query, False)
@@ -286,10 +294,9 @@ def _decide_almost_sure(m, sync_mode, t, s0, cache, limits):
 
 
 def _iter_pre(m, s, k):
-    cur = s
     for _ in range(k):
-        cur = pre(m, cur)
-    return cur
+        s = pre(m, s)
+    return s
 
 
 def recheck_certificate(m, verdict):
@@ -319,8 +326,7 @@ def recheck_certificate(m, verdict):
             return False
         if cert["via"] == "sure":
             return q.initial_support <= _iter_pre(m, q.target, cert["sure_k"])
-        prod = product_with_counter(m, r)
-        region = almost_sure_reach_region(prod, lift_with_counter(big_r, r, 0))
+        region = almost_sure_reach_region(counter_product(m, r), lift_with_counter(big_r, r, 0))
         return (cert["product_region"] == region
                 and lift_with_counter(q.initial_support, r, cert["phase"]) <= region)
     if kind in ("almost-sure-weakly", "almost-sure-eventually"):

@@ -93,14 +93,14 @@ def analyze(m, d0, target, *, limits=None):
                 "bounded": decide_bounded}
     verdicts = {(mode, win): decide(m, mode, target, s0, cache=cache, limits=limits)
                 for mode in SYNC_MODES for win, decide in deciders.items()}
-    bounds = attach_bounds(verdicts.values(), m, d0)
+    alpha, alpha0 = min_positive_probability(m), min_initial_probability(d0)
+    bounds = attach_bounds(verdicts.values(), m, d0, alpha, alpha0)
 
     violations = check_consistency(verdicts)
     if violations:
         raise ConsistencyError(violations)
 
     return ModelAnalysis(
-        mdp=m, initial=d0, target=target, s0=s0,
-        alpha=min_positive_probability(m), alpha0=min_initial_probability(d0),
+        mdp=m, initial=d0, target=target, s0=s0, alpha=alpha, alpha0=alpha0,
         target_lasso=target_lasso, lasso=lasso, mec=mec, switch=switch_point(lasso),
         verdicts=verdicts, bounds=bounds, cache=cache)

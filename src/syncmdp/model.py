@@ -198,12 +198,29 @@ class Dist:
         return f"Dist({{{inner}}}, width={self.width})"
 
 
-class Mdp:
-    """Finite MDP (Q, A, delta) with a total, exact transition function.
+class Skeleton:
+    """Support skeleton of an MDP, all that the support operators read: succ[q][a]
+    is the bit mask of Supp(delta(q, a)), post[q] the union of succ[q]."""
 
-    succ[q][a] is the bit mask of Supp(delta(q, a)) and post[q] the union of
-    succ[q] over the actions: every support operator reads these rows.
-    """
+    def __init__(self, n, succ):
+        self.n = n
+        self.succ = succ
+        self.post = tuple(reduce(or_, row) for row in succ)
+
+    @property
+    def action_count(self):
+        return len(self.succ[0])
+
+    def empty_support(self):
+        return SupportSet(self.n)
+
+    def full_support(self):
+        return SupportSet.full(self.n)
+
+
+class Mdp(Skeleton):
+    """Finite MDP (Q, A, delta) with a total, exact transition function, serving
+    as its own support skeleton."""
 
     def __init__(self, states, actions, delta):
         states = tuple(states)
@@ -234,27 +251,12 @@ class Mdp:
         self.actions = actions
         self.delta = tuple(rows)
         self._state_index = {s: i for i, s in enumerate(states)}
-        self.succ = tuple(tuple(d.support().bits for d in row) for row in self.delta)
-        self.post = tuple(reduce(or_, row) for row in self.succ)
-
-    @property
-    def n(self):
-        return len(self.states)
-
-    @property
-    def action_count(self):
-        return len(self.actions)
+        super().__init__(n, tuple(tuple(d.support().bits for d in row) for row in self.delta))
 
     def state_index(self, name):
         if name not in self._state_index:
             raise KeyError(f"unknown state {name!r}")
         return self._state_index[name]
-
-    def empty_support(self):
-        return SupportSet(self.n)
-
-    def full_support(self):
-        return SupportSet.full(self.n)
 
     def support(self, names):
         return SupportSet.of(self.n, (self.state_index(s) for s in names))
@@ -384,39 +386,30 @@ class Verdict:
 
 # --- tracking-counter product -------------------------------------------------
 
-def product_index(r, q, i):
-    """Index of product state <q, i> when counters are declared r-1 .. 0."""
-    return q * r + (r - 1 - i)
-
-
 def product_state_names(states, r):
-    """Names "q@i" of the product states, in product index order."""
+    """Names "q@i" of the product states, in product index order: <q, i> has index
+    q*r + (r-1-i), the counters of each state declared r-1 .. 0."""
     return [f"{s}@{i}" for s in states for i in range(r - 1, -1, -1)]
 
 
-def product_with_counter(m, r):
-    """The MDP M x [r] tracking the step count modulo r alongside the state."""
+def counter_product(m, r):
+    """Support skeleton of M x [r], which tracks the step count modulo r: every
+    action moves <q, i> to the successors of q at counter i-1 mod r."""
     if r < 1:
         raise ValueError("counter modulus must be at least 1")
-    n = m.n
-    names = product_state_names(m.states, r)
     rows = []
-    for q in range(n):
-        for i in range(r - 1, -1, -1):
-            j = (i - 1) % r
-            row = []
-            for a in range(m.action_count):
-                row.append(Dist(n * r, {product_index(r, q2, j): p
-                                        for q2, p in m.delta[q][a].mass.items()}))
-            rows.append(tuple(row))
-    return Mdp(names, m.actions, rows)
+    for row in m.succ:
+        wide = [sum(1 << q * r for q in _iter_bits(s)) for s in row]   # s x {r-1}
+        # counter i sits at offset r-1-i; counter i-1 mod r at offset r-i mod r
+        rows.extend(tuple(w << (off + 1) % r for w in wide) for off in range(r))
+    return Skeleton(m.n * r, tuple(rows))
 
 
 def lift_with_counter(s, r, t):
     """Support s x {t} inside the counter product."""
     if not 0 <= t < r:
         raise ValueError("counter value out of range")
-    return SupportSet.of(s.width * r, (product_index(r, q, t) for q in s))
+    return SupportSet(s.width * r, sum(1 << q * r + r - 1 - t for q in s))
 
 
 # --- model documents ------------------------------------------------------------

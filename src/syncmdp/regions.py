@@ -1,8 +1,9 @@
 """Support-set fixpoints: predecessor operators, winning regions for safety and
 reachability, and maximal end-component decomposition.
 
-All routines are pure functions over an immutable Mdp; sets are SupportSet bit
-vectors and every fixpoint is iterated to exact stabilization.
+All routines are pure functions over a support skeleton (model.Skeleton; an
+Mdp is one). Sets are SupportSet bit vectors outside and raw bit masks inside,
+and every fixpoint is iterated to exact stabilization.
 """
 
 from __future__ import annotations
@@ -20,29 +21,37 @@ def _width_check(m, s):
     return s.bits
 
 
-def pre(m, y):
-    """States with an action whose whole successor support lies inside `y`."""
-    ybits = _width_check(m, y)
+def _apre(succ, y, x=-1):
+    """Mask of the states with an action keeping all successors in y and hitting x;
+    every action hits the default x = -1 (all bits), which makes it Pre(y)."""
     bits = 0
-    for q, row in enumerate(m.succ):
+    for q, row in enumerate(succ):
         for s in row:
-            if s & ybits == s:
+            if s & y == s and s & x:
                 bits |= 1 << q
                 break
-    return SupportSet(m.n, bits)
+    return bits
+
+
+def pre(m, y):
+    """States with an action whose whole successor support lies inside `y`."""
+    return SupportSet(m.n, _apre(m.succ, _width_check(m, y)))
 
 
 def apre(m, y, x):
     """States with an action keeping all successors in `y` and hitting `x`."""
-    ybits = _width_check(m, y)
-    xbits = _width_check(m, x)
-    bits = 0
-    for q, row in enumerate(m.succ):
-        for s in row:
-            if s & ybits == s and s & xbits:
-                bits |= 1 << q
-                break
-    return SupportSet(m.n, bits)
+    return SupportSet(m.n, _apre(m.succ, _width_check(m, y), _width_check(m, x)))
+
+
+class PreMap(dict):
+    """bits -> Pre(bits) over one skeleton, each entry computed on first lookup."""
+
+    def __init__(self, m):
+        self.succ = m.succ
+
+    def __missing__(self, bits):
+        self[bits] = nxt = _apre(self.succ, bits)
+        return nxt
 
 
 @dataclass(frozen=True)
@@ -76,43 +85,40 @@ def iterate_lasso(step, start, max_len, stage):
 
     More than `max_len` distinct supports (when not None) trips the guard of `stage`.
     """
-    seen = {}
-    sups = []
+    seen = {}   # support -> index, in iteration order
     cur = start
     while cur not in seen:
-        if max_len is not None and len(sups) >= max_len:
+        if max_len is not None and len(seen) >= max_len:
             raise GuardExceeded(stage, f"no repetition within {max_len} supports")
-        seen[cur] = len(sups)
-        sups.append(cur)
+        seen[cur] = len(seen)
         cur = step(cur)
     k = seen[cur]
-    sups.append(cur)
-    return Lasso(tuple(sups), k, len(sups) - 1 - k)
+    return Lasso((*seen, cur), k, len(seen) - k)
 
 
-def pre_lasso(m, t, max_len=None):
-    """The iterated-predecessor lasso of a target set."""
-    return iterate_lasso(lambda y: pre(m, y), t, max_len, "pre-lasso")
+def pre_lasso(m, t, max_len=None, pre_map=None):
+    """The iterated-predecessor lasso of a target set, stepping through `pre_map`
+    (a PreMap of `m`; a fresh one when None)."""
+    step = (PreMap(m) if pre_map is None else pre_map).__getitem__
+    bits = iterate_lasso(step, _width_check(m, t), max_len, "pre-lasso")
+    return Lasso(tuple(SupportSet(m.n, b) for b in bits.supports), bits.start, bits.period)
 
 
 def sure_safety_region(m, t):
     """Largest set the controller can keep all mass inside `t` from, forever."""
-    y = m.full_support()
-    while True:
-        nxt = t & pre(m, y)
-        if nxt == y:
-            return y
+    tbits = _width_check(m, t)
+    y = (1 << m.n) - 1
+    while (nxt := tbits & _apre(m.succ, y)) != y:
         y = nxt
+    return SupportSet(m.n, y)
 
 
 def reach_layers(m, s):
     """Increasing attractor layers for forced reachability of `s`."""
     layers = [s]
-    while True:
-        nxt = s | pre(m, layers[-1])
-        if nxt == layers[-1]:
-            return layers
+    while (nxt := s | pre(m, layers[-1])) != layers[-1]:
         layers.append(nxt)
+    return layers
 
 
 def sure_reach_region(m, s):
@@ -122,16 +128,14 @@ def sure_reach_region(m, s):
 
 def almost_sure_reach_region(m, t):
     """States almost-sure winning for reaching `t`: nu Y. mu X. t u APre(Y, X)."""
-    y = m.full_support()
+    tbits = _width_check(m, t)
+    y = (1 << m.n) - 1
     while True:
-        x = m.empty_support()
-        while True:
-            nxt = t | apre(m, y, x)
-            if nxt == x:
-                break
+        x = 0
+        while (nxt := tbits | _apre(m.succ, y, x)) != x:
             x = nxt
         if x == y:
-            return y
+            return SupportSet(m.n, y)
         y = x
 
 
@@ -139,10 +143,7 @@ def _closure(start, step):
     """Smallest bit mask containing `start` and closed under q -> step[q]."""
     seen = frontier = start
     while frontier:
-        nxt = 0
-        for q in _iter_bits(frontier):
-            nxt |= step[q]
-        frontier = nxt & ~seen
+        frontier = reduce(or_, (step[q] for q in _iter_bits(frontier)), 0) & ~seen
         seen |= frontier
     return seen
 
@@ -187,19 +188,17 @@ def mec_decomposition(m):
             continue
         comps = _sccs(sbits, succ)
         if len(comps) == 1:
-            found.append((SupportSet(m.n, sbits), inside))
+            found.append((sbits, inside))
         else:
             work.extend(comps)
 
-    found.sort(key=lambda pair: min(pair[0]))
-    union = m.empty_support()
+    found.sort(key=lambda pair: pair[0] & -pair[0])   # by smallest member
     component_of = [None] * m.n
     internal = [None] * m.n
-    comps = []
-    for idx, (s, inside) in enumerate(found):
-        comps.append(s)
-        union = union | s
-        for q in s:
+    for idx, (sbits, inside) in enumerate(found):
+        for q in _iter_bits(sbits):
             component_of[q] = idx
             internal[q] = tuple(inside[q])
-    return EcDecomposition(tuple(comps), union, tuple(component_of), tuple(internal))
+    return EcDecomposition(tuple(SupportSet(m.n, sbits) for sbits, _ in found),
+                           SupportSet(m.n, reduce(or_, (sbits for sbits, _ in found), 0)),
+                           tuple(component_of), tuple(internal))

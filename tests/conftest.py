@@ -1,6 +1,6 @@
 import pytest
 
-from syncmdp import example_model, parse_model
+from syncmdp import Dist, Mdp, example_model, parse_model
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +35,18 @@ ABSORBING = {
     "initial": {"t": "1"},
     "targets": {"target": ["t"]},
 }
+
+
+def exact_counter_product(m, r):
+    """Reference M x [r] with exact distributions, to check the package's
+    support-only `counter_product` against: product state <q, i> has index
+    q*r + (r-1-i), and every action moves <q, i> to the successors of q at
+    counter i-1 mod r with the same probabilities."""
+    names = [f"{s}@{i}" for s in m.states for i in range(r - 1, -1, -1)]
+    rows = []
+    for q in range(m.n):
+        for i in range(r - 1, -1, -1):
+            j = (i - 1) % r
+            rows.append([Dist(m.n * r, {q2 * r + (r - 1 - j): p for q2, p in d.mass.items()})
+                         for d in m.delta[q]])
+    return Mdp(names, m.actions, rows)

@@ -5,10 +5,16 @@ from fractions import Fraction
 import pytest
 
 from syncmdp import (Dist, analyze, attach_bounds, compute_bound, decide_bounded,
-                     decide_limit_sure, decide_sure, format_rational)
+                     decide_limit_sure, decide_sure, format_rational,
+                     min_initial_probability, min_positive_probability)
 from syncmdp.bounds import KINDS
 
 H = Fraction(1, 2)
+
+
+def _alphas(m, d0):
+    """The (alpha, alpha0) that `analyze` hands to attach_bounds."""
+    return min_positive_probability(m), min_initial_probability(d0)
 
 
 def test_eps_always_example():
@@ -94,7 +100,7 @@ def test_attach_twophase_eps_eventually(twophase):
     half = Fraction(1, 2)
     d0 = Dist(m.n, {m.state_index("q1"): half, m.state_index("q3"): half})
     v = decide_limit_sure(m, "eventually", t, d0.support())
-    bounds = attach_bounds([v], m, d0)[("eventually", "limit-sure")]
+    bounds = attach_bounds([v], m, d0, *_alphas(m, d0))[("eventually", "limit-sure")]
     eps = next(b for b in bounds if b.kind == "eps_eventually")
     assert eps.value == Fraction(1, 2 ** 193)
     assert eps.inputs["alpha0"] == Fraction(1, 2)
@@ -103,7 +109,8 @@ def test_attach_twophase_eps_eventually(twophase):
 def test_attach_loopback_bounded_weakly(loopback):
     m, t = loopback.mdp, loopback.targets["target"]
     v = decide_bounded(m, "weakly", t, loopback.initial.support())
-    bounds = attach_bounds([v], m, loopback.initial)[("weakly", "bounded")]
+    bounds = attach_bounds([v], m, loopback.initial,
+                           *_alphas(m, loopback.initial))[("weakly", "bounded")]
     eps = next(b for b in bounds if b.kind == "eps_adversarial")
     assert eps.value == Fraction(1, 4) ** 12
     steps = next(b for b in bounds if b.kind == "N_adversarial")
@@ -114,14 +121,16 @@ def test_attach_leaves_unmatched_verdicts_alone(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     d0 = Dist.dirac(m.n, m.state_index("q3"))
     v = decide_sure(m, "eventually", t, d0.support())
-    assert v.answer and attach_bounds([v], m, d0) == {("eventually", "sure"): []}
+    assert v.answer
+    assert attach_bounds([v], m, d0, *_alphas(m, d0)) == {("eventually", "sure"): []}
 
 
 def test_attach_requires_matching_support(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     v = decide_sure(m, "eventually", t, m.support(["q3"]))
     with pytest.raises(ValueError):
-        attach_bounds([v], m, Dist.dirac(m.n, 0))
+        d0 = Dist.dirac(m.n, 0)
+        attach_bounds([v], m, d0, *_alphas(m, d0))
 
 
 def test_refined_alpha0_via_failing_subsupport():
@@ -141,7 +150,8 @@ def test_refined_alpha0_via_failing_subsupport():
     v = decide_limit_sure(m, "eventually", t, pm.initial.support())
     assert not v.answer
     assert set(v.certificate["failing_subsupport"].names(m.states)) == {"x"}
-    bounds = attach_bounds([v], m, pm.initial)[("eventually", "limit-sure")]
+    bounds = attach_bounds([v], m, pm.initial,
+                           *_alphas(m, pm.initial))[("eventually", "limit-sure")]
     eps = next(b for b in bounds if b.kind == "eps_eventually")
     # alpha0 refined to d0(x) = 3/4 instead of the full-support minimum 1/4
     assert eps.inputs["alpha0"] == Fraction(3, 4)

@@ -212,9 +212,9 @@ def test_sure_weakly_builds_at_most_one_lasso_per_target_state(monkeypatch):
     })
     built = []
 
-    def counting(mdp, t, max_len=None):
+    def counting(mdp, t, *args):
         built.append(t)
-        return pre_lasso(mdp, t, max_len=max_len)
+        return pre_lasso(mdp, t, *args)
     monkeypatch.setattr(classic, "pre_lasso", counting)
     v = decide_sure(m.mdp, "weakly", m.targets["target"], m.initial.support(), cache={})
     assert not v.answer

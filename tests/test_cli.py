@@ -192,11 +192,29 @@ def test_guard_names_the_first_stage(capsys):
 
 def test_subset_width_guard_exit_code(capsys):
     # the almost-sure weakly search over subsets of the target is the stage
-    # the subset-width guard bounds
-    code, _, err = run(capsys, "analyze", "--model", example_path("loopback"),
+    # the subset-width guard bounds; funnel's target {q2} does not decide the
+    # cell by itself (s0 limit-sure reaches it, but q2 cannot limit-sure
+    # return to Pre({q2})), so the search must go on past it
+    code, _, err = run(capsys, "analyze", "--model", example_path("funnel"),
                        "--target", "target", "--subset-width", "0")
     assert code == 3
     assert "stage subset-search" in err
+
+
+def test_subset_width_guard_spares_a_target_that_decides_alone(capsys, tmp_path):
+    # T = t0..t16 is one deterministic cycle, so T passes both conditions of
+    # the almost-sure weakly search and is its first hit: 17 states over the
+    # default guard of 16, and no proper subset walked
+    names = [f"t{i}" for i in range(17)]
+    doc = {"states": names, "actions": ["a"],
+           "transitions": [{"from": q, "action": "a", "to": nxt, "prob": "1"}
+                           for q, nxt in zip(names, names[1:] + names[:1])],
+           "initial": {"t0": "1"}, "targets": {"target": names}}
+    path = tmp_path / "cycle17.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", "--model", str(path), "--target", "target",
+                         "--query", "weakly:almost-sure")
+    assert (code, out, err) == (0, "weakly:almost-sure = yes\n", "")
 
 
 def test_verify_failed_check_exit_code(capsys, tmp_path, monkeypatch):

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from syncmdp import (Dist, ModeQuery, ModelFormatError, StrategySpec, SupportSet,
-                     format_rational, min_initial_probability,
-                     min_positive_probability, model_to_obj, parse_model,
-                     parse_rational, product_with_counter, serialize_model,
-                     simulate, uniform_strategy)
+                     counter_product, format_rational, lift_with_counter,
+                     min_initial_probability, min_positive_probability, model_to_obj,
+                     parse_model, parse_rational, serialize_model, simulate,
+                     uniform_strategy)
 
-from conftest import ABSORBING, build
+from conftest import ABSORBING, build, exact_counter_product
 
 
 def test_parse_rational():
@@ -126,32 +126,48 @@ def test_min_initial_probability():
 
 def test_product_identity_counter(funnel):
     m = funnel.mdp
-    prod = product_with_counter(m, 1)
+    prod = exact_counter_product(m, 1)
     assert prod.n == m.n
     assert min_positive_probability(prod) == min_positive_probability(m)
     for q in range(m.n):
         for a in range(m.action_count):
             assert sorted(prod.delta[q][a].mass.values()) \
                 == sorted(m.delta[q][a].mass.values())
+    assert counter_product(m, 1).succ == m.succ
 
 
 def test_product_twophase_period_two(twophase):
     m = twophase.mdp
-    prod = product_with_counter(m, 2)
+    prod = exact_counter_product(m, 2)
     assert prod.n == 10
     q1_1 = prod.state_index("q1@1")
     q2_0 = prod.state_index("q2@0")
     assert prod.delta[q1_1][0][q2_0] == 1
+    assert counter_product(m, 2).succ[q1_1][0] == 1 << q2_0
 
 
 def test_product_preserves_mass_and_alpha(funnel):
     m = funnel.mdp
-    prod = product_with_counter(m, 3)
+    prod = exact_counter_product(m, 3)
     assert prod.n == 3 * m.n
     assert min_positive_probability(prod) == min_positive_probability(m)
     for row in prod.delta:
         for d in row:
             assert sum(d.mass.values()) == 1
+
+
+def test_lift_with_counter_is_the_index_wise_lift(funnel, twophase):
+    for m in (funnel.mdp, twophase.mdp):
+        for bits in range(1 << m.n):
+            s = SupportSet(m.n, bits)
+            for r in range(1, 5):
+                for t in range(r):
+                    assert lift_with_counter(s, r, t) \
+                        == SupportSet.of(m.n * r, (q * r + (r - 1 - t) for q in s))
+    with pytest.raises(ValueError):
+        lift_with_counter(SupportSet(2, 1), 3, 3)
+    with pytest.raises(ValueError):
+        counter_product(funnel.mdp, 0)
 
 
 def test_step_examples(funnel, loopback):

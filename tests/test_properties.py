@@ -6,16 +6,18 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from syncmdp import (Dist, Mdp, ModelFormatError, ParsedModel, SupportSet,
-                     almost_sure_reach_region, analyze, apre, decide_almost_sure,
-                     decide_limit_sure, decide_sure, lift_with_counter, matrix_power_witness,
-                     mec_decomposition, model_to_obj, parse_model, pre, pre_lasso,
-                     product_with_counter, serialize_model, simulate,
+from syncmdp import (Dist, Mdp, ModelFormatError, ParsedModel, PreMap, SupportSet,
+                     almost_sure_reach_region, analyze, apre, counter_product,
+                     decide_almost_sure, decide_limit_sure, decide_sure, iterate_lasso,
+                     lift_with_counter, matrix_power_witness, mec_decomposition,
+                     model_to_obj, parse_model, pre, pre_lasso, serialize_model, simulate,
                      support_lasso, sure_safety_region, uniform_strategy)
 from syncmdp.adversarial import post_image, rows_image
 from syncmdp.classic import _cycle_strategy, _limit_eventually
 from syncmdp.model import DEFAULT_LIMITS
 from syncmdp.oracle import max_mass_at_step
+
+from conftest import exact_counter_product
 
 
 @st.composite
@@ -95,7 +97,7 @@ def test_step_is_exact_and_stays_in_image(inst):
 def test_product_projection_commutes_with_step(inst, r, t_raw):
     m, d0, _ = inst
     t = t_raw % r
-    prod = product_with_counter(m, r)
+    prod = exact_counter_product(m, r)
     lifted = Dist(m.n * r, {q * r + (r - 1 - t): p for q, p in d0.mass.items()})
     stepped_prod = simulate(prod, uniform_strategy(prod), lifted, 1).dists[1]
     stepped_base = simulate(m, uniform_strategy(m), d0, 1).dists[1]
@@ -105,6 +107,27 @@ def test_product_projection_commutes_with_step(inst, r, t_raw):
     for idx, p in stepped_prod.mass.items():
         projected[idx // r] = projected.get(idx // r, Fraction(0)) + p
     assert projected == stepped_base.mass
+
+
+@given(mdps(max_states=6, max_actions=3), st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_counter_product_is_the_support_skeleton_of_the_exact_product(m, r):
+    prod, ref = counter_product(m, r), exact_counter_product(m, r)
+    assert (prod.n, prod.action_count) == (ref.n, ref.action_count)
+    assert prod.succ == ref.succ
+    assert prod.post == ref.post
+
+
+@given(mdps(max_states=6, max_actions=3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pre_lassos_through_one_shared_pre_map_match_fresh_ones(m, data):
+    shared = PreMap(m)
+    for _ in range(data.draw(st.integers(1, 8))):
+        t = data.draw(supports(m.n))
+        fresh = iterate_lasso(lambda y: pre(m, y), t, None, "pre-lasso")
+        assert pre_lasso(m, t, pre_map=shared) == fresh
+    for bits, nxt in shared.items():
+        assert SupportSet(m.n, nxt) == pre(m, SupportSet(m.n, bits))
 
 
 @given(instances())

@@ -10,8 +10,8 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from .model import (DEFAULT_LIMITS, ModeQuery, SupportSet, Verdict,
-                    _cached, _iter_bits, _strategy_table, uniform_strategy)
+from .model import (DEFAULT_LIMITS, ModeQuery, StrategySpec, SupportSet, Verdict,
+                    _cached, _iter_bits, _uniform_row, uniform_strategy)
 from .regions import _closure, iterate_lasso, mec_decomposition
 
 
@@ -112,19 +112,15 @@ def _graph_test_weakly(m, lasso, t):
 def freezing_strategy(m, lasso, mec):
     """Uniform play until the lasso closes, then only end-component-internal actions.
 
-    The memory is a step counter saturating at the switch point; transient
-    states keep playing all actions uniformly after the switch.
+    The memory is a step counter saturating at the switch point, the only
+    position with forced rows; transient states keep playing all actions
+    uniformly after the switch.
     """
     sw = switch_point(lasso)
-
-    def action(j, q):
-        acts = mec.internal_actions[q]
-        if j == sw and acts:
-            return {a: Fraction(1, len(acts)) for a in acts}
-        return None
-
-    return _strategy_table(m, "freezing", range(sw + 1), 0, action,
-                           lambda j, q: min(j + 1, sw))
+    frozen = {q: {a: Fraction(1, len(acts)) for a in acts}
+              for q, acts in enumerate(mec.internal_actions) if acts}
+    return StrategySpec("freezing", tuple(range(sw + 1)), sw, ({},) * sw + (frozen,),
+                        _uniform_row(m))
 
 
 def decide_positive(m, sync_mode, t, s0, *, cache=None, limits=None):

@@ -64,11 +64,15 @@ class CheckContext:
             w = verdict.witness
             if w is not None and w.label not in strategies:
                 strategies[w.label] = w
-        # positive-definition-sim and freezing-lower-bound read past the horizon
+        # positive-definition-sim, freezing-lower-bound and witness-soundness
+        # (at the countdown's step k) read past the horizon
         windows = {"uniform": a.switch + a.lasso.period}
         nsteps = _bound(a, ("strongly", "bounded"), "N_adversarial")
         if nsteps is not None:
             windows["freezing"] = a.switch + 3 * nsteps.value
+        countdown = a.verdicts[("eventually", "sure")]
+        if countdown.witness is not None:
+            windows[countdown.witness.label] = countdown.certificate["k"]
         return {label: simulate(m, s, a.initial, max(self.horizon, windows.get(label, 0)))
                 for label, s in strategies.items()}
 

@@ -10,11 +10,10 @@ many sub-queries a full matrix run triggers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
-from .model import (DEFAULT_LIMITS, GuardExceeded, ModeQuery, SupportSet, Verdict,
-                    _cached, _strategy_table, counter_product, lift_with_counter)
+from .model import (DEFAULT_LIMITS, ONE, GuardExceeded, ModeQuery, StrategySpec, SupportSet,
+                    Verdict, _cached, _uniform_row, counter_product, lift_with_counter)
 from .regions import (PreMap, almost_sure_reach_region, pre, pre_lasso, reach_layers,
                       sure_safety_region)
 
@@ -56,12 +55,18 @@ def _subsets_desc(t, limits):
         yield from map(sum, combinations(members, size))
 
 
-def _step_into(m, q, target):
-    """Dirac row on the first action keeping every successor of q inside `target`."""
-    for a, s in enumerate(m.succ[q]):
-        if s & target.bits == s:
-            return {a: Fraction(1)}
-    return None
+def _step_into(m, q, target, dirac):
+    """The Dirac row (one shared object per action, from `dirac`) of the first
+    action keeping every successor of q inside `target`."""
+    return next(dirac[a] for a, s in enumerate(m.succ[q]) if s & target.bits == s)
+
+
+def _countdown_rows(m, chain, levels):
+    """Forced rows of a countdown through `chain`: at level j >= 1, every state of
+    chain[j] steps into chain[j-1]; level 0 forces nothing."""
+    dirac = [{a: ONE} for a in range(m.action_count)]
+    return tuple({q: _step_into(m, q, chain[j - 1], dirac) for q in chain[j]} if j else {}
+                 for j in levels)
 
 
 def synthesize_sure_eventually_strategy(m, t, s0, k, *, cache=None, limits=None):
@@ -74,24 +79,19 @@ def synthesize_sure_eventually_strategy(m, t, s0, k, *, cache=None, limits=None)
     chain = [lasso.at(j) for j in range(k + 1)]
     if not s0 <= chain[k]:
         raise ValueError("initial support is not contained in the k-fold predecessor")
-
-    def action(j, q):
-        return _step_into(m, q, chain[j - 1]) if j >= 1 and q in chain[j] else None
-
-    return _strategy_table(m, f"countdown[{k}]", range(k, -1, -1), k, action,
-                           lambda j, q: max(j - 1, 0))
+    memory = tuple(range(k, -1, -1))
+    return StrategySpec(f"countdown[{k}]", memory, k, _countdown_rows(m, chain, memory),
+                        _uniform_row(m))
 
 
 def _reach_then_stay_strategy(m, safe, layers, label):
     """Memoryless: walk down the attractor layers into `safe`, then stay (with
     layers == [safe], the stay-safe witness of sure always)."""
-    def action(mem, q):
-        if q in safe:
-            return _step_into(m, q, safe)
-        rank = next((j for j, layer in enumerate(layers) if q in layer), None)
-        return None if rank is None else _step_into(m, q, layers[rank - 1])
-
-    return _strategy_table(m, label, (0,), 0, action, lambda mem, q: 0)
+    dirac = [{a: ONE} for a in range(m.action_count)]
+    forced = {q: _step_into(m, q, safe, dirac) for q in safe}
+    for lower, layer in zip(layers, layers[1:]):
+        forced.update((q, _step_into(m, q, lower, dirac)) for q in layer - lower)
+    return StrategySpec(label, (0,), 0, (forced,), _uniform_row(m))
 
 
 def _cycle_strategy(m, k, r, lasso_of_s):
@@ -101,18 +101,9 @@ def _cycle_strategy(m, k, r, lasso_of_s):
     """
     chain = [lasso_of_s.at(j) for j in range(max(k, r) + 1)]
     memory = [("down", j) for j in range(k, 0, -1)] + [("cyc", phi) for phi in range(r)]
-
-    def action(mem, q):
-        level = mem[1] if mem[0] == "down" else r - mem[1]
-        return _step_into(m, q, chain[level - 1]) if q in chain[level] else None
-
-    def update(mem, q):
-        if mem[0] == "cyc":
-            return ("cyc", (mem[1] + 1) % r)
-        return ("down", mem[1] - 1) if mem[1] > 1 else ("cyc", 0)
-
-    initial = ("down", k) if k >= 1 else ("cyc", 0)
-    return _strategy_table(m, f"countdown-cycle[{k},{r}]", memory, initial, action, update)
+    levels = [j if kind == "down" else r - j for kind, j in memory]
+    return StrategySpec(f"countdown-cycle[{k},{r}]", tuple(memory), k,
+                        _countdown_rows(m, chain, levels), _uniform_row(m))
 
 
 def decide_sure(m, sync_mode, t, s0, *, cache=None, limits=None):

@@ -211,12 +211,6 @@ class Skeleton:
     def action_count(self):
         return len(self.succ[0])
 
-    def empty_support(self):
-        return SupportSet(self.n)
-
-    def full_support(self):
-        return SupportSet.full(self.n)
-
 
 class Mdp(Skeleton):
     """Finite MDP (Q, A, delta) with a total, exact transition function, serving
@@ -287,56 +281,48 @@ def min_initial_probability(d0, restrict=None):
 
 @dataclass(frozen=True)
 class StrategySpec:
-    """Finite-memory strategy: randomized action choice, deterministic memory update.
+    """Counting strategy: the move depends only on the current state and on a
+    step counter, the position j in `memory`.
 
-    At step i the machine draws the action from choice[(mem_i, q_i)] and then
-    advances the memory to update[(mem_i, q_i)]; mem_0 = initial_memory. The
-    tables are total over memory x states of the MDP they were built for.
+    Position 0 comes first and position next(j) follows j: the positions run
+    in order and return to `loop_start` after the last one. At position j a
+    state q plays the action row forced[j][q] when q is listed there, and the
+    shared uniform row `default` otherwise.
     """
 
     label: str
     memory: tuple
-    initial_memory: object
-    choice: dict
-    update: dict
+    loop_start: int
+    forced: tuple
+    default: dict
 
     def __post_init__(self):
-        memo = set(self.memory)
-        if self.initial_memory not in memo:
-            raise ValueError("initial memory not a memory value")
-        if set(self.choice) != set(self.update):
-            raise ValueError("choice and update tables cover different keys")
-        checked = set()  # row dicts are routinely shared; validate each object once
-        for key, row in self.choice.items():
-            if key[0] not in memo:
-                raise ValueError(f"unknown memory value in key {key}")
-            if id(row) in checked:
-                continue
+        if not 0 <= self.loop_start < len(self.memory):
+            raise ValueError(f"loop start {self.loop_start} is not a memory position")
+        if len(self.forced) != len(self.memory):
+            raise ValueError("forced rows need one entry per memory value")
+        for row in self.rows():
             total = sum(row.values(), ZERO)
             if total != 1 or any(p < 0 for p in row.values()):
-                raise ValueError(f"action choice at {key} sums to {format_rational(total)}")
-            checked.add(id(row))
-        for key, nxt in self.update.items():
-            if nxt not in memo:
-                raise ValueError(f"memory update at {key} leaves the memory set")
+                raise ValueError(f"action row {row} is not a distribution "
+                                 f"(sums to {format_rational(total)})")
+
+    def next(self, j):
+        """The position after position j."""
+        return j + 1 if j + 1 < len(self.memory) else self.loop_start
+
+    def rows(self):
+        """Every distinct row object once (rows are routinely shared), default first."""
+        rows = {id(self.default): self.default}
+        for part in self.forced:
+            for row in part.values():
+                rows.setdefault(id(row), row)
+        return list(rows.values())
 
 
-def _strategy_table(m, label, memory, initial, action, update):
-    """Finite-memory strategy filled in cell by cell, memory-major over the states.
-
-    action(mem, q) is the cell's action row, or None for uniform play over all
-    actions (one row object shared by every such cell); update(mem, q) is the
-    next memory value.
-    """
+def _uniform_row(m):
     share = Fraction(1, m.action_count)
-    uniform = {a: share for a in range(m.action_count)}
-    choice = {}
-    nxt = {}
-    for mem in memory:
-        for q in range(m.n):
-            choice[(mem, q)] = action(mem, q) or uniform
-            nxt[(mem, q)] = update(mem, q)
-    return StrategySpec(label, tuple(memory), initial, choice, nxt)
+    return {a: share for a in range(m.action_count)}
 
 
 def _cached(cache, key, make):
@@ -350,7 +336,7 @@ def _cached(cache, key, make):
 
 def uniform_strategy(m):
     """The memoryless strategy playing every action with equal probability."""
-    return _strategy_table(m, "uniform", (0,), 0, lambda mem, q: None, lambda mem, q: 0)
+    return StrategySpec("uniform", (0,), 0, ({},), _uniform_row(m))
 
 
 @dataclass(frozen=True)

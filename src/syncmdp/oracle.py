@@ -47,36 +47,33 @@ def _transition_numerators(m):
 
 
 def simulate(m, strategy, d0, h):
-    """Exact trace of length h+1; tracks the joint (memory, state) distribution."""
+    """Exact trace of length h+1 under a counting strategy: the state distribution
+    is all there is to track, and the strategy's position moves by `next(j)`."""
     if h < 0:
         raise ValueError("horizon must be nonnegative")
     den, rows = _transition_numerators(m)
-    # choice rows are routinely shared between cells: scale each object once
-    distinct = list({id(row): row for row in strategy.choice.values()}.values())
+    distinct = strategy.rows()   # scale each shared row object once
     choice_den, scaled = _numerators(distinct)
     actions = {id(row): tuple((a, pa) for a, pa in nums.items() if pa)
                for row, nums in zip(distinct, scaled)}
-    total, (init,) = _numerators([d0.mass])
-    joint = {(strategy.initial_memory, q): w for q, w in init.items()}
-    choice, update = strategy.choice, strategy.update
+    total, (dist,) = _numerators([d0.mass])
+    default = strategy.default
     step = den * choice_den
     dists = [d0]
+    j = 0
     for _ in range(h):
+        forced = strategy.forced[j]
         nxt = {}
-        for key, w in joint.items():
-            mem2 = update[key]
-            succ = rows[key[1]]
-            for a, pa in actions[id(choice[key])]:
+        for q, w in dist.items():
+            succ = rows[q]
+            for a, pa in actions[id(forced.get(q, default))]:
                 wa = w * pa
                 for q2, p in succ[a]:
-                    key2 = (mem2, q2)
-                    nxt[key2] = nxt.get(key2, 0) + wa * p
-        joint = nxt
+                    nxt[q2] = nxt.get(q2, 0) + wa * p
+        dist = nxt
+        j = strategy.next(j)
         total *= step
-        mass = {}
-        for (_, q), w in joint.items():
-            mass[q] = mass.get(q, 0) + w
-        dists.append(Dist._from_numerators(m.n, mass, total))
+        dists.append(Dist._from_numerators(m.n, dist, total))
     return Trace(tuple(dists), strategy.label, h)
 
 

@@ -38,11 +38,6 @@ def pre(m, y):
     return SupportSet(m.n, _apre(m.succ, _width_check(m, y)))
 
 
-def apre(m, y, x):
-    """States with an action keeping all successors in `y` and hitting `x`."""
-    return SupportSet(m.n, _apre(m.succ, _width_check(m, y), _width_check(m, x)))
-
-
 class PreMap(dict):
     """bits -> Pre(bits) over one skeleton, each entry computed on first lookup."""
 

@@ -51,17 +51,21 @@ def _key(key):
 
 
 def _strategy_obj(strategy, m):
+    """A counting strategy in the unchanged `--strategies` table format: its
+    choice and update tables expanded over every (memory value, state) pair,
+    memory values in order and states in order within each."""
     if strategy is None:
         return None
+    cells = [(f"{mem!r}|", forced, repr(strategy.memory[strategy.next(j)]))
+             for j, (mem, forced) in enumerate(zip(strategy.memory, strategy.forced))]
     return {
         "label": strategy.label,
         "memory_size": len(strategy.memory),
-        "initial_memory": repr(strategy.initial_memory),
-        "choice": {f"{mem!r}|{m.states[q]}":
-                   {m.actions[a]: format_rational(p) for a, p in row.items()}
-                   for (mem, q), row in strategy.choice.items()},
-        "update": {f"{mem!r}|{m.states[q]}": repr(nxt)
-                   for (mem, q), nxt in strategy.update.items()},
+        "initial_memory": repr(strategy.memory[0]),
+        "choice": {key + name: {m.actions[a]: format_rational(p)
+                                for a, p in forced.get(q, strategy.default).items()}
+                   for key, forced, _ in cells for q, name in enumerate(m.states)},
+        "update": {key + name: nxt for key, _, nxt in cells for name in m.states},
     }
 
 

@@ -30,6 +30,12 @@ WIDE_TIER_SEED = 20261018
 WIDE_TIER_SIZES = (6, 7, 8)
 WIDE_TIER_PER_SIZE = 8
 
+# scale tier: n = 32 and 48 with up to 3 actions and denominators <= 6, from a
+# seed fixed before this tier first ran
+SCALE_TIER_SEED = 20261125
+SCALE_TIER_SIZES = (32, 48)
+SCALE_TIER_PER_SIZE = 12
+
 
 def report(criterion, detail):
     print(f"ACCEPTANCE {criterion}: PASS ({detail})")
@@ -197,3 +203,26 @@ def test_wide_tier_verify_through_cli(name, inst, tmp_path, capsys):
     failed = [item["name"] for item in json.loads(out.read_text())["oracle"]
               if item["status"] == "fail"]
     assert failed == [], f"{name}: {failed}"
+
+
+def _scale_tier():
+    rng = random.Random(SCALE_TIER_SEED)
+    return [pytest.param(f"n{n}-{i}", random_instance(rng, n=n, max_actions=3,
+                                                      max_denominator=6), id=f"n{n}-{i}")
+            for n in SCALE_TIER_SIZES for i in range(SCALE_TIER_PER_SIZE)]
+
+
+@pytest.mark.parametrize("name, inst", _scale_tier())
+def test_scale_tier_analyze_through_cli(name, inst, tmp_path, capsys):
+    # a finished analysis, or the subset-search guard on a target too wide to
+    # search; never a traceback
+    model = tmp_path / f"{name}.json"
+    model.write_text(serialize_model(ParsedModel(inst.mdp, inst.initial, {"target": inst.target})))
+    code = main(["analyze", "--model", str(model), "--target", "target",
+                 "--json", str(tmp_path / f"{name}.analyze.json")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 3:
+        assert err.startswith("guard tripped at stage subset-search:"), err
+    else:
+        assert (code, err) == (0, "")

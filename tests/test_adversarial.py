@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from syncmdp import (Dist, decide_bounded, decide_positive, freezing_strategy,
+from syncmdp import (Dist, SupportSet, decide_bounded, decide_positive, freezing_strategy,
                      matrix_power_witness, mec_decomposition, simulate,
                      support_lasso, switch_point, uniform_strategy)
 from syncmdp.adversarial import rows_image
@@ -108,8 +108,8 @@ def test_empty_target_all_no(funnel):
     m = funnel.mdp
     s0 = funnel.initial.support()
     for mode in ("always", "eventually", "weakly", "strongly"):
-        assert not decide_positive(m, mode, m.empty_support(), s0).answer
-        assert not decide_bounded(m, mode, m.empty_support(), s0).answer
+        assert not decide_positive(m, mode, SupportSet(m.n), s0).answer
+        assert not decide_bounded(m, mode, SupportSet(m.n), s0).answer
 
 
 def test_freezing_rows(funnel, loopback):
@@ -119,16 +119,20 @@ def test_freezing_rows(funnel, loopback):
     frz = freezing_strategy(m, lasso, mec)
     sw = switch_point(lasso)
     q1 = m.state_index("q1")
-    assert frz.choice[(sw, q1)] == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    # a step counter saturating at the switch, the only position with forced rows
+    assert (frz.memory, frz.loop_start) == (tuple(range(sw + 1)), sw)
+    assert not any(frz.forced[:sw])
+    assert frz.forced[sw][q1] == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
     m2 = funnel.mdp
     lasso2 = support_lasso(m2, funnel.initial.support())
     frz2 = freezing_strategy(m2, lasso2, mec_decomposition(m2))
     sw2 = switch_point(lasso2)
     q1 = m2.state_index("q1")
-    assert frz2.choice[(sw2, q1)] == {0: Fraction(1)}  # action b leaves the MEC {q1}
+    assert frz2.forced[sw2][q1] == {0: Fraction(1)}  # action b leaves the MEC {q1}
     # before the switch everything is uniform
-    assert frz2.choice[(0, q1)] == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    assert q1 not in frz2.forced[0]
+    assert frz2.default == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
 
 def test_freezing_on_markov_chain_equals_uniform(twophase):

@@ -57,20 +57,20 @@ def test_twophase_eventually(twophase):
 def test_always_full_target_trivial(funnel, twophase):
     for pm in (funnel, twophase):
         m = pm.mdp
-        assert decide_sure(m, "always", m.full_support(), pm.initial.support()).answer
+        assert decide_sure(m, "always", SupportSet.full(m.n), pm.initial.support()).answer
 
 
 def test_weakly_empty_target_no(funnel):
     m = funnel.mdp
     s0 = funnel.initial.support()
-    assert not decide_almost_sure(m, "weakly", m.empty_support(), s0).answer
-    assert not decide_sure(m, "weakly", m.empty_support(), s0).answer
+    assert not decide_almost_sure(m, "weakly", SupportSet(m.n), s0).answer
+    assert not decide_sure(m, "weakly", SupportSet(m.n), s0).answer
 
 
 def test_empty_target_all_modes_no(funnel):
     m = funnel.mdp
     s0 = funnel.initial.support()
-    empty = m.empty_support()
+    empty = SupportSet(m.n)
     for mode in ("always", "eventually", "weakly", "strongly"):
         assert not decide_sure(m, mode, empty, s0).answer
         assert not decide_almost_sure(m, mode, empty, s0).answer

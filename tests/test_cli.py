@@ -4,7 +4,8 @@ import shlex
 
 import pytest
 
-from syncmdp import analyze, checks, cli, example_path, serialize_model, example_model
+from syncmdp import (SupportSet, analyze, checks, cli, example_path, serialize_model,
+                     example_model)
 from syncmdp.checks import CheckResult
 from syncmdp.cli import main
 from syncmdp.report import build_report
@@ -260,7 +261,7 @@ def test_regions_mec(capsys):
 
 def test_regions_empty_set(capsys, tmp_path):
     pm = example_model("funnel")
-    pm.targets["void"] = pm.mdp.empty_support()
+    pm.targets["void"] = SupportSet(pm.mdp.n)
     path = tmp_path / "model.json"
     path.write_text(serialize_model(pm))
     for which in ("safety", "reach", "almost-sure"):
@@ -289,6 +290,29 @@ def test_verify_respects_horizon_flag(capsys):
                        "--target", "target", "--horizon", "10")
     assert code == 0
     assert "oracle checks" in out
+
+
+@pytest.mark.parametrize("horizon", ["0", "1"])
+def test_verify_horizon_below_the_countdown_depth(capsys, tmp_path, horizon):
+    # chain q0 -> q1 -> q2 -> q3 (absorbing), target {q2}: the countdown witness
+    # reaches the target at step k = 2, past the horizon
+    states = ["q0", "q1", "q2", "q3"]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "states": states, "actions": ["a"],
+        "transitions": [{"from": q, "action": "a", "to": states[min(i + 1, 3)], "prob": "1"}
+                        for i, q in enumerate(states)],
+        "initial": {"q0": "1"},
+        "targets": {"target": ["q2"]},
+    }))
+    out_path = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", "--model", str(path), "--target", "target",
+                       "--horizon", horizon, "--json", str(out_path))
+    assert (code, err) == (0, "")
+    report = json.loads(out_path.read_text())
+    assert report["verdicts"]["eventually"]["sure"]["certificate"]["k"] == 2
+    statuses = {item["name"]: item["status"] for item in report["oracle"]}
+    assert statuses["witness-soundness"] == "pass"
 
 
 def test_verify_absorbing_model_vacuous_pass(capsys, tmp_path):

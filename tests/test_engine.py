@@ -6,7 +6,7 @@ import pytest
 
 from syncmdp import (Verdict, analyze, decide_almost_sure, decide_bounded,
                      decide_limit_sure, decide_positive, decide_sure, example_model)
-from syncmdp import adversarial, classic, engine, model
+from syncmdp import classic, engine, model
 from syncmdp.examples import EXAMPLE_MODELS
 from syncmdp.randgen import corpus
 from syncmdp.engine import ConsistencyError, check_consistency
@@ -62,7 +62,7 @@ def test_analysis_carries_model_constants(funnel):
 def test_deciders_reject_empty_support_and_unknown_mode(funnel, decide):
     m, t = funnel.mdp, funnel.targets["target"]
     with pytest.raises(ValueError, match="nonempty"):
-        decide(m, "eventually", t, m.empty_support())
+        decide(m, "eventually", t, SupportSet(m.n))
     with pytest.raises(ValueError, match="unknown sync mode"):
         decide(m, "sometimes", t, funnel.initial.support())
 
@@ -95,11 +95,11 @@ def test_each_witness_is_built_once_per_analysis(monkeypatch):
     # the deciders share one memo: a witness several cells carry is built once,
     # and the sure and almost-sure verdicts of each sync mode are decided once
     built, sure, almost_sure = [], Counter(), Counter()
-    table = model._strategy_table
+    validate = model.StrategySpec.__post_init__
 
-    def counting_table(m, label, *args):
-        built.append(label)
-        return table(m, label, *args)
+    def counting_validate(strategy):
+        built.append(strategy.label)
+        validate(strategy)
 
     def counting(decide, tally):
         def wrapper(m, sync_mode, *args):
@@ -107,8 +107,7 @@ def test_each_witness_is_built_once_per_analysis(monkeypatch):
             return decide(m, sync_mode, *args)
         return wrapper
 
-    for module in (model, classic, adversarial):
-        monkeypatch.setattr(module, "_strategy_table", counting_table)
+    monkeypatch.setattr(model.StrategySpec, "__post_init__", counting_validate)
     monkeypatch.setattr(classic, "_decide_sure", counting(classic._decide_sure, sure))
     monkeypatch.setattr(classic, "_decide_almost_sure",
                         counting(classic._decide_almost_sure, almost_sure))

@@ -175,7 +175,8 @@ def test_step_examples(funnel, loopback):
     uniform = uniform_strategy(m)
     trace = simulate(m, uniform, Dist.dirac(4, 0), 1)
     assert trace.dists[1] == Dist(4, {0: Fraction(1, 2), 1: Fraction(1, 2)})
-    assert all(uniform.update[(0, q)] == 0 for q in range(m.n))
+    assert (uniform.memory, uniform.loop_start, uniform.forced) == ((0,), 0, ({},))
+    assert uniform.next(0) == 0
     absorbing = build(ABSORBING).mdp
     d0 = Dist.dirac(1, 0)
     assert simulate(absorbing, uniform_strategy(absorbing), d0, 1).dists[1] == d0
@@ -212,17 +213,17 @@ def test_dist_validation():
 
 def test_strategy_validation(funnel):
     m = funnel.mdp
-    good = uniform_strategy(m)
-    with pytest.raises(ValueError, match="initial memory"):
-        StrategySpec("bad", (0,), 1, good.choice, good.update)
-    broken = dict(good.choice)
-    broken[(0, 0)] = {0: Fraction(1, 2)}
-    with pytest.raises(ValueError, match="sums to"):
-        StrategySpec("bad", (0,), 0, broken, good.update)
-    leak = dict(good.update)
-    leak[(0, 0)] = 7
-    with pytest.raises(ValueError, match="leaves the memory set"):
-        StrategySpec("bad", (0,), 0, good.choice, leak)
+    uniform = uniform_strategy(m).default
+    with pytest.raises(ValueError, match="loop start"):
+        StrategySpec("bad", (0, 1), 2, ({}, {}), uniform)
+    with pytest.raises(ValueError, match="one entry per memory value"):
+        StrategySpec("bad", (0, 1), 0, ({},), uniform)
+    with pytest.raises(ValueError, match=r"not a distribution \(sums to 1/2\)"):
+        StrategySpec("bad", (0,), 0, ({0: {0: Fraction(1, 2)}},), uniform)
+    with pytest.raises(ValueError, match="not a distribution"):
+        StrategySpec("bad", (0,), 0, ({},), {0: Fraction(3, 2), 1: Fraction(-1, 2)})
+    counter = StrategySpec("counter", (0, 1, 2), 1, ({}, {}, {}), uniform)
+    assert [counter.next(j) for j in range(3)] == [1, 2, 1]
 
 
 def test_mode_query_validation():

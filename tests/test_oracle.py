@@ -1,12 +1,13 @@
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syncmdp import (BudgetExceeded, Dist, Mdp, StrategySpec,
+from syncmdp import (BudgetExceeded, Dist, Mdp, StrategySpec, SupportSet,
                      count_synchronized_positions, enumerate_pure_strategies,
                      max_mass_at_step, max_reach_values, simulate, uniform_strategy)
 from syncmdp.model import ZERO
@@ -16,33 +17,18 @@ from conftest import ABSORBING, build
 
 def hold_strategy(m, plan):
     """Memoryless strategy playing a fixed action per state (dict by name)."""
-    choice = {}
-    update = {}
-    for q in range(m.n):
-        name = m.states[q]
-        if name in plan:
-            choice[(0, q)] = {m.actions.index(plan[name]): Fraction(1)}
-        else:
-            share = Fraction(1, m.action_count)
-            choice[(0, q)] = {a: share for a in range(m.action_count)}
-        update[(0, q)] = 0
-    return StrategySpec("hold", (0,), 0, choice, update)
+    forced = {m.state_index(name): {m.actions.index(a): Fraction(1)}
+              for name, a in plan.items()}
+    return StrategySpec("hold", (0,), 0, (forced,), uniform_strategy(m).default)
 
 
 def switch_strategy(m, state, first, then, at):
     """Plays `first` at `state` before step `at`, `then` afterwards."""
-    choice = {}
-    update = {}
-    share = Fraction(1, m.action_count)
-    for j in range(at + 1):
-        for q in range(m.n):
-            if m.states[q] == state:
-                action = first if j < at else then
-                choice[(j, q)] = {m.actions.index(action): Fraction(1)}
-            else:
-                choice[(j, q)] = {a: share for a in range(m.action_count)}
-            update[(j, q)] = min(j + 1, at)
-    return StrategySpec(f"switch@{at}", tuple(range(at + 1)), 0, choice, update)
+    q = m.state_index(state)
+    before = {q: {m.actions.index(first): Fraction(1)}}
+    after = {q: {m.actions.index(then): Fraction(1)}}
+    return StrategySpec(f"switch@{at}", tuple(range(at + 1)), at, (before,) * at + (after,),
+                        uniform_strategy(m).default)
 
 
 def test_simulate_drain_geometric(drain):
@@ -91,7 +77,7 @@ def test_max_mass_twophase_half(twophase):
 
 def test_max_mass_full_target(funnel):
     m = funnel.mdp
-    profile = max_mass_at_step(m, m.full_support(), funnel.initial, 5)
+    profile = max_mass_at_step(m, SupportSet.full(m.n), funnel.initial, 5)
     assert all(v == 1 for v in profile)
 
 
@@ -179,6 +165,28 @@ def test_max_reach_values(funnel):
 # The reference functions below are the oracle's former Fraction loops, kept
 # verbatim apart from their names: the integer kernels must give equal traces,
 # profile values, reach values, and the same enumeration in the same order.
+# They run general finite-memory strategies, given as dense tables.
+
+@dataclass(frozen=True)
+class TableStrategy:
+    """Finite-memory strategy as dense tables: at step i the action is drawn from
+    choice[(mem_i, q_i)] and the memory moves to update[(mem_i, q_i)]."""
+
+    label: str
+    initial_memory: object
+    choice: dict
+    update: dict
+
+
+def as_tables(m, strategy):
+    """The dense tables of a counting strategy, over every (memory value, state)."""
+    choice, update = {}, {}
+    for j, (mem, forced) in enumerate(zip(strategy.memory, strategy.forced)):
+        for q in range(m.n):
+            choice[(mem, q)] = forced.get(q, strategy.default)
+            update[(mem, q)] = strategy.memory[strategy.next(j)]
+    return TableStrategy(strategy.label, strategy.memory[0], choice, update)
+
 
 def ref_simulate(m, strategy, d0, h):
     joint = {(strategy.initial_memory, q): p for q, p in d0.mass.items()}
@@ -284,8 +292,7 @@ def ref_assignment_strategy(m, assignment, rows):
         choice[(done, q)] = uniform
         update[(done, q)] = done
     label = "pure[" + ",".join(str(a) for a in assignment.values()) + "]"
-    memory = tuple(sorted(prefixes)) + (done,)
-    return StrategySpec(label, memory, (), choice, update)
+    return TableStrategy(label, (), choice, update)
 
 
 @st.composite
@@ -322,18 +329,17 @@ def wide_instances(draw, max_states=6, min_actions=1, max_actions=3, max_support
 
 @st.composite
 def memory_strategies(draw, m, max_memory=3):
-    """A randomized finite-memory strategy with up to three memory values;
-    rows may be shared between cells and may hold zero-probability actions."""
-    memory = tuple(range(draw(st.integers(1, max_memory))))
+    """A randomized counting strategy with up to three memory values; rows may
+    be shared between cells and may hold zero-probability actions."""
+    size = draw(st.integers(1, max_memory))
     shared = draw(rows(range(m.action_count), zeros=True))
-    choice = {}
-    update = {}
-    for mem in memory:
-        for q in range(m.n):
-            choice[(mem, q)] = shared if draw(st.booleans()) else \
-                draw(rows(range(m.action_count), zeros=True))
-            update[(mem, q)] = draw(st.sampled_from(memory))
-    return StrategySpec("mixed", memory, draw(st.sampled_from(memory)), choice, update)
+
+    def row():
+        return shared if draw(st.booleans()) else draw(rows(range(m.action_count), zeros=True))
+
+    forced = tuple({q: row() for q in range(m.n) if draw(st.booleans())} for _ in range(size))
+    return StrategySpec("mixed", tuple(range(size)), draw(st.integers(0, size - 1)), forced,
+                        row())
 
 
 @given(wide_instances(), st.data(), st.integers(0, 12))
@@ -343,7 +349,7 @@ def test_simulate_matches_fraction_loop(inst, data, h):
     strategy = data.draw(memory_strategies(m))
     for s in (strategy, uniform_strategy(m)):
         trace = simulate(m, s, d0, h)
-        assert trace.dists == ref_simulate(m, s, d0, h)
+        assert trace.dists == ref_simulate(m, as_tables(m, s), d0, h)
         assert (trace.strategy_label, trace.horizon) == (s.label, h)
         assert all(sum(d.mass.values()) == 1 for d in trace.dists)
         assert [list(d.mass) for d in trace.dists] == [sorted(d.mass) for d in trace.dists]
@@ -387,8 +393,7 @@ def test_enumeration_guards_match_fraction_loop(inst, h, budget):
 
 def test_simulate_rejects_a_step_that_does_not_sum_to_one(funnel):
     m = funnel.mdp
-    leaky = StrategySpec("leaky", (0,), 0, {(0, q): {0: Fraction(1)} for q in range(m.n)},
-                         {(0, q): 0 for q in range(m.n)})
-    leaky.choice[(0, m.state_index("q0"))] = {0: Fraction(1, 2)}  # bypasses validation
+    leaky = StrategySpec("leaky", (0,), 0, ({},), {0: Fraction(1)})
+    leaky.forced[0][m.state_index("q0")] = {0: Fraction(1, 2)}  # bypasses validation
     with pytest.raises(ValueError, match="distribution sums to 1/2"):
         simulate(m, leaky, funnel.initial, 1)

@@ -7,7 +7,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from syncmdp import (Dist, Mdp, ModelFormatError, ParsedModel, PreMap, SupportSet,
-                     almost_sure_reach_region, analyze, apre, counter_product,
+                     almost_sure_reach_region, analyze, counter_product,
                      decide_almost_sure, decide_limit_sure, decide_sure, iterate_lasso,
                      lift_with_counter, matrix_power_witness, mec_decomposition,
                      model_to_obj, parse_model, pre, pre_lasso, serialize_model, simulate,
@@ -16,6 +16,7 @@ from syncmdp.adversarial import post_image, rows_image
 from syncmdp.classic import _cycle_strategy, _limit_eventually
 from syncmdp.model import DEFAULT_LIMITS
 from syncmdp.oracle import max_mass_at_step
+from syncmdp.regions import _apre
 
 from conftest import exact_counter_product
 
@@ -59,7 +60,7 @@ def test_successor_table_is_the_support_of_delta(m):
         assert len(m.succ[q]) == m.action_count
         for a, d in enumerate(m.delta[q]):
             assert SupportSet(m.n, m.succ[q][a]) == d.support()
-        union = m.empty_support()
+        union = SupportSet(m.n)
         for d in m.delta[q]:
             union = union | d.support()
         assert SupportSet(m.n, m.post[q]) == union
@@ -69,7 +70,7 @@ def test_successor_table_is_the_support_of_delta(m):
 @settings(max_examples=60, deadline=None)
 def test_apre_with_full_set_is_pre(inst):
     m, _, t = inst
-    assert apre(m, t, m.full_support()) == pre(m, t)
+    assert _apre(m.succ, t.bits, SupportSet.full(m.n).bits) == pre(m, t).bits
 
 
 @given(instances(), st.data())
@@ -78,9 +79,9 @@ def test_pre_monotone(inst, data):
     m, _, y2 = inst
     y1 = SupportSet(m.n, y2.bits & data.draw(st.integers(0, (1 << m.n) - 1)))
     assert pre(m, y1) <= pre(m, y2)
-    x = data.draw(supports(m.n))
-    assert apre(m, y1, x) <= apre(m, y2, x)
-    assert apre(m, y2, x & y1) <= apre(m, y2, x | y1)
+    x = data.draw(supports(m.n)).bits
+    assert _apre(m.succ, y1.bits, x) & ~_apre(m.succ, y2.bits, x) == 0
+    assert _apre(m.succ, y2.bits, x & y1.bits) & ~_apre(m.succ, y2.bits, x | y1.bits) == 0
 
 
 @given(instances())
@@ -182,7 +183,7 @@ def test_safety_region_is_greatest_closed_subset(inst):
 def test_mec_components_verbatim(inst):
     m, _, _ = inst
     dec = mec_decomposition(m)
-    seen = m.empty_support()
+    seen = SupportSet(m.n)
     for comp in dec.components:
         assert not comp & seen
         seen = seen | comp

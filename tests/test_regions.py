@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from syncmdp import (SupportSet, almost_sure_reach_region, apre,
+from syncmdp import (SupportSet, almost_sure_reach_region,
                      mec_decomposition, pre, pre_lasso, reach_layers,
                      sure_reach_region, sure_safety_region)
 from syncmdp.model import GuardExceeded
+from syncmdp.regions import _apre
 
 from conftest import build
 
@@ -17,14 +18,15 @@ def names(m, s):
 def test_pre_examples(funnel):
     m = funnel.mdp
     assert names(m, pre(m, m.support(["q2"]))) == {"q1"}
-    assert pre(m, m.full_support()) == m.full_support()
-    assert pre(m, m.empty_support()) == m.empty_support()
+    assert pre(m, SupportSet.full(m.n)) == SupportSet.full(m.n)
+    assert pre(m, SupportSet(m.n)) == SupportSet(m.n)
 
 
 def test_apre_examples(funnel):
     m = funnel.mdp
-    assert names(m, apre(m, m.support(["q1", "q2"]), m.support(["q2"]))) == {"q1"}
-    assert apre(m, m.support(["q1"]), m.empty_support()) == m.empty_support()
+    bits = _apre(m.succ, m.support(["q1", "q2"]).bits, m.support(["q2"]).bits)
+    assert names(m, SupportSet(m.n, bits)) == {"q1"}
+    assert _apre(m.succ, m.support(["q1"]).bits, 0) == 0
 
 
 def test_pre_lasso_funnel(funnel):
@@ -45,7 +47,7 @@ def test_pre_lasso_twophase(twophase):
 
 def test_pre_lasso_fixpoint_at_root(funnel):
     m = funnel.mdp
-    lasso = pre_lasso(m, m.full_support())
+    lasso = pre_lasso(m, SupportSet.full(m.n))
     assert lasso.start == 0 and lasso.period == 1
 
 
@@ -56,15 +58,15 @@ def test_pre_lasso_guard(funnel):
 
 def test_safety_examples(drain, funnel):
     m1 = drain.mdp
-    assert sure_safety_region(m1, m1.support(["q0"])) == m1.empty_support()
+    assert sure_safety_region(m1, m1.support(["q0"])) == SupportSet(m1.n)
     m2 = funnel.mdp
-    assert sure_safety_region(m2, m2.full_support()) == m2.full_support()
+    assert sure_safety_region(m2, SupportSet.full(m2.n)) == SupportSet.full(m2.n)
     assert names(m2, sure_safety_region(m2, m2.support(["q1", "q3"]))) == {"q1", "q3"}
 
 
 def test_reach_examples(funnel):
     m = funnel.mdp
-    assert sure_reach_region(m, m.full_support()) == m.full_support()
+    assert sure_reach_region(m, SupportSet.full(m.n)) == SupportSet.full(m.n)
     assert names(m, sure_reach_region(m, m.support(["q1"]))) == {"q1"}
     chain = build({
         "states": ["q", "r"], "actions": ["a"],
@@ -82,7 +84,7 @@ def test_reach_examples(funnel):
 def test_almost_sure_reach_funnel(funnel):
     m = funnel.mdp
     assert names(m, almost_sure_reach_region(m, m.support(["q1"]))) == {"q0", "q1"}
-    assert almost_sure_reach_region(m, m.full_support()) == m.full_support()
+    assert almost_sure_reach_region(m, SupportSet.full(m.n)) == SupportSet.full(m.n)
     # q3 is a sink that never reaches q2; everything else can funnel through b
     assert names(m, almost_sure_reach_region(m, m.support(["q2"]))) == {"q0", "q1", "q2"}
 
@@ -116,7 +118,7 @@ def test_fixpoints_stabilize_quickly(funnel):
     # monotone iterations: n steps suffice, so a (n+1)-long chain must repeat
     m = funnel.mdp
     t = m.support(["q1"])
-    y = m.full_support()
+    y = SupportSet.full(m.n)
     seen = [y]
     for _ in range(m.n + 1):
         y = t & pre(m, y)

@@ -4,11 +4,14 @@ brute-force strategy enumeration. The simulated strategies are the analysis's
 own witnesses (from its memo), and four checks reuse engine primitives:
 `lasso-integrity` (matrix powers), `reach-value-cap` and `region-dp-agreement`
 (almost_sure_reach_region) and `certificate-recheck` (recheck_certificate).
+
+The checks read a trace step as its target numerator over its total and its
+support as a bit mask; a `Fraction` is built only for a value a check reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 
@@ -16,8 +19,8 @@ from .adversarial import _freezing, _uniform, matrix_power_witness, post_image, 
 from .bounds import compute_bound
 from .classic import recheck_certificate
 from .model import BudgetExceeded, ONE
-from .oracle import (enumerate_pure_strategies, max_mass_at_step, max_reach_values,
-                     simulate)
+from .oracle import (_clears, _numerator_in, enumerate_pure_strategies,
+                     max_mass_at_step, max_reach_values, simulate)
 from .regions import almost_sure_reach_region
 
 REGION_DP_HORIZON = 200
@@ -65,31 +68,45 @@ class CheckContext:
             if w is not None and w.label not in strategies:
                 strategies[w.label] = w
         # positive-definition-sim, freezing-lower-bound and witness-soundness
-        # (at the countdown's step k) read past the horizon
+        # read past the horizon: the sure witnesses to the step their claim
+        # first pins (the countdown's k, the cycle's k + r, n for strongly)
         windows = {"uniform": a.switch + a.lasso.period}
         nsteps = _bound(a, ("strongly", "bounded"), "N_adversarial")
         if nsteps is not None:
             windows["freezing"] = a.switch + 3 * nsteps.value
-        countdown = a.verdicts[("eventually", "sure")]
-        if countdown.witness is not None:
-            windows[countdown.witness.label] = countdown.certificate["k"]
+        for mode, window in (("eventually", lambda cert: cert["k"]),
+                             ("weakly", lambda cert: cert["k"] + cert["r"]),
+                             ("strongly", lambda cert: m.n)):
+            v = a.verdicts[(mode, "sure")]
+            if v.witness is not None:
+                label = v.witness.label
+                windows[label] = max(windows.get(label, 0), window(v.certificate))
         return {label: simulate(m, s, a.initial, max(self.horizon, windows.get(label, 0)))
                 for label, s in strategies.items()}
 
     @cached_property
     def profile(self):
+        """The optimal target mass at each step, to the horizon and at least to
+        step n (the prefix dips read its first n + 1 values)."""
         a = self.analysis
-        return max_mass_at_step(a.mdp, a.target, a.initial, self.horizon)
+        return max_mass_at_step(a.mdp, a.target, a.initial, max(self.horizon, a.mdp.n))
+
+    @cached_property
+    def horizon_profile(self):
+        """The profile cut to the horizon."""
+        return self.profile[:self.horizon + 1]
 
     @cached_property
     def count_traces(self):
         """(traces, masses) for the sync-count caps: the simulated traces cut to the
-        horizon, then the enumerated ones; masses[id(d)] is the target mass of each
-        distinct Dist (a prefix the enumerated strategies share is one), summed once."""
-        traces = [replace(t, dists=t.dists[:self.horizon + 1], horizon=self.horizon)
-                  for t in self.traces.values()] + self.enumerated[1]
-        dists = {id(d): d for trace in traces for d in trace.dists}
-        return traces, {key: d.mass_in(self.analysis.target) for key, d in dists.items()}
+        horizon, then the enumerated ones; masses[id(step)] is (target numerator,
+        total) of each distinct step dict (a prefix the enumerated strategies share
+        is one), summed once."""
+        traces = [t.cut(self.horizon) for t in self.traces.values()] + self.enumerated[1]
+        steps = {id(nums): (nums, total)
+                 for trace in traces for nums, total in zip(trace.nums, trace.totals)}
+        return traces, {key: (_numerator_in(self.analysis.target, nums), total)
+                        for key, (nums, total) in steps.items()}
 
     @cached_property
     def reach_region(self):
@@ -148,7 +165,7 @@ def check_step_decay_cap(ctx):
         return CheckResult("step-decay-cap", "skip", {"reason": "sure eventually holds"})
     alpha_i = a.alpha0
     slack = None
-    for i, v in enumerate(ctx.profile):
+    for i, v in enumerate(ctx.horizon_profile):
         if v > 1 - alpha_i:
             return CheckResult("step-decay-cap", "fail", {"step": i, "value": str(v)})
         gap = (1 - alpha_i) - v
@@ -167,8 +184,8 @@ def check_eventually_isolation(ctx):
     if cert is None or cert.value is None:
         return CheckResult("eventually-isolation", "skip", {"reason": "no exact bound"})
     eps = cert.value
-    worst = min((1 - v for v in ctx.profile), default=ONE)
-    if any(v > 1 - eps for v in ctx.profile):
+    worst = min((1 - v for v in ctx.horizon_profile), default=ONE)
+    if any(v > 1 - eps for v in ctx.horizon_profile):
         return CheckResult("eventually-isolation", "fail", {"eps": str(eps)})
     return CheckResult("eventually-isolation", "pass",
                        {"eps_log10": cert.log10, "observed_gap": str(worst)})
@@ -182,10 +199,10 @@ def check_reach_value_cap(ctx):
                            {"reason": "initial support is almost-sure for reach"})
     cap = compute_bound("lemma1_reach", a.mdp.n, a.mdp.action_count,
                         a.alpha, a.alpha0).value
-    for i, v in enumerate(ctx.profile):
+    for i, v in enumerate(ctx.horizon_profile):
         if v > 1 - cap:
             return CheckResult("reach-value-cap", "fail", {"step": i, "value": str(v)})
-    worst = min(1 - v for v in ctx.profile)
+    worst = min(1 - v for v in ctx.horizon_profile)
     return CheckResult("reach-value-cap", "pass",
                        {"cap": str(cap), "observed_gap": str(worst)})
 
@@ -232,9 +249,10 @@ def _sync_count_cap(name, win, ctx):
     cap = 2 ** a.mdp.n
     depth, enumerated = ctx.enumerated
     traces, masses = ctx.count_traces
-    synced = {key for key, v in masses.items() if v > threshold or not strict and v == threshold}
+    synced = {key for key, (v, total) in masses.items()
+              if _clears(v, total, threshold, strict)}
     for trace in traces:
-        count = sum(id(d) in synced for d in trace.dists)
+        count = sum(id(nums) in synced for nums in trace.nums)
         if count > cap:
             return CheckResult(name, "fail", {"strategy": trace.strategy_label,
                                               "count": count})
@@ -259,9 +277,10 @@ def check_freezing_bound(ctx):
     trace = ctx.traces["freezing"]
     start = a.switch + n_adv
     for i in range(start, h + 1):
-        if trace.dists[i].mass_in(a.target) < cert.value:
+        v, total = _numerator_in(a.target, trace.nums[i]), trace.totals[i]
+        if not _clears(v, total, cert.value, strict=False):
             return CheckResult("freezing-lower-bound", "fail",
-                               {"step": i, "mass": str(trace.dists[i].mass_in(a.target)),
+                               {"step": i, "mass": str(Fraction(v, total)),
                                 "eps": str(cert.value)})
     return CheckResult("freezing-lower-bound", "pass",
                        {"from_step": start, "to_step": h, "eps_log10": cert.log10})
@@ -271,7 +290,8 @@ def check_positive_definition(ctx):
     """Positive verdicts match the definition on one extra lasso period of play."""
     a = ctx.analysis
     window = a.switch + a.lasso.period
-    masses = [d.mass_in(a.target) for d in ctx.traces["uniform"].dists[:window + 1]]
+    masses = [_numerator_in(a.target, nums)
+              for nums in ctx.traces["uniform"].nums[:window + 1]]
     l = a.lasso.start
     facts = {
         "eventually": any(v > 0 for v in masses),
@@ -289,19 +309,24 @@ def check_positive_definition(ctx):
 def check_support_monotonicity(ctx):
     """Freezing refines uniform: supports shrink, and agree on the EC union late."""
     a = ctx.analysis
-    uni = ctx.traces["uniform"]
-    frz = ctx.traces["freezing"]
-    union = a.mec.union
+    uni = ctx.traces["uniform"].nums
+    frz = ctx.traces["freezing"].nums
+    union = a.mec.union.bits
     for i in range(ctx.horizon + 1):
-        su = uni.dists[i].support()
-        sf = frz.dists[i].support()
-        if not sf <= su:
+        su = _mask(uni[i])
+        sf = _mask(frz[i])
+        if sf & ~su:
             return CheckResult("support-monotonicity", "fail",
                                {"step": i, "reason": "freezing support escapes uniform"})
-        if i >= a.switch and sf & union != su & union:
+        if i >= a.switch and (sf ^ su) & union:
             return CheckResult("support-monotonicity", "fail",
                                {"step": i, "reason": "EC-intersection mismatch"})
     return CheckResult("support-monotonicity", "pass", {"switch": a.switch})
+
+
+def _mask(nums):
+    """The support of a trace step as a bit mask."""
+    return sum(1 << q for q in nums)
 
 
 def check_region_dp(ctx):
@@ -330,33 +355,35 @@ def check_witness_soundness(ctx):
     a = ctx.analysis
     n = a.mdp.n
 
+    def synced(trace, i):
+        """All of step i's mass is in the target."""
+        return _numerator_in(a.target, trace.nums[i]) == trace.totals[i]
+
     v = a.verdicts[("eventually", "sure")]
     if v.answer and v.witness is not None:
         k = v.certificate["k"]
-        trace = ctx.traces[v.witness.label]
-        if trace.dists[k].mass_in(a.target) != 1:
+        if not synced(ctx.traces[v.witness.label], k):
             return CheckResult("witness-soundness", "fail",
                                {"mode": "sure eventually", "step": k})
 
     v = a.verdicts[("always", "sure")]
     if v.answer and v.witness is not None:
         trace = ctx.traces[v.witness.label]
-        if any(d.mass_in(a.target) != 1 for d in trace.dists):
+        if not all(synced(trace, i) for i in range(trace.horizon + 1)):
             return CheckResult("witness-soundness", "fail", {"mode": "sure always"})
 
     v = a.verdicts[("strongly", "sure")]
     if v.answer and v.witness is not None:
         trace = ctx.traces[v.witness.label]
-        if any(trace.dists[i].mass_in(a.target) != 1
-               for i in range(n, ctx.horizon + 1)):
+        if not all(synced(trace, i) for i in range(n, max(ctx.horizon, n) + 1)):
             return CheckResult("witness-soundness", "fail", {"mode": "sure strongly"})
 
     v = a.verdicts[("weakly", "sure")]
     if v.answer and v.witness is not None:
         k, r = v.certificate["k"], v.certificate["r"]
         trace = ctx.traces[v.witness.label]
-        for i in range(k, ctx.horizon + 1, r):
-            if trace.dists[i].mass_in(a.target) != 1:
+        for i in range(k, max(ctx.horizon, k + r) + 1, r):
+            if not synced(trace, i):
                 return CheckResult("witness-soundness", "fail",
                                    {"mode": "sure weakly", "step": i})
     return CheckResult("witness-soundness", "pass", {})

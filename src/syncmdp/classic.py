@@ -63,10 +63,11 @@ def _step_into(m, q, target, dirac):
 
 def _countdown_rows(m, chain, levels):
     """Forced rows of a countdown through `chain`: at level j >= 1, every state of
-    chain[j] steps into chain[j-1]; level 0 forces nothing."""
+    chain[j] steps into chain[j-1]; level 0 forces nothing, and neither does a
+    one-action model, whose Dirac row is the default row."""
     dirac = [{a: ONE} for a in range(m.action_count)]
-    return tuple({q: _step_into(m, q, chain[j - 1], dirac) for q in chain[j]} if j else {}
-                 for j in levels)
+    return tuple({q: _step_into(m, q, chain[j - 1], dirac) for q in chain[j]}
+                 if j and m.action_count > 1 else {} for j in levels)
 
 
 def synthesize_sure_eventually_strategy(m, t, s0, k, *, cache=None, limits=None):
@@ -86,11 +87,14 @@ def synthesize_sure_eventually_strategy(m, t, s0, k, *, cache=None, limits=None)
 
 def _reach_then_stay_strategy(m, safe, layers, label):
     """Memoryless: walk down the attractor layers into `safe`, then stay (with
-    layers == [safe], the stay-safe witness of sure always)."""
-    dirac = [{a: ONE} for a in range(m.action_count)]
-    forced = {q: _step_into(m, q, safe, dirac) for q in safe}
-    for lower, layer in zip(layers, layers[1:]):
-        forced.update((q, _step_into(m, q, lower, dirac)) for q in layer - lower)
+    layers == [safe], the stay-safe witness of sure always). A one-action model
+    forces nothing: its Dirac row is the default row."""
+    forced = {}
+    if m.action_count > 1:
+        dirac = [{a: ONE} for a in range(m.action_count)]
+        forced = {q: _step_into(m, q, safe, dirac) for q in safe}
+        for lower, layer in zip(layers, layers[1:]):
+            forced.update((q, _step_into(m, q, lower, dirac)) for q in layer - lower)
     return StrategySpec(label, (0,), 0, (forced,), _uniform_row(m))
 
 

@@ -7,9 +7,11 @@ Nothing here shares code paths with the deciders; that is the point.
 
 The kernels run on integer numerators over one common denominator per step
 (the LCD of the transition rows, times that of the strategy's choice rows,
-times that of d0), so their inner loops only multiply and add integers; a
-`Fraction` is built only for each value a step emits, and every emitted
-distribution is checked to sum to exactly 1.
+times that of d0), so their inner loops only multiply and add integers. A
+trace keeps those integers: step i is {q: numerator} over the total
+`totals[i]`, each step checked to sum to exactly its total. `Trace.dists`, the
+steps as `Dist`s, is a view derived on first read; the check battery reads the
+integers only and builds a `Fraction` only for a value it reports.
 """
 
 from __future__ import annotations
@@ -17,18 +19,53 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product as iproduct
+from functools import cached_property, partial
+from itertools import accumulate, product as iproduct, repeat
+from operator import mul
 
-from .model import BudgetExceeded, Dist
+from .model import BudgetExceeded, Dist, format_rational
 
 
 @dataclass(frozen=True)
 class Trace:
-    """Exact distribution sequence d_0 .. d_H under one strategy."""
+    """Exact distribution sequence d_0 .. d_H under one strategy, in integers:
+    d_i(q) = nums[i][q] / totals[i], with only positive numerators stored."""
 
-    dists: tuple
+    nums: tuple
+    totals: tuple
     strategy_label: str
     horizon: int
+    width: int
+
+    @cached_property
+    def dists(self):
+        """The steps as `Dist`s, built on first read."""
+        return tuple(map(partial(Dist._from_numerators, self.width), self.nums, self.totals))
+
+    def cut(self, h):
+        """This trace's first h + 1 steps (the same step dicts)."""
+        return Trace(self.nums[:h + 1], self.totals[:h + 1], self.strategy_label, h,
+                     self.width)
+
+
+def _checked(nums, total):
+    """The step `nums`, once its numerators are found to sum to exactly `total`."""
+    mass_sum = sum(nums.values())
+    if mass_sum != total:
+        raise ValueError(f"distribution sums to {format_rational(Fraction(mass_sum, total))}")
+    return nums
+
+
+def _numerator_in(t, nums):
+    """The numerator (over its step's total) of the mass a step puts in the set t."""
+    bits = t.bits
+    return sum(w for q, w in nums.items() if bits >> q & 1)
+
+
+def _clears(v, total, threshold, strict=True):
+    """v / total > threshold (>= when not strict), by integer cross-multiplication."""
+    lhs, rhs = v * threshold.denominator, threshold.numerator * total
+    return lhs > rhs or not strict and lhs == rhs
 
 
 def _numerators(rows):
@@ -59,7 +96,7 @@ def simulate(m, strategy, d0, h):
     total, (dist,) = _numerators([d0.mass])
     default = strategy.default
     step = den * choice_den
-    dists = [d0]
+    nums, totals = [dist], [total]
     j = 0
     for _ in range(h):
         forced = strategy.forced[j]
@@ -73,8 +110,9 @@ def simulate(m, strategy, d0, h):
         dist = nxt
         j = strategy.next(j)
         total *= step
-        dists.append(Dist._from_numerators(m.n, dist, total))
-    return Trace(tuple(dists), strategy.label, h)
+        nums.append(_checked(dist, total))
+        totals.append(total)
+    return Trace(tuple(nums), tuple(totals), strategy.label, h, m.n)
 
 
 def max_mass_at_step(m, t, d0, h):
@@ -123,8 +161,8 @@ def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
     The budget caps the history-tree size and the total enumeration work
     (#strategies = |A|^nodes, times the tree size); exceeding it raises
     BudgetExceeded before any output so the caller can shrink the instance.
-    One walk over the history tree shares each prefix's distribution among
-    the strategies agreeing on it.
+    One walk over the history tree shares each prefix's step dicts among the
+    strategies agreeing on it, and all traces share one `totals` tuple.
     """
     if h < 0:
         raise ValueError("horizon must be nonnegative")
@@ -151,15 +189,15 @@ def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
         raise BudgetExceeded("strategy-enumeration",
                              f"{a_count}^{count} strategies exceed budget {budget}")
 
-    def walk(depth, mass, total, picks, dists):
+    def walk(depth, mass, picks, steps):
         """The trace of every pick sequence from this depth on, given the
-        integer masses (over `total`) of the live histories at this depth."""
+        integer masses (over totals[depth]) of the live histories at this depth."""
         if depth == h:
-            yield Trace(dists, "pure[" + ",".join(map(str, picks)) + "]", h)
+            yield Trace(steps, totals, "pure[" + ",".join(map(str, picks)) + "]", h, m.n)
             return
         level = states[depth]
         deeper = depth + 1 < h
-        total *= den
+        total = totals[depth + 1]
         for level_picks in iproduct(range(a_count), repeat=len(level)):
             nxt = {}
             marginal = {}
@@ -170,20 +208,18 @@ def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
                     if deeper:
                         nxt[c] = v
                     marginal[q2] = marginal.get(q2, 0) + v
-            d = Dist._from_numerators(m.n, marginal, total)
-            yield from walk(depth + 1, nxt, total, picks + level_picks, dists + (d,))
+            yield from walk(depth + 1, nxt, picks + level_picks,
+                            steps + (_checked(marginal, total),))
 
     total, (init,) = _numerators([d0.mass])
+    totals = tuple(accumulate(repeat(den, h), mul, initial=total))
     root = {j: init[q] for j, q in enumerate(states[0])} if h else {}
-    yield from walk(0, root, total, (), (d0,))
+    yield from walk(0, root, (), (init,))
 
 
 def count_synchronized_positions(trace, t, threshold, strict=True):
     """Indices whose target mass clears the threshold (strictly or not)."""
     threshold = Fraction(threshold)
-    positions = []
-    for i, d in enumerate(trace.dists):
-        mass = d.mass_in(t)
-        if mass > threshold or (not strict and mass == threshold):
-            positions.append(i)
-    return len(positions), tuple(positions)
+    positions = tuple(i for i, (nums, total) in enumerate(zip(trace.nums, trace.totals))
+                      if _clears(_numerator_in(t, nums), total, threshold, strict))
+    return len(positions), positions

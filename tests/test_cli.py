@@ -1,6 +1,7 @@
 import json
 import math
 import shlex
+from pathlib import Path
 
 import pytest
 
@@ -313,6 +314,19 @@ def test_verify_horizon_below_the_countdown_depth(capsys, tmp_path, horizon):
     assert report["verdicts"]["eventually"]["sure"]["certificate"]["k"] == 2
     statuses = {item["name"]: item["status"] for item in report["oracle"]}
     assert statuses["witness-soundness"] == "pass"
+
+
+def test_verify_prefix_dips_below_n(capsys, tmp_path):
+    # all initial mass starts in the target, so the optimum dips only after
+    # step 0; the prefix dips read the first n + 1 = 11 steps whatever the horizon
+    model = Path(__file__).parent / "golden" / "prime-cycles.model.json"
+    out_path = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", "--model", str(model), "--target", "target",
+                       "--horizon", "0", "--json", str(out_path))
+    assert (code, err) == (0, "")
+    report = json.loads(out_path.read_text())
+    statuses = {item["name"]: item["status"] for item in report["oracle"]}
+    assert statuses["always-prefix-dip"] == statuses["strongly-prefix-dip"] == "pass"
 
 
 def test_verify_absorbing_model_vacuous_pass(capsys, tmp_path):

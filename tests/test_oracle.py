@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from syncmdp import (BudgetExceeded, Dist, Mdp, StrategySpec, SupportSet,
                      count_synchronized_positions, enumerate_pure_strategies,
                      max_mass_at_step, max_reach_values, simulate, uniform_strategy)
+from syncmdp.checks import _mask
 from syncmdp.model import ZERO
+from syncmdp.oracle import _numerator_in
 
 from conftest import ABSORBING, build
 
@@ -106,11 +108,11 @@ def test_enumerate_funnel_depth_two(funnel):
     assert len(labels) == 32
     assert out[0].strategy_label == "pure[0,0,0,0,0]"
     assert out[-1].strategy_label == "pure[1,1,1,1,1]"
-    # each history prefix's distribution is one object for all the strategies
+    # each history prefix's step dict is one object for all the strategies
     # that agree on it: 1 initial + 2 after the root's pick + 32 leaves
-    slots = [d for trace in out for d in trace.dists]
-    assert len(slots) == 96 and len({id(d) for d in slots}) == 35
-    assert out[0].dists[1] is out[1].dists[1]
+    slots = [nums for trace in out for nums in trace.nums]
+    assert len(slots) == 96 and len({id(nums) for nums in slots}) == 35
+    assert out[0].nums[1] is out[1].nums[1]
 
 
 def test_enumerate_budget_guard(funnel):
@@ -389,6 +391,25 @@ def test_enumeration_guards_match_fraction_loop(inst, h, budget):
             next(enumerate_pure_strategies(m, d0, h, budget=budget))
         return
     assert sum(1 for _ in enumerate_pure_strategies(m, d0, h, budget=budget)) == expected
+
+
+@given(wide_instances(max_states=5, max_support=2), st.data(), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_integer_steps_read_as_their_dists(inst, data, h):
+    # the battery reads a step as its target numerator over its total and its
+    # support as a bit mask: both must say what the step's Dist says
+    m, d0, t = inst
+    traces = [simulate(m, data.draw(memory_strategies(m)), d0, h)]
+    try:
+        traces += enumerate_pure_strategies(m, d0, min(h, 3), budget=2000)
+    except BudgetExceeded:
+        pass
+    for trace in traces:
+        assert len(trace.nums) == len(trace.totals) == len(trace.dists) == trace.horizon + 1
+        for nums, total, d in zip(trace.nums, trace.totals, trace.dists):
+            assert all(w > 0 for w in nums.values())
+            assert Fraction(_numerator_in(t, nums), total) == d.mass_in(t)
+            assert _mask(nums) == d.support().bits
 
 
 def test_simulate_rejects_a_step_that_does_not_sum_to_one(funnel):

@@ -3,7 +3,8 @@ verdicts imply, verified against exact simulation, backward induction, and
 brute-force strategy enumeration. The simulated strategies are the analysis's
 own witnesses (from its memo), and four checks reuse engine primitives:
 `lasso-integrity` (matrix powers), `reach-value-cap` and `region-dp-agreement`
-(almost_sure_reach_region) and `certificate-recheck` (recheck_certificate).
+(almost_sure_reach_region) and `certificate-recheck` (recheck_certificate);
+the certificate of the region's winning side reuses none, reading only `succ`.
 
 The checks read a trace step as its target numerator over its total and its
 support as a bit mask; a `Fraction` is built only for a value a check reports.
@@ -13,18 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
+from operator import or_
 
 from .adversarial import _freezing, _uniform, matrix_power_witness, post_image, rows_image
 from .bounds import compute_bound
 from .classic import recheck_certificate
-from .model import BudgetExceeded, ONE
+from .model import BudgetExceeded, ONE, _iter_bits
 from .oracle import (_clears, _numerator_in, enumerate_pure_strategies,
                      max_mass_at_step, max_reach_values, simulate)
 from .regions import almost_sure_reach_region
 
 REGION_DP_HORIZON = 200
-REGION_DP_GAP = Fraction(1, 1 << 20)
 
 
 @dataclass
@@ -86,22 +87,16 @@ class CheckContext:
 
     @cached_property
     def profile(self):
-        """The optimal target mass at each step, to the horizon and at least to
-        step n (the prefix dips read its first n + 1 values)."""
+        """The optimal target mass at each step, to the horizon."""
         a = self.analysis
-        return max_mass_at_step(a.mdp, a.target, a.initial, max(self.horizon, a.mdp.n))
-
-    @cached_property
-    def horizon_profile(self):
-        """The profile cut to the horizon."""
-        return self.profile[:self.horizon + 1]
+        return max_mass_at_step(a.mdp, a.target, a.initial, self.horizon)
 
     @cached_property
     def count_traces(self):
-        """(traces, masses) for the sync-count caps: the simulated traces cut to the
-        horizon, then the enumerated ones; masses[id(step)] is (target numerator,
-        total) of each distinct step dict (a prefix the enumerated strategies share
-        is one), summed once."""
+        """(traces, masses) for the prefix dips and sync-count caps: the simulated
+        traces cut to the horizon, then the enumerated ones; masses[id(step)] is
+        (target numerator, total) of each distinct step dict (a prefix the
+        enumerated strategies share is one), summed once."""
         traces = [t.cut(self.horizon) for t in self.traces.values()] + self.enumerated[1]
         steps = {id(nums): (nums, total)
                  for trace in traces for nums, total in zip(trace.nums, trace.totals)}
@@ -165,7 +160,7 @@ def check_step_decay_cap(ctx):
         return CheckResult("step-decay-cap", "skip", {"reason": "sure eventually holds"})
     alpha_i = a.alpha0
     slack = None
-    for i, v in enumerate(ctx.horizon_profile):
+    for i, v in enumerate(ctx.profile):
         if v > 1 - alpha_i:
             return CheckResult("step-decay-cap", "fail", {"step": i, "value": str(v)})
         gap = (1 - alpha_i) - v
@@ -184,8 +179,8 @@ def check_eventually_isolation(ctx):
     if cert is None or cert.value is None:
         return CheckResult("eventually-isolation", "skip", {"reason": "no exact bound"})
     eps = cert.value
-    worst = min((1 - v for v in ctx.horizon_profile), default=ONE)
-    if any(v > 1 - eps for v in ctx.horizon_profile):
+    worst = min((1 - v for v in ctx.profile), default=ONE)
+    if any(v > 1 - eps for v in ctx.profile):
         return CheckResult("eventually-isolation", "fail", {"eps": str(eps)})
     return CheckResult("eventually-isolation", "pass",
                        {"eps_log10": cert.log10, "observed_gap": str(worst)})
@@ -199,21 +194,18 @@ def check_reach_value_cap(ctx):
                            {"reason": "initial support is almost-sure for reach"})
     cap = compute_bound("lemma1_reach", a.mdp.n, a.mdp.action_count,
                         a.alpha, a.alpha0).value
-    for i, v in enumerate(ctx.horizon_profile):
+    for i, v in enumerate(ctx.profile):
         if v > 1 - cap:
             return CheckResult("reach-value-cap", "fail", {"step": i, "value": str(v)})
-    worst = min(1 - v for v in ctx.horizon_profile)
+    worst = min(1 - v for v in ctx.profile)
     return CheckResult("reach-value-cap", "pass",
                        {"cap": str(cap), "observed_gap": str(worst)})
 
 
 def _prefix_dip(mode, win, kind, ctx):
-    """Not `win` `mode`: within the first n steps the optimum dips below 1 - eps.
-
-    Note the per-strategy position guarantee does not imply this prefix form
-    in general (different strategies may dip at different steps), so a failure
-    here is reported with the full profile prefix for inspection.
-    """
+    """Not `win` `mode`: every strategy has a step i <= n with target mass at
+    most 1 - eps, tested on each trace of `count_traces` that has n + 1 steps
+    (the per-step optimum need not dip: strategies may dip at different steps)."""
     name = f"{mode}-prefix-dip"
     a = ctx.analysis
     if a.answer(mode, win):
@@ -221,11 +213,16 @@ def _prefix_dip(mode, win, kind, ctx):
     cert = _bound(a, (mode, win), kind)
     if cert is None or cert.value is None:
         return CheckResult(name, "skip", {"reason": "no exact bound"})
-    prefix = ctx.profile[:a.mdp.n + 1]
-    if min(prefix) <= 1 - cert.value:
-        return CheckResult(name, "pass", {"eps": str(cert.value)})
-    return CheckResult(name, "fail",
-                       {"eps": str(cert.value), "prefix": [str(v) for v in prefix]})
+    n = a.mdp.n
+    threshold = 1 - cert.value
+    traces, masses = ctx.count_traces
+    for trace in traces:
+        prefix = [masses[id(nums)] for nums in trace.nums[:n + 1]]
+        if len(prefix) > n and all(_clears(v, total, threshold) for v, total in prefix):
+            return CheckResult(name, "fail",
+                               {"eps": str(cert.value), "strategy": trace.strategy_label,
+                                "prefix": [str(Fraction(v, total)) for v, total in prefix]})
+    return CheckResult(name, "pass", {"eps": str(cert.value)})
 
 
 def _sync_count_cap(name, win, ctx):
@@ -329,20 +326,34 @@ def _mask(nums):
     return sum(1 << q for q in nums)
 
 
+def _uncertified(m, t, region):
+    """The states of `region` (masks throughout) from which uniform play over the
+    actions keeping all successors in the region does not reach t: play that
+    stays in the region and reaches t from all of it does so almost surely."""
+    keep = {q: reduce(or_, (s for s in m.succ[q] if s & ~region == 0), 0)
+            for q in _iter_bits(region & ~t)}
+    reached, grown = 0, t
+    while grown != reached:
+        reached = grown
+        grown = reduce(or_, (1 << q for q, s in keep.items() if s & reached), reached)
+    return region & ~reached
+
+
 def check_region_dp(ctx):
-    """The almost-sure reach region matches DP-limit classification per state."""
+    """Each region state is certified winning; no state outside beats 1 - alpha^n
+    even within REGION_DP_HORIZON steps (a finite-horizon value is a lower bound)."""
     a = ctx.analysis
     region = ctx.reach_region
+    uncertified = _uncertified(a.mdp, a.target.bits, region.bits)
+    if uncertified:
+        q = (uncertified & -uncertified).bit_length() - 1
+        return CheckResult("region-dp-agreement", "fail",
+                           {"state": a.mdp.states[q],
+                            "reason": "winning state not certified"})
     reach = max_reach_values(a.mdp, a.target, REGION_DP_HORIZON)
     cap = a.alpha ** a.mdp.n
     for q in range(a.mdp.n):
-        if q in region:
-            if 1 - reach[q] >= REGION_DP_GAP:
-                return CheckResult("region-dp-agreement", "fail",
-                                   {"state": a.mdp.states[q],
-                                    "reason": "winning state did not converge",
-                                    "residual": str(1 - reach[q])})
-        elif reach[q] > 1 - cap:
+        if q not in region and reach[q] > 1 - cap:
             return CheckResult("region-dp-agreement", "fail",
                                {"state": a.mdp.states[q],
                                 "reason": "losing state beats the cap"})

@@ -168,19 +168,6 @@ class Dist:
         object.__setattr__(self, "mass", clean)
 
     @classmethod
-    def _from_numerators(cls, width, nums, total):
-        """The distribution {q: nums[q] / total} from nonnegative integer numerators,
-        checked to sum to exactly 1 in integers (the oracle's integer kernels)."""
-        mass_sum = sum(nums.values())
-        if mass_sum != total:
-            raise ValueError(f"distribution sums to {format_rational(Fraction(mass_sum, total))}")
-        d = object.__new__(cls)
-        object.__setattr__(d, "width", width)
-        object.__setattr__(d, "mass", {q: Fraction(nums[q], total)
-                                       for q in sorted(nums) if nums[q]})
-        return d
-
-    @classmethod
     def dirac(cls, width, q):
         return cls(width, {q: ONE})
 
@@ -189,9 +176,6 @@ class Dist:
 
     def support(self):
         return SupportSet.of(self.width, self.mass)
-
-    def mass_in(self, s):
-        return sum((p for q, p in self.mass.items() if q in s), ZERO)
 
     def __repr__(self):
         inner = ", ".join(f"{q}: {format_rational(p)}" for q, p in self.mass.items())

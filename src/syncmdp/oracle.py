@@ -3,15 +3,16 @@ finite-horizon optimum of the per-step target mass by backward induction, and
 the traces of all history-dependent pure strategies, by brute-force
 enumeration.
 
-Nothing here shares code paths with the deciders; that is the point.
+Nothing here shares code paths with the deciders, nor does the battery's
+certificate for the almost-sure reach region (`checks._uncertified`).
 
 The kernels run on integer numerators over one common denominator per step
 (the LCD of the transition rows, times that of the strategy's choice rows,
 times that of d0), so their inner loops only multiply and add integers. A
-trace keeps those integers: step i is {q: numerator} over the total
-`totals[i]`, each step checked to sum to exactly its total. `Trace.dists`, the
-steps as `Dist`s, is a view derived on first read; the check battery reads the
-integers only and builds a `Fraction` only for a value it reports.
+trace is those integers and nothing else: step i is {q: numerator} over the
+total `totals[i]`, each step checked to sum to exactly its total. The check
+battery reads them as integers and builds a `Fraction` only for a value it
+reports.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
 from itertools import accumulate, product as iproduct, repeat
 from operator import mul
 
-from .model import BudgetExceeded, Dist, format_rational
+from .model import BudgetExceeded, format_rational
 
 
 @dataclass(frozen=True)
@@ -35,17 +35,10 @@ class Trace:
     totals: tuple
     strategy_label: str
     horizon: int
-    width: int
-
-    @cached_property
-    def dists(self):
-        """The steps as `Dist`s, built on first read."""
-        return tuple(map(partial(Dist._from_numerators, self.width), self.nums, self.totals))
 
     def cut(self, h):
         """This trace's first h + 1 steps (the same step dicts)."""
-        return Trace(self.nums[:h + 1], self.totals[:h + 1], self.strategy_label, h,
-                     self.width)
+        return Trace(self.nums[:h + 1], self.totals[:h + 1], self.strategy_label, h)
 
 
 def _checked(nums, total):
@@ -112,7 +105,7 @@ def simulate(m, strategy, d0, h):
         total *= step
         nums.append(_checked(dist, total))
         totals.append(total)
-    return Trace(tuple(nums), tuple(totals), strategy.label, h, m.n)
+    return Trace(tuple(nums), tuple(totals), strategy.label, h)
 
 
 def max_mass_at_step(m, t, d0, h):
@@ -193,7 +186,7 @@ def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
         """The trace of every pick sequence from this depth on, given the
         integer masses (over totals[depth]) of the live histories at this depth."""
         if depth == h:
-            yield Trace(steps, totals, "pure[" + ",".join(map(str, picks)) + "]", h, m.n)
+            yield Trace(steps, totals, "pure[" + ",".join(map(str, picks)) + "]", h)
             return
         level = states[depth]
         deeper = depth + 1 < h

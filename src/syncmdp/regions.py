@@ -161,7 +161,6 @@ class EcDecomposition:
 
     components: tuple          # disjoint SupportSets, ordered by smallest member
     union: SupportSet
-    component_of: tuple        # state -> component index, None outside the union
     internal_actions: tuple    # state -> actions staying inside its component
 
 
@@ -188,12 +187,10 @@ def mec_decomposition(m):
             work.extend(comps)
 
     found.sort(key=lambda pair: pair[0] & -pair[0])   # by smallest member
-    component_of = [None] * m.n
     internal = [None] * m.n
-    for idx, (sbits, inside) in enumerate(found):
+    for sbits, inside in found:
         for q in _iter_bits(sbits):
-            component_of[q] = idx
             internal[q] = tuple(inside[q])
     return EcDecomposition(tuple(SupportSet(m.n, sbits) for sbits, _ in found),
                            SupportSet(m.n, reduce(or_, (sbits for sbits, _ in found), 0)),
-                           tuple(component_of), tuple(internal))
+                           tuple(internal))

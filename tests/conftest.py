@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from syncmdp import Dist, Mdp, example_model, parse_model
@@ -26,6 +28,24 @@ def twophase():
 def build(doc):
     """Parse a model given as a plain dict (test shorthand)."""
     return parse_model(doc)
+
+
+def as_dists(trace, width):
+    """The steps of an oracle trace as `Dist`s (each checked to sum to exactly 1),
+    to compare against the tests' `Fraction` reference loops."""
+    return tuple(Dist(width, {q: Fraction(v, total) for q, v in nums.items()})
+                 for nums, total in zip(trace.nums, trace.totals))
+
+
+def target_masses(trace, t):
+    """The target mass at each step of an oracle trace, as `Fraction`s."""
+    return [Fraction(sum(v for q, v in nums.items() if q in t), total)
+            for nums, total in zip(trace.nums, trace.totals)]
+
+
+def mass_in(d, t):
+    """The mass a `Dist` puts in the set t."""
+    return sum(p for q, p in d.mass.items() if q in t)
 
 
 ABSORBING = {

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from syncmdp import (Dist, analyze, checks, count_synchronized_positions, example_model,
-                     simulate, uniform_strategy)
+from syncmdp import (analyze, checks, compute_bound, count_synchronized_positions,
+                     example_model, uniform_strategy)
 from syncmdp.checks import ALL_CHECKS, CheckContext, run_checks
 from syncmdp.randgen import corpus
 
@@ -29,6 +29,37 @@ def test_full_battery_zero_failures(sample_analyses):
     for an in sample_analyses:
         for result in run_checks(an):
             assert result.status != "fail", (result.name, result.info)
+
+
+@pytest.mark.parametrize("seed", [20261301, 20261302, 20261303])
+@pytest.mark.parametrize("tier", [{}, {"max_states": 8, "max_actions": 3,
+                                       "max_denominator": 8}])
+def test_fresh_seeds_zero_failures(seed, tier):
+    # seeds fixed before their first run: the battery at its default horizon
+    # must find nothing to report on a correct engine
+    for index, inst in enumerate(corpus(seed, 20, **tier)):
+        an = analyze(inst.mdp, inst.initial, inst.target)
+        for result in run_checks(an):
+            assert result.status != "fail", (index, result.name, result.info)
+
+
+@pytest.mark.parametrize("seed, count, index, horizon, names", [
+    # slow winners: their 200-step reach values stay more than 2^-20 below 1,
+    # although they reach the target almost surely
+    (42, 60, 15, 50, {"region-dp-agreement"}),
+    (48, 60, 7, 50, {"region-dp-agreement"}),
+    (64, 60, 17, 50, {"region-dp-agreement"}),
+    (90, 60, 19, 50, {"region-dp-agreement"}),
+    (1, 60, 42, 50, {"region-dp-agreement"}),
+    # the per-step optimum does not dip within n steps; every strategy does
+    (20260811, 255, 254, None, {"always-prefix-dip", "strongly-prefix-dip"}),
+])
+def test_no_false_failure_on_a_correct_engine(seed, count, index, horizon, names):
+    inst = corpus(seed, count)[index]
+    an = analyze(inst.mdp, inst.initial, inst.target)
+    results = run_checks(an, horizon=horizon, names=names)
+    assert [(r.name, r.status) for r in results] == [(name, "pass") for name in
+                                                     ALL_CHECKS if name in names]
 
 
 def test_battery_covers_every_check_name():
@@ -207,21 +238,35 @@ def test_witness_soundness_reads_past_a_zero_horizon(mode, certificate):
     assert result.status == "pass"
 
 
-def test_battery_builds_no_fraction_dists(monkeypatch):
-    # the checks read traces as integers: no step becomes a Dist, and no
-    # target mass is summed in Fractions
-    analyses = [analyze(inst.mdp, inst.initial, inst.target)
-                for inst in corpus(20260810, 20)]
-    calls = []
-    from_numerators = Dist._from_numerators.__func__
-    mass_in = Dist.mass_in
-    monkeypatch.setattr(Dist, "_from_numerators", classmethod(
-        lambda cls, *args: calls.append("_from_numerators") or from_numerators(cls, *args)))
-    monkeypatch.setattr(Dist, "mass_in",
-                        lambda d, s: calls.append("mass_in") or mass_in(d, s))
-    for an in analyses:
-        assert all(r.status != "fail" for r in run_checks(an))
-    assert calls == []
-    an = analyses[0]
-    simulate(an.mdp, uniform_strategy(an.mdp), an.initial, 1).dists[1].mass_in(an.target)
-    assert calls == ["_from_numerators", "_from_numerators", "mass_in"]
+# sure always holds (play a forever), and any other action drops into the sink x
+STAY = {
+    "states": ["q0", "q1", "x"],
+    "actions": ["a", "b"],
+    "transitions": [
+        {"from": "q0", "action": "a", "to": "q1", "prob": "1"},
+        {"from": "q0", "action": "b", "to": "x", "prob": "1"},
+        {"from": "q1", "action": "a", "to": "q0", "prob": "1"},
+        {"from": "q1", "action": "b", "to": "x", "prob": "1"},
+        {"from": "x", "action": "a", "to": "x", "prob": "1"},
+        {"from": "x", "action": "b", "to": "x", "prob": "1"},
+    ],
+    "initial": {"q0": "1"},
+    "targets": {"goal": ["q0", "q1"]},
+}
+
+
+def test_always_prefix_dip_catches_a_wrong_no():
+    # a planted "no" for sure always, with its eps_always certificate and no
+    # witness to betray it: uniform and freezing play dip at step 1, so the
+    # strategy that keeps all mass in the target is found by the enumeration
+    pm = build(STAY)
+    an = analyze(pm.mdp, pm.initial, pm.targets["goal"])
+    assert an.answer("always", "sure")
+    verdicts = {cell: replace(v, witness=None) for cell, v in an.verdicts.items()}
+    verdicts[("always", "sure")] = replace(verdicts[("always", "sure")], answer=False)
+    eps = compute_bound("eps_always", an.mdp.n, an.mdp.action_count, an.alpha, an.alpha0)
+    bounds = {**an.bounds, ("always", "sure"): [eps]}
+    planted = replace(an, verdicts=verdicts, bounds=bounds)
+    (result,) = run_checks(planted, names={"always-prefix-dip"})
+    assert (result.status, result.info) == ("fail", {
+        "eps": "1/3", "strategy": "pure[0,0,0,0,0,0,0]", "prefix": ["1", "1", "1", "1"]})

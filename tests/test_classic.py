@@ -9,7 +9,7 @@ from syncmdp import classic
 from syncmdp.model import GuardExceeded, Limits
 from syncmdp.regions import pre_lasso
 
-from conftest import ABSORBING, build
+from conftest import ABSORBING, build, target_masses
 
 
 def test_funnel_eventually_modes(funnel):
@@ -98,14 +98,14 @@ def test_countdown_strategy_twophase(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     s = synthesize_sure_eventually_strategy(m, t, m.support(["q1"]), 1)
     trace = simulate(m, s, Dist.dirac(m.n, m.state_index("q1")), 3)
-    assert trace.dists[1].mass_in(t) == 1
+    assert target_masses(trace, t)[1] == 1
 
 
 def test_countdown_zero_steps(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     s = synthesize_sure_eventually_strategy(m, t, m.support(["q3"]), 0)
     trace = simulate(m, s, Dist.dirac(m.n, m.state_index("q3")), 2)
-    assert trace.dists[0].mass_in(t) == 1
+    assert target_masses(trace, t)[0] == 1
 
 
 def test_countdown_holds_self_loop(funnel):
@@ -113,7 +113,7 @@ def test_countdown_holds_self_loop(funnel):
     t = m.support(["q1"])
     s = synthesize_sure_eventually_strategy(m, t, t, 1)
     trace = simulate(m, s, Dist.dirac(m.n, m.state_index("q1")), 1)
-    assert all(d.mass_in(t) == 1 for d in trace.dists)
+    assert all(v == 1 for v in target_masses(trace, t))
 
 
 def test_countdown_precondition(twophase):
@@ -129,7 +129,7 @@ def test_witnesses_simulate_correctly(funnel, twophase):
     v = decide_sure(m, "always", t, m.support(["q1"]))
     assert v.answer and v.witness is not None
     trace = simulate(m, v.witness, Dist.dirac(m.n, m.state_index("q1")), 10)
-    assert all(d.mass_in(t) == 1 for d in trace.dists)
+    assert all(v == 1 for v in target_masses(trace, t))
 
     # sure-weakly witness re-synchronizes every r steps
     m4, t4 = twophase.mdp, twophase.targets["target"]
@@ -137,7 +137,7 @@ def test_witnesses_simulate_correctly(funnel, twophase):
     k, r = v.certificate["k"], v.certificate["r"]
     trace = simulate(m4, v.witness, Dist.dirac(m4.n, m4.state_index("q1")), k + 4 * r)
     for i in range(k, k + 4 * r + 1, r):
-        assert trace.dists[i].mass_in(t4) == 1
+        assert target_masses(trace, t4)[i] == 1
 
 
 def test_weakly_cycle_witness_with_approach_and_period():
@@ -161,7 +161,7 @@ def test_weakly_cycle_witness_with_approach_and_period():
     trace = simulate(m, v.witness, pm.initial, k + 3 * r)
     for i in range(k + 3 * r + 1):
         expected = 1 if (i >= k and (i - k) % r == 0) else 0
-        assert trace.dists[i].mass_in(t) == expected, i
+        assert target_masses(trace, t)[i] == expected, i
 
 
 def test_sure_strongly_witness():
@@ -178,7 +178,7 @@ def test_sure_strongly_witness():
     v = decide_sure(m, "strongly", t, pm.initial.support())
     assert v.answer and v.witness is not None
     trace = simulate(m, v.witness, pm.initial, 6)
-    assert all(trace.dists[i].mass_in(t) == 1 for i in range(m.n, 7))
+    assert all(v == 1 for v in target_masses(trace, t)[m.n:])
     assert recheck_certificate(m, v)
 
 

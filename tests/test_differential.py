@@ -10,6 +10,8 @@ from syncmdp import (BudgetExceeded, decide_positive, decide_sure,
                      enumerate_pure_strategies, pre)
 from syncmdp.randgen import random_instance
 
+from conftest import target_masses
+
 MAX_DEPTH = 3
 BUDGET = 20000
 
@@ -36,7 +38,7 @@ def test_sure_eventually_against_brute_force():
         h, traces = brute_traces(inst)
         v = decide_sure(m, "eventually", t, s0)
         witness_k = v.certificate["k"] if v.answer else None
-        brute = any(any(d.mass_in(t) == 1 for d in trace.dists)
+        brute = any(any(v == 1 for v in target_masses(trace, t))
                     for trace in traces)
         # pure strategies to depth h find full synchronization iff the
         # smallest countdown witness fits within h
@@ -53,7 +55,7 @@ def test_sure_always_bounded_safety_against_brute_force():
         safe = t
         for _ in range(h):
             safe = t & pre(m, safe)
-        brute = any(all(d.mass_in(t) == 1 for d in trace.dists)
+        brute = any(all(v == 1 for v in target_masses(trace, t))
                     for trace in traces)
         assert brute == (s0 <= safe), (m.states, list(t), list(s0), h)
 
@@ -64,7 +66,7 @@ def test_positive_eventually_against_brute_force():
         h, traces = brute_traces(inst)
         v = decide_positive(m, "eventually", t, s0)
         hit = v.certificate.get("hit_index") if v.answer else None
-        brute = any(any(d.mass_in(t) > 0 for d in trace.dists)
+        brute = any(any(v > 0 for v in target_masses(trace, t))
                     for trace in traces)
         # some pure strategy hits the target within h iff uniform play does
         assert brute == (v.answer and hit <= h), \

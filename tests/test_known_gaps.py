@@ -1,16 +1,16 @@
-"""Pinned counterexample: the min-over-prefix DP restatement of the always-mode
-position bound is strictly weaker than the per-strategy statement it derives
-from. The per-step DP optimum can dodge the failing position because different
-strategies fail at different steps; see the per-strategy assertions below, all
-of which do hold.
+"""Why the prefix dips test the position bound per strategy: when sure always
+fails, every strategy has a step i <= n with target mass at most 1 - eps_always,
+but the per-step DP optimum need not dip at all, because different strategies
+may dip at different steps. The SWAP model below is such a case, and the
+battery passes on it.
 """
 
 from fractions import Fraction
 
 from syncmdp import (analyze, compute_bound, decide_sure, enumerate_pure_strategies,
-                     max_mass_at_step)
+                     max_mass_at_step, run_checks)
 
-from conftest import build
+from conftest import build, target_masses
 
 SWAP = {
     "states": ["q0", "x", "y"],
@@ -44,8 +44,7 @@ def test_prefix_dp_form_has_a_counterexample():
     # the per-strategy statement does hold: every pure strategy to depth n has
     # a step where the target mass falls to 1 - eps or lower
     for trace in enumerate_pure_strategies(m, d0, m.n):
-        masses = [d.mass_in(t) for d in trace.dists]
-        assert min(masses) <= 1 - eps.value
+        assert min(target_masses(trace, t)) <= 1 - eps.value
 
 
 def test_counterexample_matrix_is_otherwise_consistent():
@@ -53,3 +52,6 @@ def test_counterexample_matrix_is_otherwise_consistent():
     analysis = analyze(pm.mdp, pm.initial, pm.targets["goal"])
     assert not analysis.answer("always", "sure")
     assert analysis.answer("weakly", "sure")  # alternate x at every other step
+    results = run_checks(analysis, names={"always-prefix-dip", "strongly-prefix-dip"})
+    assert [(r.name, r.status) for r in results] == [("always-prefix-dip", "pass"),
+                                                     ("strongly-prefix-dip", "pass")]

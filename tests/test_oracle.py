@@ -14,7 +14,7 @@ from syncmdp.checks import _mask
 from syncmdp.model import ZERO
 from syncmdp.oracle import _numerator_in
 
-from conftest import ABSORBING, build
+from conftest import ABSORBING, as_dists, build, mass_in, target_masses
 
 
 def hold_strategy(m, plan):
@@ -36,7 +36,7 @@ def switch_strategy(m, state, first, then, at):
 def test_simulate_drain_geometric(drain):
     m = drain.mdp
     trace = simulate(m, uniform_strategy(m), drain.initial, 3)
-    for i, d in enumerate(trace.dists):
+    for i, d in enumerate(as_dists(trace, m.n)):
         assert d[m.state_index("q0")] == Fraction(1, 2) ** i
 
 
@@ -44,21 +44,21 @@ def test_simulate_loopback_hold_a(loopback):
     m = loopback.mdp
     trace = simulate(m, hold_strategy(m, {"q1": "a"}), loopback.initial, 6)
     q1 = m.state_index("q1")
-    for k, d in enumerate(trace.dists):
+    for k, d in enumerate(as_dists(trace, m.n)):
         assert d[q1] == 1 - Fraction(1, 2) ** k
 
 
 def test_simulate_absorbing_constant():
     pm = build(ABSORBING)
     trace = simulate(pm.mdp, uniform_strategy(pm.mdp), pm.initial, 5)
-    assert all(d == pm.initial for d in trace.dists)
+    assert all(d == pm.initial for d in as_dists(trace, pm.mdp.n))
 
 
 def test_simulate_masses_exact(funnel):
     m = funnel.mdp
     trace = simulate(m, uniform_strategy(m), funnel.initial, 20)
-    for d in trace.dists:
-        assert sum(d.mass.values()) == 1
+    for nums, total in zip(trace.nums, trace.totals):
+        assert sum(nums.values()) == total
 
 
 def test_max_mass_funnel(funnel):
@@ -89,8 +89,8 @@ def test_simulation_never_beats_dp(funnel, loopback):
         profile = max_mass_at_step(m, t, pm.initial, 25)
         for strategy in (uniform_strategy(m), hold_strategy(m, {"q1": "b"})):
             trace = simulate(m, strategy, pm.initial, 25)
-            for i, d in enumerate(trace.dists):
-                assert d.mass_in(t) <= profile[i]
+            for v, best in zip(target_masses(trace, t), profile, strict=True):
+                assert v <= best
 
 
 def test_enumerate_single_action_chain(twophase):
@@ -103,7 +103,7 @@ def test_enumerate_funnel_depth_two(funnel):
     out = list(enumerate_pure_strategies(m, funnel.initial, 2))
     assert len(out) == 32  # |A|^(1 + |A|*|supp(q0)|) decision histories
     for trace in out:
-        assert all(d.mass_in(t) <= Fraction(1, 2) for d in trace.dists)
+        assert all(v <= Fraction(1, 2) for v in target_masses(trace, t))
     labels = {trace.strategy_label for trace in out}
     assert len(labels) == 32
     assert out[0].strategy_label == "pure[0,0,0,0,0]"
@@ -124,7 +124,7 @@ def test_enumerate_budget_guard(funnel):
 def test_count_positions_funnel_switch(funnel):
     m, t = funnel.mdp, funnel.targets["target"]
     trace = simulate(m, switch_strategy(m, "q1", "a", "b", 3), funnel.initial, 8)
-    assert trace.dists[4].mass_in(t) == Fraction(7, 8)
+    assert target_masses(trace, t)[4] == Fraction(7, 8)
     count, positions = count_synchronized_positions(trace, t, Fraction(3, 4))
     assert count == 1 and positions == (4,)
 
@@ -351,10 +351,10 @@ def test_simulate_matches_fraction_loop(inst, data, h):
     strategy = data.draw(memory_strategies(m))
     for s in (strategy, uniform_strategy(m)):
         trace = simulate(m, s, d0, h)
-        assert trace.dists == ref_simulate(m, as_tables(m, s), d0, h)
+        assert as_dists(trace, m.n) == ref_simulate(m, as_tables(m, s), d0, h)
         assert (trace.strategy_label, trace.horizon) == (s.label, h)
-        assert all(sum(d.mass.values()) == 1 for d in trace.dists)
-        assert [list(d.mass) for d in trace.dists] == [sorted(d.mass) for d in trace.dists]
+        assert all(sum(nums.values()) == total for nums, total in zip(trace.nums, trace.totals))
+        assert all(w > 0 for nums in trace.nums for w in nums.values())
 
 
 @given(wide_instances(), st.integers(0, 30))
@@ -376,7 +376,7 @@ def test_enumeration_matches_fraction_loop(inst, h):
     got = list(enumerate_pure_strategies(m, d0, h, budget=5000))
     assert [trace.strategy_label for trace in got] == [s.label for s, _ in expected]
     for trace, (_, dists_ref) in zip(got, expected):
-        assert trace.dists == dists_ref
+        assert as_dists(trace, m.n) == dists_ref
         assert trace.horizon == h
 
 
@@ -397,18 +397,23 @@ def test_enumeration_guards_match_fraction_loop(inst, h, budget):
 @settings(max_examples=60, deadline=None)
 def test_integer_steps_read_as_their_dists(inst, data, h):
     # the battery reads a step as its target numerator over its total and its
-    # support as a bit mask: both must say what the step's Dist says
+    # support as a bit mask: both must say what the reference loops' Dist says
     m, d0, t = inst
-    traces = [simulate(m, data.draw(memory_strategies(m)), d0, h)]
+    strategy = data.draw(memory_strategies(m))
+    pairs = [(simulate(m, strategy, d0, h), ref_simulate(m, as_tables(m, strategy), d0, h))]
+    depth = min(h, 3)
     try:
-        traces += enumerate_pure_strategies(m, d0, min(h, 3), budget=2000)
+        expected = [dists for _, dists in ref_enumerate_pure_strategies(m, d0, depth, 2000)]
     except BudgetExceeded:
-        pass
-    for trace in traces:
-        assert len(trace.nums) == len(trace.totals) == len(trace.dists) == trace.horizon + 1
-        for nums, total, d in zip(trace.nums, trace.totals, trace.dists):
+        expected = []
+    else:
+        pairs += zip(enumerate_pure_strategies(m, d0, depth, budget=2000), expected,
+                     strict=True)
+    for trace, ref in pairs:
+        assert len(trace.nums) == len(trace.totals) == len(ref) == trace.horizon + 1
+        for nums, total, d in zip(trace.nums, trace.totals, ref):
             assert all(w > 0 for w in nums.values())
-            assert Fraction(_numerator_in(t, nums), total) == d.mass_in(t)
+            assert Fraction(_numerator_in(t, nums), total) == mass_in(d, t)
             assert _mask(nums) == d.support().bits
 
 

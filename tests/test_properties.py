@@ -13,12 +13,13 @@ from syncmdp import (Dist, Mdp, ModelFormatError, ParsedModel, PreMap, SupportSe
                      model_to_obj, parse_model, pre, pre_lasso, serialize_model, simulate,
                      support_lasso, sure_safety_region, uniform_strategy)
 from syncmdp.adversarial import post_image, rows_image
+from syncmdp.checks import _uncertified
 from syncmdp.classic import _cycle_strategy, _limit_eventually
 from syncmdp.model import DEFAULT_LIMITS
 from syncmdp.oracle import max_mass_at_step
 from syncmdp.regions import _apre
 
-from conftest import exact_counter_product
+from conftest import as_dists, exact_counter_product, target_masses
 
 
 @st.composite
@@ -88,7 +89,7 @@ def test_pre_monotone(inst, data):
 @settings(max_examples=60, deadline=None)
 def test_step_is_exact_and_stays_in_image(inst):
     m, d0, _ = inst
-    d1 = simulate(m, uniform_strategy(m), d0, 1).dists[1]
+    d1 = as_dists(simulate(m, uniform_strategy(m), d0, 1), m.n)[1]
     assert sum(d1.mass.values()) == 1
     assert d1.support() <= post_image(m, d0.support())
 
@@ -100,8 +101,8 @@ def test_product_projection_commutes_with_step(inst, r, t_raw):
     t = t_raw % r
     prod = exact_counter_product(m, r)
     lifted = Dist(m.n * r, {q * r + (r - 1 - t): p for q, p in d0.mass.items()})
-    stepped_prod = simulate(prod, uniform_strategy(prod), lifted, 1).dists[1]
-    stepped_base = simulate(m, uniform_strategy(m), d0, 1).dists[1]
+    stepped_prod = as_dists(simulate(prod, uniform_strategy(prod), lifted, 1), prod.n)[1]
+    stepped_base = as_dists(simulate(m, uniform_strategy(m), d0, 1), m.n)[1]
     assert SupportSet.of(m.n, {idx // r for idx in stepped_prod.mass}) \
         == stepped_base.support()
     projected = {}
@@ -342,8 +343,8 @@ def test_simulation_below_dp_optimum(inst, h):
     m, d0, t = inst
     profile = max_mass_at_step(m, t, d0, h)
     trace = simulate(m, uniform_strategy(m), d0, h)
-    for i in range(h + 1):
-        assert trace.dists[i].mass_in(t) <= profile[i]
+    for v, best in zip(target_masses(trace, t), profile, strict=True):
+        assert v <= best
 
 
 json_values = st.recursive(
@@ -396,3 +397,15 @@ def test_single_field_mutation_parses_or_is_rejected(inst, data):
         del parent[path[-1]]
     parses_or_rejects(doc)
     parses_or_rejects(json.dumps(doc))
+
+
+@given(instances(max_states=6, max_actions=3))
+@settings(max_examples=100, deadline=None)
+def test_region_certificate_holds_exactly_on_the_almost_sure_reach_region(inst):
+    # the certificate is sound, so it cannot hold on a set with a losing state
+    m, _, t = inst
+    region = almost_sure_reach_region(m, t).bits
+    assert _uncertified(m, t.bits, region) == 0
+    for q in range(m.n):
+        if not region >> q & 1:
+            assert _uncertified(m, t.bits, region | 1 << q)

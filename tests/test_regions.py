@@ -95,7 +95,7 @@ def test_mec_examples(drain, funnel, twophase):
     assert [names(m2, c) for c in dec.components] == [{"q1"}, {"q3"}]
     assert names(m2, dec.union) == {"q1", "q3"}
     assert dec.internal_actions[m2.state_index("q1")] == (0,)
-    assert dec.component_of[m2.state_index("q0")] is None
+    assert all(m2.state_index("q0") not in c for c in dec.components)
 
     m4 = twophase.mdp
     dec4 = mec_decomposition(m4)

@@ -33,10 +33,10 @@ def test_verify_corpus():
 
 
 def test_verify_corpus_wide_tier():
-    done = run_script("verify_corpus.py", "--count", "3", "--seed", "7", "--max-states", "7",
+    done = run_script("verify_corpus.py", "--count", "45", "--seed", "7", "--max-states", "8",
                       "--max-actions", "3", "--max-denominator", "8")
     assert done.returncode == 0, done.stderr
-    assert "3 instances (seed 7, n <= 7, actions <= 3, denominators <= 8)" in done.stdout
+    assert "45 instances (seed 7, n <= 8, actions <= 3, denominators <= 8)" in done.stdout
     assert "all checks pass" in done.stdout
 
 

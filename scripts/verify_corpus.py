@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep a seeded random corpus through the full analysis and oracle battery.
 
-Prints a per-check tally and the first counterexample of any failing check;
-exits nonzero if any check fails anywhere in the corpus.
+Prints a per-check tally, the guard trips by stage (a model whose analysis
+trips a guard is counted there and skipped) and the first counterexample of
+any failing check; exits nonzero only if a check fails somewhere in the corpus.
 """
 
 import argparse
@@ -10,7 +11,7 @@ import sys
 import time
 from collections import Counter
 
-from syncmdp import analyze, serialize_model
+from syncmdp import GuardExceeded, analyze, serialize_model
 from syncmdp.checks import DEFAULT_ENUM_DEPTH, run_checks
 from syncmdp.model import ParsedModel
 from syncmdp.randgen import corpus
@@ -31,9 +32,14 @@ def main():
     instances = corpus(args.seed, args.count, max_states=args.max_states,
                        max_actions=args.max_actions, max_denominator=args.max_denominator)
     tally = Counter()
+    trips = Counter()
     first_failure = None
     for idx, inst in enumerate(instances):
-        analysis = analyze(inst.mdp, inst.initial, inst.target)
+        try:
+            analysis = analyze(inst.mdp, inst.initial, inst.target)
+        except GuardExceeded as exc:
+            trips[exc.stage] += 1
+            continue
         for result in run_checks(analysis, horizon=args.horizon,
                                  enum_depth=args.enum_depth):
             tally[(result.name, result.status)] += 1
@@ -49,6 +55,9 @@ def main():
         parts = [f"{status}={tally[(name, status)]}"
                  for status in ("pass", "fail", "skip") if tally[(name, status)]]
         print(f"  {name:28} {' '.join(parts)}")
+    if trips:
+        print("  guard trips: " + " ".join(f"{stage}={count}"
+                                           for stage, count in sorted(trips.items())))
     if first_failure is not None:
         idx, inst, result = first_failure
         print(f"\nFIRST FAILURE at instance {idx}: {result.name} {result.info}")

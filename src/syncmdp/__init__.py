@@ -18,7 +18,7 @@ from .model import (BudgetExceeded, Dist, GuardExceeded, Limits, Mdp,
                     min_initial_probability, min_positive_probability, model_to_obj,
                     parse_model, parse_rational, serialize_model, uniform_strategy)
 from .oracle import (Trace, count_synchronized_positions, enumerate_pure_strategies,
-                     max_mass_at_step, max_reach_values, simulate)
+                     max_mass_at_step, simulate)
 from .regions import (EcDecomposition, Lasso, PreMap, almost_sure_reach_region,
                       iterate_lasso, mec_decomposition, pre, pre_lasso,
                       reach_layers, sure_reach_region, sure_safety_region)

@@ -1,10 +1,11 @@
 """Oracle cross-checks: every inequality and structural invariant the
-verdicts imply, verified against exact simulation, backward induction, and
-brute-force strategy enumeration. The simulated strategies are the analysis's
-own witnesses (from its memo), and four checks reuse engine primitives:
-`lasso-integrity` (matrix powers), `reach-value-cap` and `region-dp-agreement`
-(almost_sure_reach_region) and `certificate-recheck` (recheck_certificate);
-the certificate of the region's winning side reuses none, reading only `succ`.
+verdicts imply, verified against exact simulation, backward induction,
+brute-force strategy enumeration and support-mask certificates. The simulated
+strategies are the analysis's own witnesses (from its memo), and four checks
+reuse engine primitives: `lasso-integrity` (matrix powers), `reach-value-cap`
+and `region-dp-agreement` (almost_sure_reach_region) and `certificate-recheck`
+(recheck_certificate). `region-dp-agreement` only takes the region from the
+engine: its certificates of both sides (`_safe_reach`) read only `succ`.
 
 The checks read a trace step as its target numerator over its total and its
 support as a bit mask; a `Fraction` is built only for a value a check reports.
@@ -22,10 +23,8 @@ from .bounds import compute_bound
 from .classic import recheck_certificate
 from .model import BudgetExceeded, ONE, _iter_bits
 from .oracle import (_clears, _numerator_in, enumerate_pure_strategies,
-                     max_mass_at_step, max_reach_values, simulate)
+                     max_mass_at_step, simulate)
 from .regions import almost_sure_reach_region
-
-REGION_DP_HORIZON = 200
 
 
 @dataclass
@@ -326,39 +325,50 @@ def _mask(nums):
     return sum(1 << q for q in nums)
 
 
-def _uncertified(m, t, region):
-    """The states of `region` (masks throughout) from which uniform play over the
-    actions keeping all successors in the region does not reach t: play that
-    stays in the region and reaches t from all of it does so almost surely."""
-    keep = {q: reduce(or_, (s for s in m.succ[q] if s & ~region == 0), 0)
-            for q in _iter_bits(region & ~t)}
+def _safe_reach(m, t, y):
+    """The states (masks throughout) that reach t through actions keeping all
+    their successors in y: from those of y, uniform play over such actions
+    stays in y and reaches t from all of it, so it reaches t almost surely."""
+    keep = {q: reduce(or_, (s for s in m.succ[q] if s & ~y == 0), 0)
+            for q in _iter_bits(y & ~t)}
     reached, grown = 0, t
     while grown != reached:
         reached = grown
         grown = reduce(or_, (1 << q for q, s in keep.items() if s & reached), reached)
-    return region & ~reached
+    return reached
+
+
+def _region_failure(m, states, reason):
+    """region-dp-agreement failing at the lowest state of the mask `states`."""
+    return CheckResult("region-dp-agreement", "fail",
+                       {"state": m.states[next(_iter_bits(states))], "reason": reason})
 
 
 def check_region_dp(ctx):
-    """Each region state is certified winning; no state outside beats 1 - alpha^n
-    even within REGION_DP_HORIZON steps (a finite-horizon value is a lower bound)."""
+    """The region is exactly the almost-sure reach region, and no state outside
+    it reaches t with probability above 1 - alpha^n.
+
+    Winning side: every region state reaches t within the region. Losing side:
+    peel layers off y = all states, a layer being the states of y that do not
+    reach t within y. In layer j an action keeping its successors in y stays in
+    the layer, outside t; any other action leaves for an earlier layer with
+    probability >= alpha. So by induction layer j reaches t with probability
+    at most 1 - alpha^j, j <= n. A state outside the region that is never
+    peeled off reaches t almost surely."""
     a = ctx.analysis
-    region = ctx.reach_region
-    uncertified = _uncertified(a.mdp, a.target.bits, region.bits)
+    m, t, region = a.mdp, a.target.bits, ctx.reach_region.bits
+    uncertified = region & ~_safe_reach(m, t, region)
     if uncertified:
-        q = (uncertified & -uncertified).bit_length() - 1
-        return CheckResult("region-dp-agreement", "fail",
-                           {"state": a.mdp.states[q],
-                            "reason": "winning state not certified"})
-    reach = max_reach_values(a.mdp, a.target, REGION_DP_HORIZON)
-    cap = a.alpha ** a.mdp.n
-    for q in range(a.mdp.n):
-        if q not in region and reach[q] > 1 - cap:
-            return CheckResult("region-dp-agreement", "fail",
-                               {"state": a.mdp.states[q],
-                                "reason": "losing state beats the cap"})
+        return _region_failure(m, uncertified, "winning state not certified")
+    y, layers = (1 << m.n) - 1, 0
+    while y & ~region:
+        layer = y & ~_safe_reach(m, t, y)
+        if not layer:
+            return _region_failure(m, y & ~region, "losing state not certified")
+        y &= ~layer
+        layers += 1
     return CheckResult("region-dp-agreement", "pass",
-                       {"horizon": REGION_DP_HORIZON, "region": list(region)})
+                       {"layers": layers, "region": list(ctx.reach_region.names(m.states))})
 
 
 def check_witness_soundness(ctx):

@@ -140,7 +140,8 @@ def _cmd_verify(args):
         horizon = CheckContext(analysis, horizon=args.horizon).horizon
         print(shlex.join(["syncmdp", "verify", "--model", args.model, "--target", args.target,
                           "--horizon", str(horizon), "--enum-depth", str(args.enum_depth),
-                          "--budget", str(args.budget)]), file=sys.stderr)
+                          "--budget", str(args.budget), "--max-lasso", str(args.max_lasso),
+                          "--subset-width", str(args.subset_width)]), file=sys.stderr)
         return 5
     return 0
 

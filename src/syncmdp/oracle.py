@@ -4,7 +4,7 @@ the traces of all history-dependent pure strategies, by brute-force
 enumeration.
 
 Nothing here shares code paths with the deciders, nor does the battery's
-certificate for the almost-sure reach region (`checks._uncertified`).
+certificate for the almost-sure reach region (`checks._safe_reach`).
 
 The kernels run on integer numerators over one common denominator per step
 (the LCD of the transition rows, times that of the strategy's choice rows,
@@ -125,19 +125,6 @@ def max_mass_at_step(m, t, d0, h):
         total *= den
         values.append(Fraction(sum(p * w[q] for q, p in init.items()), total))
     return tuple(values)
-
-
-def max_reach_values(m, t, h):
-    """Per-state optimal probability of visiting t within h steps (monotone in h)."""
-    den, rows = _transition_numerators(m)
-    total = 1
-    vals = [1 if q in t else 0 for q in range(m.n)]
-    for _ in range(h):
-        total *= den
-        vals = [total if q in t else
-                max(sum(p * vals[q2] for q2, p in succ) for succ in rows[q])
-                for q in range(m.n)]
-    return tuple(Fraction(v, total) for v in vals)
 
 
 def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):

@@ -9,7 +9,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .model import SYNC_MODES, WIN_MODES, SupportSet, format_rational, product_state_names
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 # Writers of the leaves by exact type; _scalar also takes their subclasses.
 _LEAVES = {str: _quote, int: int.__repr__, type(None): {None: "null"}.__getitem__,

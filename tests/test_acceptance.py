@@ -159,7 +159,7 @@ def test_criterion_6_region_oracle(all_analyses):
     assert not failures, failures[:3]
     assert ran == len(all_analyses)
     report("criterion-6 region-dp-agreement",
-           f"{ran} instances at horizon 200, gap 2^-20")
+           f"{ran} instances, region and losing layers certified exactly")
 
 
 def test_criterion_7_lasso_integrity(all_analyses):

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from syncmdp import (analyze, checks, compute_bound, count_synchronized_positions,
-                     example_model, uniform_strategy)
-from syncmdp.checks import ALL_CHECKS, CheckContext, run_checks
+from syncmdp import (SupportSet, analyze, checks, compute_bound,
+                     count_synchronized_positions, example_model, uniform_strategy)
+from syncmdp.checks import ALL_CHECKS, CheckContext, check_region_dp, run_checks
 from syncmdp.randgen import corpus
 
 from conftest import ABSORBING, build
@@ -44,8 +44,7 @@ def test_fresh_seeds_zero_failures(seed, tier):
 
 
 @pytest.mark.parametrize("seed, count, index, horizon, names", [
-    # slow winners: their 200-step reach values stay more than 2^-20 below 1,
-    # although they reach the target almost surely
+    # slow winners: they reach the target almost surely, but slowly
     (42, 60, 15, 50, {"region-dp-agreement"}),
     (48, 60, 7, 50, {"region-dp-agreement"}),
     (64, 60, 17, 50, {"region-dp-agreement"}),
@@ -270,3 +269,31 @@ def test_always_prefix_dip_catches_a_wrong_no():
     (result,) = run_checks(planted, names={"always-prefix-dip"})
     assert (result.status, result.info) == ("fail", {
         "eps": "1/3", "strategy": "pure[0,0,0,0,0,0,0]", "prefix": ["1", "1", "1", "1"]})
+
+
+# q0 leaves for the absorbing target q1 with probability 1/1000 per step: it
+# reaches q1 almost surely, but within 200 steps only with probability ~0.18
+SLOW = {
+    "states": ["q0", "q1"],
+    "actions": ["a"],
+    "transitions": [
+        {"from": "q0", "action": "a", "to": "q0", "prob": "999/1000"},
+        {"from": "q0", "action": "a", "to": "q1", "prob": "1/1000"},
+        {"from": "q1", "action": "a", "to": "q1", "prob": "1"},
+    ],
+    "initial": {"q0": "1"},
+    "targets": {"goal": ["q1"]},
+}
+
+
+def test_region_dp_agreement_catches_a_slow_winner_left_out():
+    pm = build(SLOW)
+    an = analyze(pm.mdp, pm.initial, pm.targets["goal"])
+    ctx = CheckContext(an)
+    assert ctx.reach_region == SupportSet.full(2)
+    result = check_region_dp(ctx)
+    assert (result.status, result.info) == ("pass", {"layers": 0, "region": ["q0", "q1"]})
+    ctx.reach_region = pm.targets["goal"]   # the planted region leaves q0 out
+    result = check_region_dp(ctx)
+    assert (result.status, result.info) == ("fail", {
+        "state": "q0", "reason": "losing state not certified"})

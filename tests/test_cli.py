@@ -26,7 +26,7 @@ def test_analyze_funnel_matrix(capsys, tmp_path):
                        "--target", "target", "--json", str(out_path))
     assert code == 0
     report = json.loads(out_path.read_text())
-    assert report["report-version"] == 1
+    assert report["report-version"] == 2
     row = report["verdicts"]["eventually"]
     assert row["sure"]["answer"] == "no"
     assert row["almost-sure"]["answer"] == "no"
@@ -237,8 +237,33 @@ def test_verify_failed_check_exit_code(capsys, tmp_path, monkeypatch):
     horizon = checks.CheckContext(analyze(pm.mdp, pm.initial, pm.targets["target"])).horizon
     replay = (f"syncmdp verify --model {example_path('loopback')} --target target "
               f"--horizon {horizon} --enum-depth {checks.DEFAULT_ENUM_DEPTH} "
-              f"--budget {checks.DEFAULT_CHECK_BUDGET}")
+              f"--budget {checks.DEFAULT_CHECK_BUDGET} --max-lasso {1 << 16} "
+              f"--subset-width 16")
     assert err.splitlines()[-1] == replay
+    code, _, err = run(capsys, *shlex.split(replay)[1:])
+    assert code == 5
+    assert err.splitlines()[-1] == replay
+    # the replay keeps the guard flags: this 17-state target trips the subset
+    # search at the default width, but not at the width the failing run used
+    x = [f"x{i}" for i in range(1, 17)]
+    wide = {
+        "states": [*x, "z", "sink"],
+        "actions": ["a"],
+        "transitions": [*({"from": q, "action": "a", "to": q, "prob": "1"}
+                          for q in [*x, "sink"]),
+                        {"from": "z", "action": "a", "to": "sink", "prob": "1"}],
+        "initial": {"x1": "1"},
+        "targets": {"target": [*x, "z"]},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(wide))
+    code, _, err = run(capsys, "verify", "--model", str(path), "--target", "target")
+    assert code == 3 and "guard tripped at stage subset-search" in err
+    code, _, err = run(capsys, "verify", "--model", str(path), "--target", "target",
+                       "--subset-width", "17")
+    assert code == 5
+    replay = err.splitlines()[-1]
+    assert "--max-lasso 65536 --subset-width 17" in replay
     code, _, err = run(capsys, *shlex.split(replay)[1:])
     assert code == 5
     assert err.splitlines()[-1] == replay

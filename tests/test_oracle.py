@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from syncmdp import (BudgetExceeded, Dist, Mdp, StrategySpec, SupportSet,
                      count_synchronized_positions, enumerate_pure_strategies,
-                     max_mass_at_step, max_reach_values, simulate, uniform_strategy)
+                     max_mass_at_step, simulate, uniform_strategy)
 from syncmdp.checks import _mask
 from syncmdp.model import ZERO
 from syncmdp.oracle import _numerator_in
@@ -152,21 +152,11 @@ def test_count_positions_strict_flag():
     assert strict == 0 and lax == 3
 
 
-def test_max_reach_values(funnel):
-    m, t = funnel.mdp, funnel.targets["target"]
-    vals = max_reach_values(m, t, 200)
-    assert vals[m.state_index("q2")] == 1
-    assert vals[m.state_index("q1")] == 1
-    assert vals[m.state_index("q3")] == 0
-    # q0 must first flip out of its self-loop, then one b step: lag of one
-    assert 1 - vals[m.state_index("q0")] == Fraction(1, 2) ** 199
-
-
 # --- the integer kernels against the Fraction loops they replaced ---------------
 #
 # The reference functions below are the oracle's former Fraction loops, kept
 # verbatim apart from their names: the integer kernels must give equal traces,
-# profile values, reach values, and the same enumeration in the same order.
+# profile values, and the same enumeration in the same order.
 # They run general finite-memory strategies, given as dense tables.
 
 @dataclass(frozen=True)
@@ -220,16 +210,6 @@ def ref_max_mass_at_step(m, t, d0, h):
              for q in range(m.n)]
         values.append(sum((p * w[q] for q, p in d0.mass.items()), ZERO))
     return tuple(values)
-
-
-def ref_max_reach_values(m, t, h):
-    vals = [Fraction(1) if q in t else ZERO for q in range(m.n)]
-    for _ in range(h):
-        vals = [Fraction(1) if q in t else
-                max(sum((p * vals[q2] for q2, p in m.delta[q][a].mass.items()), ZERO)
-                    for a in range(m.action_count))
-                for q in range(m.n)]
-    return tuple(vals)
 
 
 def ref_history_tree(m, d0, h, budget=None):
@@ -362,7 +342,6 @@ def test_simulate_matches_fraction_loop(inst, data, h):
 def test_dp_kernels_match_fraction_loops(inst, h):
     m, d0, t = inst
     assert max_mass_at_step(m, t, d0, h) == ref_max_mass_at_step(m, t, d0, h)
-    assert max_reach_values(m, t, h) == ref_max_reach_values(m, t, h)
 
 
 @given(wide_instances(max_states=3, min_actions=2, max_support=2), st.integers(0, 3))

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +14,7 @@ from syncmdp import (Dist, Mdp, ModelFormatError, ParsedModel, PreMap, SupportSe
                      model_to_obj, parse_model, pre, pre_lasso, serialize_model, simulate,
                      support_lasso, sure_safety_region, uniform_strategy)
 from syncmdp.adversarial import post_image, rows_image
-from syncmdp.checks import _uncertified
+from syncmdp.checks import CheckContext, check_region_dp
 from syncmdp.classic import _cycle_strategy, _limit_eventually
 from syncmdp.model import DEFAULT_LIMITS
 from syncmdp.oracle import max_mass_at_step
@@ -402,10 +403,14 @@ def test_single_field_mutation_parses_or_is_rejected(inst, data):
 @given(instances(max_states=6, max_actions=3))
 @settings(max_examples=100, deadline=None)
 def test_region_certificate_holds_exactly_on_the_almost_sure_reach_region(inst):
-    # the certificate is sound, so it cannot hold on a set with a losing state
+    # both certificates are exact: region-dp-agreement passes on the engine's
+    # region, and fails once a region state outside t is dropped or an
+    # outside state is added
     m, _, t = inst
-    region = almost_sure_reach_region(m, t).bits
-    assert _uncertified(m, t.bits, region) == 0
+    ctx = CheckContext(SimpleNamespace(mdp=m, target=t), horizon=0)
+    region = ctx.reach_region
+    assert check_region_dp(ctx).status == "pass"
     for q in range(m.n):
-        if not region >> q & 1:
-            assert _uncertified(m, t.bits, region | 1 << q)
+        if q not in t:
+            ctx.reach_region = SupportSet(m.n, region.bits ^ 1 << q)
+            assert check_region_dp(ctx).status == "fail", q

@@ -59,7 +59,7 @@ def test_report_round_trips_examples():
         analysis = analyze(pm.mdp, pm.initial, pm.targets["target"])
         report = build_report(analysis, "target", include_strategies=True)
         assert json.loads(json.dumps(report)) == report
-        assert report["report-version"] == 1
+        assert report["report-version"] == 2
         assert render_text(report)
 
 

@@ -40,6 +40,17 @@ def test_verify_corpus_wide_tier():
     assert "all checks pass" in done.stdout
 
 
+def test_verify_corpus_tallies_guard_trips():
+    # model #2 of this tier (n = 39) has an 18-state target, past the subset-search
+    # guard: it is tallied as a trip instead of ending the sweep
+    done = run_script("verify_corpus.py", "--count", "3", "--seed", "1", "--max-states", "48",
+                      "--max-actions", "3", "--max-denominator", "6")
+    assert done.returncode == 0, done.stderr
+    assert "  guard trips: subset-search=1\n" in done.stdout
+    assert "  region-dp-agreement          pass=2\n" in done.stdout
+    assert "all checks pass" in done.stdout
+
+
 def test_verify_corpus_passes_the_tier_flags_to_the_generator(monkeypatch, capsys):
     drawn = {}
 
@@ -63,8 +74,8 @@ def test_report_digest():
     assert done.returncode == 0, done.stderr
     line = json.loads(done.stdout)
     assert line == {
-        "analyze": "e058454b718d20702f90c03b8d0ef4a5507ae135d1361548aaac83c406bb1328",
-        "verify": "6f5a2851827891ce3d14d1efa607a947aa6d9be99629634c70b958bcb108bb3f",
+        "analyze": "9a341ad7b4656c8cb9ad96fb94666e8574193a5a584ecbbbb13a06b82fb561ef",
+        "verify": "312aa1d8227564ef91a56a7506b17177be6b02f89135752aa1f44efe4bad60d9",
         "models": {"analyze": 2 * 3 + 3 * 3, "verify": 3 + 4},
     }
 

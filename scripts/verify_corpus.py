@@ -13,6 +13,7 @@ from collections import Counter
 
 from syncmdp import GuardExceeded, analyze, serialize_model
 from syncmdp.checks import DEFAULT_ENUM_DEPTH, run_checks
+from syncmdp.cli import nonnegative_int
 from syncmdp.model import ParsedModel
 from syncmdp.randgen import corpus
 
@@ -24,8 +25,8 @@ def main():
     parser.add_argument("--max-states", type=int, default=5)
     parser.add_argument("--max-actions", type=int, default=2)
     parser.add_argument("--max-denominator", type=int, default=4)
-    parser.add_argument("--horizon", type=int, default=50)
-    parser.add_argument("--enum-depth", type=int, default=DEFAULT_ENUM_DEPTH)
+    parser.add_argument("--horizon", type=nonnegative_int, default=50)
+    parser.add_argument("--enum-depth", type=nonnegative_int, default=DEFAULT_ENUM_DEPTH)
     args = parser.parse_args()
 
     t0 = time.time()

@@ -17,8 +17,7 @@ from .model import (BudgetExceeded, Dist, GuardExceeded, Limits, Mdp,
                     format_rational, lift_with_counter, load_model,
                     min_initial_probability, min_positive_probability, model_to_obj,
                     parse_model, parse_rational, serialize_model, uniform_strategy)
-from .oracle import (Trace, count_synchronized_positions, enumerate_pure_strategies,
-                     max_mass_at_step, simulate)
+from .oracle import Trace, enumerate_pure_strategies, max_mass_at_step, simulate
 from .regions import (EcDecomposition, Lasso, PreMap, almost_sure_reach_region,
                       iterate_lasso, mec_decomposition, pre, pre_lasso,
                       reach_layers, sure_reach_region, sure_safety_region)

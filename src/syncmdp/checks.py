@@ -7,8 +7,8 @@ and `region-dp-agreement` (almost_sure_reach_region) and `certificate-recheck`
 (recheck_certificate). `region-dp-agreement` only takes the region from the
 engine: its certificates of both sides (`_safe_reach`) read only `succ`.
 
-The checks read a trace step as its target numerator over its total and its
-support as a bit mask; a `Fraction` is built only for a value a check reports.
+The checks read trace and profile steps as target numerators over totals and
+supports as bit masks; a `Fraction` is built only for a value a check reports.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class CheckContext:
 
     @cached_property
     def profile(self):
-        """The optimal target mass at each step, to the horizon."""
+        """The optimal target mass at each step to the horizon, as (numerator, total)."""
         a = self.analysis
         return max_mass_at_step(a.mdp, a.target, a.initial, self.horizon)
 
@@ -111,14 +111,17 @@ class CheckContext:
     def enumerated(self):
         """Pure-strategy traces at the deepest horizon the budget admits (n <= 4)."""
         a = self.analysis
-        if a.mdp.n <= 4:
-            for h in range(self.enum_depth, -1, -1):
-                try:
-                    return h, list(enumerate_pure_strategies(a.mdp, a.initial, h,
-                                                             budget=self.budget))
-                except BudgetExceeded:
-                    pass
-        return None, []
+        traces = partial(enumerate_pure_strategies, a.mdp, a.initial, budget=self.budget)
+        # bisect: the history tree and the strategy count only grow with the horizon
+        lo, hi = -1, self.enum_depth if a.mdp.n <= 4 else -1   # deepest admitted in [lo, hi]
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            try:
+                next(traces(mid))
+                lo = mid
+            except BudgetExceeded:
+                hi = mid - 1
+        return (lo, list(traces(lo))) if lo >= 0 else (None, [])
 
 
 def check_lasso_integrity(ctx):
@@ -152,21 +155,31 @@ def check_lasso_integrity(ctx):
                                                    "pre_k": k, "pre_r": r})
 
 
+def _under_cap(profile, cap, ratio=ONE):
+    """(i, mass) of the first profile step i whose mass exceeds 1 - cap * ratio^i, else
+    (None, the least slack (1 - cap * ratio^i) - mass), by integer cross-multiplication."""
+    num, den = cap.numerator, cap.denominator
+    least = None   # (numerator, denominator) of the least slack so far
+    for i, (v, total) in enumerate(profile):
+        slack, scale = (den - num) * total - v * den, den * total
+        if slack < 0:
+            return i, Fraction(v, total)
+        if least is None or slack * least[1] < least[0] * scale:
+            least = slack, scale
+        num, den = num * ratio.numerator, den * ratio.denominator
+    return None, Fraction(*least)
+
+
 def check_step_decay_cap(ctx):
     """Not sure-eventually: optimal mass at step i stays below 1 - alpha0*alpha^i."""
     a = ctx.analysis
     if a.answer("eventually", "sure"):
         return CheckResult("step-decay-cap", "skip", {"reason": "sure eventually holds"})
-    alpha_i = a.alpha0
-    slack = None
-    for i, v in enumerate(ctx.profile):
-        if v > 1 - alpha_i:
-            return CheckResult("step-decay-cap", "fail", {"step": i, "value": str(v)})
-        gap = (1 - alpha_i) - v
-        slack = gap if slack is None or gap < slack else slack
-        alpha_i *= a.alpha
+    step, value = _under_cap(ctx.profile, a.alpha0, a.alpha)
+    if step is not None:
+        return CheckResult("step-decay-cap", "fail", {"step": step, "value": str(value)})
     return CheckResult("step-decay-cap", "pass",
-                       {"horizon": ctx.horizon, "min_slack": str(slack)})
+                       {"horizon": ctx.horizon, "min_slack": str(value)})
 
 
 def check_eventually_isolation(ctx):
@@ -178,11 +191,11 @@ def check_eventually_isolation(ctx):
     if cert is None or cert.value is None:
         return CheckResult("eventually-isolation", "skip", {"reason": "no exact bound"})
     eps = cert.value
-    worst = min((1 - v for v in ctx.profile), default=ONE)
-    if any(v > 1 - eps for v in ctx.profile):
+    step, value = _under_cap(ctx.profile, eps)
+    if step is not None:
         return CheckResult("eventually-isolation", "fail", {"eps": str(eps)})
     return CheckResult("eventually-isolation", "pass",
-                       {"eps_log10": cert.log10, "observed_gap": str(worst)})
+                       {"eps_log10": cert.log10, "observed_gap": str(value + eps)})
 
 
 def check_reach_value_cap(ctx):
@@ -193,12 +206,11 @@ def check_reach_value_cap(ctx):
                            {"reason": "initial support is almost-sure for reach"})
     cap = compute_bound("lemma1_reach", a.mdp.n, a.mdp.action_count,
                         a.alpha, a.alpha0).value
-    for i, v in enumerate(ctx.profile):
-        if v > 1 - cap:
-            return CheckResult("reach-value-cap", "fail", {"step": i, "value": str(v)})
-    worst = min(1 - v for v in ctx.profile)
+    step, value = _under_cap(ctx.profile, cap)
+    if step is not None:
+        return CheckResult("reach-value-cap", "fail", {"step": step, "value": str(value)})
     return CheckResult("reach-value-cap", "pass",
-                       {"cap": str(cap), "observed_gap": str(worst)})
+                       {"cap": str(cap), "observed_gap": str(value + cap)})
 
 
 def _prefix_dip(mode, win, kind, ctx):

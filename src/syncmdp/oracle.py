@@ -9,10 +9,10 @@ certificate for the almost-sure reach region (`checks._safe_reach`).
 The kernels run on integer numerators over one common denominator per step
 (the LCD of the transition rows, times that of the strategy's choice rows,
 times that of d0), so their inner loops only multiply and add integers. A
-trace is those integers and nothing else: step i is {q: numerator} over the
-total `totals[i]`, each step checked to sum to exactly its total. The check
-battery reads them as integers and builds a `Fraction` only for a value it
-reports.
+trace is those integers: step i is {q: numerator} over the total `totals[i]`,
+checked to sum to exactly it; the step profile's step i is the optimal target
+numerator over its total. The battery reads them as integers and builds a
+`Fraction` only for a value it reports.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def simulate(m, strategy, d0, h):
 
 
 def max_mass_at_step(m, t, d0, h):
-    """Optimal exactly-at-step-i target mass for every i <= h, as a tuple indexed by i.
+    """(target numerator, total) of the optimal exactly-at-step-i mass, for each i <= h.
 
     Backward induction on w_i(q) = best probability of sitting in t after
     exactly i steps from q; history does not help for a fixed-step objective.
@@ -119,11 +119,11 @@ def max_mass_at_step(m, t, d0, h):
     den, rows = _transition_numerators(m)
     total, (init,) = _numerators([d0.mass])
     w = [1 if q in t else 0 for q in range(m.n)]
-    values = [Fraction(sum(p * w[q] for q, p in init.items()), total)]
+    values = [(sum(p * w[q] for q, p in init.items()), total)]
     for _ in range(h):
         w = [max(sum(p * w[q2] for q2, p in succ) for succ in rows[q]) for q in range(m.n)]
         total *= den
-        values.append(Fraction(sum(p * w[q] for q, p in init.items()), total))
+        values.append((sum(p * w[q] for q, p in init.items()), total))
     return tuple(values)
 
 
@@ -196,10 +196,3 @@ def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
     root = {j: init[q] for j, q in enumerate(states[0])} if h else {}
     yield from walk(0, root, (), (init,))
 
-
-def count_synchronized_positions(trace, t, threshold, strict=True):
-    """Indices whose target mass clears the threshold (strictly or not)."""
-    threshold = Fraction(threshold)
-    positions = tuple(i for i, (nums, total) in enumerate(zip(trace.nums, trace.totals))
-                      if _clears(_numerator_in(t, nums), total, threshold, strict))
-    return len(positions), positions

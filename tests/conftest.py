@@ -43,6 +43,19 @@ def target_masses(trace, t):
             for nums, total in zip(trace.nums, trace.totals)]
 
 
+def as_fractions(profile):
+    """The (target numerator, total) steps of an oracle step profile as `Fraction`s,
+    to compare against the tests' `Fraction` reference loops."""
+    return tuple(Fraction(v, total) for v, total in profile)
+
+
+def synchronized_positions(trace, t, threshold, strict=True):
+    """Reference: the steps of an oracle trace whose target mass, as a `Fraction`,
+    clears the threshold (strictly or not)."""
+    return tuple(i for i, mass in enumerate(target_masses(trace, t))
+                 if mass > threshold or not strict and mass == threshold)
+
+
 def mass_in(d, t):
     """The mass a `Dist` puts in the set t."""
     return sum(p for q, p in d.mass.items() if q in t)

@@ -3,18 +3,20 @@ assertions for the checks the other test modules do not already drive.
 """
 
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from syncmdp import (SupportSet, analyze, checks, compute_bound,
-                     count_synchronized_positions, example_model, uniform_strategy)
-from syncmdp.checks import ALL_CHECKS, CheckContext, check_region_dp, run_checks
+from syncmdp import (BudgetExceeded, SupportSet, analyze, checks, compute_bound,
+                     enumerate_pure_strategies, example_model, uniform_strategy)
+from syncmdp.checks import (ALL_CHECKS, CheckContext, check_reach_value_cap, check_region_dp,
+                            run_checks)
 from syncmdp.randgen import corpus
 
-from conftest import ABSORBING, build
+from conftest import ABSORBING, build, synchronized_positions
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -121,12 +123,12 @@ def test_battery_simulates_each_strategy_once_from_the_memo(monkeypatch):
 
 
 def ref_sync_count_cap(ctx, threshold, strict):
-    """Reference: the first trace over the 2^n cap by the oracle's own count of
-    each trace (the simulated ones cut to the horizon), as the cap reports it."""
+    """Reference: the first trace over the 2^n cap by a `Fraction` count of each
+    trace (the simulated ones cut to the horizon), as the cap reports it."""
     a = ctx.analysis
     within = [t.cut(ctx.horizon) for t in ctx.traces.values()]
     for trace in [*within, *ctx.enumerated[1]]:
-        count, _ = count_synchronized_positions(trace, a.target, threshold, strict=strict)
+        count = len(synchronized_positions(trace, a.target, threshold, strict=strict))
         if count > 2 ** a.mdp.n:
             return {"strategy": trace.strategy_label, "count": count}
     return None
@@ -210,6 +212,88 @@ def test_freezing_bound_passes_a_mass_of_exactly_eps(monkeypatch, eps, status):
     assert result.status == status
     if status == "fail":
         assert result.info == {"step": an.switch + 2, "mass": "1/2", "eps": str(eps)}
+
+
+# twophase holds exactly 1/2 in the target from step 1 on: each profile cap
+# passes a mass of exactly 1 - cap, and fails one a hair above it
+HAIR = Fraction(1, 10 ** 9)
+
+
+@pytest.mark.parametrize("alpha, status", [(Fraction(1, 2), "pass"),
+                                           (Fraction(1, 2) + HAIR, "fail")])
+def test_step_decay_cap_passes_a_mass_of_exactly_its_cap(alpha, status):
+    # alpha0 = 1: the cap 1 - alpha0 * alpha^i is 1/2 at step 1 for alpha = 1/2
+    pm = example_model("twophase")
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    (result,) = run_checks(replace(an, alpha=alpha), names={"step-decay-cap"})
+    assert (result.status, result.info) == (status, {
+        "pass": {"horizon": 50, "min_slack": "0"},
+        "fail": {"step": 1, "value": "1/2"}}[status])
+
+
+@pytest.mark.parametrize("eps, status", [(Fraction(1, 2), "pass"),
+                                         (Fraction(1, 2) + HAIR, "fail")])
+def test_eventually_isolation_passes_a_mass_of_exactly_its_cap(monkeypatch, eps, status):
+    pm = example_model("twophase")
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    monkeypatch.setattr(checks, "_bound", lambda analysis, cell, kind: _Planted(eps))
+    (result,) = run_checks(an, names={"eventually-isolation"})
+    assert (result.status, result.info) == (status, {
+        "pass": {"eps_log10": None, "observed_gap": "1/2"},
+        "fail": {"eps": str(eps)}}[status])
+
+
+@pytest.mark.parametrize("cap, status", [(Fraction(1, 2), "pass"),
+                                         (Fraction(1, 2) + HAIR, "fail")])
+def test_reach_value_cap_passes_a_mass_of_exactly_its_cap(monkeypatch, cap, status):
+    # the planted region is the target alone, so the initial support lies outside it
+    pm = example_model("twophase")
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    ctx = CheckContext(an)
+    ctx.reach_region = an.target
+    monkeypatch.setattr(checks, "compute_bound", lambda *args: _Planted(cap))
+    result = check_reach_value_cap(ctx)
+    assert (result.status, result.info) == (status, {
+        "pass": {"cap": "1/2", "observed_gap": "1/2"},
+        "fail": {"step": 1, "value": "1/2"}}[status])
+
+
+def ref_enumerated(ctx):
+    """Reference: the deepest horizon the budget admits by a linear search down
+    from the enumeration depth, with its traces."""
+    a = ctx.analysis
+    if a.mdp.n <= 4:
+        for h in range(ctx.enum_depth, -1, -1):
+            try:
+                return h, list(enumerate_pure_strategies(a.mdp, a.initial, h,
+                                                         budget=ctx.budget))
+            except BudgetExceeded:
+                pass
+    return None, []
+
+
+def test_enumeration_depth_matches_the_linear_search(sample_analyses):
+    for an in sample_analyses:
+        ctx = CheckContext(an)
+        assert ctx.enumerated == ref_enumerated(ctx)
+
+
+@pytest.mark.parametrize("name", ["drain", "funnel", "twophase"])
+def test_enumeration_depth_is_bisected(name):
+    # depth 120 lies past the deepest horizon the default budget admits on each
+    # model (drain 99, funnel 2; twophase has n = 5 and is not enumerated), so
+    # the linear search from there finds what any deeper bound must
+    pm = example_model(name)
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    for depth, budget in ((0, 5000), (1, 5000), (6, 5000), (6, 0), (6, 40)):
+        ctx = CheckContext(an, budget=budget, enum_depth=depth)
+        assert ctx.enumerated == ref_enumerated(ctx)
+    expected = ref_enumerated(CheckContext(an, enum_depth=120))
+    start = time.perf_counter()
+    found = CheckContext(an, enum_depth=10 ** 9).enumerated
+    assert time.perf_counter() - start < 1
+    assert found == expected
+    assert found[0] == {"drain": 99, "funnel": 2, "twophase": None}[name]
 
 
 def _planted_witness(an, mode, certificate):

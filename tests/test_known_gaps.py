@@ -10,7 +10,7 @@ from fractions import Fraction
 from syncmdp import (analyze, compute_bound, decide_sure, enumerate_pure_strategies,
                      max_mass_at_step, run_checks)
 
-from conftest import build, target_masses
+from conftest import as_fractions, build, target_masses
 
 SWAP = {
     "states": ["q0", "x", "y"],
@@ -38,7 +38,7 @@ def test_prefix_dp_form_has_a_counterexample():
 
     # per-step optima: a fresh strategy can sit in the target at every single
     # step, so the DP prefix minimum never dips below 1
-    profile = max_mass_at_step(m, t, d0, m.n)
+    profile = as_fractions(max_mass_at_step(m, t, d0, m.n))
     assert min(profile) == 1 > 1 - eps.value
 
     # the per-strategy statement does hold: every pure strategy to depth n has

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from syncmdp import (BudgetExceeded, Dist, Mdp, StrategySpec, SupportSet,
-                     count_synchronized_positions, enumerate_pure_strategies,
-                     max_mass_at_step, simulate, uniform_strategy)
+                     enumerate_pure_strategies, max_mass_at_step, simulate, uniform_strategy)
 from syncmdp.checks import _mask
 from syncmdp.model import ZERO
-from syncmdp.oracle import _numerator_in
+from syncmdp.oracle import _clears, _numerator_in
 
-from conftest import ABSORBING, as_dists, build, mass_in, target_masses
+from conftest import (ABSORBING, as_dists, as_fractions, build, mass_in,
+                      synchronized_positions, target_masses)
 
 
 def hold_strategy(m, plan):
@@ -63,7 +63,7 @@ def test_simulate_masses_exact(funnel):
 
 def test_max_mass_funnel(funnel):
     m, t = funnel.mdp, funnel.targets["target"]
-    profile = max_mass_at_step(m, t, funnel.initial, 10)
+    profile = as_fractions(max_mass_at_step(m, t, funnel.initial, 10))
     assert profile[0] == 0
     for i in range(1, 11):
         assert profile[i] == 1 - Fraction(1, 2) ** (i - 1)
@@ -73,20 +73,20 @@ def test_max_mass_twophase_half(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     half = Fraction(1, 2)
     d0 = Dist(m.n, {m.state_index("q1"): half, m.state_index("q3"): half})
-    profile = max_mass_at_step(m, t, d0, 50)
+    profile = as_fractions(max_mass_at_step(m, t, d0, 50))
     assert all(v == Fraction(1, 2) for v in profile)
 
 
 def test_max_mass_full_target(funnel):
     m = funnel.mdp
-    profile = max_mass_at_step(m, SupportSet.full(m.n), funnel.initial, 5)
+    profile = as_fractions(max_mass_at_step(m, SupportSet.full(m.n), funnel.initial, 5))
     assert all(v == 1 for v in profile)
 
 
 def test_simulation_never_beats_dp(funnel, loopback):
     for pm in (funnel, loopback):
         m, t = pm.mdp, pm.targets["target"]
-        profile = max_mass_at_step(m, t, pm.initial, 25)
+        profile = as_fractions(max_mass_at_step(m, t, pm.initial, 25))
         for strategy in (uniform_strategy(m), hold_strategy(m, {"q1": "b"})):
             trace = simulate(m, strategy, pm.initial, 25)
             for v, best in zip(target_masses(trace, t), profile, strict=True):
@@ -121,35 +121,50 @@ def test_enumerate_budget_guard(funnel):
         next(gen)
 
 
+def test_max_mass_profile_is_integers_over_step_totals(funnel):
+    # step i is (target numerator, total) with total = total_0 * den^i, like a
+    # trace's steps: the DP builds no Fraction
+    m, t = funnel.mdp, funnel.targets["target"]
+    profile = max_mass_at_step(m, t, funnel.initial, 10)
+    assert all(type(v) is int and type(total) is int for v, total in profile)
+    totals = [total for _, total in profile]
+    assert totals == [totals[0] * (totals[1] // totals[0]) ** i for i in range(11)]
+
+
+def cleared_positions(trace, t, threshold, strict=True):
+    """The steps of a trace the sync-count caps count: its target numerator over
+    its total clears the threshold by the battery's integer test, which must
+    agree with the `Fraction` reference."""
+    positions = tuple(i for i, (nums, total) in enumerate(zip(trace.nums, trace.totals))
+                      if _clears(_numerator_in(t, nums), total, Fraction(threshold), strict))
+    assert positions == synchronized_positions(trace, t, threshold, strict)
+    return positions
+
+
 def test_count_positions_funnel_switch(funnel):
     m, t = funnel.mdp, funnel.targets["target"]
     trace = simulate(m, switch_strategy(m, "q1", "a", "b", 3), funnel.initial, 8)
     assert target_masses(trace, t)[4] == Fraction(7, 8)
-    count, positions = count_synchronized_positions(trace, t, Fraction(3, 4))
-    assert count == 1 and positions == (4,)
+    assert cleared_positions(trace, t, Fraction(3, 4)) == (4,)
 
 
 def test_count_positions_twophase_never_exceeds_half(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     trace = simulate(m, uniform_strategy(m), twophase.initial, 30)
-    count, _ = count_synchronized_positions(trace, t, Fraction(1, 2))
-    assert count == 0  # mass sits at exactly one half forever
+    assert cleared_positions(trace, t, Fraction(1, 2)) == ()  # exactly one half forever
 
 
 def test_count_positions_constant_trace():
     pm = build(ABSORBING)
     trace = simulate(pm.mdp, uniform_strategy(pm.mdp), pm.initial, 4)
-    count, positions = count_synchronized_positions(
-        trace, pm.targets["target"], Fraction(9, 10))
-    assert count == 5 and positions == (0, 1, 2, 3, 4)
+    assert cleared_positions(trace, pm.targets["target"], Fraction(9, 10)) == (0, 1, 2, 3, 4)
 
 
 def test_count_positions_strict_flag():
     pm = build(ABSORBING)
     trace = simulate(pm.mdp, uniform_strategy(pm.mdp), pm.initial, 2)
-    strict, _ = count_synchronized_positions(trace, pm.targets["target"], 1)
-    lax, _ = count_synchronized_positions(trace, pm.targets["target"], 1, strict=False)
-    assert strict == 0 and lax == 3
+    assert cleared_positions(trace, pm.targets["target"], 1) == ()
+    assert cleared_positions(trace, pm.targets["target"], 1, strict=False) == (0, 1, 2)
 
 
 # --- the integer kernels against the Fraction loops they replaced ---------------
@@ -341,7 +356,7 @@ def test_simulate_matches_fraction_loop(inst, data, h):
 @settings(max_examples=60, deadline=None)
 def test_dp_kernels_match_fraction_loops(inst, h):
     m, d0, t = inst
-    assert max_mass_at_step(m, t, d0, h) == ref_max_mass_at_step(m, t, d0, h)
+    assert as_fractions(max_mass_at_step(m, t, d0, h)) == ref_max_mass_at_step(m, t, d0, h)
 
 
 @given(wide_instances(max_states=3, min_actions=2, max_support=2), st.integers(0, 3))

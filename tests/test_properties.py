@@ -20,7 +20,7 @@ from syncmdp.model import DEFAULT_LIMITS
 from syncmdp.oracle import max_mass_at_step
 from syncmdp.regions import _apre
 
-from conftest import as_dists, exact_counter_product, target_masses
+from conftest import as_dists, as_fractions, exact_counter_product, target_masses
 
 
 @st.composite
@@ -342,7 +342,7 @@ def test_full_matrix_is_consistent(inst):
 @settings(max_examples=30, deadline=None)
 def test_simulation_below_dp_optimum(inst, h):
     m, d0, t = inst
-    profile = max_mass_at_step(m, t, d0, h)
+    profile = as_fractions(max_mass_at_step(m, t, d0, h))
     trace = simulate(m, uniform_strategy(m), d0, h)
     for v, best in zip(target_masses(trace, t), profile, strict=True):
         assert v <= best

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from syncmdp import randgen
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +67,16 @@ def test_verify_corpus_passes_the_tier_flags_to_the_generator(monkeypatch, capsy
     assert script["main"]() == 0
     assert drawn == {"seed": 3, "count": 0, "max_states": 8, "max_actions": 3,
                      "max_denominator": 8}
+
+
+@pytest.mark.parametrize("flag", ["--horizon", "--enum-depth"])
+def test_verify_corpus_rejects_a_negative_horizon_or_depth(monkeypatch, capsys, flag):
+    script = runpy.run_path(str(ROOT / "scripts" / "verify_corpus.py"))
+    monkeypatch.setattr(sys, "argv", ["verify_corpus.py", "--count", "1", flag, "-2"])
+    with pytest.raises(SystemExit) as exc:
+        script["main"]()
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a nonnegative integer, got -2" in capsys.readouterr().err
 
 
 def test_report_digest():

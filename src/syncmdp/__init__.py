@@ -12,8 +12,8 @@ from .classic import (decide_almost_sure, decide_limit_sure, decide_sure,
 from .engine import ConsistencyError, ModelAnalysis, analyze, check_consistency
 from .examples import example_model, example_path, example_text
 from .model import (BudgetExceeded, Dist, GuardExceeded, Limits, Mdp,
-                    ModeQuery, ModelFormatError, ParsedModel, StrategySpec,
-                    SupportSet, SYNC_MODES, Verdict, WIN_MODES, counter_product,
+                    ModelFormatError, ParsedModel, StrategySpec, SupportSet,
+                    SYNC_MODES, Verdict, WIN_MODES, counter_product,
                     format_rational, lift_with_counter, load_model,
                     min_initial_probability, min_positive_probability, model_to_obj,
                     parse_model, parse_rational, serialize_model, uniform_strategy)

@@ -10,8 +10,8 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from .model import (DEFAULT_LIMITS, ModeQuery, StrategySpec, SupportSet, Verdict,
-                    _cached, _iter_bits, _uniform_row, uniform_strategy)
+from .model import (DEFAULT_LIMITS, StrategySpec, SupportSet, Verdict, _cached,
+                    _check_question, _iter_bits, _uniform_row, uniform_strategy)
 from .regions import _closure, iterate_lasso, mec_decomposition
 
 
@@ -85,9 +85,9 @@ class AdvVerdictDetail:
     condition2: every loop support meets the target inside the end components.
     failing_index is the smallest failing index of the condition that decided a
     "no" (for existential conditions, the first index the condition ranges
-    over, since every index fails). graph_test carries the reachable-and-self-
-    reaching test for positive weakly, reported alongside when it disagrees
-    with the definition-faithful answer.
+    over, since every index fails). graph_test is the reachable-and-self-
+    reaching test, reported on every positive weakly verdict (None elsewhere)
+    beside the definition-faithful answer, which it does not decide.
     """
 
     condition1: bool
@@ -123,12 +123,12 @@ def freezing_strategy(m, lasso, mec):
                         _uniform_row(m))
 
 
-def decide_positive(m, sync_mode, t, s0, *, cache=None, limits=None):
+def decide_positive(m, sync_mode, t, s0, *, cache=None, limits=DEFAULT_LIMITS):
     """Membership in the positive winning mode, computed on the support lasso."""
     return _decide(m, "positive", sync_mode, t, s0, cache, limits)
 
 
-def decide_bounded(m, sync_mode, t, s0, *, cache=None, limits=None):
+def decide_bounded(m, sync_mode, t, s0, *, cache=None, limits=DEFAULT_LIMITS):
     """Membership in the bounded winning mode (mass bounded away from zero)."""
     return _decide(m, "bounded", sync_mode, t, s0, cache, limits)
 
@@ -139,8 +139,8 @@ def _decide(m, win, sync_mode, t, s0, cache, limits):
     Positive modes ask whether the target meets the supports; bounded modes
     ask it of the target inside the end components on the loop.
     """
-    query = ModeQuery(sync_mode, win, t, s0)
-    lasso = _support_lasso(m, s0, cache, limits or DEFAULT_LIMITS)
+    _check_question(sync_mode, t, s0)
+    lasso = _support_lasso(m, s0, cache, limits)
     mec = _mec(m, cache)
     supports, loop = lasso.distinct(), lasso.loop()
     l, p, sw = lasso.start, lasso.period, switch_point(lasso)
@@ -179,4 +179,4 @@ def _decide(m, win, sync_mode, t, s0, cache, limits):
         witness = _freezing(m, s0, lasso, mec, cache)
     elif answer:
         witness = _uniform(m, cache)
-    return Verdict(query, answer, witness=witness, certificate=cert, detail=detail)
+    return Verdict(answer, witness=witness, certificate=cert, detail=detail)

@@ -156,30 +156,31 @@ def compute_bound(kind, n, a_count, alpha, alpha0):
     return BoundCert(kind, inputs, log10, base, exponent, denom_pow)
 
 
-def _carried(verdict, n):
-    """(kind, exposed sub-support or None) for each bound a verdict carries."""
-    q, yes = verdict.query, verdict.answer
-    if (q.sync_mode, q.win_mode, yes) == ("eventually", "limit-sure", False):
+def _carried(cell, verdict, n):
+    """(kind, exposed sub-support or None) for each bound a cell's verdict carries."""
+    (mode, win), yes = cell, verdict.answer
+    if (mode, win, yes) == ("eventually", "limit-sure", False):
         exposed = (verdict.certificate or {}).get("failing_subsupport")
         return [("eps_eventually", exposed or None)]
     if yes:
-        if q.win_mode == "bounded":
+        if win == "bounded":
             return [("eps_adversarial", None), ("N_adversarial", None)]
         return []
-    if q.sync_mode == "weakly" and q.win_mode in ("almost-sure", "limit-sure"):
+    if mode == "weakly" and win in ("almost-sure", "limit-sure"):
         return ([("eps_weakly", None)] if n >= 2 else []) + [("N_weakly", None)]
-    if q.sync_mode == "always" and q.win_mode in ("sure", "almost-sure", "limit-sure"):
+    if mode == "always" and win in ("sure", "almost-sure", "limit-sure"):
         return [("eps_always", None)]
-    if q.sync_mode == "strongly" and q.win_mode == "sure":
+    if mode == "strongly" and win == "sure":
         return [("gap_strongly", None)]
-    if q.sync_mode == "strongly" and q.win_mode in ("almost-sure", "limit-sure"):
+    if mode == "strongly" and win in ("almost-sure", "limit-sure"):
         return [("eps_strongly", None), ("gap_strongly", None)]
     return []
 
 
 def attach_bounds(verdicts, m, d0, alpha, alpha0):
     """The bound certificates of one analysis: {(sync_mode, win_mode): [BoundCert]}
-    with an entry per verdict. Bounds depend on d0, which the deciders never see;
+    with an entry per cell of `verdicts`, a {(sync_mode, win_mode): Verdict} dict
+    for the support of d0. Bounds depend on d0, which the deciders never see;
     the caller computes alpha and alpha0 once per analysis.
 
     No-verdicts for limit-sure eventually carry eps_eventually (with the
@@ -191,15 +192,11 @@ def attach_bounds(verdicts, m, d0, alpha, alpha0):
     carrying it holds the same object.
     """
     n, a_count = m.n, m.action_count
-    support = d0.support()
     certs = {}
     bounds = {}
-    for verdict in verdicts:
-        q = verdict.query
-        if q.initial_support != support:
-            raise ValueError("verdict initial support does not match the distribution")
-        cell = bounds[(q.sync_mode, q.win_mode)] = []
-        for kind, exposed in _carried(verdict, n):
+    for cell, verdict in verdicts.items():
+        carried = bounds[cell] = []
+        for kind, exposed in _carried(cell, verdict, n):
             a0 = min_initial_probability(d0, exposed) if exposed else alpha0
             key = (kind, a0, exposed)
             if key not in certs:
@@ -208,5 +205,5 @@ def attach_bounds(verdicts, m, d0, alpha, alpha0):
                     cert = replace(cert, inputs={**cert.inputs,
                                                  "alpha0_support": list(exposed)})
                 certs[key] = cert
-            cell.append(certs[key])
+            carried.append(certs[key])
     return bounds

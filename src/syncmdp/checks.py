@@ -9,6 +9,9 @@ engine: its certificates of both sides (`_safe_reach`) read only `succ`.
 
 The checks read trace and profile steps as target numerators over totals and
 supports as bit masks; a `Fraction` is built only for a value a check reports.
+
+A check returns `(status, info)`; `run_checks` names its `CheckResult` by the
+check's `ALL_CHECKS` key.
 """
 
 from __future__ import annotations
@@ -130,29 +133,23 @@ def check_lasso_integrity(ctx):
     lasso = a.lasso
     l, p = lasso.start, lasso.period
     if l + p > 2 ** a.mdp.n:
-        return CheckResult("lasso-integrity", "fail",
-                           {"reason": f"closure {l}+{p} exceeds 2^n"})
+        return "fail", {"reason": f"closure {l}+{p} exceeds 2^n"}
     for i in range(l + p + 1):
         if rows_image(matrix_power_witness(a.mdp, i), a.s0) != lasso.at(i):
-            return CheckResult("lasso-integrity", "fail",
-                               {"reason": f"matrix power disagrees at step {i}"})
+            return "fail", {"reason": f"matrix power disagrees at step {i}"}
     cur = lasso.at(l)
     for j in range(2 * p + 1):
         if cur != lasso.at(l + j):
-            return CheckResult("lasso-integrity", "fail",
-                               {"reason": f"period broken at loop offset {j}"})
+            return "fail", {"reason": f"period broken at loop offset {j}"}
         cur = post_image(a.mdp, cur)
     tl = a.target_lasso
     k, r = tl.start, tl.period
     if k + r > 2 ** a.mdp.n:
-        return CheckResult("lasso-integrity", "fail",
-                           {"reason": "predecessor lasso exceeds 2^n"})
+        return "fail", {"reason": "predecessor lasso exceeds 2^n"}
     for i in range(k, k + 3 * r + 1):
         if tl.at(i) != tl.at(i + r):
-            return CheckResult("lasso-integrity", "fail",
-                               {"reason": f"predecessor period broken at {i}"})
-    return CheckResult("lasso-integrity", "pass", {"loop_start": l, "period": p,
-                                                   "pre_k": k, "pre_r": r})
+            return "fail", {"reason": f"predecessor period broken at {i}"}
+    return "pass", {"loop_start": l, "period": p, "pre_k": k, "pre_r": r}
 
 
 def _under_cap(profile, cap, ratio=ONE):
@@ -174,69 +171,63 @@ def check_step_decay_cap(ctx):
     """Not sure-eventually: optimal mass at step i stays below 1 - alpha0*alpha^i."""
     a = ctx.analysis
     if a.answer("eventually", "sure"):
-        return CheckResult("step-decay-cap", "skip", {"reason": "sure eventually holds"})
+        return "skip", {"reason": "sure eventually holds"}
     step, value = _under_cap(ctx.profile, a.alpha0, a.alpha)
     if step is not None:
-        return CheckResult("step-decay-cap", "fail", {"step": step, "value": str(value)})
-    return CheckResult("step-decay-cap", "pass",
-                       {"horizon": ctx.horizon, "min_slack": str(value)})
+        return "fail", {"step": step, "value": str(value)}
+    return "pass", {"horizon": ctx.horizon, "min_slack": str(value)}
 
 
 def check_eventually_isolation(ctx):
     """Not limit-sure eventually: the eps_eventually of its cell isolates the value."""
     a = ctx.analysis
     if a.answer("eventually", "limit-sure"):
-        return CheckResult("eventually-isolation", "skip", {"reason": "limit-sure holds"})
+        return "skip", {"reason": "limit-sure holds"}
     cert = _bound(a, ("eventually", "limit-sure"), "eps_eventually")
     if cert is None or cert.value is None:
-        return CheckResult("eventually-isolation", "skip", {"reason": "no exact bound"})
+        return "skip", {"reason": "no exact bound"}
     eps = cert.value
     step, value = _under_cap(ctx.profile, eps)
     if step is not None:
-        return CheckResult("eventually-isolation", "fail", {"eps": str(eps)})
-    return CheckResult("eventually-isolation", "pass",
-                       {"eps_log10": cert.log10, "observed_gap": str(value + eps)})
+        return "fail", {"eps": str(eps)}
+    return "pass", {"eps_log10": cert.log10, "observed_gap": str(value + eps)}
 
 
 def check_reach_value_cap(ctx):
     """Outside the almost-sure reach region the reach value is capped for good."""
     a = ctx.analysis
     if a.s0 <= ctx.reach_region:
-        return CheckResult("reach-value-cap", "skip",
-                           {"reason": "initial support is almost-sure for reach"})
+        return "skip", {"reason": "initial support is almost-sure for reach"}
     cap = compute_bound("lemma1_reach", a.mdp.n, a.mdp.action_count,
                         a.alpha, a.alpha0).value
     step, value = _under_cap(ctx.profile, cap)
     if step is not None:
-        return CheckResult("reach-value-cap", "fail", {"step": step, "value": str(value)})
-    return CheckResult("reach-value-cap", "pass",
-                       {"cap": str(cap), "observed_gap": str(value + cap)})
+        return "fail", {"step": step, "value": str(value)}
+    return "pass", {"cap": str(cap), "observed_gap": str(value + cap)}
 
 
 def _prefix_dip(mode, win, kind, ctx):
     """Not `win` `mode`: every strategy has a step i <= n with target mass at
     most 1 - eps, tested on each trace of `count_traces` that has n + 1 steps
     (the per-step optimum need not dip: strategies may dip at different steps)."""
-    name = f"{mode}-prefix-dip"
     a = ctx.analysis
     if a.answer(mode, win):
-        return CheckResult(name, "skip", {"reason": f"{win} {mode} holds"})
+        return "skip", {"reason": f"{win} {mode} holds"}
     cert = _bound(a, (mode, win), kind)
     if cert is None or cert.value is None:
-        return CheckResult(name, "skip", {"reason": "no exact bound"})
+        return "skip", {"reason": "no exact bound"}
     n = a.mdp.n
     threshold = 1 - cert.value
     traces, masses = ctx.count_traces
     for trace in traces:
         prefix = [masses[id(nums)] for nums in trace.nums[:n + 1]]
         if len(prefix) > n and all(_clears(v, total, threshold) for v, total in prefix):
-            return CheckResult(name, "fail",
-                               {"eps": str(cert.value), "strategy": trace.strategy_label,
-                                "prefix": [str(Fraction(v, total)) for v, total in prefix]})
-    return CheckResult(name, "pass", {"eps": str(cert.value)})
+            return "fail", {"eps": str(cert.value), "strategy": trace.strategy_label,
+                            "prefix": [str(Fraction(v, total)) for v, total in prefix]}
+    return "pass", {"eps": str(cert.value)}
 
 
-def _sync_count_cap(name, win, ctx):
+def _sync_count_cap(win, ctx):
     """Not `win` weakly: at most 2^n synchronized positions along any strategy.
 
     Sure: positions with all mass in the target. Almost-sure: positions with
@@ -244,15 +235,15 @@ def _sync_count_cap(name, win, ctx):
     """
     a = ctx.analysis
     if a.answer("weakly", win):
-        return CheckResult(name, "skip", {"reason": f"{win} weakly holds"})
+        return "skip", {"reason": f"{win} weakly holds"}
     if win == "sure":
         threshold, strict = ONE, False
     else:
         if a.mdp.n < 2:
-            return CheckResult(name, "skip", {"reason": "eps_weakly undefined for n=1"})
+            return "skip", {"reason": "eps_weakly undefined for n=1"}
         cert = _bound(a, ("weakly", win), "eps_weakly")
         if cert is None or cert.value is None:
-            return CheckResult(name, "skip", {"reason": "no exact bound"})
+            return "skip", {"reason": "no exact bound"}
         threshold, strict = 1 - cert.value, True
     cap = 2 ** a.mdp.n
     depth, enumerated = ctx.enumerated
@@ -262,24 +253,22 @@ def _sync_count_cap(name, win, ctx):
     for trace in traces:
         count = sum(id(nums) in synced for nums in trace.nums)
         if count > cap:
-            return CheckResult(name, "fail", {"strategy": trace.strategy_label,
-                                              "count": count})
+            return "fail", {"strategy": trace.strategy_label, "count": count}
     info = {"cap": cap, "enumeration_depth": depth}
     if strict:
         info["enumerated"] = len(enumerated)
-    return CheckResult(name, "pass", info)
+    return "pass", info
 
 
 def check_freezing_bound(ctx):
     """Bounded strongly: the freezing witness keeps the certified floor forever."""
     a = ctx.analysis
     if not a.answer("strongly", "bounded"):
-        return CheckResult("freezing-lower-bound", "skip",
-                           {"reason": "not bounded strongly"})
+        return "skip", {"reason": "not bounded strongly"}
     cert = _bound(a, ("strongly", "bounded"), "eps_adversarial")
     nsteps = _bound(a, ("strongly", "bounded"), "N_adversarial")
     if cert is None or cert.value is None or nsteps is None:
-        return CheckResult("freezing-lower-bound", "skip", {"reason": "no exact bound"})
+        return "skip", {"reason": "no exact bound"}
     n_adv = nsteps.value
     h = a.switch + 3 * n_adv
     trace = ctx.traces["freezing"]
@@ -287,11 +276,8 @@ def check_freezing_bound(ctx):
     for i in range(start, h + 1):
         v, total = _numerator_in(a.target, trace.nums[i]), trace.totals[i]
         if not _clears(v, total, cert.value, strict=False):
-            return CheckResult("freezing-lower-bound", "fail",
-                               {"step": i, "mass": str(Fraction(v, total)),
-                                "eps": str(cert.value)})
-    return CheckResult("freezing-lower-bound", "pass",
-                       {"from_step": start, "to_step": h, "eps_log10": cert.log10})
+            return "fail", {"step": i, "mass": str(Fraction(v, total)), "eps": str(cert.value)}
+    return "pass", {"from_step": start, "to_step": h, "eps_log10": cert.log10}
 
 
 def check_positive_definition(ctx):
@@ -309,9 +295,8 @@ def check_positive_definition(ctx):
     }
     for mode, expected in facts.items():
         if a.answer(mode, "positive") != expected:
-            return CheckResult("positive-definition-sim", "fail",
-                               {"mode": mode, "expected": expected})
-    return CheckResult("positive-definition-sim", "pass", {"window": window})
+            return "fail", {"mode": mode, "expected": expected}
+    return "pass", {"window": window}
 
 
 def check_support_monotonicity(ctx):
@@ -324,12 +309,10 @@ def check_support_monotonicity(ctx):
         su = _mask(uni[i])
         sf = _mask(frz[i])
         if sf & ~su:
-            return CheckResult("support-monotonicity", "fail",
-                               {"step": i, "reason": "freezing support escapes uniform"})
+            return "fail", {"step": i, "reason": "freezing support escapes uniform"}
         if i >= a.switch and (sf ^ su) & union:
-            return CheckResult("support-monotonicity", "fail",
-                               {"step": i, "reason": "EC-intersection mismatch"})
-    return CheckResult("support-monotonicity", "pass", {"switch": a.switch})
+            return "fail", {"step": i, "reason": "EC-intersection mismatch"}
+    return "pass", {"switch": a.switch}
 
 
 def _mask(nums):
@@ -351,9 +334,8 @@ def _safe_reach(m, t, y):
 
 
 def _region_failure(m, states, reason):
-    """region-dp-agreement failing at the lowest state of the mask `states`."""
-    return CheckResult("region-dp-agreement", "fail",
-                       {"state": m.states[next(_iter_bits(states))], "reason": reason})
+    """A failure at the lowest state of the mask `states`."""
+    return "fail", {"state": m.states[next(_iter_bits(states))], "reason": reason}
 
 
 def check_region_dp(ctx):
@@ -379,8 +361,7 @@ def check_region_dp(ctx):
             return _region_failure(m, y & ~region, "losing state not certified")
         y &= ~layer
         layers += 1
-    return CheckResult("region-dp-agreement", "pass",
-                       {"layers": layers, "region": list(ctx.reach_region.names(m.states))})
+    return "pass", {"layers": layers, "region": list(ctx.reach_region.names(m.states))}
 
 
 def check_witness_soundness(ctx):
@@ -396,20 +377,19 @@ def check_witness_soundness(ctx):
     if v.answer and v.witness is not None:
         k = v.certificate["k"]
         if not synced(ctx.traces[v.witness.label], k):
-            return CheckResult("witness-soundness", "fail",
-                               {"mode": "sure eventually", "step": k})
+            return "fail", {"mode": "sure eventually", "step": k}
 
     v = a.verdicts[("always", "sure")]
     if v.answer and v.witness is not None:
         trace = ctx.traces[v.witness.label]
         if not all(synced(trace, i) for i in range(trace.horizon + 1)):
-            return CheckResult("witness-soundness", "fail", {"mode": "sure always"})
+            return "fail", {"mode": "sure always"}
 
     v = a.verdicts[("strongly", "sure")]
     if v.answer and v.witness is not None:
         trace = ctx.traces[v.witness.label]
         if not all(synced(trace, i) for i in range(n, max(ctx.horizon, n) + 1)):
-            return CheckResult("witness-soundness", "fail", {"mode": "sure strongly"})
+            return "fail", {"mode": "sure strongly"}
 
     v = a.verdicts[("weakly", "sure")]
     if v.answer and v.witness is not None:
@@ -417,9 +397,8 @@ def check_witness_soundness(ctx):
         trace = ctx.traces[v.witness.label]
         for i in range(k, max(ctx.horizon, k + r) + 1, r):
             if not synced(trace, i):
-                return CheckResult("witness-soundness", "fail",
-                                   {"mode": "sure weakly", "step": i})
-    return CheckResult("witness-soundness", "pass", {})
+                return "fail", {"mode": "sure weakly", "step": i}
+    return "pass", {}
 
 
 def check_certificates(ctx):
@@ -427,10 +406,9 @@ def check_certificates(ctx):
     a = ctx.analysis
     for (mode, win), verdict in a.verdicts.items():
         if win in ("sure", "almost-sure", "limit-sure"):
-            if not recheck_certificate(a.mdp, verdict):
-                return CheckResult("certificate-recheck", "fail",
-                                   {"mode": mode, "win": win})
-    return CheckResult("certificate-recheck", "pass", {})
+            if not recheck_certificate(a.mdp, a.target, a.s0, verdict):
+                return "fail", {"mode": mode, "win": win}
+    return "pass", {}
 
 
 ALL_CHECKS = {
@@ -440,8 +418,8 @@ ALL_CHECKS = {
     "reach-value-cap": check_reach_value_cap,
     "always-prefix-dip": partial(_prefix_dip, "always", "sure", "eps_always"),
     "strongly-prefix-dip": partial(_prefix_dip, "strongly", "almost-sure", "eps_strongly"),
-    "full-sync-count-cap": partial(_sync_count_cap, "full-sync-count-cap", "sure"),
-    "near-sync-count-cap": partial(_sync_count_cap, "near-sync-count-cap", "almost-sure"),
+    "full-sync-count-cap": partial(_sync_count_cap, "sure"),
+    "near-sync-count-cap": partial(_sync_count_cap, "almost-sure"),
     "freezing-lower-bound": check_freezing_bound,
     "positive-definition-sim": check_positive_definition,
     "support-monotonicity": check_support_monotonicity,
@@ -453,15 +431,16 @@ ALL_CHECKS = {
 
 def run_checks(analysis, horizon=None, budget=DEFAULT_CHECK_BUDGET,
                enum_depth=DEFAULT_ENUM_DEPTH, names=None):
-    """Run the invariant battery; budget blowups mark single checks as skipped."""
+    """Run the invariant battery, each check named by its `ALL_CHECKS` key;
+    budget blowups mark single checks as skipped."""
     ctx = CheckContext(analysis, horizon=horizon, budget=budget, enum_depth=enum_depth)
     results = []
     for name, fn in ALL_CHECKS.items():
         if names is not None and name not in names:
             continue
         try:
-            result = fn(ctx)
+            status, info = fn(ctx)
         except BudgetExceeded as exc:
-            result = CheckResult(name, "skip", {"reason": str(exc)})
-        results.append(result)
+            status, info = "skip", {"reason": str(exc)}
+        results.append(CheckResult(name, status, info))
     return results

@@ -2,6 +2,10 @@
 synchronizing modes, with re-checkable certificates and the witness strategies
 the characterizations support directly.
 
+A verdict does not repeat its question: a coinciding mode returns the stronger
+mode's verdict itself, and `recheck_certificate` is handed the target and the
+initial support it rechecks.
+
 All deciders work on initial supports (winning is support-only). The memo
 `cache` dict of one analysis, keyed by set bits, holds predecessor lassos, the
 PreMap they step through, regions and counter-product skeletons across the
@@ -12,8 +16,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .model import (DEFAULT_LIMITS, ONE, GuardExceeded, ModeQuery, StrategySpec, SupportSet,
-                    Verdict, _cached, _uniform_row, counter_product, lift_with_counter)
+from .model import (DEFAULT_LIMITS, ONE, GuardExceeded, StrategySpec, SupportSet, Verdict,
+                    _cached, _check_question, _uniform_row, counter_product, lift_with_counter)
 from .regions import (PreMap, almost_sure_reach_region, pre, pre_lasso, reach_layers,
                       sure_safety_region)
 
@@ -70,13 +74,13 @@ def _countdown_rows(m, chain, levels):
                  if j and m.action_count > 1 else {} for j in levels)
 
 
-def synthesize_sure_eventually_strategy(m, t, s0, k, *, cache=None, limits=None):
+def synthesize_sure_eventually_strategy(m, t, s0, k, *, cache=None, limits=DEFAULT_LIMITS):
     """Countdown witness: at memory j, push all mass from Pre^j(T) into Pre^(j-1)(T).
 
     Requires s0 inside the k-fold predecessor of t; simulation then puts the
     whole mass in t at step k exactly.
     """
-    lasso = _lasso(m, t, cache, limits or DEFAULT_LIMITS)
+    lasso = _lasso(m, t, cache, limits)
     chain = [lasso.at(j) for j in range(k + 1)]
     if not s0 <= chain[k]:
         raise ValueError("initial support is not contained in the k-fold predecessor")
@@ -110,27 +114,25 @@ def _cycle_strategy(m, k, r, lasso_of_s):
                         _countdown_rows(m, chain, levels), _uniform_row(m))
 
 
-def decide_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
+def decide_sure(m, sync_mode, t, s0, *, cache=None, limits=DEFAULT_LIMITS):
     """Sure winning for the given synchronizing mode from the support s0.
 
     Memoized per analysis: the almost-sure and limit-sure deciders delegate
     here for always and eventually, and share the verdict and its witness.
     """
+    _check_question(sync_mode, t, s0)
     return _cached(cache, ("sure", sync_mode, t.bits, s0.bits),
-                   lambda: _decide_sure(m, sync_mode, t, s0, cache, limits or DEFAULT_LIMITS))
+                   lambda: _decide_sure(m, sync_mode, t, s0, cache, limits))
 
 
 def _decide_sure(m, sync_mode, t, s0, cache, limits):
-    query = ModeQuery(sync_mode, "sure", t, s0)
-
     if sync_mode == "eventually":
         lasso = _lasso(m, t, cache, limits)
         k = next((i for i, sup in enumerate(lasso.distinct()) if s0 <= sup), None)
         if k is None:
-            return Verdict(query, False)
+            return Verdict(False)
         witness = synthesize_sure_eventually_strategy(m, t, s0, k, cache=cache, limits=limits)
-        return Verdict(query, True, witness=witness,
-                       certificate={"kind": "sure-eventually", "k": k})
+        return Verdict(True, witness=witness, certificate={"kind": "sure-eventually", "k": k})
 
     if sync_mode == "weakly":
         # Pre is monotone, so the recurring subsets S of t (S <= Pre^r(S), r >= 1) are
@@ -146,27 +148,27 @@ def _decide_sure(m, sync_mode, t, s0, cache, limits):
             s = s & sl.at((sl.start + 1) * sl.period)
         k = next((i for i, sup in enumerate(sl.distinct()) if s0 <= sup), None) if s else None
         if k is None:
-            return Verdict(query, False)
+            return Verdict(False)
         witness = _cycle_strategy(m, k, r, sl)
         cert = {"kind": "sure-weakly", "set": s, "k": k, "r": r}
-        return Verdict(query, True, witness=witness, certificate=cert)
+        return Verdict(True, witness=witness, certificate=cert)
 
     if sync_mode == "always":
         region = _safety(m, t, cache)
         if s0 <= region:
             witness = _reach_then_stay_strategy(m, region, [region], "stay-safe")
-            return Verdict(query, True, witness=witness,
-                           certificate={"kind": "sure-always", "region": region})
-        return Verdict(query, False, certificate={"kind": "sure-always", "region": region})
+            return Verdict(True, witness=witness, certificate={"kind": "sure-always",
+                                                                "region": region})
+        return Verdict(False, certificate={"kind": "sure-always", "region": region})
 
     safe = _safety(m, t, cache)   # strongly
     layers = _cached(cache, ("reach-layers", safe.bits), lambda: reach_layers(m, safe))
     region = layers[-1]
     cert = {"kind": "sure-strongly", "safety_region": safe, "reach_region": region}
     if s0 <= region:
-        return Verdict(query, True, certificate=cert,
+        return Verdict(True, certificate=cert,
                        witness=_reach_then_stay_strategy(m, safe, layers, "attract-then-stay"))
-    return Verdict(query, False, certificate=cert)
+    return Verdict(False, certificate=cert)
 
 
 def _limit_eventually(m, t, s0, cache, limits):
@@ -195,22 +197,19 @@ def _expose_failing_subsupport(m, t, s0, cache, limits):
     return cur
 
 
-def _coinciding(m, query, cache, limits):
-    """A mode decided by the stronger winning mode it coincides with: limit-sure
-    equals almost-sure for weakly and strongly, and all three classic winning
-    modes coincide for always."""
-    decide = decide_sure if query.sync_mode == "always" else decide_almost_sure
-    inner = decide(m, query.sync_mode, query.target, query.initial_support,
-                   cache=cache, limits=limits)
-    return Verdict(query, inner.answer, witness=inner.witness, certificate=inner.certificate)
+def _coinciding(m, sync_mode, t, s0, cache, limits):
+    """The verdict, itself, of the stronger winning mode a mode coincides with:
+    limit-sure equals almost-sure for weakly and strongly, and all three classic
+    winning modes coincide for always."""
+    decide = decide_sure if sync_mode == "always" else decide_almost_sure
+    return decide(m, sync_mode, t, s0, cache=cache, limits=limits)
 
 
-def decide_limit_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
+def decide_limit_sure(m, sync_mode, t, s0, *, cache=None, limits=DEFAULT_LIMITS):
     """Limit-sure winning; weakly/strongly/always delegate to their coinciding modes."""
-    limits = limits or DEFAULT_LIMITS
-    query = ModeQuery(sync_mode, "limit-sure", t, s0)
+    _check_question(sync_mode, t, s0)
     if sync_mode != "eventually":
-        return _coinciding(m, query, cache, limits)
+        return _coinciding(m, sync_mode, t, s0, cache, limits)
 
     lasso = _lasso(m, t, cache, limits)
     k, r = lasso.start, lasso.period
@@ -220,31 +219,29 @@ def decide_limit_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
         sure_v = decide_sure(m, "eventually", t, s0, cache=cache, limits=limits)
         cert = {"kind": "limit-sure-eventually", "via": "sure",
                 "sure_k": sure_v.certificate["k"], **base}
-        return Verdict(query, True, witness=sure_v.witness, certificate=cert)
+        return Verdict(True, witness=sure_v.witness, certificate=cert)
     if via is not None:
         cert = {"kind": "limit-sure-eventually", "via": "product", "phase": via,
                 "product_region": _product_region(m, lasso, cache), **base}
-        return Verdict(query, True, certificate=cert)
+        return Verdict(True, certificate=cert)
     exposed = _expose_failing_subsupport(m, t, s0, cache, limits)
     cert = {"kind": "limit-sure-eventually", "via": None,
             "failing_subsupport": exposed, **base}
-    return Verdict(query, False, certificate=cert)
+    return Verdict(False, certificate=cert)
 
 
-def decide_almost_sure(m, sync_mode, t, s0, *, cache=None, limits=None):
+def decide_almost_sure(m, sync_mode, t, s0, *, cache=None, limits=DEFAULT_LIMITS):
     """Almost-sure winning for the given synchronizing mode.
 
     Memoized per analysis like `decide_sure`: limit-sure weakly and strongly
     and almost-sure eventually delegate here and share the verdict.
     """
+    _check_question(sync_mode, t, s0)
     return _cached(cache, ("almost-sure", sync_mode, t.bits, s0.bits),
-                   lambda: _decide_almost_sure(m, sync_mode, t, s0, cache,
-                                               limits or DEFAULT_LIMITS))
+                   lambda: _decide_almost_sure(m, sync_mode, t, s0, cache, limits))
 
 
 def _decide_almost_sure(m, sync_mode, t, s0, cache, limits):
-    query = ModeQuery(sync_mode, "almost-sure", t, s0)
-
     if sync_mode == "weakly":
         # Mass in T' is mass in any superset: skip subsets of sets s0 cannot limit-sure reach.
         # T''s pre-lasso put Pre(T') in the Pre map, and Pre(T')'s lasso is T''s shifted by one.
@@ -260,32 +257,31 @@ def _decide_almost_sure(m, sync_mode, t, s0, cache, limits):
                 failed.append(bits)
             elif _limit_eventually(m, SupportSet(t.width, pre_map[bits]), t2,
                                    cache, limits) is not None:
-                return Verdict(query, True, certificate={"kind": "almost-sure-weakly",
-                                                         "t_prime": t2})
-        return Verdict(query, False)
+                return Verdict(True, certificate={"kind": "almost-sure-weakly", "t_prime": t2})
+        return Verdict(False)
 
     if sync_mode == "eventually":
         sure_v = decide_sure(m, "eventually", t, s0, cache=cache, limits=limits)
         if sure_v.answer:
             cert = {"kind": "almost-sure-eventually", "via": "sure",
                     "sure_k": sure_v.certificate["k"]}
-            return Verdict(query, True, witness=sure_v.witness, certificate=cert)
+            return Verdict(True, witness=sure_v.witness, certificate=cert)
         weak = decide_almost_sure(m, "weakly", t, s0, cache=cache, limits=limits)
         if weak.answer:
             cert = {"kind": "almost-sure-eventually", "via": "weakly",
                     "t_prime": weak.certificate["t_prime"]}
-            return Verdict(query, True, certificate=cert)
-        return Verdict(query, False)
+            return Verdict(True, certificate=cert)
+        return Verdict(False)
 
     if sync_mode == "always":
-        return _coinciding(m, query, cache, limits)
+        return _coinciding(m, sync_mode, t, s0, cache, limits)
 
     safe = _safety(m, t, cache)   # strongly
     region = _cached(cache, ("as-reach", safe.bits),
                      lambda: almost_sure_reach_region(m, safe))
     cert = {"kind": "almost-sure-strongly", "safety_region": safe,
             "as_reach_region": region}
-    return Verdict(query, s0 <= region, certificate=cert)
+    return Verdict(s0 <= region, certificate=cert)
 
 
 def _iter_pre(m, s, k):
@@ -294,46 +290,44 @@ def _iter_pre(m, s, k):
     return s
 
 
-def recheck_certificate(m, verdict):
-    """Re-verify a yes-certificate using only region-analysis primitives."""
+def recheck_certificate(m, t, s0, verdict):
+    """Re-verify a yes-certificate for target t from the support s0, using only
+    region-analysis primitives."""
     cert = verdict.certificate
     if not verdict.answer or cert is None:
         return True
-    q = verdict.query
     kind = cert["kind"]
     if kind == "sure-eventually":
-        return q.initial_support <= _iter_pre(m, q.target, cert["k"])
+        return s0 <= _iter_pre(m, t, cert["k"])
     if kind == "sure-weakly":
         s, k, r = cert["set"], cert["k"], cert["r"]
-        return (s <= q.target and s <= _iter_pre(m, s, r)
-                and q.initial_support <= _iter_pre(m, s, k))
+        return s <= t and s <= _iter_pre(m, s, r) and s0 <= _iter_pre(m, s, k)
     if kind == "sure-always":
-        region = sure_safety_region(m, q.target)
-        return cert["region"] == region and q.initial_support <= region
+        region = sure_safety_region(m, t)
+        return cert["region"] == region and s0 <= region
     if kind == "sure-strongly":
-        safe = sure_safety_region(m, q.target)
+        safe = sure_safety_region(m, t)
         region = reach_layers(m, safe)[-1]
         return (cert["safety_region"] == safe and cert["reach_region"] == region
-                and q.initial_support <= region)
+                and s0 <= region)
     if kind == "limit-sure-eventually":
         k, r, big_r = cert["k"], cert["r"], cert["R"]
-        if big_r != _iter_pre(m, q.target, k) or big_r != _iter_pre(m, big_r, r):
+        if big_r != _iter_pre(m, t, k) or big_r != _iter_pre(m, big_r, r):
             return False
         if cert["via"] == "sure":
-            return q.initial_support <= _iter_pre(m, q.target, cert["sure_k"])
+            return s0 <= _iter_pre(m, t, cert["sure_k"])
         region = almost_sure_reach_region(counter_product(m, r), lift_with_counter(big_r, r, 0))
         return (cert["product_region"] == region
-                and lift_with_counter(q.initial_support, r, cert["phase"]) <= region)
+                and lift_with_counter(s0, r, cert["phase"]) <= region)
     if kind in ("almost-sure-weakly", "almost-sure-eventually"):
         if cert.get("via") == "sure":
-            return q.initial_support <= _iter_pre(m, q.target, cert["sure_k"])
+            return s0 <= _iter_pre(m, t, cert["sure_k"])
         t2 = cert["t_prime"]
-        return (t2 <= q.target
-                and _limit_eventually(m, t2, q.initial_support, None, DEFAULT_LIMITS) is not None
+        return (t2 <= t and _limit_eventually(m, t2, s0, None, DEFAULT_LIMITS) is not None
                 and _limit_eventually(m, pre(m, t2), t2, None, DEFAULT_LIMITS) is not None)
     if kind == "almost-sure-strongly":
-        safe = sure_safety_region(m, q.target)
+        safe = sure_safety_region(m, t)
         region = almost_sure_reach_region(m, safe)
         return (cert["safety_region"] == safe and cert["as_reach_region"] == region
-                and q.initial_support <= region)
+                and s0 <= region)
     return True

@@ -36,7 +36,7 @@ class ModelAnalysis:
     lasso: object             # support lasso under uniform play from s0
     mec: object
     switch: int
-    verdicts: dict            # (sync_mode, win_mode) -> Verdict
+    verdicts: dict            # (sync_mode, win_mode) -> Verdict, shared by coinciding cells
     bounds: dict              # (sync_mode, win_mode) -> [BoundCert]
     cache: dict               # the deciders' memo
 
@@ -78,9 +78,8 @@ def check_consistency(verdicts):
     return bad
 
 
-def analyze(m, d0, target, *, limits=None):
+def analyze(m, d0, target, *, limits=DEFAULT_LIMITS):
     """Run the full 4x5 verdict matrix with bounds; raises on gate violations."""
-    limits = limits or DEFAULT_LIMITS
     s0 = d0.support()
     cache = {}
     # seeded up front, so a guard trips in this stage order whatever cell runs first
@@ -94,7 +93,7 @@ def analyze(m, d0, target, *, limits=None):
     verdicts = {(mode, win): decide(m, mode, target, s0, cache=cache, limits=limits)
                 for mode in SYNC_MODES for win, decide in deciders.items()}
     alpha, alpha0 = min_positive_probability(m), min_initial_probability(d0)
-    bounds = attach_bounds(verdicts.values(), m, d0, alpha, alpha0)
+    bounds = attach_bounds(verdicts, m, d0, alpha, alpha0)
 
     violations = check_consistency(verdicts)
     if violations:

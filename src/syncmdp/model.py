@@ -323,31 +323,23 @@ def uniform_strategy(m):
     return StrategySpec("uniform", (0,), 0, ({},), _uniform_row(m))
 
 
-@dataclass(frozen=True)
-class ModeQuery:
-    """One membership question: a synchronizing mode, a winning mode, a target."""
-
-    sync_mode: str
-    win_mode: str
-    target: SupportSet
-    initial_support: SupportSet
-
-    def __post_init__(self):
-        if self.sync_mode not in SYNC_MODES:
-            raise ValueError(f"unknown sync mode {self.sync_mode!r}")
-        if self.win_mode not in WIN_MODES:
-            raise ValueError(f"unknown win mode {self.win_mode!r}")
-        if self.target.width != self.initial_support.width:
-            raise ValueError("target and initial support widths differ")
-        if not self.initial_support:
-            raise ValueError("initial support must be nonempty")
+def _check_question(sync_mode, t, s0):
+    """Reject a question no decider answers: an unknown sync mode, a target and
+    an initial support of different widths, or an empty initial support."""
+    if sync_mode not in SYNC_MODES:
+        raise ValueError(f"unknown sync mode {sync_mode!r}")
+    if t.width != s0.width:
+        raise ValueError("target and initial support widths differ")
+    if not s0:
+        raise ValueError("initial support must be nonempty")
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """Answer to a ModeQuery plus whatever makes it re-checkable."""
+    """A decider's answer plus whatever makes it re-checkable. The question (the
+    cell, the target, the initial support) is the caller's: coinciding cells
+    share one verdict."""
 
-    query: ModeQuery
     answer: bool
     witness: StrategySpec | None = None
     certificate: dict | None = None

@@ -169,12 +169,9 @@ def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
         raise BudgetExceeded("strategy-enumeration",
                              f"{a_count}^{count} strategies exceed budget {budget}")
 
-    def walk(depth, mass, picks, steps):
-        """The trace of every pick sequence from this depth on, given the
-        integer masses (over totals[depth]) of the live histories at this depth."""
-        if depth == h:
-            yield Trace(steps, totals, "pure[" + ",".join(map(str, picks)) + "]", h)
-            return
+    def children(depth, mass, picks, steps):
+        """The child nodes (mass, picks, steps), one per pick sequence of this
+        depth, from the integer masses (over totals[depth]) of its live histories."""
         level = states[depth]
         deeper = depth + 1 < h
         total = totals[depth + 1]
@@ -188,11 +185,20 @@ def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
                     if deeper:
                         nxt[c] = v
                     marginal[q2] = marginal.get(q2, 0) + v
-            yield from walk(depth + 1, nxt, picks + level_picks,
-                            steps + (_checked(marginal, total),))
+            yield nxt, picks + level_picks, steps + (_checked(marginal, total),)
 
     total, (init,) = _numerators([d0.mass])
     totals = tuple(accumulate(repeat(den, h), mul, initial=total))
     root = {j: init[q] for j, q in enumerate(states[0])} if h else {}
-    yield from walk(0, root, (), (init,))
+    # depth first without recursion: stack[i] yields the nodes of depth i
+    stack = [iter([(root, (), (init,))])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif len(stack) > h:
+            _, picks, steps = node
+            yield Trace(steps, totals, "pure[" + ",".join(map(str, picks)) + "]", h)
+        else:
+            stack.append(children(len(stack) - 1, *node))
 

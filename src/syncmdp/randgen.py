@@ -37,6 +37,8 @@ def random_dist(rng, n, max_denominator=4):
 
 
 def random_mdp(rng, n=None, max_states=5, max_actions=2, max_denominator=4):
+    if max_actions > len(ACTION_NAMES):
+        raise ValueError(f"max_actions is at most {len(ACTION_NAMES)}, got {max_actions}")
     if n is None:
         n = rng.randint(1, max_states)
     a_count = rng.randint(1, max_actions)

@@ -69,6 +69,17 @@ ABSORBING = {
     "targets": {"target": ["t"]},
 }
 
+# q0 -> q1 -> q1 with target {q0}: the history tree has one node per depth,
+# so pure-strategy enumeration admits depths past Python's recursion limit
+CHAIN = {
+    "states": ["q0", "q1"],
+    "actions": ["a"],
+    "transitions": [{"from": "q0", "action": "a", "to": "q1", "prob": "1"},
+                    {"from": "q1", "action": "a", "to": "q1", "prob": "1"}],
+    "initial": {"q0": "1"},
+    "targets": {"target": ["q0"]},
+}
+
 
 def exact_counter_product(m, r):
     """Reference M x [r] with exact distributions, to check the package's

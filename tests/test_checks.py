@@ -154,14 +154,14 @@ def test_sync_count_caps_count_like_the_oracle(sample_analyses, monkeypatch, hor
             patch.setattr(checks, "_bound", lambda analysis, cell, kind: _Half)
             for name, threshold, strict in (("full-sync-count-cap", 1, False),
                                             ("near-sync-count-cap", Fraction(1, 2), True)):
-                result = ALL_CHECKS[name](ctx)
-                if result.status == "skip":
+                status, info = ALL_CHECKS[name](ctx)
+                if status == "skip":
                     assert name == "near-sync-count-cap" and an.mdp.n < 2
                     continue
                 ref = ref_sync_count_cap(ctx, threshold, strict)
-                assert result.status == ("pass" if ref is None else "fail")
+                assert status == ("pass" if ref is None else "fail")
                 if ref is not None:
-                    assert result.info == ref
+                    assert info == ref
                     failed += 1
     assert failed
 
@@ -252,8 +252,7 @@ def test_reach_value_cap_passes_a_mass_of_exactly_its_cap(monkeypatch, cap, stat
     ctx = CheckContext(an)
     ctx.reach_region = an.target
     monkeypatch.setattr(checks, "compute_bound", lambda *args: _Planted(cap))
-    result = check_reach_value_cap(ctx)
-    assert (result.status, result.info) == (status, {
+    assert check_reach_value_cap(ctx) == (status, {
         "pass": {"cap": "1/2", "observed_gap": "1/2"},
         "fail": {"step": 1, "value": "1/2"}}[status])
 
@@ -375,9 +374,7 @@ def test_region_dp_agreement_catches_a_slow_winner_left_out():
     an = analyze(pm.mdp, pm.initial, pm.targets["goal"])
     ctx = CheckContext(an)
     assert ctx.reach_region == SupportSet.full(2)
-    result = check_region_dp(ctx)
-    assert (result.status, result.info) == ("pass", {"layers": 0, "region": ["q0", "q1"]})
+    assert check_region_dp(ctx) == ("pass", {"layers": 0, "region": ["q0", "q1"]})
     ctx.reach_region = pm.targets["goal"]   # the planted region leaves q0 out
-    result = check_region_dp(ctx)
-    assert (result.status, result.info) == ("fail", {
+    assert check_region_dp(ctx) == ("fail", {
         "state": "q0", "reason": "losing state not certified"})

@@ -85,13 +85,13 @@ def test_absorbing_dirac_all_limit_modes_yes():
 
 
 def test_twophase_sure_weakly_certificate(twophase):
-    m, t = twophase.mdp, twophase.targets["target"]
-    v = decide_sure(m, "weakly", t, m.support(["q1"]))
+    m, t, s0 = twophase.mdp, twophase.targets["target"], twophase.mdp.support(["q1"])
+    v = decide_sure(m, "weakly", t, s0)
     assert v.answer
     cert = v.certificate
     assert set(cert["set"].names(m.states)) == {"q2", "q3"}
     assert cert["k"] == 1 and cert["r"] == 2
-    assert recheck_certificate(m, v)
+    assert recheck_certificate(m, t, s0, v)
 
 
 def test_countdown_strategy_twophase(twophase):
@@ -174,12 +174,12 @@ def test_sure_strongly_witness():
         "initial": {"s": "1"},
         "targets": {"goal": ["t"]},
     })
-    m, t = pm.mdp, pm.targets["goal"]
-    v = decide_sure(m, "strongly", t, pm.initial.support())
+    m, t, s0 = pm.mdp, pm.targets["goal"], pm.initial.support()
+    v = decide_sure(m, "strongly", t, s0)
     assert v.answer and v.witness is not None
     trace = simulate(m, v.witness, pm.initial, 6)
     assert all(v == 1 for v in target_masses(trace, t)[m.n:])
-    assert recheck_certificate(m, v)
+    assert recheck_certificate(m, t, s0, v)
 
 
 def test_certificates_recheck_on_examples(drain, funnel, loopback, twophase):
@@ -187,7 +187,7 @@ def test_certificates_recheck_on_examples(drain, funnel, loopback, twophase):
         m, t, s0 = pm.mdp, pm.targets["target"], pm.initial.support()
         for mode in ("always", "eventually", "weakly", "strongly"):
             for decide in (decide_sure, decide_almost_sure, decide_limit_sure):
-                assert recheck_certificate(m, decide(m, mode, t, s0))
+                assert recheck_certificate(m, t, s0, decide(m, mode, t, s0))
 
 
 def test_subset_search_guard(funnel):

@@ -1,17 +1,17 @@
 import json
 import math
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
 from syncmdp import (SupportSet, analyze, checks, cli, example_path, serialize_model,
                      example_model)
-from syncmdp.checks import CheckResult
 from syncmdp.cli import main
 from syncmdp.report import build_report
 
-from conftest import ABSORBING
+from conftest import ABSORBING, CHAIN
 
 
 def run(capsys, *argv):
@@ -219,9 +219,20 @@ def test_subset_width_guard_spares_a_target_that_decides_alone(capsys, tmp_path)
     assert (code, out, err) == (0, "weakly:almost-sure = yes\n", "")
 
 
+def test_verify_enumerates_deeper_than_the_recursion_limit(capsys, tmp_path):
+    # sure always fails on the chain, so always-prefix-dip reads the enumeration
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN))
+    depth = sys.getrecursionlimit() + 200
+    code, out, err = run(capsys, "verify", "--model", str(path), "--target", "target",
+                         "--enum-depth", str(depth))
+    assert (code, err) == (0, "")
+    assert "always-prefix-dip            pass" in out
+
+
 def test_verify_failed_check_exit_code(capsys, tmp_path, monkeypatch):
     def planted(ctx):
-        return CheckResult("lasso-integrity", "fail", {"reason": "planted"})
+        return "fail", {"reason": "planted"}
     monkeypatch.setitem(checks.ALL_CHECKS, "lasso-integrity", planted)
     out_path = tmp_path / "verify.json"
     code, out, err = run(capsys, "verify", "--model", example_path("loopback"),

@@ -10,16 +10,14 @@ from syncmdp import classic, engine, model
 from syncmdp.examples import EXAMPLE_MODELS
 from syncmdp.randgen import corpus
 from syncmdp.engine import ConsistencyError, check_consistency
-from syncmdp.model import SYNC_MODES, WIN_MODES, ModeQuery, SupportSet
+from syncmdp.model import SYNC_MODES, WIN_MODES, SupportSet
 
 DECIDERS = (decide_sure, decide_almost_sure, decide_limit_sure, decide_positive,
             decide_bounded)
 
 
 def _fake_matrix(answers):
-    t = SupportSet.of(2, [0])
-    s0 = SupportSet.of(2, [1])
-    return {(mode, win): Verdict(ModeQuery(mode, win, t, s0), answers(mode, win))
+    return {(mode, win): Verdict(answers(mode, win))
             for mode in SYNC_MODES for win in WIN_MODES}
 
 
@@ -60,11 +58,32 @@ def test_analysis_carries_model_constants(funnel):
 
 @pytest.mark.parametrize("decide", DECIDERS, ids=lambda f: f.__name__)
 def test_deciders_reject_empty_support_and_unknown_mode(funnel, decide):
+    # and a target and initial support of different widths, in every sync mode
     m, t = funnel.mdp, funnel.targets["target"]
-    with pytest.raises(ValueError, match="nonempty"):
+    s0, wide = funnel.initial.support(), SupportSet.of(m.n + 1, [0])
+    with pytest.raises(ValueError, match="initial support must be nonempty"):
         decide(m, "eventually", t, SupportSet(m.n))
-    with pytest.raises(ValueError, match="unknown sync mode"):
-        decide(m, "sometimes", t, funnel.initial.support())
+    with pytest.raises(ValueError, match="unknown sync mode 'sometimes'"):
+        decide(m, "sometimes", t, s0)
+    for mode in SYNC_MODES:
+        for target, support in ((t, wide), (wide, s0)):
+            with pytest.raises(ValueError, match="target and initial support widths differ"):
+                decide(m, mode, target, support)
+        decide(m, mode, t, s0)
+
+
+def test_coinciding_cells_share_their_stronger_cells_verdict():
+    # limit-sure = almost-sure for weakly and strongly; sure = almost-sure =
+    # limit-sure for always: the weaker cells hold the stronger cell's verdict
+    cases = [(pm.mdp, pm.initial, pm.targets["target"])
+             for pm in map(example_model, EXAMPLE_MODELS)]
+    cases += [(inst.mdp, inst.initial, inst.target) for inst in corpus(20260810, 20)]
+    for m, d0, t in cases:
+        v = analyze(m, d0, t).verdicts
+        for mode in ("weakly", "strongly"):
+            assert v[(mode, "limit-sure")] is v[(mode, "almost-sure")]
+        assert v[("always", "almost-sure")] is v[("always", "sure")]
+        assert v[("always", "limit-sure")] is v[("always", "sure")]
 
 
 def test_verdicts_are_immutable_and_bounds_cover_every_cell(funnel):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from syncmdp import (Dist, ModeQuery, ModelFormatError, StrategySpec, SupportSet,
+from syncmdp import (Dist, ModelFormatError, StrategySpec, SupportSet,
                      counter_product, format_rational, lift_with_counter,
                      min_initial_probability, min_positive_probability, model_to_obj,
                      parse_model, parse_rational, serialize_model, simulate,
@@ -224,17 +224,3 @@ def test_strategy_validation(funnel):
         StrategySpec("bad", (0,), 0, ({},), {0: Fraction(3, 2), 1: Fraction(-1, 2)})
     counter = StrategySpec("counter", (0, 1, 2), 1, ({}, {}, {}), uniform)
     assert [counter.next(j) for j in range(3)] == [1, 2, 1]
-
-
-def test_mode_query_validation():
-    t = SupportSet.of(3, [0])
-    s0 = SupportSet.of(3, [1])
-    ModeQuery("always", "sure", t, s0)
-    with pytest.raises(ValueError):
-        ModeQuery("sometimes", "sure", t, s0)
-    with pytest.raises(ValueError):
-        ModeQuery("always", "maybe", t, s0)
-    with pytest.raises(ValueError):
-        ModeQuery("always", "sure", t, SupportSet(3))
-    with pytest.raises(ValueError):
-        ModeQuery("always", "sure", t, SupportSet.of(4, [0]))

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -13,7 +14,7 @@ from syncmdp.checks import _mask
 from syncmdp.model import ZERO
 from syncmdp.oracle import _clears, _numerator_in
 
-from conftest import (ABSORBING, as_dists, as_fractions, build, mass_in,
+from conftest import (ABSORBING, CHAIN, as_dists, as_fractions, build, mass_in,
                       synchronized_positions, target_masses)
 
 
@@ -113,6 +114,14 @@ def test_enumerate_funnel_depth_two(funnel):
     slots = [nums for trace in out for nums in trace.nums]
     assert len(slots) == 96 and len({id(nums) for nums in slots}) == 35
     assert out[0].nums[1] is out[1].nums[1]
+
+
+def test_enumerate_walks_deeper_than_the_recursion_limit():
+    pm = build(CHAIN)
+    h = sys.getrecursionlimit() + 200
+    (trace,) = enumerate_pure_strategies(pm.mdp, pm.initial, h)
+    assert trace.strategy_label == "pure[" + ",".join(["0"] * h) + "]"
+    assert len(trace.nums) == h + 1 and trace.nums[-1] == {1: 1}
 
 
 def test_enumerate_budget_guard(funnel):

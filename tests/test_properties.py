@@ -409,8 +409,8 @@ def test_region_certificate_holds_exactly_on_the_almost_sure_reach_region(inst):
     m, _, t = inst
     ctx = CheckContext(SimpleNamespace(mdp=m, target=t), horizon=0)
     region = ctx.reach_region
-    assert check_region_dp(ctx).status == "pass"
+    assert check_region_dp(ctx)[0] == "pass"
     for q in range(m.n):
         if q not in t:
             ctx.reach_region = SupportSet(m.n, region.bits ^ 1 << q)
-            assert check_region_dp(ctx).status == "fail", q
+            assert check_region_dp(ctx)[0] == "fail", q

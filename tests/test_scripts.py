@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import runpy
 import subprocess
 import sys
@@ -77,6 +78,28 @@ def test_verify_corpus_rejects_a_negative_horizon_or_depth(monkeypatch, capsys, 
         script["main"]()
     assert exc.value.code == 2
     assert f"argument {flag}: expected a nonnegative integer, got -2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--count", "-1", "expected a nonnegative integer, got -1"),
+    ("--max-states", "0", "expected an integer of at least 1, got 0"),
+    ("--max-denominator", "0", "expected an integer of at least 1, got 0"),
+    ("--max-actions", "5", "expected an integer from 1 to 4, got 5"),
+])
+def test_verify_corpus_rejects_an_out_of_range_tier(monkeypatch, capsys, flag, value, message):
+    script = runpy.run_path(str(ROOT / "scripts" / "verify_corpus.py"))
+    monkeypatch.setattr(sys, "argv", ["verify_corpus.py", flag, value])
+    with pytest.raises(SystemExit) as exc:
+        script["main"]()
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+def test_random_mdp_rejects_more_actions_than_it_has_names():
+    rng = random.Random(0)
+    assert randgen.random_mdp(rng, max_actions=4).action_count <= 4
+    with pytest.raises(ValueError, match="max_actions is at most 4, got 6"):
+        randgen.random_mdp(rng, max_actions=6)
 
 
 def test_report_digest():

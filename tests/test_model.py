@@ -7,6 +7,7 @@ from syncmdp import (Dist, ModelFormatError, StrategySpec, SupportSet,
                      min_initial_probability, min_positive_probability, model_to_obj,
                      parse_model, parse_rational, serialize_model, simulate,
                      uniform_strategy)
+from syncmdp.model import _check_question
 
 from conftest import ABSORBING, as_dists, build, exact_counter_product
 
@@ -224,3 +225,17 @@ def test_strategy_validation(funnel):
         StrategySpec("bad", (0,), 0, ({},), {0: Fraction(3, 2), 1: Fraction(-1, 2)})
     counter = StrategySpec("counter", (0, 1, 2), 1, ({}, {}, {}), uniform)
     assert [counter.next(j) for j in range(3)] == [1, 2, 1]
+
+
+def test_mode_query_validation():
+    # the question every decider checks first: a known sync mode, a nonempty
+    # initial support, and a target of the same width
+    t = SupportSet.of(3, [0])
+    s0 = SupportSet.of(3, [1])
+    _check_question("always", t, s0)
+    with pytest.raises(ValueError, match="unknown sync mode 'sometimes'"):
+        _check_question("sometimes", t, s0)
+    with pytest.raises(ValueError, match="initial support must be nonempty"):
+        _check_question("always", t, SupportSet(3))
+    with pytest.raises(ValueError, match="target and initial support widths differ"):
+        _check_question("always", t, SupportSet.of(4, [0]))

@@ -10,6 +10,13 @@ All deciders work on initial supports (winning is support-only). The memo
 `cache` dict of one analysis, keyed by set bits, holds predecessor lassos, the
 PreMap they step through, regions and counter-product skeletons across the
 many sub-queries a full matrix run triggers.
+
+Almost-sure weakly searches for T' <= T with (1) s0 limit-sure eventually in T'
+and (2) T' limit-sure eventually in Pre(T'). Let W(Y) be the states q with {q}
+limit-sure eventually in Y, and F(X) = T & W(Pre(X)). Limit-sure eventually is
+monotone in the initial support, so every T' passing (2) has T' <= F(T'); F is
+monotone, so by Knaster-Tarski every such T' lies in Z = gfp F, and the search
+walks only the subsets of Z.
 """
 
 from __future__ import annotations
@@ -46,15 +53,17 @@ def _safety(m, t, cache):
     return _cached(cache, ("safety", t.bits), lambda: sure_safety_region(m, t))
 
 
-def _subsets_desc(t, limits):
-    """Bit masks of the nonempty subsets of a target in decreasing cardinality, then
-    index order; past the target itself, a target wider than the subset-width guard trips."""
-    members = [1 << q for q in t]
+def _subsets_desc(z, t, limits):
+    """Bit masks of the nonempty subsets of the fixpoint bound z of target t in
+    decreasing cardinality, then index order; past z itself, a z wider than the
+    subset-width guard trips."""
+    members = [1 << q for q in z]
     if members:
-        yield t.bits
+        yield z.bits
     if len(members) > limits.subset_width:
         raise GuardExceeded("subset-search",
-                            f"target has {len(t)} states, guard is {limits.subset_width}")
+                            f"fixpoint bound has {len(z)} of the target's {len(t)} states, "
+                            f"guard is {limits.subset_width}")
     for size in range(len(members) - 1, 0, -1):
         yield from map(sum, combinations(members, size))
 
@@ -186,6 +195,21 @@ def _limit_eventually(m, t, s0, cache, limits):
     return _cached(cache, ("limit-event", t.bits, s0.bits), make)
 
 
+def _weakly_bound(m, t, cache, limits):
+    """Z = gfp of X -> T & W(Pre(X)), iterated down from T: each round keeps the
+    states q of X with {q} limit-sure eventually in Pre(X), so at most |T| rounds."""
+    def make():
+        pre_map, x = _pre_map(m, cache), t
+        while True:
+            y = SupportSet(t.width, pre_map[x.bits])
+            nxt = SupportSet.of(t.width, [q for q in x if _limit_eventually(
+                m, y, SupportSet(t.width, 1 << q), cache, limits) is not None])
+            if nxt == x:
+                return x
+            x = nxt
+    return _cached(cache, ("weakly-bound", t.bits), make)
+
+
 def _expose_failing_subsupport(m, t, s0, cache, limits):
     """Greedy minimal sub-support that is still not limit-sure eventually winning."""
     cur = s0
@@ -243,16 +267,21 @@ def decide_almost_sure(m, sync_mode, t, s0, *, cache=None, limits=DEFAULT_LIMITS
 
 def _decide_almost_sure(m, sync_mode, t, s0, cache, limits):
     if sync_mode == "weakly":
-        # Mass in T' is mass in any superset: skip subsets of sets s0 cannot limit-sure reach.
+        # Mass in T' is mass in any superset: skip subsets of sets s0 cannot limit-sure
+        # reach, T among them. A T' passing condition (2) lies in the gfp Z of the module
+        # docstring, and the subsets of Z keep their order among those of T.
         # T''s pre-lasso put Pre(T') in the Pre map, and Pre(T')'s lasso is T''s shifted by one.
+        if _limit_eventually(m, t, s0, cache, limits) is None:
+            return Verdict(False)
         pre_map = _pre_map(m, cache)
+        z = _weakly_bound(m, t, cache, limits)
         failed = []
-        for bits in _subsets_desc(t, limits):
+        for bits in _subsets_desc(z, t, limits):
             if any(bits & ~f == 0 for f in failed):
                 continue
             t2 = SupportSet(t.width, bits)
             if _limit_eventually(m, t2, s0, cache, limits) is None:
-                if t2 == t:
+                if t2 == z:
                     break
                 failed.append(bits)
             elif _limit_eventually(m, SupportSet(t.width, pre_map[bits]), t2,

@@ -53,7 +53,8 @@ def _build_parser():
         p.add_argument("--max-lasso", type=nonnegative_int, default=Limits.max_lasso,
                        help="guard: longest support lasso explored")
         p.add_argument("--subset-width", type=nonnegative_int, default=Limits.subset_width,
-                       help="guard: largest target open to the almost-sure weakly subset search")
+                       help="guard: widest fixpoint bound the almost-sure weakly search walks "
+                            "the subsets of")
 
     p_an = sub.add_parser("analyze", help="full 4x5 verdict matrix with bounds")
     common(p_an)

@@ -47,7 +47,7 @@ class Limits:
     """Guard thresholds for the exponential stages of the analysis."""
 
     max_lasso: int = 1 << 16      # longest support/predecessor lasso explored
-    subset_width: int = 16        # largest target open to the almost-sure weakly subset search
+    subset_width: int = 16        # widest fixpoint bound the almost-sure weakly search walks
 
 DEFAULT_LIMITS = Limits()
 

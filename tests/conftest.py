@@ -81,6 +81,25 @@ CHAIN = {
 }
 
 
+def feeder_cycle(k, loops=0):
+    """One action: the 2-cycle a0 <-> a1, k feeders b_i -> a0 and `loops` self-loops
+    x_i, from a0, with target T = {a0, b_0..b_(k-1), x_0..x_(loops-1)}. Each state
+    of T is limit-sure alone, so the almost-sure weakly fixpoint bound is all of T,
+    and T fails the second condition when k >= 1 (a0 and the feeders are out of
+    phase). The search's first hit is T without its feeders: with k = 1, a subset
+    one smaller than T; with no loops, {a0}, after every larger subset."""
+    feeders, xs = [f"b{i}" for i in range(k)], [f"x{i}" for i in range(loops)]
+    step = {"a0": "a1", "a1": "a0", **dict.fromkeys(feeders, "a0"), **{x: x for x in xs}}
+    return {
+        "states": list(step),
+        "actions": ["a"],
+        "transitions": [{"from": q, "action": "a", "to": nxt, "prob": "1"}
+                        for q, nxt in step.items()],
+        "initial": {"a0": "1"},
+        "targets": {"target": ["a0", *feeders, *xs]},
+    }
+
+
 def exact_counter_product(m, r):
     """Reference M x [r] with exact distributions, to check the package's
     support-only `counter_product` against: product state <q, i> has index

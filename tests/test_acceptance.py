@@ -8,13 +8,12 @@ tolerances. Zero violations are allowed anywhere.
 import json
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
 from syncmdp import ParsedModel, analyze, decide_limit_sure, decide_sure, example_model
 from syncmdp import serialize_model
-from syncmdp.checks import CheckContext, run_checks
+from syncmdp.checks import run_checks
 from syncmdp.cli import main
 from syncmdp.engine import check_consistency
 from syncmdp.randgen import corpus, random_instance
@@ -214,15 +213,10 @@ def _scale_tier():
 
 @pytest.mark.parametrize("name, inst", _scale_tier())
 def test_scale_tier_analyze_through_cli(name, inst, tmp_path, capsys):
-    # a finished analysis, or the subset-search guard on a target too wide to
-    # search; never a traceback
+    # a finished analysis: the almost-sure weakly search walks only the subsets
+    # of its fixpoint bound, which stays within the subset-search guard here
     model = tmp_path / f"{name}.json"
     model.write_text(serialize_model(ParsedModel(inst.mdp, inst.initial, {"target": inst.target})))
     code = main(["analyze", "--model", str(model), "--target", "target",
                  "--json", str(tmp_path / f"{name}.analyze.json")])
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    if code == 3:
-        assert err.startswith("guard tripped at stage subset-search:"), err
-    else:
-        assert (code, err) == (0, "")
+    assert (code, capsys.readouterr().err) == (0, "")

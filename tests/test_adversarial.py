@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from syncmdp import (Dist, SupportSet, decide_bounded, decide_positive, freezing_strategy,
+from syncmdp import (SupportSet, decide_bounded, decide_positive, freezing_strategy,
                      matrix_power_witness, mec_decomposition, simulate,
                      support_lasso, switch_point, uniform_strategy)
 from syncmdp.adversarial import rows_image

@@ -9,7 +9,7 @@ from syncmdp import classic
 from syncmdp.model import GuardExceeded, Limits
 from syncmdp.regions import pre_lasso
 
-from conftest import ABSORBING, build, target_masses
+from conftest import ABSORBING, build, feeder_cycle, target_masses
 
 
 def test_funnel_eventually_modes(funnel):
@@ -191,12 +191,21 @@ def test_certificates_recheck_on_examples(drain, funnel, loopback, twophase):
 
 
 def test_subset_search_guard(funnel):
+    # the guard bounds the fixpoint bound Z, not the target: funnel's Z is empty
+    # ({q2} cannot limit-sure return to Pre({q2})), so width 0 decides it unwalked
     m = funnel.mdp
-    limits = Limits(subset_width=0)
+    assert not decide_almost_sure(m, "weakly", m.support(["q2"]), funnel.initial.support(),
+                                  limits=Limits(subset_width=0)).answer
+    # Z = T = {a0, b0} fails the second condition, so its proper subsets are walked
+    pm = build(feeder_cycle(1))
+    m, t, s0 = pm.mdp, pm.targets["target"], pm.initial.support()
     with pytest.raises(GuardExceeded) as exc:
-        decide_almost_sure(m, "weakly", m.support(["q2"]), funnel.initial.support(),
-                           limits=limits)
+        decide_almost_sure(m, "weakly", t, s0, limits=Limits(subset_width=1))
     assert exc.value.stage == "subset-search"
+    assert str(exc.value) == ("subset-search: fixpoint bound has 2 of the target's 2 states, "
+                              "guard is 1")
+    v = decide_almost_sure(m, "weakly", t, s0, limits=Limits(subset_width=2))
+    assert v.answer and v.certificate["t_prime"] == m.support(["a0"])
 
 
 def test_sure_weakly_builds_at_most_one_lasso_per_target_state(monkeypatch):

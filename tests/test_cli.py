@@ -11,7 +11,7 @@ from syncmdp import (SupportSet, analyze, checks, cli, example_path, serialize_m
 from syncmdp.cli import main
 from syncmdp.report import build_report
 
-from conftest import ABSORBING, CHAIN
+from conftest import ABSORBING, CHAIN, feeder_cycle
 
 
 def run(capsys, *argv):
@@ -192,15 +192,24 @@ def test_guard_names_the_first_stage(capsys):
     assert "stage pre-lasso" in err
 
 
-def test_subset_width_guard_exit_code(capsys):
-    # the almost-sure weakly search over subsets of the target is the stage
-    # the subset-width guard bounds; funnel's target {q2} does not decide the
-    # cell by itself (s0 limit-sure reaches it, but q2 cannot limit-sure
-    # return to Pre({q2})), so the search must go on past it
-    code, _, err = run(capsys, "analyze", "--model", example_path("funnel"),
-                       "--target", "target", "--subset-width", "0")
+def test_subset_width_guard_exit_code(capsys, tmp_path):
+    # the subset-width guard bounds the fixpoint bound Z of the almost-sure weakly
+    # search; here Z is the whole target, which fails the second condition, so
+    # the search must go on past it into proper subsets
+    narrow, wide = tmp_path / "feeders1.json", tmp_path / "feeders17.json"
+    narrow.write_text(json.dumps(feeder_cycle(1)))
+    wide.write_text(json.dumps(feeder_cycle(17)))
+    code, _, err = run(capsys, "analyze", "--model", str(narrow), "--target", "target",
+                       "--subset-width", "1")
     assert code == 3
-    assert "stage subset-search" in err
+    assert err == ("guard tripped at stage subset-search: subset-search: fixpoint bound "
+                   "has 2 of the target's 2 states, guard is 1\n")
+    code, out, err = run(capsys, "analyze", "--model", str(narrow), "--target", "target",
+                         "--query", "weakly:almost-sure")
+    assert (code, out, err) == (0, "weakly:almost-sure = yes\n", "")
+    code, _, err = run(capsys, "analyze", "--model", str(wide), "--target", "target")
+    assert code == 3
+    assert "fixpoint bound has 18 of the target's 18 states, guard is 16" in err
 
 
 def test_subset_width_guard_spares_a_target_that_decides_alone(capsys, tmp_path):
@@ -254,20 +263,12 @@ def test_verify_failed_check_exit_code(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, *shlex.split(replay)[1:])
     assert code == 5
     assert err.splitlines()[-1] == replay
-    # the replay keeps the guard flags: this 17-state target trips the subset
-    # search at the default width, but not at the width the failing run used
-    x = [f"x{i}" for i in range(1, 17)]
-    wide = {
-        "states": [*x, "z", "sink"],
-        "actions": ["a"],
-        "transitions": [*({"from": q, "action": "a", "to": q, "prob": "1"}
-                          for q in [*x, "sink"]),
-                        {"from": "z", "action": "a", "to": "sink", "prob": "1"}],
-        "initial": {"x1": "1"},
-        "targets": {"target": [*x, "z"]},
-    }
+    # the replay keeps the guard flags: this 17-state target's fixpoint bound is
+    # all of it and fails the second condition, so the subset search trips at the
+    # default width, but not at the width the failing run used (the search then
+    # hits the target without its feeder among the 16-state subsets)
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps(wide))
+    path.write_text(json.dumps(feeder_cycle(1, loops=15)))
     code, _, err = run(capsys, "verify", "--model", str(path), "--target", "target")
     assert code == 3 and "guard tripped at stage subset-search" in err
     code, _, err = run(capsys, "verify", "--model", str(path), "--target", "target",

@@ -9,7 +9,7 @@ from syncmdp import (Verdict, analyze, decide_almost_sure, decide_bounded,
 from syncmdp import classic, engine, model
 from syncmdp.examples import EXAMPLE_MODELS
 from syncmdp.randgen import corpus
-from syncmdp.engine import ConsistencyError, check_consistency
+from syncmdp.engine import check_consistency
 from syncmdp.model import SYNC_MODES, WIN_MODES, SupportSet
 
 DECIDERS = (decide_sure, decide_almost_sure, decide_limit_sure, decide_positive,

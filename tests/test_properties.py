@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 from syncmdp import (Dist, Mdp, ModelFormatError, ParsedModel, PreMap, SupportSet,
                      almost_sure_reach_region, analyze, counter_product,
                      decide_almost_sure, decide_limit_sure, decide_sure, iterate_lasso,
-                     lift_with_counter, matrix_power_witness, mec_decomposition,
+                     matrix_power_witness, mec_decomposition,
                      model_to_obj, parse_model, pre, pre_lasso, serialize_model, simulate,
                      support_lasso, sure_safety_region, uniform_strategy)
 from syncmdp.adversarial import post_image, rows_image
 from syncmdp.checks import CheckContext, check_region_dp
-from syncmdp.classic import _cycle_strategy, _limit_eventually
+from syncmdp.classic import _cycle_strategy, _limit_eventually, _weakly_bound
 from syncmdp.model import DEFAULT_LIMITS
 from syncmdp.oracle import max_mass_at_step
 from syncmdp.regions import _apre
@@ -286,6 +286,23 @@ def test_sure_weakly_fixpoint_matches_subset_search(m, data):
         s, k, r, sl = ref
         assert v.certificate == {"kind": "sure-weakly", "set": s, "k": k, "r": r}
         assert v.witness == _cycle_strategy(m, k, r, sl)
+
+
+# every T' passing condition (2) of the almost-sure weakly search lies in the
+# fixpoint bound Z of each target T above it, so walking only Z's subsets finds the
+# same first hit (the verdicts and t_prime against the unrestricted search:
+# test_almost_sure_weakly_pruned_search_matches_full_search)
+@given(mdps(max_states=5, max_actions=3, max_support=2))
+@settings(max_examples=150, deadline=None)
+def test_almost_sure_weakly_search_stays_inside_the_fixpoint_bound(m):
+    cache = {}
+    passing = [t2 for t2 in (SupportSet(m.n, bits) for bits in range(1, 1 << m.n))
+               if _limit_eventually(m, pre(m, t2), t2, cache, DEFAULT_LIMITS) is not None]
+    for bits in range(1 << m.n):
+        t = SupportSet(m.n, bits)
+        z = _weakly_bound(m, t, cache, DEFAULT_LIMITS)
+        assert z <= t
+        assert all(t2 <= z for t2 in passing if t2 <= t)
 
 
 def ref_almost_sure_weakly(m, t, s0):

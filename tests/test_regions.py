@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from syncmdp import (SupportSet, almost_sure_reach_region,

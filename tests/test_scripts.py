@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from syncmdp import randgen
+from syncmdp import parse_model, randgen
+
+from conftest import feeder_cycle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,15 +45,23 @@ def test_verify_corpus_wide_tier():
     assert "all checks pass" in done.stdout
 
 
-def test_verify_corpus_tallies_guard_trips():
-    # model #2 of this tier (n = 39) has an 18-state target, past the subset-search
-    # guard: it is tallied as a trip instead of ending the sweep
-    done = run_script("verify_corpus.py", "--count", "3", "--seed", "1", "--max-states", "48",
-                      "--max-actions", "3", "--max-denominator", "6")
-    assert done.returncode == 0, done.stderr
-    assert "  guard trips: subset-search=1\n" in done.stdout
-    assert "  region-dp-agreement          pass=2\n" in done.stdout
-    assert "all checks pass" in done.stdout
+def test_verify_corpus_tallies_guard_trips(monkeypatch, capsys):
+    # the middle model's 18-state target is its own fixpoint bound and fails the
+    # second condition, past the subset-search guard: it is tallied as a trip
+    # instead of ending the sweep
+    def instance(doc):
+        pm = parse_model(doc)
+        return randgen.RandomInstance(pm.mdp, pm.initial, pm.targets["target"])
+    models = [instance(feeder_cycle(1)), instance(feeder_cycle(17)),
+              instance(feeder_cycle(1, loops=2))]
+    monkeypatch.setattr(randgen, "corpus", lambda seed, count, **kwargs: models[:count])
+    script = runpy.run_path(str(ROOT / "scripts" / "verify_corpus.py"))
+    monkeypatch.setattr(sys, "argv", ["verify_corpus.py", "--count", "3"])
+    assert script["main"]() == 0
+    out = capsys.readouterr().out
+    assert "  guard trips: subset-search=1\n" in out
+    assert "  region-dp-agreement          pass=2\n" in out
+    assert "all checks pass" in out
 
 
 def test_verify_corpus_passes_the_tier_flags_to_the_generator(monkeypatch, capsys):

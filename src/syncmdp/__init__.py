@@ -8,7 +8,7 @@ from .adversarial import (AdvVerdictDetail, decide_bounded, decide_positive,
 from .bounds import BoundCert, attach_bounds, compute_bound
 from .checks import CheckResult, run_checks
 from .classic import (decide_almost_sure, decide_limit_sure, decide_sure,
-                      recheck_certificate, synthesize_sure_eventually_strategy)
+                      synthesize_sure_eventually_strategy)
 from .engine import ConsistencyError, ModelAnalysis, analyze, check_consistency
 from .examples import example_model, example_path, example_text
 from .model import (BudgetExceeded, Dist, GuardExceeded, Limits, Mdp,

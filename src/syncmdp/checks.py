@@ -1,11 +1,11 @@
 """Oracle cross-checks: every inequality and structural invariant the
 verdicts imply, verified against exact simulation, backward induction,
 brute-force strategy enumeration and support-mask certificates. The simulated
-strategies are the analysis's own witnesses (from its memo), and four checks
-reuse engine primitives: `lasso-integrity` (matrix powers), `reach-value-cap`
-and `region-dp-agreement` (almost_sure_reach_region) and `certificate-recheck`
-(recheck_certificate). `region-dp-agreement` only takes the region from the
-engine: its certificates of both sides (`_safe_reach`) read only `succ`.
+strategies are the analysis's own witnesses (from its memo). `lasso-integrity`
+reuses matrix powers, and `reach-value-cap` and `region-dp-agreement` the
+almost-sure reach region. The mask certificates (`_safe_reach`, `_certified`)
+read only `succ`, and take from the deciders only `decide_limit_sure`'s
+certificates of the two conditions of an almost-sure weakly verdict.
 
 The checks read trace and profile steps as target numerators over totals and
 supports as bit masks; a `Fraction` is built only for a value a check reports.
@@ -23,8 +23,8 @@ from operator import or_
 
 from .adversarial import _freezing, _uniform, matrix_power_witness, post_image, rows_image
 from .bounds import compute_bound
-from .classic import recheck_certificate
-from .model import BudgetExceeded, ONE, _iter_bits
+from .classic import decide_limit_sure
+from .model import BudgetExceeded, ONE, SupportSet, _iter_bits, counter_product, lift_with_counter
 from .oracle import (_clears, _numerator_in, enumerate_pure_strategies,
                      max_mass_at_step, simulate)
 from .regions import almost_sure_reach_region
@@ -71,21 +71,29 @@ class CheckContext:
             if w is not None and w.label not in strategies:
                 strategies[w.label] = w
         # positive-definition-sim, freezing-lower-bound and witness-soundness
-        # read past the horizon: the sure witnesses to the step their claim
-        # first pins (the countdown's k, the cycle's k + r, n for strongly)
+        # read past the horizon: the sure witnesses to the last step they claim
         windows = {"uniform": a.switch + a.lasso.period}
         nsteps = _bound(a, ("strongly", "bounded"), "N_adversarial")
         if nsteps is not None:
             windows["freezing"] = a.switch + 3 * nsteps.value
-        for mode, window in (("eventually", lambda cert: cert["k"]),
-                             ("weakly", lambda cert: cert["k"] + cert["r"]),
-                             ("strongly", lambda cert: m.n)):
-            v = a.verdicts[(mode, "sure")]
-            if v.witness is not None:
-                label = v.witness.label
-                windows[label] = max(windows.get(label, 0), window(v.certificate))
+        for _, label, steps in self.claims:
+            windows[label] = max(windows.get(label, 0), steps[-1])
         return {label: simulate(m, s, a.initial, max(self.horizon, windows.get(label, 0)))
                 for label, s in strategies.items()}
+
+    @cached_property
+    def claims(self):
+        """(mode, witness label, steps) of each sure yes-verdict with a witness: the steps
+        its claim puts all mass in the target at (k; to the horizon; from n; k, k + r, ...)."""
+        a, h, n = self.analysis, self.horizon, self.analysis.mdp.n
+        spans = {"eventually": lambda cert: range(cert["k"], cert["k"] + 1),
+                 "always": lambda cert: range(h + 1),
+                 "strongly": lambda cert: range(n, max(h, n) + 1),
+                 "weakly": lambda cert: range(cert["k"], max(h, cert["k"] + cert["r"]) + 1,
+                                              cert["r"])}
+        verdicts = {mode: a.verdicts[(mode, "sure")] for mode in spans}
+        return [(mode, v.witness.label, spans[mode](v.certificate))
+                for mode, v in verdicts.items() if v.answer and v.witness is not None]
 
     @cached_property
     def profile(self):
@@ -128,7 +136,7 @@ class CheckContext:
 
 
 def check_lasso_integrity(ctx):
-    """Lasso closure bounds, matrix-power agreement, and one extra period."""
+    """Lasso closure bounds, matrix-power agreement, one extra period, and Pre steps."""
     a = ctx.analysis
     lasso = a.lasso
     l, p = lasso.start, lasso.period
@@ -146,9 +154,11 @@ def check_lasso_integrity(ctx):
     k, r = tl.start, tl.period
     if k + r > 2 ** a.mdp.n:
         return "fail", {"reason": "predecessor lasso exceeds 2^n"}
-    for i in range(k, k + 3 * r + 1):
-        if tl.at(i) != tl.at(i + r):
-            return "fail", {"reason": f"predecessor period broken at {i}"}
+    if tl.supports[0] != a.target or tl.supports[k + r:] != (tl.supports[k],):
+        return "fail", {"reason": "predecessor lasso does not run from the target to its loop"}
+    for i in range(k + r):
+        if _pre(a.mdp, tl.supports[i].bits) != tl.supports[i + 1].bits:
+            return "fail", {"reason": f"predecessor step broken at {i}"}
     return "pass", {"loop_start": l, "period": p, "pre_k": k, "pre_r": r}
 
 
@@ -366,48 +376,76 @@ def check_region_dp(ctx):
 
 def check_witness_soundness(ctx):
     """Each synthesized classic witness achieves exactly what its verdict claims."""
-    a = ctx.analysis
-    n = a.mdp.n
-
-    def synced(trace, i):
-        """All of step i's mass is in the target."""
-        return _numerator_in(a.target, trace.nums[i]) == trace.totals[i]
-
-    v = a.verdicts[("eventually", "sure")]
-    if v.answer and v.witness is not None:
-        k = v.certificate["k"]
-        if not synced(ctx.traces[v.witness.label], k):
-            return "fail", {"mode": "sure eventually", "step": k}
-
-    v = a.verdicts[("always", "sure")]
-    if v.answer and v.witness is not None:
-        trace = ctx.traces[v.witness.label]
-        if not all(synced(trace, i) for i in range(trace.horizon + 1)):
-            return "fail", {"mode": "sure always"}
-
-    v = a.verdicts[("strongly", "sure")]
-    if v.answer and v.witness is not None:
-        trace = ctx.traces[v.witness.label]
-        if not all(synced(trace, i) for i in range(n, max(ctx.horizon, n) + 1)):
-            return "fail", {"mode": "sure strongly"}
-
-    v = a.verdicts[("weakly", "sure")]
-    if v.answer and v.witness is not None:
-        k, r = v.certificate["k"], v.certificate["r"]
-        trace = ctx.traces[v.witness.label]
-        for i in range(k, max(ctx.horizon, k + r) + 1, r):
-            if not synced(trace, i):
-                return "fail", {"mode": "sure weakly", "step": i}
+    for mode, label, steps in ctx.claims:
+        trace = ctx.traces[label]
+        for i in steps:
+            if _numerator_in(ctx.analysis.target, trace.nums[i]) != trace.totals[i]:
+                return "fail", {"mode": f"sure {mode}", "step": i}
     return "pass", {}
 
 
+def _pre(m, y):
+    """Mask Pre: the states with an action keeping all its successors in the mask y."""
+    return sum(1 << q for q, row in enumerate(m.succ) if any(s & ~y == 0 for s in row))
+
+
+def _pre_power(m, y, k):
+    """Pre^k of the mask y."""
+    return reduce(lambda x, _: _pre(m, x), range(k), y)
+
+
+def _trap(m, t, y):
+    """The mask y lies inside t, and each member has an action keeping its successors in y."""
+    return y & ~t == 0 and y & ~_pre(m, y) == 0
+
+
+def _certified(m, t, s0, cert, cache=None):
+    """Whether the yes-certificate `cert` proves its cell for target t from s0 on masks
+    of `succ`, and for almost-sure weakly the limit-sure ones of its two conditions."""
+    kind, tb, s0b = cert["kind"], t.bits, s0.bits
+    if kind == "limit-sure-eventually":
+        k, r, big_r = cert["k"], cert["r"], cert["R"].bits
+        if r < 1 or big_r != _pre_power(m, tb, k) or big_r != _pre_power(m, big_r, r):
+            return False
+    if kind == "sure-eventually" or cert.get("via") == "sure":
+        k = cert["k"] if kind == "sure-eventually" else cert["sure_k"]
+        return s0b & ~_pre_power(m, tb, k) == 0
+    if kind == "sure-weakly":
+        s, k, r = cert["set"].bits, cert["k"], cert["r"]
+        return (r >= 1 and s & ~tb == 0 and s & ~_pre_power(m, s, r) == 0
+                and s0b & ~_pre_power(m, s, k) == 0)
+    if kind == "sure-always":
+        return _trap(m, tb, cert["region"].bits) and s0b & ~cert["region"].bits == 0
+    if kind == "sure-strongly":
+        safe, region = cert["safety_region"].bits, cert["reach_region"].bits
+        # Pre^i of a trap grows with i, so Pre^n of it is its attractor
+        return (_trap(m, tb, safe) and region & ~_pre_power(m, safe, m.n) == 0
+                and s0b & ~region == 0)
+    if kind == "almost-sure-strongly":
+        safe, region = cert["safety_region"].bits, cert["as_reach_region"].bits
+        return (_trap(m, tb, safe) and region & ~_safe_reach(m, safe, region) == 0
+                and s0b & ~region == 0)
+    if kind == "limit-sure-eventually":   # via the counter product
+        region, goal = cert["product_region"].bits, lift_with_counter(cert["R"], r, 0).bits
+        return (region & ~_safe_reach(counter_product(m, r), goal, region) == 0
+                and lift_with_counter(s0, r, cert["phase"]).bits & ~region == 0)
+    t2 = cert["t_prime"]   # almost-sure weakly, or eventually via weakly
+    if t2.bits & ~tb:
+        return False
+    for goal, start in ((t2, s0), (SupportSet(m.n, _pre(m, t2.bits)), t2)):
+        v = decide_limit_sure(m, "eventually", goal, start, cache=cache)
+        if not (v.answer and _certified(m, goal, start, v.certificate, cache)):
+            return False
+    return True
+
+
 def check_certificates(ctx):
-    """Certificates re-verify from region primitives alone."""
+    """Every classic yes-certificate proves its cell on support masks."""
     a = ctx.analysis
-    for (mode, win), verdict in a.verdicts.items():
-        if win in ("sure", "almost-sure", "limit-sure"):
-            if not recheck_certificate(a.mdp, a.target, a.s0, verdict):
-                return "fail", {"mode": mode, "win": win}
+    for (mode, win), v in a.verdicts.items():
+        if win in ("sure", "almost-sure", "limit-sure") and v.answer and not (
+                v.certificate and _certified(a.mdp, a.target, a.s0, v.certificate, a.cache)):
+            return "fail", {"mode": mode, "win": win}
     return "pass", {}
 
 

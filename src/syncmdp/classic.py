@@ -1,10 +1,10 @@
 """Deciders for sure, almost-sure and limit-sure winning of the four
-synchronizing modes, with re-checkable certificates and the witness strategies
-the characterizations support directly.
+synchronizing modes, with certificates and the witness strategies the
+characterizations support directly. This module only decides: the oracle
+battery (`checks`) proves each yes-certificate on support masks itself.
 
 A verdict does not repeat its question: a coinciding mode returns the stronger
-mode's verdict itself, and `recheck_certificate` is handed the target and the
-initial support it rechecks.
+mode's verdict itself.
 
 All deciders work on initial supports (winning is support-only). The memo
 `cache` dict of one analysis, keyed by set bits, holds predecessor lassos, the
@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .model import (DEFAULT_LIMITS, ONE, GuardExceeded, StrategySpec, SupportSet, Verdict,
                     _cached, _check_question, _uniform_row, counter_product, lift_with_counter)
-from .regions import (PreMap, almost_sure_reach_region, pre, pre_lasso, reach_layers,
+from .regions import (PreMap, almost_sure_reach_region, pre_lasso, reach_layers,
                       sure_safety_region)
 
 
@@ -311,52 +311,3 @@ def _decide_almost_sure(m, sync_mode, t, s0, cache, limits):
     cert = {"kind": "almost-sure-strongly", "safety_region": safe,
             "as_reach_region": region}
     return Verdict(s0 <= region, certificate=cert)
-
-
-def _iter_pre(m, s, k):
-    for _ in range(k):
-        s = pre(m, s)
-    return s
-
-
-def recheck_certificate(m, t, s0, verdict):
-    """Re-verify a yes-certificate for target t from the support s0, using only
-    region-analysis primitives."""
-    cert = verdict.certificate
-    if not verdict.answer or cert is None:
-        return True
-    kind = cert["kind"]
-    if kind == "sure-eventually":
-        return s0 <= _iter_pre(m, t, cert["k"])
-    if kind == "sure-weakly":
-        s, k, r = cert["set"], cert["k"], cert["r"]
-        return s <= t and s <= _iter_pre(m, s, r) and s0 <= _iter_pre(m, s, k)
-    if kind == "sure-always":
-        region = sure_safety_region(m, t)
-        return cert["region"] == region and s0 <= region
-    if kind == "sure-strongly":
-        safe = sure_safety_region(m, t)
-        region = reach_layers(m, safe)[-1]
-        return (cert["safety_region"] == safe and cert["reach_region"] == region
-                and s0 <= region)
-    if kind == "limit-sure-eventually":
-        k, r, big_r = cert["k"], cert["r"], cert["R"]
-        if big_r != _iter_pre(m, t, k) or big_r != _iter_pre(m, big_r, r):
-            return False
-        if cert["via"] == "sure":
-            return s0 <= _iter_pre(m, t, cert["sure_k"])
-        region = almost_sure_reach_region(counter_product(m, r), lift_with_counter(big_r, r, 0))
-        return (cert["product_region"] == region
-                and lift_with_counter(s0, r, cert["phase"]) <= region)
-    if kind in ("almost-sure-weakly", "almost-sure-eventually"):
-        if cert.get("via") == "sure":
-            return s0 <= _iter_pre(m, t, cert["sure_k"])
-        t2 = cert["t_prime"]
-        return (t2 <= t and _limit_eventually(m, t2, s0, None, DEFAULT_LIMITS) is not None
-                and _limit_eventually(m, pre(m, t2), t2, None, DEFAULT_LIMITS) is not None)
-    if kind == "almost-sure-strongly":
-        safe = sure_safety_region(m, t)
-        region = almost_sure_reach_region(m, safe)
-        return (cert["safety_region"] == safe and cert["as_reach_region"] == region
-                and s0 <= region)
-    return True

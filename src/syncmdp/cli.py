@@ -22,6 +22,7 @@ from .regions import (almost_sure_reach_region, mec_decomposition, pre_lasso,
 from .report import build_report, render_text, to_json
 
 REGION_KINDS = ("pre-lasso", "mec", "safety", "reach", "almost-sure")
+MAX_HORIZON = 10_000   # the traces and the step profile take memory quadratic in the horizon
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,6 +37,13 @@ def nonnegative_int(text):
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+    return value
+
+
+def horizon_int(text):
+    """argparse type of the horizon flags: a nonnegative integer up to MAX_HORIZON."""
+    if (value := nonnegative_int(text)) > MAX_HORIZON:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_HORIZON} steps, got {text}")
     return value
 
 
@@ -66,8 +74,8 @@ def _build_parser():
     common(p_ve)
     p_ve.add_argument("--budget", type=nonnegative_int, default=DEFAULT_CHECK_BUDGET,
                       help="guard: strategy enumeration work budget")
-    p_ve.add_argument("--horizon", type=nonnegative_int, default=None,
-                      help="simulation/DP horizon (default max(50, 4*lasso))")
+    p_ve.add_argument("--horizon", type=horizon_int, default=None,
+                      help=f"simulation/DP horizon <= {MAX_HORIZON} (default max(50, 4*lasso))")
     p_ve.add_argument("--enum-depth", type=nonnegative_int, default=DEFAULT_ENUM_DEPTH,
                       help="pure-strategy enumeration depth at tiny scale")
 
@@ -139,8 +147,10 @@ def _cmd_verify(args):
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
         horizon = CheckContext(analysis, horizon=args.horizon).horizon
+        # a default horizon past the flag's bound replays as the default
+        pinned = ["--horizon", str(horizon)] if horizon <= MAX_HORIZON else []
         print(shlex.join(["syncmdp", "verify", "--model", args.model, "--target", args.target,
-                          "--horizon", str(horizon), "--enum-depth", str(args.enum_depth),
+                          *pinned, "--enum-depth", str(args.enum_depth),
                           "--budget", str(args.budget), "--max-lasso", str(args.max_lasso),
                           "--subset-width", str(args.subset_width)]), file=sys.stderr)
         return 5

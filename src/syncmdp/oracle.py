@@ -3,8 +3,8 @@ finite-horizon optimum of the per-step target mass by backward induction, and
 the traces of all history-dependent pure strategies, by brute-force
 enumeration.
 
-Nothing here shares code paths with the deciders, nor does the battery's
-certificate for the almost-sure reach region (`checks._safe_reach`).
+Nothing here shares code paths with the deciders, nor do the battery's mask
+certificates (`checks._safe_reach`, `checks._certified`).
 
 The kernels run on integer numerators over one common denominator per step
 (the LCD of the transition rows, times that of the strategy's choice rows,

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from syncmdp import (BudgetExceeded, SupportSet, analyze, checks, compute_bound,
-                     enumerate_pure_strategies, example_model, uniform_strategy)
-from syncmdp.checks import (ALL_CHECKS, CheckContext, check_reach_value_cap, check_region_dp,
-                            run_checks)
+from syncmdp import (BudgetExceeded, Lasso, SupportSet, analyze, checks, classic,
+                     compute_bound, enumerate_pure_strategies, example_model, regions,
+                     uniform_strategy)
+from syncmdp.checks import (ALL_CHECKS, CheckContext, _certified, check_reach_value_cap,
+                            check_region_dp, run_checks)
 from syncmdp.randgen import corpus
 
 from conftest import ABSORBING, build, synchronized_positions
@@ -378,3 +379,80 @@ def test_region_dp_agreement_catches_a_slow_winner_left_out():
     ctx.reach_region = pm.targets["goal"]   # the planted region leaves q0 out
     assert check_region_dp(ctx) == ("fail", {
         "state": "q0", "reason": "losing state not certified"})
+
+
+@pytest.mark.parametrize("name", ["drain", "funnel", "loopback", "twophase"])
+def test_lasso_integrity_steps_the_predecessor_lasso_by_pre(name):
+    # a planted predecessor lasso of full supports repeats its period, but it
+    # neither starts at the target nor steps by Pre
+    pm = example_model(name)
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    tl = an.target_lasso
+    full = Lasso((SupportSet.full(an.mdp.n),) * len(tl.supports), tl.start, tl.period)
+    (result,) = run_checks(replace(an, target_lasso=full), names={"lasso-integrity"})
+    assert result.status == "fail"
+    (result,) = run_checks(an, names={"lasso-integrity"})
+    assert result.status == "pass"
+
+
+# q0 splits its mass between the absorbing t and the absorbing sink x: {t} is the
+# safety region of the target {q0, t}, and q0 reaches t with probability 1/2 only
+LEAK = {
+    "states": ["q0", "t", "x"],
+    "actions": ["a"],
+    "transitions": [
+        {"from": "q0", "action": "a", "to": "t", "prob": "1/2"},
+        {"from": "q0", "action": "a", "to": "x", "prob": "1/2"},
+        {"from": "t", "action": "a", "to": "t", "prob": "1"},
+        {"from": "x", "action": "a", "to": "x", "prob": "1"},
+    ],
+    "initial": {"q0": "1"},
+    "targets": {"goal": ["q0", "t"]},
+}
+
+
+def _safety_one_round(m, t):
+    """`sure_safety_region` cut to one round: t & Pre(all states), which is t."""
+    return SupportSet(m.n, t.bits & regions._apre(m.succ, (1 << m.n) - 1))
+
+
+def _as_reach_outer_once(m, t):
+    """`almost_sure_reach_region` with its outer loop run once: the states that
+    reach t with positive probability."""
+    x = 0
+    while (nxt := t.bits | regions._apre(m.succ, (1 << m.n) - 1, x)) != x:
+        x = nxt
+    return SupportSet(m.n, x)
+
+
+@pytest.mark.parametrize("primitive, mutant, cell", [
+    ("sure_safety_region", _safety_one_round, {"mode": "always", "win": "sure"}),
+    ("almost_sure_reach_region", _as_reach_outer_once, {"mode": "weakly", "win": "almost-sure"}),
+])
+def test_certificate_recheck_catches_a_region_primitive_mutant(monkeypatch, primitive, mutant,
+                                                               cell):
+    # the deciders answer yes from an over-approximated region; the masks prove
+    # each certificate without the primitive, so they do not share its bug
+    pm = build(LEAK)
+    (result,) = run_checks(analyze(pm.mdp, pm.initial, pm.targets["goal"]),
+                           names={"certificate-recheck"})
+    assert result.status == "pass"
+    monkeypatch.setattr(classic, primitive, mutant)
+    (result,) = run_checks(analyze(pm.mdp, pm.initial, pm.targets["goal"]),
+                           names={"certificate-recheck"})
+    assert (result.status, result.info) == ("fail", cell)
+
+
+def test_certificate_recheck_rejects_a_product_region_with_an_extra_state():
+    # the almost-sure region of the counter product is the largest that passes,
+    # so adding any state to it must fail
+    pm = example_model("funnel")
+    m, t, s0 = pm.mdp, pm.targets["target"], pm.initial.support()
+    cert = classic.decide_limit_sure(m, "eventually", t, s0).certificate
+    assert cert["via"] == "product" and _certified(m, t, s0, cert)
+    region = cert["product_region"]
+    outside = [q for q in range(region.width) if q not in region]
+    assert outside
+    for q in outside:
+        planted = {**cert, "product_region": region | SupportSet.of(region.width, [q])}
+        assert not _certified(m, t, s0, planted), q

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from syncmdp import (Dist, SupportSet, decide_almost_sure, decide_limit_sure,
-                     decide_sure, recheck_certificate, simulate,
-                     synthesize_sure_eventually_strategy)
+                     decide_sure, simulate, synthesize_sure_eventually_strategy)
 from syncmdp import classic
+from syncmdp.checks import _certified
 from syncmdp.model import GuardExceeded, Limits
 from syncmdp.regions import pre_lasso
 
@@ -91,7 +91,7 @@ def test_twophase_sure_weakly_certificate(twophase):
     cert = v.certificate
     assert set(cert["set"].names(m.states)) == {"q2", "q3"}
     assert cert["k"] == 1 and cert["r"] == 2
-    assert recheck_certificate(m, t, s0, v)
+    assert _certified(m, t, s0, v.certificate)
 
 
 def test_countdown_strategy_twophase(twophase):
@@ -179,7 +179,7 @@ def test_sure_strongly_witness():
     assert v.answer and v.witness is not None
     trace = simulate(m, v.witness, pm.initial, 6)
     assert all(v == 1 for v in target_masses(trace, t)[m.n:])
-    assert recheck_certificate(m, t, s0, v)
+    assert _certified(m, t, s0, v.certificate)
 
 
 def test_certificates_recheck_on_examples(drain, funnel, loopback, twophase):
@@ -187,7 +187,8 @@ def test_certificates_recheck_on_examples(drain, funnel, loopback, twophase):
         m, t, s0 = pm.mdp, pm.targets["target"], pm.initial.support()
         for mode in ("always", "eventually", "weakly", "strongly"):
             for decide in (decide_sure, decide_almost_sure, decide_limit_sure):
-                assert recheck_certificate(m, t, s0, decide(m, mode, t, s0))
+                v = decide(m, mode, t, s0)
+                assert not v.answer or _certified(m, t, s0, v.certificate)
 
 
 def test_subset_search_guard(funnel):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import shlex
@@ -133,12 +134,20 @@ def test_malformed_field_is_located_input_error(capsys, tmp_path, change, locati
     ["verify", "--horizon", "ten"],
     ["analyze", "--budget", "5"],
     ["regions", "--set", "target", "--which", "mec", "--budget", "5"],
+    # the traces and the step profile grow with the square of the horizon
+    ["verify", "--horizon", "99999999999999999999999"],
 ])
 def test_bad_flag_values_are_usage_errors(capsys, argv):
     target = [] if argv[0] == "regions" else ["--target", "target"]
     code, _, err = run(capsys, *argv, "--model", example_path("funnel"), *target)
     assert code == 1
     assert "error: " in err and "Traceback" not in err
+
+
+def test_horizon_flags_stop_at_their_bound():
+    assert cli.horizon_int(str(cli.MAX_HORIZON)) == cli.MAX_HORIZON
+    with pytest.raises(argparse.ArgumentTypeError, match="at most 10000 steps, got 10001"):
+        cli.horizon_int(str(cli.MAX_HORIZON + 1))
 
 
 def test_zero_flag_values_are_accepted(capsys):
@@ -279,6 +288,21 @@ def test_verify_failed_check_exit_code(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, *shlex.split(replay)[1:])
     assert code == 5
     assert err.splitlines()[-1] == replay
+
+
+def test_replay_leaves_out_a_default_horizon_past_the_flag_bound(capsys, monkeypatch):
+    # the default horizon max(50, 4 * switch) is not bounded, the flag is: a
+    # default past the bound replays as the default
+    def planted(ctx):
+        return "fail", {"reason": "planted"}
+    monkeypatch.setitem(checks.ALL_CHECKS, "lasso-integrity", planted)
+    monkeypatch.setattr(cli, "MAX_HORIZON", 49)
+    code, _, err = run(capsys, "verify", "--model", example_path("loopback"),
+                       "--target", "target")
+    replay = err.splitlines()[-1]
+    assert code == 5 and "--horizon" not in replay
+    code, _, err = run(capsys, *shlex.split(replay)[1:])
+    assert code == 5 and err.splitlines()[-1] == replay
 
 
 def test_regions_pre_lasso(capsys):

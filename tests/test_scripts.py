@@ -80,14 +80,22 @@ def test_verify_corpus_passes_the_tier_flags_to_the_generator(monkeypatch, capsy
                      "max_denominator": 8}
 
 
-@pytest.mark.parametrize("flag", ["--horizon", "--enum-depth"])
-def test_verify_corpus_rejects_a_negative_horizon_or_depth(monkeypatch, capsys, flag):
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param("--horizon", "-2", "expected a nonnegative integer, got -2", id="--horizon"),
+    pytest.param("--enum-depth", "-2", "expected a nonnegative integer, got -2",
+                 id="--enum-depth"),
+    # the traces and the step profile grow with the square of the horizon
+    pytest.param("--horizon", "10001", "expected at most 10000 steps, got 10001",
+                 id="--horizon-past-bound"),
+])
+def test_verify_corpus_rejects_a_negative_horizon_or_depth(monkeypatch, capsys, flag, value,
+                                                           message):
     script = runpy.run_path(str(ROOT / "scripts" / "verify_corpus.py"))
-    monkeypatch.setattr(sys, "argv", ["verify_corpus.py", "--count", "1", flag, "-2"])
+    monkeypatch.setattr(sys, "argv", ["verify_corpus.py", "--count", "1", flag, value])
     with pytest.raises(SystemExit) as exc:
         script["main"]()
     assert exc.value.code == 2
-    assert f"argument {flag}: expected a nonnegative integer, got -2" in capsys.readouterr().err
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value, message", [

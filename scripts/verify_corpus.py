@@ -12,7 +12,7 @@ import time
 from collections import Counter
 
 from syncmdp import GuardExceeded, analyze, serialize_model
-from syncmdp.checks import DEFAULT_ENUM_DEPTH, run_checks
+from syncmdp.checks import DEFAULT_ENUM_DEPTH, MAX_HORIZON, run_checks
 from syncmdp.cli import horizon_int, nonnegative_int
 from syncmdp.model import ParsedModel
 from syncmdp.randgen import ACTION_NAMES, corpus
@@ -36,7 +36,8 @@ def main():
     parser.add_argument("--max-states", type=int_in(1), default=5)
     parser.add_argument("--max-actions", type=int_in(1, len(ACTION_NAMES)), default=2)
     parser.add_argument("--max-denominator", type=int_in(1), default=4)
-    parser.add_argument("--horizon", type=horizon_int, default=50)
+    parser.add_argument("--horizon", type=horizon_int, default=50,
+                        help=f"oracle horizon, at most {MAX_HORIZON} steps")
     parser.add_argument("--enum-depth", type=nonnegative_int, default=DEFAULT_ENUM_DEPTH)
     args = parser.parse_args()
 

@@ -44,17 +44,20 @@ def _bound(analysis, cell, kind):
 
 DEFAULT_CHECK_BUDGET = 5000
 DEFAULT_ENUM_DEPTH = 6
+MAX_HORIZON = 10_000   # the traces and the step profile take memory quadratic in the horizon
 
 
 class CheckContext:
-    """Shared simulation artifacts for one analyzed instance, each built on first use."""
+    """Shared simulation artifacts for one analyzed instance, each built on first use.
+    The default horizon is max(50, 4 * switch), clamped to MAX_HORIZON."""
 
     def __init__(self, analysis, horizon=None, budget=DEFAULT_CHECK_BUDGET,
                  enum_depth=DEFAULT_ENUM_DEPTH):
         self.analysis = analysis
         self.budget = budget
         self.enum_depth = enum_depth
-        self.horizon = horizon if horizon is not None else max(50, 4 * analysis.switch)
+        self.horizon = (horizon if horizon is not None
+                        else min(max(50, 4 * analysis.switch), MAX_HORIZON))
 
     @cached_property
     def traces(self):

@@ -13,7 +13,8 @@ import functools
 import shlex
 import sys
 
-from .checks import CheckContext, DEFAULT_CHECK_BUDGET, DEFAULT_ENUM_DEPTH, run_checks
+from .checks import (CheckContext, DEFAULT_CHECK_BUDGET, DEFAULT_ENUM_DEPTH, MAX_HORIZON,
+                     run_checks)
 from .engine import ConsistencyError, analyze
 from .model import (GuardExceeded, Limits, ModelFormatError, SYNC_MODES,
                     WIN_MODES, load_model)
@@ -22,7 +23,6 @@ from .regions import (almost_sure_reach_region, mec_decomposition, pre_lasso,
 from .report import build_report, render_text, to_json
 
 REGION_KINDS = ("pre-lasso", "mec", "safety", "reach", "almost-sure")
-MAX_HORIZON = 10_000   # the traces and the step profile take memory quadratic in the horizon
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +75,8 @@ def _build_parser():
     p_ve.add_argument("--budget", type=nonnegative_int, default=DEFAULT_CHECK_BUDGET,
                       help="guard: strategy enumeration work budget")
     p_ve.add_argument("--horizon", type=horizon_int, default=None,
-                      help=f"simulation/DP horizon <= {MAX_HORIZON} (default max(50, 4*lasso))")
+                      help=f"simulation/DP horizon <= {MAX_HORIZON} "
+                           "(default max(50, 4*switch), clamped to that bound)")
     p_ve.add_argument("--enum-depth", type=nonnegative_int, default=DEFAULT_ENUM_DEPTH,
                       help="pure-strategy enumeration depth at tiny scale")
 
@@ -147,10 +148,8 @@ def _cmd_verify(args):
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
         horizon = CheckContext(analysis, horizon=args.horizon).horizon
-        # a default horizon past the flag's bound replays as the default
-        pinned = ["--horizon", str(horizon)] if horizon <= MAX_HORIZON else []
         print(shlex.join(["syncmdp", "verify", "--model", args.model, "--target", args.target,
-                          *pinned, "--enum-depth", str(args.enum_depth),
+                          "--horizon", str(horizon), "--enum-depth", str(args.enum_depth),
                           "--budget", str(args.budget), "--max-lasso", str(args.max_lasso),
                           "--subset-width", str(args.subset_width)]), file=sys.stderr)
         return 5

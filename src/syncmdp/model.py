@@ -3,7 +3,9 @@
 States and actions live in declaration order and are referred to by index in
 every algorithm; the JSON front end resolves names exactly once. Probabilities
 are `fractions.Fraction` end to end, so all invariants in this package are
-checked with exact equality (masses sum to 1, never "close to 1").
+checked with exact equality (masses sum to 1, never "close to 1"). The checks
+read numerators and denominators as integers: a sign is a numerator's sign and
+a sum is one integer sum over the least common denominator.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import or_
 
 SYNC_MODES = ("always", "eventually", "weakly", "strongly")
@@ -66,6 +69,14 @@ def parse_rational(text, location=None):
     if den == 0:
         raise ModelFormatError(f"zero denominator in rational {text!r}", location)
     return Fraction(num, den)
+
+
+def _sums_to_one(values):
+    """Whether the rationals `values` sum to exactly 1: one integer sum of the
+    numerators over the least common denominator, where a `Fraction` sum would
+    reduce at every addition."""
+    lcd = lcm(*(p.denominator for p in values))
+    return sum(p.numerator * (lcd // p.denominator) for p in values) == lcd
 
 
 def _iter_bits(bits):
@@ -145,26 +156,30 @@ class SupportSet:
 
 @dataclass(frozen=True, eq=True)
 class Dist:
-    """Exact probability distribution over state indices; only positive mass is stored."""
+    """Exact probability distribution over state indices; only positive mass is stored.
+
+    The states are checked in index order, each for its range and then for the
+    sign of its numerator; the positive masses must then sum to exactly 1, one
+    integer sum over their least common denominator (`_sums_to_one`). The
+    `Fraction` total is built only for the "sums to" message.
+    """
 
     width: int
     mass: dict
 
     def __post_init__(self):
         clean = {}
-        total = ZERO
         for q in sorted(self.mass):
             p = self.mass[q]
             p = p if isinstance(p, Fraction) else Fraction(p)
             if not 0 <= q < self.width:
                 raise ValueError(f"state index {q} out of range for width {self.width}")
-            if p < 0:
+            if p.numerator < 0:
                 raise ValueError(f"negative mass {p} at state {q}")
-            if p > 0:
+            if p.numerator:
                 clean[q] = p
-                total += p
-        if total != 1:
-            raise ValueError(f"distribution sums to {format_rational(total)}")
+        if not _sums_to_one(clean.values()):
+            raise ValueError(f"distribution sums to {format_rational(sum(clean.values(), ZERO))}")
         object.__setattr__(self, "mass", clean)
 
     @classmethod
@@ -229,7 +244,8 @@ class Mdp(Skeleton):
         self.actions = actions
         self.delta = tuple(rows)
         self._state_index = {s: i for i, s in enumerate(states)}
-        super().__init__(n, tuple(tuple(d.support().bits for d in row) for row in self.delta))
+        super().__init__(n, tuple(tuple(sum(1 << q for q in d.mass) for d in row)
+                                  for row in self.delta))
 
     def state_index(self, name):
         if name not in self._state_index:
@@ -248,8 +264,15 @@ class Mdp(Skeleton):
 
 
 def min_positive_probability(m):
-    """Smallest positive transition probability of the MDP (alpha)."""
-    return min(p for row in m.delta for d in row for p in d.mass.values())
+    """Smallest positive transition probability of the MDP (alpha), compared by
+    cross-multiplying numerators and denominators (every mass is at most 1)."""
+    alpha, num, den = ONE, 1, 1
+    for row in m.delta:
+        for d in row:
+            for p in d.mass.values():
+                if p.numerator * den < num * p.denominator:
+                    alpha, num, den = p, p.numerator, p.denominator
+    return alpha
 
 
 def min_initial_probability(d0, restrict=None):
@@ -272,6 +295,10 @@ class StrategySpec:
     in order and return to `loop_start` after the last one. At position j a
     state q plays the action row forced[j][q] when q is listed there, and the
     shared uniform row `default` otherwise.
+
+    Every distinct row must be a distribution over actions: no numerator
+    negative, and the values summing to exactly 1 by the integer sum of
+    `_sums_to_one`, as in `Dist`.
     """
 
     label: str
@@ -286,10 +313,10 @@ class StrategySpec:
         if len(self.forced) != len(self.memory):
             raise ValueError("forced rows need one entry per memory value")
         for row in self.rows():
-            total = sum(row.values(), ZERO)
-            if total != 1 or any(p < 0 for p in row.values()):
+            values = row.values()
+            if any(p.numerator < 0 for p in values) or not _sums_to_one(values):
                 raise ValueError(f"action row {row} is not a distribution "
-                                 f"(sums to {format_rational(total)})")
+                                 f"(sums to {format_rational(sum(values, ZERO))})")
 
     def next(self, j):
         """The position after position j."""
@@ -354,11 +381,22 @@ def product_state_names(states, r):
     return [f"{s}@{i}" for s in states for i in range(r - 1, -1, -1)]
 
 
+MAX_PRODUCT_BITS = 1 << 28   # successor-mask bits (n r)^2 |A| a counter product may hold
+
+
 def counter_product(m, r):
     """Support skeleton of M x [r], which tracks the step count modulo r: every
-    action moves <q, i> to the successors of q at counter i-1 mod r."""
+    action moves <q, i> to the successors of q at counter i-1 mod r. A product
+    whose n r states would carry more than MAX_PRODUCT_BITS mask bits trips the
+    `counter-product` guard before anything is built."""
     if r < 1:
         raise ValueError("counter modulus must be at least 1")
+    size = m.n * r
+    if size * size * m.action_count > MAX_PRODUCT_BITS:
+        raise GuardExceeded("counter-product",
+                            f"M x [{r}] on {m.n} states has {size} states, "
+                            f"{size * size * m.action_count} mask bits, "
+                            f"guard is {MAX_PRODUCT_BITS}")
     rows = []
     for row in m.succ:
         wide = [sum(1 << q * r for q in _iter_bits(s)) for s in row]   # s x {r-1}
@@ -427,6 +465,7 @@ def parse_model(doc):
     if not isinstance(doc["transitions"], list):
         raise ModelFormatError("must be a list of transition objects", "transitions")
     masses = {}   # (q, a) -> {q2: p}, in document order
+    probs = {}    # probability text -> its Fraction: each distinct text is parsed once
     for pos, tr in enumerate(doc["transitions"]):
         loc = f"transitions[{pos}]"
         if not isinstance(tr, dict):
@@ -441,7 +480,11 @@ def parse_model(doc):
         if q2 in mass:
             raise ModelFormatError(
                 f"duplicate transition ({tr['from']}, {tr['action']}, {tr['to']})", loc)
-        mass[q2] = parse_rational(tr["prob"], loc)
+        text = tr["prob"]
+        try:
+            mass[q2] = probs[text]
+        except (KeyError, TypeError):   # a miss; a non-string prob misses and fails to parse
+            mass[q2] = probs[text] = parse_rational(text, loc)
 
     rows = []
     for q in range(n):

@@ -100,6 +100,27 @@ def feeder_cycle(k, loops=0):
     }
 
 
+def prime_cycles(lengths=(2, 3, 5, 7, 11, 13), spread=False):
+    """One action: disjoint deterministic cycles c<l>_0 -> ... -> c<l>_(l-1) -> c<l>_0
+    of the given lengths, with target the cycle starts. The initial mass is
+    uniform on the cycle starts, or with `spread` on every state. With the
+    default lengths (41 states) the support lasso closes after lcm = 30,030
+    steps; with `spread` the start lies in no Pre^i of the target, so limit-sure
+    eventually needs the counter product M x [30030]."""
+    cycles = [[f"c{n}_{i}" for i in range(n)] for n in lengths]
+    states = [q for cycle in cycles for q in cycle]
+    starts = [cycle[0] for cycle in cycles]
+    init = states if spread else starts
+    return {
+        "states": states,
+        "actions": ["next"],
+        "transitions": [{"from": q, "action": "next", "to": cycle[(i + 1) % len(cycle)],
+                         "prob": "1"} for cycle in cycles for i, q in enumerate(cycle)],
+        "initial": dict.fromkeys(init, f"1/{len(init)}"),
+        "targets": {"target": starts},
+    }
+
+
 def exact_counter_product(m, r):
     """Reference M x [r] with exact distributions, to check the package's
     support-only `counter_product` against: product state <q, i> has index

@@ -17,7 +17,7 @@ from syncmdp.checks import (ALL_CHECKS, CheckContext, _certified, check_reach_va
                             check_region_dp, run_checks)
 from syncmdp.randgen import corpus
 
-from conftest import ABSORBING, build, synchronized_positions
+from conftest import ABSORBING, build, prime_cycles, synchronized_positions
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -103,6 +103,15 @@ def test_check_context_default_horizon():
     an = analyze(pm.mdp, pm.initial, pm.targets["target"])
     ctx = CheckContext(an)
     assert ctx.horizon == max(50, 4 * an.switch)
+
+
+def test_check_context_default_horizon_is_clamped():
+    # cycles of lengths 2..13: the support lasso closes after 30,030 steps, so
+    # 4 * switch = 120,120 is clamped to the bound `verify --horizon` has
+    pm = build(prime_cycles())
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    assert an.switch == 30030
+    assert CheckContext(an).horizon == checks.MAX_HORIZON == 10_000
 
 
 def test_battery_simulates_each_strategy_once_from_the_memo(monkeypatch):

@@ -12,7 +12,7 @@ from syncmdp import (SupportSet, analyze, checks, cli, example_path, serialize_m
 from syncmdp.cli import main
 from syncmdp.report import build_report
 
-from conftest import ABSORBING, CHAIN, feeder_cycle
+from conftest import ABSORBING, CHAIN, feeder_cycle, prime_cycles
 
 
 def run(capsys, *argv):
@@ -290,19 +290,73 @@ def test_verify_failed_check_exit_code(capsys, tmp_path, monkeypatch):
     assert err.splitlines()[-1] == replay
 
 
-def test_replay_leaves_out_a_default_horizon_past_the_flag_bound(capsys, monkeypatch):
-    # the default horizon max(50, 4 * switch) is not bounded, the flag is: a
-    # default past the bound replays as the default
+def test_replay_pins_a_default_horizon_clamped_to_the_bound(capsys, monkeypatch):
+    # the default horizon max(50, 4 * switch) is clamped to the flag's bound, so
+    # the replay line always pins it, and the flag accepts it
     def planted(ctx):
         return "fail", {"reason": "planted"}
     monkeypatch.setitem(checks.ALL_CHECKS, "lasso-integrity", planted)
+    monkeypatch.setattr(checks, "MAX_HORIZON", 49)
     monkeypatch.setattr(cli, "MAX_HORIZON", 49)
     code, _, err = run(capsys, "verify", "--model", example_path("loopback"),
                        "--target", "target")
     replay = err.splitlines()[-1]
-    assert code == 5 and "--horizon" not in replay
+    assert code == 5 and " --horizon 49 " in replay
     code, _, err = run(capsys, *shlex.split(replay)[1:])
     assert code == 5 and err.splitlines()[-1] == replay
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_counter_product_guard_trips_before_building(capsys, tmp_path, command):
+    # mass on every state of cycles 2..13 lies in no Pre^i of the cycle starts,
+    # so limit-sure eventually asks for M x [30030]: 1,231,230 states
+    path = tmp_path / "primes.json"
+    path.write_text(json.dumps(prime_cycles(spread=True)))
+    code, out, err = run(capsys, command, "--model", str(path), "--target", "target")
+    assert (code, out) == (3, "")
+    assert err.startswith("guard tripped at stage counter-product: ")
+    assert "M x [30030] on 41 states has 1231230 states" in err
+    assert "Traceback" not in err
+
+
+# one action over three states, every probability the text "10/20"
+HALVES = {
+    "states": ["q0", "q1", "q2"], "actions": ["a"],
+    "transitions": [{"from": q, "action": "a", "to": q2, "prob": "10/20"}
+                    for q in ("q0", "q1", "q2") for q2 in ("q0", "q1", "q2") if q != q2],
+    "initial": {"q0": "1"},
+    "targets": {"target": ["q0"]},
+}
+
+
+def halves_with(tmp_path, prob):
+    """HALVES with its fifth probability, transitions[4], replaced, as a model file."""
+    doc = {**HALVES, "transitions": [dict(tr) for tr in HALVES["transitions"]]}
+    doc["transitions"][4]["prob"] = prob
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("prob", [0.5, 1, True, ["1"], {}, None, "1/0", "-1/2",
+                                  "1 0/20", "10/2 0", "10 20"])
+def test_malformed_prob_after_cached_repeats(capsys, tmp_path, prob):
+    # transitions[0..3] parse "10/20" once and reuse it; the fifth prob is
+    # malformed and is reported at its own location, whatever the cache holds
+    code, out, err = run(capsys, "analyze", "--model", str(halves_with(tmp_path, prob)),
+                         "--target", "target")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: transitions[4]: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("prob", [" 10/20", "10/20 ", "10 / 20", "\t10/ 20\n", "1/2"])
+def test_prob_variants_of_a_cached_text_parse_alone(capsys, tmp_path, prob):
+    # the cache is keyed by the text: a variant of "10/20" is parsed on its own
+    code, _, err = run(capsys, "analyze", "--model", str(halves_with(tmp_path, prob)),
+                       "--target", "target", "--json", str(tmp_path / "report.json"))
+    assert (code, err) == (0, "")
+    assert json.loads((tmp_path / "report.json").read_text())["model"]["alpha"] == "1/2"
 
 
 def test_regions_pre_lasso(capsys):

@@ -5,12 +5,12 @@ from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from syncmdp import (Dist, Mdp, ModelFormatError, ParsedModel, PreMap, SupportSet,
-                     almost_sure_reach_region, analyze, counter_product,
-                     decide_almost_sure, decide_limit_sure, decide_sure, iterate_lasso,
-                     matrix_power_witness, mec_decomposition,
+from syncmdp import (Dist, Mdp, ModelFormatError, ParsedModel, PreMap, StrategySpec,
+                     SupportSet, almost_sure_reach_region, analyze, counter_product,
+                     decide_almost_sure, decide_limit_sure, decide_sure, format_rational,
+                     iterate_lasso, matrix_power_witness, mec_decomposition,
                      model_to_obj, parse_model, pre, pre_lasso, serialize_model, simulate,
                      support_lasso, sure_safety_region, uniform_strategy)
 from syncmdp.adversarial import post_image, rows_image
@@ -431,3 +431,79 @@ def test_region_certificate_holds_exactly_on_the_almost_sure_reach_region(inst):
         if q not in t:
             ctx.reach_region = SupportSet(m.n, region.bits ^ 1 << q)
             assert check_region_dp(ctx)[0] == "fail", q
+
+
+@st.composite
+def mass_values(draw):
+    """Values for a distribution or an action row: ints, zeros, negatives, small
+    fractions and fractions over two coprime denominators above 10^30; the last
+    value completes the sum to exactly 1 half of the time."""
+    big = draw(st.integers(10 ** 30, 10 ** 31))
+    value = st.one_of(
+        st.integers(-2, 2),
+        st.fractions(min_value=-1, max_value=1, max_denominator=12),
+        st.builds(Fraction, st.integers(-big, 2 * big), st.sampled_from((big, big + 1))))
+    values = draw(st.lists(value, max_size=5))
+    if values and draw(st.booleans()):
+        values[-1] = 1 - sum(values[:-1], Fraction(0))
+    return values
+
+
+def reference_dist_mass(width, mass):
+    """Dist's checks by `Fraction` comparisons and a `Fraction` sum: the stored
+    positive masses, or the ValueError's message."""
+    clean, total = {}, Fraction(0)
+    for q in sorted(mass):
+        p = Fraction(mass[q])
+        if not 0 <= q < width:
+            return f"state index {q} out of range for width {width}"
+        if p < 0:
+            return f"negative mass {p} at state {q}"
+        if p > 0:
+            clean[q] = p
+            total += p
+    return clean if total == 1 else f"distribution sums to {format_rational(total)}"
+
+
+def reference_row_error(row):
+    """StrategySpec's row check by a `Fraction` sum: the message, or None."""
+    total = sum(row.values(), Fraction(0))
+    if total != 1 or any(p < 0 for p in row.values()):
+        return f"action row {row} is not a distribution (sums to {format_rational(total)})"
+    return None
+
+
+def outcome(make):
+    """What make() returns, or the message of the ValueError it raises."""
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_dist_checks_agree_with_a_fraction_sum(data):
+    # states in range in any order, one in four times one out of range
+    width = data.draw(st.integers(1, 5))
+    states = data.draw(st.permutations(range(width)))
+    if data.draw(st.integers(0, 3)) == 0:
+        states.insert(data.draw(st.integers(0, width)), data.draw(st.sampled_from((-1, width))))
+    mass = dict(zip(states, data.draw(mass_values())))
+    expected = reference_dist_mass(width, mass)
+    event("accepted" if isinstance(expected, dict) else "rejected")
+    got = outcome(lambda: Dist(width, mass).mass)
+    assert got == expected
+    if isinstance(got, dict):
+        assert list(got) == list(expected)
+
+
+@given(mass_values(), mass_values())
+@settings(max_examples=300, deadline=None)
+def test_strategy_rows_agree_with_a_fraction_sum(default_values, forced_values):
+    default = dict(enumerate(default_values))
+    forced = dict(enumerate(forced_values))
+    expected = reference_row_error(default) or reference_row_error(forced) or "accepted"
+    event("accepted" if expected == "accepted" else "rejected")
+    got = outcome(lambda: StrategySpec("accepted", (0,), 0, ({0: forced},), default).label)
+    assert got == expected

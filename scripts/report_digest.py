@@ -60,6 +60,15 @@ def large_tier(per_size):
     return models
 
 
+def verify_tier(count):
+    """The first `count` models of corpus 20260810, then the bundled examples."""
+    models = [(i.mdp, i.initial, i.target) for i in corpus(CORPUS_SEEDS[0], count)]
+    for name in EXAMPLE_MODELS:
+        pm = example_model(name)
+        models.append((pm.mdp, pm.initial, pm.targets["target"]))
+    return models
+
+
 def report_line(mdp, initial, target, verify):
     try:
         analysis = analyze(mdp, initial, target)
@@ -113,11 +122,7 @@ def main():
     analyzed = [inst for seed in CORPUS_SEEDS for inst in corpus(seed, args.count)]
     analyzed += large_tier(min(args.count, LARGE_PER_SIZE))
     analyzed = [(i.mdp, i.initial, i.target) for i in analyzed]
-    verified = [(i.mdp, i.initial, i.target)
-                for i in corpus(CORPUS_SEEDS[0], min(args.count, VERIFY_COUNT))]
-    for name in EXAMPLE_MODELS:
-        pm = example_model(name)
-        verified.append((pm.mdp, pm.initial, pm.targets["target"]))
+    verified = verify_tier(min(args.count, VERIFY_COUNT))
 
     if args.cli:
         home = os.getcwd()

@@ -61,19 +61,23 @@ def _bool_mul(a, b):
     return [reduce(or_, (b[q] for q in _iter_bits(row)), 0) for row in a]
 
 
+def matrix_squares(m, i):
+    """M^(2^j) for each j with 2^j <= i (M's rows are m.post), each the square
+    of the one before."""
+    squares = []
+    while i >> len(squares):
+        squares.append(_bool_mul(squares[-1], squares[-1]) if squares else list(m.post))
+    return squares
+
+
 def matrix_power_witness(m, i):
     """Exact-step boolean reachability M^i (M's rows are m.post), by successive squaring."""
     if i < 0:
         raise ValueError("exponent must be nonnegative")
-    base = list(m.post)
     result = [1 << q for q in range(m.n)]
-    e = i
-    while e:
-        if e & 1:
-            result = _bool_mul(result, base)
-        e >>= 1
-        if e:
-            base = _bool_mul(base, base)
+    for j, square in enumerate(matrix_squares(m, i)):
+        if i >> j & 1:
+            result = _bool_mul(result, square)
     return tuple(result)
 
 

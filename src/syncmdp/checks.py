@@ -2,13 +2,17 @@
 verdicts imply, verified against exact simulation, backward induction,
 brute-force strategy enumeration and support-mask certificates. The simulated
 strategies are the analysis's own witnesses (from its memo). `lasso-integrity`
-reuses matrix powers, and `reach-value-cap` and `region-dp-agreement` the
+steps the support lasso by Post and checks it against boolean matrix powers at
+O(log(l + p)) points, and `reach-value-cap` and `region-dp-agreement` reuse the
 almost-sure reach region. The mask certificates (`_safe_reach`, `_certified`)
 read only `succ`, and take from the deciders only `decide_limit_sure`'s
 certificates of the two conditions of an almost-sure weakly verdict.
 
 The checks read trace and profile steps as target numerators over totals and
 supports as bit masks; a `Fraction` is built only for a value a check reports.
+Each artifact is computed once per analysis in its `CheckContext`: the traces,
+the enumeration (at a depth read off the history tree's node counts), the step
+profile and the Pre^i chains the certificates read.
 
 A check returns `(status, info)`; `run_checks` names its `CheckResult` by the
 check's `ALL_CHECKS` key.
@@ -21,11 +25,11 @@ from fractions import Fraction
 from functools import cached_property, partial, reduce
 from operator import or_
 
-from .adversarial import _freezing, _uniform, matrix_power_witness, post_image, rows_image
+from .adversarial import _freezing, _uniform, matrix_squares, post_image, rows_image
 from .bounds import compute_bound
 from .classic import decide_limit_sure
 from .model import BudgetExceeded, ONE, SupportSet, _iter_bits, counter_product, lift_with_counter
-from .oracle import (_clears, _numerator_in, enumerate_pure_strategies,
+from .oracle import (_clears, _numerator_in, enumerate_pure_strategies, enumeration_depth,
                      max_mass_at_step, simulate)
 from .regions import almost_sure_reach_region
 
@@ -58,6 +62,7 @@ class CheckContext:
         self.enum_depth = enum_depth
         self.horizon = (horizon if horizon is not None
                         else min(max(50, 4 * analysis.switch), MAX_HORIZON))
+        self.pre_chains = {}   # the mask chains Pre^i(y) certificate-recheck reads, by y
 
     @cached_property
     def traces(self):
@@ -125,34 +130,39 @@ class CheckContext:
     def enumerated(self):
         """Pure-strategy traces at the deepest horizon the budget admits (n <= 4)."""
         a = self.analysis
-        traces = partial(enumerate_pure_strategies, a.mdp, a.initial, budget=self.budget)
-        # bisect: the history tree and the strategy count only grow with the horizon
-        lo, hi = -1, self.enum_depth if a.mdp.n <= 4 else -1   # deepest admitted in [lo, hi]
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            try:
-                next(traces(mid))
-                lo = mid
-            except BudgetExceeded:
-                hi = mid - 1
-        return (lo, list(traces(lo))) if lo >= 0 else (None, [])
+        depth = (enumeration_depth(a.mdp, a.initial, self.enum_depth, self.budget)
+                 if a.mdp.n <= 4 else None)
+        if depth is None:
+            return None, []
+        return depth, list(enumerate_pure_strategies(a.mdp, a.initial, depth,
+                                                     budget=self.budget))
 
 
 def check_lasso_integrity(ctx):
-    """Lasso closure bounds, matrix-power agreement, one extra period, and Pre steps."""
+    """Lasso closure bounds and closure, Post and Pre steps, and matrix-power agreement.
+
+    The support lasso starts at s0, steps by Post and closes on its loop, so
+    every later step repeats the loop. Boolean matrix powers, by repeated
+    squaring, confirm its supports at l, at l + p and at the powers of two up
+    to l + p: O(log(l + p)) matrix products in all."""
     a = ctx.analysis
-    lasso = a.lasso
+    m, lasso = a.mdp, a.lasso
     l, p = lasso.start, lasso.period
-    if l + p > 2 ** a.mdp.n:
+    if l + p > 2 ** m.n:
         return "fail", {"reason": f"closure {l}+{p} exceeds 2^n"}
-    for i in range(l + p + 1):
-        if rows_image(matrix_power_witness(a.mdp, i), a.s0) != lasso.at(i):
+    supports = lasso.supports
+    if supports[0] != a.s0 or supports[l + p:] != (supports[l],):
+        return "fail", {"reason": "support lasso does not run from s0 to its loop"}
+    for i in range(l + p):
+        if post_image(m, supports[i]) != supports[i + 1]:
+            return "fail", {"reason": f"support step broken at {i}"}
+    squares = matrix_squares(m, l + p)
+    for i in sorted({l, l + p, *(1 << j for j in range(len(squares)))}):
+        # s0 M^i, through the square M^(2^j) of each bit j of i
+        image = reduce(lambda s, j: rows_image(squares[j], s),
+                       (j for j in range(len(squares)) if i >> j & 1), a.s0)
+        if image != supports[i]:
             return "fail", {"reason": f"matrix power disagrees at step {i}"}
-    cur = lasso.at(l)
-    for j in range(2 * p + 1):
-        if cur != lasso.at(l + j):
-            return "fail", {"reason": f"period broken at loop offset {j}"}
-        cur = post_image(a.mdp, cur)
     tl = a.target_lasso
     k, r = tl.start, tl.period
     if k + r > 2 ** a.mdp.n:
@@ -240,6 +250,24 @@ def _prefix_dip(mode, win, kind, ctx):
     return "pass", {"eps": str(cert.value)}
 
 
+def _synced(masses, eps=None):
+    """The keys of the synchronized steps among `masses`: all mass in the target
+    (eps None), or mass strictly above 1 - eps. A step short of full mass is at
+    least 1/total short of 1, so for a total with 0 < eps * total <= 1 (one
+    test per distinct total) a step is synchronized iff v == total; only the
+    steps over the other totals are cross-multiplied."""
+    threshold = None if eps is None else 1 - eps
+    exact = {}   # per distinct total: whether v == total decides
+    synced = set()
+    for key, (v, total) in masses.items():
+        full = exact.get(total)
+        if full is None:
+            full = exact[total] = eps is None or 0 < eps.numerator * total <= eps.denominator
+        if v == total if full else _clears(v, total, threshold):
+            synced.add(key)
+    return synced
+
+
 def _sync_count_cap(win, ctx):
     """Not `win` weakly: at most 2^n synchronized positions along any strategy.
 
@@ -249,26 +277,24 @@ def _sync_count_cap(win, ctx):
     a = ctx.analysis
     if a.answer("weakly", win):
         return "skip", {"reason": f"{win} weakly holds"}
-    if win == "sure":
-        threshold, strict = ONE, False
-    else:
+    eps = None
+    if win == "almost-sure":
         if a.mdp.n < 2:
             return "skip", {"reason": "eps_weakly undefined for n=1"}
         cert = _bound(a, ("weakly", win), "eps_weakly")
         if cert is None or cert.value is None:
             return "skip", {"reason": "no exact bound"}
-        threshold, strict = 1 - cert.value, True
+        eps = cert.value
     cap = 2 ** a.mdp.n
     depth, enumerated = ctx.enumerated
     traces, masses = ctx.count_traces
-    synced = {key for key, (v, total) in masses.items()
-              if _clears(v, total, threshold, strict)}
+    synced = _synced(masses, eps)
     for trace in traces:
         count = sum(id(nums) in synced for nums in trace.nums)
         if count > cap:
             return "fail", {"strategy": trace.strategy_label, "count": count}
     info = {"cap": cap, "enumeration_depth": depth}
-    if strict:
+    if eps is not None:
         info["enumerated"] = len(enumerated)
     return "pass", info
 
@@ -392,9 +418,13 @@ def _pre(m, y):
     return sum(1 << q for q, row in enumerate(m.succ) if any(s & ~y == 0 for s in row))
 
 
-def _pre_power(m, y, k):
-    """Pre^k of the mask y."""
-    return reduce(lambda x, _: _pre(m, x), range(k), y)
+def _pre_power(m, y, k, chains):
+    """Pre^k of the mask y, read off the chain y, Pre(y), Pre^2(y), ... that
+    `chains` keeps per start mask, extended as far as a read needs."""
+    chain = chains.setdefault(y, [y])
+    while len(chain) <= k:
+        chain.append(_pre(m, chain[-1]))
+    return chain[k]
 
 
 def _trap(m, t, y):
@@ -402,27 +432,30 @@ def _trap(m, t, y):
     return y & ~t == 0 and y & ~_pre(m, y) == 0
 
 
-def _certified(m, t, s0, cert, cache=None):
+def _certified(m, t, s0, cert, cache=None, chains=None):
     """Whether the yes-certificate `cert` proves its cell for target t from s0 on masks
-    of `succ`, and for almost-sure weakly the limit-sure ones of its two conditions."""
+    of `succ`, and for almost-sure weakly the limit-sure ones of its two conditions.
+    `chains` keeps the Pre^i chains it reads (a fresh one when None)."""
+    chains = {} if chains is None else chains
     kind, tb, s0b = cert["kind"], t.bits, s0.bits
     if kind == "limit-sure-eventually":
         k, r, big_r = cert["k"], cert["r"], cert["R"].bits
-        if r < 1 or big_r != _pre_power(m, tb, k) or big_r != _pre_power(m, big_r, r):
+        if (r < 1 or big_r != _pre_power(m, tb, k, chains)
+                or big_r != _pre_power(m, big_r, r, chains)):
             return False
     if kind == "sure-eventually" or cert.get("via") == "sure":
         k = cert["k"] if kind == "sure-eventually" else cert["sure_k"]
-        return s0b & ~_pre_power(m, tb, k) == 0
+        return s0b & ~_pre_power(m, tb, k, chains) == 0
     if kind == "sure-weakly":
         s, k, r = cert["set"].bits, cert["k"], cert["r"]
-        return (r >= 1 and s & ~tb == 0 and s & ~_pre_power(m, s, r) == 0
-                and s0b & ~_pre_power(m, s, k) == 0)
+        return (r >= 1 and s & ~tb == 0 and s & ~_pre_power(m, s, r, chains) == 0
+                and s0b & ~_pre_power(m, s, k, chains) == 0)
     if kind == "sure-always":
         return _trap(m, tb, cert["region"].bits) and s0b & ~cert["region"].bits == 0
     if kind == "sure-strongly":
         safe, region = cert["safety_region"].bits, cert["reach_region"].bits
         # Pre^i of a trap grows with i, so Pre^n of it is its attractor
-        return (_trap(m, tb, safe) and region & ~_pre_power(m, safe, m.n) == 0
+        return (_trap(m, tb, safe) and region & ~_pre_power(m, safe, m.n, chains) == 0
                 and s0b & ~region == 0)
     if kind == "almost-sure-strongly":
         safe, region = cert["safety_region"].bits, cert["as_reach_region"].bits
@@ -437,7 +470,7 @@ def _certified(m, t, s0, cert, cache=None):
         return False
     for goal, start in ((t2, s0), (SupportSet(m.n, _pre(m, t2.bits)), t2)):
         v = decide_limit_sure(m, "eventually", goal, start, cache=cache)
-        if not (v.answer and _certified(m, goal, start, v.certificate, cache)):
+        if not (v.answer and _certified(m, goal, start, v.certificate, cache, chains)):
             return False
     return True
 
@@ -447,7 +480,8 @@ def check_certificates(ctx):
     a = ctx.analysis
     for (mode, win), v in a.verdicts.items():
         if win in ("sure", "almost-sure", "limit-sure") and v.answer and not (
-                v.certificate and _certified(a.mdp, a.target, a.s0, v.certificate, a.cache)):
+                v.certificate and _certified(a.mdp, a.target, a.s0, v.certificate,
+                                             a.cache, ctx.pre_chains)):
             return "fail", {"mode": mode, "win": win}
     return "pass", {}
 

@@ -8,11 +8,13 @@ certificates (`checks._safe_reach`, `checks._certified`).
 
 The kernels run on integer numerators over one common denominator per step
 (the LCD of the transition rows, times that of the strategy's choice rows,
-times that of d0), so their inner loops only multiply and add integers. A
-trace is those integers: step i is {q: numerator} over the total `totals[i]`,
-checked to sum to exactly it; the step profile's step i is the optimal target
-numerator over its total. The battery reads them as integers and builds a
-`Fraction` only for a value it reports.
+times that of d0), so their inner loops only multiply and add integers;
+`simulate` merges each action row at a state into one successor row first, so
+a step is one multiply-add per (state, successor). A trace is those integers:
+step i is {q: numerator} over the total `totals[i]`, checked to sum to exactly
+it; the step profile's step i is the optimal target numerator over its total.
+The battery reads them as integers and builds a `Fraction` only for a value it
+reports.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product as iproduct, repeat
+from itertools import accumulate, islice, product as iproduct, repeat
 from operator import mul
 
 from .model import BudgetExceeded, format_rational
@@ -78,7 +80,11 @@ def _transition_numerators(m):
 
 def simulate(m, strategy, d0, h):
     """Exact trace of length h+1 under a counting strategy: the state distribution
-    is all there is to track, and the strategy's position moves by `next(j)`."""
+    is all there is to track, and the strategy's position moves by `next(j)`.
+
+    A state q under an action row steps by one merged row, built on first use:
+    each successor q2 once, in the order it first comes (by action, then
+    successor), with the numerator sum over the row's actions of p_a * p."""
     if h < 0:
         raise ValueError("horizon must be nonnegative")
     den, rows = _transition_numerators(m)
@@ -86,6 +92,16 @@ def simulate(m, strategy, d0, h):
     choice_den, scaled = _numerators(distinct)
     actions = {id(row): tuple((a, pa) for a, pa in nums.items() if pa)
                for row, nums in zip(distinct, scaled)}
+    merged = {key: [None] * m.n for key in actions}
+
+    def merge(key, q):
+        succ, out = rows[q], {}
+        for a, pa in actions[key]:
+            for q2, p in succ[a]:
+                out[q2] = out.get(q2, 0) + pa * p
+        merged[key][q] = out = tuple(out.items())
+        return out
+
     total, (dist,) = _numerators([d0.mass])
     default = strategy.default
     step = den * choice_den
@@ -95,11 +111,9 @@ def simulate(m, strategy, d0, h):
         forced = strategy.forced[j]
         nxt = {}
         for q, w in dist.items():
-            succ = rows[q]
-            for a, pa in actions[id(forced.get(q, default))]:
-                wa = w * pa
-                for q2, p in succ[a]:
-                    nxt[q2] = nxt.get(q2, 0) + wa * p
+            key = id(forced.get(q, default))
+            for q2, p in merged[key][q] or merge(key, q):
+                nxt[q2] = nxt.get(q2, 0) + w * p
         dist = nxt
         j = strategy.next(j)
         total *= step
@@ -127,6 +141,50 @@ def max_mass_at_step(m, t, d0, h):
     return tuple(values)
 
 
+def _tree_sizes(m, d0, budget):
+    """The history tree's node count at horizon h = 0, 1, 2, ..., up to the first
+    count past the budget. Depth i holds one node per positive-probability
+    history q_0 a_0 ... q_i, and a node ending in q has one child per action a
+    and successor of delta(q, a); the nodes are counted per end state."""
+    fan = [[q2 for d in row for q2 in d.mass] for row in m.delta]
+    level = dict.fromkeys(d0.mass, 1)
+    count = 0
+    while True:
+        yield count
+        if count > budget:
+            return
+        count += sum(level.values())
+        nxt = {}
+        for q, c in level.items():
+            for q2 in fan[q]:
+                nxt[q2] = nxt.get(q2, 0) + c
+        level = nxt
+
+
+def _budget_error(count, a_count, budget):
+    """The BudgetExceeded of enumerating over a history tree of `count` nodes, or
+    None: the tree, and the |A|^count strategies times the tree, must fit the budget."""
+    if count > budget:
+        return BudgetExceeded("strategy-enumeration", f"history tree exceeds {budget} nodes")
+    if budget < 1 or a_count > 1 and count * math.log2(a_count) \
+            + math.log2(max(count, 1)) > math.log2(budget):
+        return BudgetExceeded("strategy-enumeration",
+                              f"{a_count}^{count} strategies exceed budget {budget}")
+    return None
+
+
+def enumeration_depth(m, d0, max_depth, budget):
+    """The deepest horizon h <= max_depth that `enumerate_pure_strategies` admits
+    under the budget, or None. The tree and the strategy count only grow with h,
+    so the node counts are walked upward to the first horizon over the budget."""
+    depth = None
+    for h, count in zip(range(max_depth + 1), _tree_sizes(m, d0, budget)):
+        if _budget_error(count, m.action_count, budget):
+            break
+        depth = h
+    return depth
+
+
 def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
     """Stream the trace of every history-dependent pure strategy up to horizon h.
 
@@ -140,12 +198,18 @@ def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
 
     The budget caps the history-tree size and the total enumeration work
     (#strategies = |A|^nodes, times the tree size); exceeding it raises
-    BudgetExceeded before any output so the caller can shrink the instance.
-    One walk over the history tree shares each prefix's step dicts among the
-    strategies agreeing on it, and all traces share one `totals` tuple.
+    BudgetExceeded before any output so the caller can shrink the instance
+    (`enumeration_depth` applies the same rule). One walk over the history
+    tree shares each prefix's step dicts among the strategies agreeing on it,
+    and all traces share one `totals` tuple.
     """
     if h < 0:
         raise ValueError("horizon must be nonnegative")
+    for count in islice(_tree_sizes(m, d0, budget), h + 1):
+        pass   # the count at horizon h, or the first past the budget
+    error = _budget_error(count, m.action_count, budget)
+    if error:
+        raise error
     den, rows = _transition_numerators(m)
     # the children of node j of a level under action a are consecutive in the
     # next level, from first[depth][j] + offset[q][a] on, one per successor
@@ -153,21 +217,12 @@ def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
     states = []
     first = []
     level = sorted(d0.mass)
-    count = 0
     for depth in range(h):
-        count += len(level)
-        if count > budget:
-            raise BudgetExceeded("strategy-enumeration",
-                                 f"history tree exceeds {budget} nodes")
         states.append(level)
         first.append(list(accumulate((offset[q][-1] for q in level), initial=0)))
         if depth + 1 < h:
             level = [q2 for q in level for row in rows[q] for q2, _ in row]
     a_count = m.action_count
-    if budget < 1 or a_count > 1 and count * math.log2(a_count) \
-            + math.log2(max(count, 1)) > math.log2(budget):
-        raise BudgetExceeded("strategy-enumeration",
-                             f"{a_count}^{count} strategies exceed budget {budget}")
 
     def children(depth, mass, picks, steps):
         """The child nodes (mass, picks, steps), one per pick sequence of this

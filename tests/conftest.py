@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from syncmdp import Dist, Mdp, example_model, parse_model
 
@@ -134,3 +135,35 @@ def exact_counter_product(m, r):
             rows.append([Dist(m.n * r, {q2 * r + (r - 1 - j): p for q2, p in d.mass.items()})
                          for d in m.delta[q]])
     return Mdp(names, m.actions, rows)
+
+
+@st.composite
+def rows(draw, keys, max_denominator=8, max_support=8, zeros=False):
+    """A distribution over `keys` with denominator at most max_denominator;
+    with `zeros`, some keys may carry an explicit zero."""
+    size = draw(st.integers(1, min(len(keys), max_denominator, max_support)))
+    support = draw(st.permutations(keys))[:size]
+    denom = draw(st.integers(size, max_denominator))
+    cuts = sorted(draw(st.sets(st.integers(1, denom - 1), min_size=size - 1,
+                               max_size=size - 1))) if size > 1 else []
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
+    row = {k: Fraction(c, denom) for k, c in zip(support, parts)}
+    if zeros:
+        for k in keys:
+            if k not in row and draw(st.booleans()):
+                row[k] = Fraction(0)
+    return row
+
+
+@st.composite
+def wide_instances(draw, max_states=6, min_actions=1, max_actions=3, max_support=8):
+    """Models past the toy corpus: n <= 6, three actions, denominators <= 8
+    (narrower supports keep a pure-strategy enumeration within budget)."""
+    n = draw(st.integers(1, max_states))
+    a_count = draw(st.integers(min_actions, max_actions))
+    delta = [[Dist(n, draw(rows(range(n), max_support=max_support))) for _ in range(a_count)]
+             for _ in range(n)]
+    m = Mdp([f"s{i}" for i in range(n)], [f"a{j}" for j in range(a_count)], delta)
+    d0 = Dist(n, draw(rows(range(n), max_support=max_support)))
+    t = {q for q in range(n) if draw(st.booleans())}
+    return m, d0, m.support(m.states[q] for q in t)

@@ -166,7 +166,7 @@ def test_criterion_7_lasso_integrity(all_analyses):
     assert not failures, failures[:3]
     assert ran == len(all_analyses)
     report("criterion-7 lasso-integrity",
-           f"{ran} instances, matrix powers agree, one extra period verified")
+           f"{ran} instances, Post steps, closure and matrix powers agree")
 
 
 def test_corpus_reports_serialize(corpus_analyses):

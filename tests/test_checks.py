@@ -3,21 +3,25 @@ assertions for the checks the other test modules do not already drive.
 """
 
 import json
+import math
 import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from syncmdp import (BudgetExceeded, Lasso, SupportSet, analyze, checks, classic,
-                     compute_bound, enumerate_pure_strategies, example_model, regions,
-                     uniform_strategy)
-from syncmdp.checks import (ALL_CHECKS, CheckContext, _certified, check_reach_value_cap,
-                            check_region_dp, run_checks)
+from syncmdp import (BudgetExceeded, GuardExceeded, Lasso, SupportSet, adversarial, analyze,
+                     checks, classic, compute_bound, enumerate_pure_strategies, example_model,
+                     regions, uniform_strategy)
+from syncmdp.checks import (ALL_CHECKS, CheckContext, _certified, _synced,
+                            check_reach_value_cap, check_region_dp, run_checks)
+from syncmdp.oracle import _clears
 from syncmdp.randgen import corpus
 
-from conftest import ABSORBING, build, prime_cycles, synchronized_positions
+from conftest import ABSORBING, build, prime_cycles, synchronized_positions, wide_instances
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -211,6 +215,50 @@ def test_near_sync_count_cap_is_strict_at_the_threshold(monkeypatch, eps, status
     assert result.status == status
 
 
+def test_synced_steps_at_the_one_unit_boundary(sample_analyses):
+    # eps * total exactly 1, one unit below and one unit above: a step one unit
+    # short of full mass sits right at 1 - eps, and the integer test must count
+    # what cross-multiplying every mass counts
+    masses = {}
+    for an in sample_analyses[:20]:
+        masses.update(CheckContext(an).count_traces[1])
+    totals = sorted({total for _, total in masses.values()})
+    unit = 10 ** 6
+    for total in (2, 3, totals[len(totals) // 2], totals[-1]):
+        planted = {("planted", t, v): (v, t) for t in (total - 1, total, total + 1, 2 * total)
+                   for v in (0, t - 2, t - 1, t) if v >= 0}
+        steps = {**masses, **planted}
+        for d in (-1, 0, 1):
+            eps = Fraction(unit + d, unit * total)
+            expected = {key for key, (v, t) in steps.items() if _clears(v, t, 1 - eps)}
+            assert _synced(steps, eps) == expected, (total, d)
+            assert (("planted", total, total - 1) in expected) == (d == 1)
+        assert _synced(steps) == {key for key, (v, t) in steps.items()
+                                  if _clears(v, t, 1, strict=False)}
+
+
+# all mass stays in the target t at every step
+TWO_SINKS = {
+    "states": ["t", "x"],
+    "actions": ["a"],
+    "transitions": [{"from": "t", "action": "a", "to": "t", "prob": "1"},
+                    {"from": "x", "action": "a", "to": "x", "prob": "1"}],
+    "initial": {"t": "1"},
+    "targets": {"target": ["t"]},
+}
+
+
+def test_near_sync_count_cap_counts_full_mass_under_a_tiny_eps(monkeypatch):
+    # eps * total <= 1 on every step, so each step is decided by v == total:
+    # the 51 fully synchronized positions are over the cap 2^2
+    pm = build(TWO_SINKS)
+    an = _not_weakly(analyze(pm.mdp, pm.initial, pm.targets["target"]), "almost-sure")
+    monkeypatch.setattr(checks, "_bound",
+                        lambda analysis, cell, kind: _Planted(Fraction(1, 2 ** 4000)))
+    (result,) = run_checks(an, names={"near-sync-count-cap"})
+    assert (result.status, result.info) == ("fail", {"strategy": "uniform", "count": 51})
+
+
 @pytest.mark.parametrize("eps, status", [(Fraction(1, 2), "pass"),
                                          (Fraction(1, 2) + Fraction(1, 10 ** 9), "fail")])
 def test_freezing_bound_passes_a_mass_of_exactly_eps(monkeypatch, eps, status):
@@ -288,10 +336,11 @@ def test_enumeration_depth_matches_the_linear_search(sample_analyses):
 
 
 @pytest.mark.parametrize("name", ["drain", "funnel", "twophase"])
-def test_enumeration_depth_is_bisected(name):
+def test_enumeration_depth_walks_the_node_counts(name):
     # depth 120 lies past the deepest horizon the default budget admits on each
     # model (drain 99, funnel 2; twophase has n = 5 and is not enumerated), so
-    # the linear search from there finds what any deeper bound must
+    # the linear search from there finds what any deeper bound must; the node
+    # counts stop at the first horizon over the budget, so a huge bound is cheap
     pm = example_model(name)
     an = analyze(pm.mdp, pm.initial, pm.targets["target"])
     for depth, budget in ((0, 5000), (1, 5000), (6, 5000), (6, 0), (6, 40)):
@@ -303,6 +352,27 @@ def test_enumeration_depth_is_bisected(name):
     assert time.perf_counter() - start < 1
     assert found == expected
     assert found[0] == {"drain": 99, "funnel": 2, "twophase": None}[name]
+
+
+@given(wide_instances(max_states=5), st.integers(0, 400), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_enumeration_depth_is_the_linear_search_enumerated_once(inst, budget, enum_depth):
+    # n <= 4 is enumerated at the depth the linear search finds, by one call to
+    # the enumeration; n = 5 and a budget admitting no depth make none
+    m, d0, t = inst
+    try:
+        an = analyze(m, d0, t)
+    except GuardExceeded:
+        return
+    ctx = CheckContext(an, budget=budget, enum_depth=enum_depth)
+    with mock.patch.object(checks, "enumerate_pure_strategies",
+                           wraps=enumerate_pure_strategies) as spy:
+        found = ctx.enumerated
+        assert ctx.enumerated is found
+    assert found == ref_enumerated(ctx)
+    assert spy.call_count == (found[0] is not None)
+    if m.n > 4:
+        assert found == (None, []) and spy.call_count == 0
 
 
 def _planted_witness(an, mode, certificate):
@@ -465,3 +535,66 @@ def test_certificate_recheck_rejects_a_product_region_with_an_extra_state():
     for q in outside:
         planted = {**cert, "product_region": region | SupportSet.of(region.width, [q])}
         assert not _certified(m, t, s0, planted), q
+
+
+@pytest.fixture(scope="module")
+def long_lasso():
+    # cycles of lengths 2..13 with mass on the cycle starts: the support lasso
+    # and the predecessor lasso both close after l + p = 30,030 steps
+    pm = build(prime_cycles())
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    assert (an.lasso.start, an.lasso.period) == (0, 30030)
+    return an
+
+
+def test_lasso_integrity_makes_logarithmically_many_matrix_products(long_lasso, monkeypatch):
+    calls = []
+    bool_mul = adversarial._bool_mul
+    monkeypatch.setattr(adversarial, "_bool_mul", lambda a, b: calls.append(1) or bool_mul(a, b))
+    (result,) = run_checks(long_lasso, names={"lasso-integrity"})
+    assert result.status == "pass"
+    lasso = long_lasso.lasso
+    assert 0 < len(calls) <= math.log2(lasso.start + lasso.period)
+
+
+def test_certificate_recheck_reads_each_pre_chain_once(long_lasso, monkeypatch):
+    # the parent re-walked Pre^k(y) from y for every read: 240,238 Pre steps here
+    longest, pre_calls = {}, []
+    pre, pre_power = checks._pre, checks._pre_power
+
+    def read(m, y, k, chains):
+        longest[y] = max(longest.get(y, 0), k)
+        return pre_power(m, y, k, chains)
+    monkeypatch.setattr(checks, "_pre", lambda m, y: pre_calls.append(y) or pre(m, y))
+    monkeypatch.setattr(checks, "_pre_power", read)
+    (result,) = run_checks(long_lasso, names={"certificate-recheck"})
+    assert result.status == "pass"
+    assert max(longest.values()) == 30030
+    # beyond the chains, one Pre per trap and per almost-sure weakly condition
+    yes = sum(v.answer for (_, win), v in long_lasso.verdicts.items()
+              if win in ("sure", "almost-sure", "limit-sure"))
+    assert sum(longest.values()) <= len(pre_calls) <= sum(longest.values()) + 2 * yes
+
+
+def _flipped(lasso, index):
+    """The lasso with state 0 toggled in its support at `index`."""
+    supports = list(lasso.supports)
+    supports[index] = SupportSet(supports[index].width, supports[index].bits ^ 1)
+    return replace(lasso, supports=tuple(supports))
+
+
+@pytest.mark.parametrize("plant, reason", [
+    (lambda an: {"lasso": _flipped(an.lasso, 0)}, "support lasso does not run from s0 to its loop"),
+    # 12,345 is no power of two, and neither l nor l + p
+    (lambda an: {"lasso": _flipped(an.lasso, 12345)}, "support step broken at 12344"),
+    # a period one short: every step holds, but step l + p - 1 does not repeat step l
+    (lambda an: {"lasso": Lasso(an.lasso.supports[:-1], an.lasso.start, an.lasso.period - 1)},
+     "support lasso does not run from s0 to its loop"),
+    (lambda an: {"target_lasso": Lasso((SupportSet.full(an.mdp.n),)
+                                       * len(an.target_lasso.supports),
+                                       an.target_lasso.start, an.target_lasso.period)},
+     "predecessor lasso does not run from the target to its loop"),
+], ids=["step-0", "step-12345", "short-period", "full-predecessor"])
+def test_lasso_integrity_catches_a_planted_long_lasso(long_lasso, plant, reason):
+    (result,) = run_checks(replace(long_lasso, **plant(long_lasso)), names={"lasso-integrity"})
+    assert (result.status, result.info) == ("fail", {"reason": reason})

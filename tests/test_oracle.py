@@ -8,14 +8,15 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syncmdp import (BudgetExceeded, Dist, Mdp, StrategySpec, SupportSet,
-                     enumerate_pure_strategies, max_mass_at_step, simulate, uniform_strategy)
+from syncmdp import (BudgetExceeded, Dist, GuardExceeded, StrategySpec, SupportSet, analyze,
+                     enumerate_pure_strategies, freezing_strategy, max_mass_at_step, simulate,
+                     uniform_strategy)
 from syncmdp.checks import _mask
 from syncmdp.model import ZERO
-from syncmdp.oracle import _clears, _numerator_in
+from syncmdp.oracle import _clears, _numerator_in, _numerators, _transition_numerators
 
-from conftest import (ABSORBING, CHAIN, as_dists, as_fractions, build, mass_in,
-                      synchronized_positions, target_masses)
+from conftest import (ABSORBING, CHAIN, as_dists, as_fractions, build, mass_in, rows,
+                      synchronized_positions, target_masses, wide_instances)
 
 
 def hold_strategy(m, plan):
@@ -302,38 +303,6 @@ def ref_assignment_strategy(m, assignment, rows):
 
 
 @st.composite
-def rows(draw, keys, max_denominator=8, max_support=8, zeros=False):
-    """A distribution over `keys` with denominator at most max_denominator;
-    with `zeros`, some keys may carry an explicit zero."""
-    size = draw(st.integers(1, min(len(keys), max_denominator, max_support)))
-    support = draw(st.permutations(keys))[:size]
-    denom = draw(st.integers(size, max_denominator))
-    cuts = sorted(draw(st.sets(st.integers(1, denom - 1), min_size=size - 1,
-                               max_size=size - 1))) if size > 1 else []
-    parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
-    row = {k: Fraction(c, denom) for k, c in zip(support, parts)}
-    if zeros:
-        for k in keys:
-            if k not in row and draw(st.booleans()):
-                row[k] = Fraction(0)
-    return row
-
-
-@st.composite
-def wide_instances(draw, max_states=6, min_actions=1, max_actions=3, max_support=8):
-    """Models past the toy corpus: n <= 6, three actions, denominators <= 8
-    (narrower supports keep a pure-strategy enumeration within budget)."""
-    n = draw(st.integers(1, max_states))
-    a_count = draw(st.integers(min_actions, max_actions))
-    delta = [[Dist(n, draw(rows(range(n), max_support=max_support))) for _ in range(a_count)]
-             for _ in range(n)]
-    m = Mdp([f"s{i}" for i in range(n)], [f"a{j}" for j in range(a_count)], delta)
-    d0 = Dist(n, draw(rows(range(n), max_support=max_support)))
-    t = {q for q in range(n) if draw(st.booleans())}
-    return m, d0, m.support(m.states[q] for q in t)
-
-
-@st.composite
 def memory_strategies(draw, m, max_memory=3):
     """A randomized counting strategy with up to three memory values; rows may
     be shared between cells and may hold zero-probability actions."""
@@ -418,6 +387,58 @@ def test_integer_steps_read_as_their_dists(inst, data, h):
             assert all(w > 0 for w in nums.values())
             assert Fraction(_numerator_in(t, nums), total) == mass_in(d, t)
             assert _mask(nums) == d.support().bits
+
+
+def per_action_simulate(m, strategy, d0, h):
+    """Reference: `simulate`'s kernel before each row's actions were merged, one
+    multiply-add per (state, action, successor) and step. Returns the steps'
+    numerator dicts and totals."""
+    den, succ_rows = _transition_numerators(m)
+    distinct = strategy.rows()
+    choice_den, scaled = _numerators(distinct)
+    actions = {id(row): tuple((a, pa) for a, pa in nums.items() if pa)
+               for row, nums in zip(distinct, scaled)}
+    total, (dist,) = _numerators([d0.mass])
+    step = den * choice_den
+    nums, totals = [dist], [total]
+    j = 0
+    for _ in range(h):
+        forced = strategy.forced[j]
+        nxt = {}
+        for q, w in dist.items():
+            succ = succ_rows[q]
+            for a, pa in actions[id(forced.get(q, strategy.default))]:
+                wa = w * pa
+                for q2, p in succ[a]:
+                    nxt[q2] = nxt.get(q2, 0) + wa * p
+        dist = nxt
+        j = strategy.next(j)
+        total *= step
+        nums.append(dist)
+        totals.append(total)
+    return nums, totals
+
+
+@given(wide_instances(), st.data(), st.integers(0, 60))
+@settings(max_examples=60, deadline=None)
+def test_merged_rows_simulate_like_the_per_action_kernel(inst, data, h):
+    # the same integers in every step dict, in the same key order, over the
+    # same totals: uniform play, freezing play (forced rows at its switch), the
+    # analysis's witnesses and a random counting strategy
+    m, d0, t = inst
+    try:
+        an = analyze(m, d0, t)
+    except GuardExceeded:
+        an = None
+    strategies = [uniform_strategy(m), data.draw(memory_strategies(m))]
+    if an is not None:
+        strategies.append(freezing_strategy(m, an.lasso, an.mec))
+        strategies += [v.witness for v in an.verdicts.values() if v.witness is not None]
+    for s in strategies:
+        trace = simulate(m, s, d0, h)
+        nums, totals = per_action_simulate(m, s, d0, h)
+        assert [list(step.items()) for step in trace.nums] == [list(step.items()) for step in nums]
+        assert list(trace.totals) == totals
 
 
 def test_simulate_rejects_a_step_that_does_not_sum_to_one(funnel):

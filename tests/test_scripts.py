@@ -133,6 +133,17 @@ def test_report_digest():
     }
 
 
+def test_verify_reports_are_pinned():
+    # the verify digest `report_digest.py` prints at its default count, in
+    # process: any change to a verify report on these 154 models shows here,
+    # and a change made on purpose updates the pin
+    script = runpy.run_path(str(ROOT / "scripts" / "report_digest.py"))
+    models = script["verify_tier"](script["VERIFY_COUNT"])
+    assert len(models) == 150 + 4
+    assert script["digest"](models, verify=True) == (
+        "fd37657a3111a5f354a1a4deb467604eeb0aa1f043c69e0e44a7536c99383302")
+
+
 def test_report_digest_cli_mode():
     done = run_script("report_digest.py", "--cli", "--count", "2")
     assert done.returncode == 0, done.stderr

@@ -10,9 +10,10 @@ certificates of the two conditions of an almost-sure weakly verdict.
 
 The checks read trace and profile steps as target numerators over totals and
 supports as bit masks; a `Fraction` is built only for a value a check reports.
-Each artifact is computed once per analysis in its `CheckContext`: the traces,
-the enumeration (at a depth read off the history tree's node counts), the step
-profile and the Pre^i chains the certificates read.
+Each artifact is computed once per analysis in its `CheckContext`: the traces
+(one simulation per distinct play, cut per strategy), the enumeration (at a
+depth read off the history tree's node counts), the step profile and the
+Pre^i chains the certificates read, Pre^i(T) as `lasso-integrity` verified it.
 
 A check returns `(status, info)`; `run_checks` names its `CheckResult` by the
 check's `ALL_CHECKS` key.
@@ -20,7 +21,7 @@ check's `ALL_CHECKS` key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from operator import or_
@@ -62,12 +63,14 @@ class CheckContext:
         self.enum_depth = enum_depth
         self.horizon = (horizon if horizon is not None
                         else min(max(50, 4 * analysis.switch), MAX_HORIZON))
-        self.pre_chains = {}   # the mask chains Pre^i(y) certificate-recheck reads, by y
+        self.pre_chains = {}   # the Pre^i(y) chains by y; lasso-integrity leaves T's
 
     @cached_property
     def traces(self):
         """One trace per strategy the checks read (uniform and freezing play, the
-        witnesses), each simulated once to the longest window a check reads."""
+        witnesses, in that order), to the longest window a check reads of it.
+        Each distinct play is simulated once, to the longest window among its
+        strategies, and every label gets its own cut of the shared step dicts."""
         a = self.analysis
         m = a.mdp
         strategies = {
@@ -86,8 +89,15 @@ class CheckContext:
             windows["freezing"] = a.switch + 3 * nsteps.value
         for _, label, steps in self.claims:
             windows[label] = max(windows.get(label, 0), steps[-1])
-        return {label: simulate(m, s, a.initial, max(self.horizon, windows.get(label, 0)))
-                for label, s in strategies.items()}
+        horizons = {label: max(self.horizon, windows.get(label, 0)) for label in strategies}
+        keys = {label: _play_key(s) for label, s in strategies.items()}
+        plays = {}   # play key -> [the strategy of its first label, the longest horizon]
+        for label, s in strategies.items():
+            play = plays.setdefault(keys[label], [s, 0])
+            play[1] = max(play[1], horizons[label])
+        simulated = {key: simulate(m, s, a.initial, h) for key, (s, h) in plays.items()}
+        return {label: replace(simulated[keys[label]].cut(h), strategy_label=label)
+                for label, h in horizons.items()}
 
     @cached_property
     def claims(self):
@@ -113,8 +123,9 @@ class CheckContext:
     def count_traces(self):
         """(traces, masses) for the prefix dips and sync-count caps: the simulated
         traces cut to the horizon, then the enumerated ones; masses[id(step)] is
-        (target numerator, total) of each distinct step dict (a prefix the
-        enumerated strategies share is one), summed once."""
+        (target numerator, total) of each distinct step dict (a play several
+        labels share, or a prefix the enumerated strategies share, is one),
+        summed once."""
         traces = [t.cut(self.horizon) for t in self.traces.values()] + self.enumerated[1]
         steps = {id(nums): (nums, total)
                  for trace in traces for nums, total in zip(trace.nums, trace.totals)}
@@ -136,6 +147,14 @@ class CheckContext:
             return None, []
         return depth, list(enumerate_pure_strategies(a.mdp, a.initial, depth,
                                                      budget=self.budget))
+
+
+def _play_key(strategy):
+    """What determines the trace of `strategy`: the one action row it plays at
+    every position and state, by value and without zero entries (as `simulate`
+    reads it), or else its label, which makes it a play of its own."""
+    rows = {tuple((a, p) for a, p in row.items() if p) for row in strategy.rows()}
+    return rows.pop() if len(rows) == 1 else strategy.label
 
 
 def check_lasso_integrity(ctx):
@@ -169,9 +188,12 @@ def check_lasso_integrity(ctx):
         return "fail", {"reason": "predecessor lasso exceeds 2^n"}
     if tl.supports[0] != a.target or tl.supports[k + r:] != (tl.supports[k],):
         return "fail", {"reason": "predecessor lasso does not run from the target to its loop"}
+    chain = [a.target.bits]
     for i in range(k + r):
-        if _pre(a.mdp, tl.supports[i].bits) != tl.supports[i + 1].bits:
+        chain.append(_pre(a.mdp, chain[-1]))
+        if chain[-1] != tl.supports[i + 1].bits:
             return "fail", {"reason": f"predecessor step broken at {i}"}
+    ctx.pre_chains.setdefault(a.target.bits, chain)   # certificate-recheck reads Pre^i(T) here
     return "pass", {"loop_start": l, "period": p, "pre_k": k, "pre_r": r}
 
 

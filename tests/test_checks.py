@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from syncmdp import (BudgetExceeded, GuardExceeded, Lasso, SupportSet, adversarial, analyze,
-                     checks, classic, compute_bound, enumerate_pure_strategies, example_model,
-                     regions, uniform_strategy)
+                     StrategySpec, checks, classic, compute_bound, enumerate_pure_strategies,
+                     example_model, regions, uniform_strategy)
 from syncmdp.checks import (ALL_CHECKS, CheckContext, _certified, _synced,
                             check_reach_value_cap, check_region_dp, run_checks)
 from syncmdp.oracle import _clears
@@ -118,9 +118,8 @@ def test_check_context_default_horizon_is_clamped():
     assert CheckContext(an).horizon == checks.MAX_HORIZON == 10_000
 
 
-def test_battery_simulates_each_strategy_once_from_the_memo(monkeypatch):
-    pm = example_model("loopback")
-    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+def _spy_simulate(monkeypatch):
+    """The strategies `checks.simulate` is called with, in call order."""
     played = []
     simulate = checks.simulate
 
@@ -128,12 +127,115 @@ def test_battery_simulates_each_strategy_once_from_the_memo(monkeypatch):
         played.append(strategy)
         return simulate(m, strategy, d0, h)
     monkeypatch.setattr(checks, "simulate", spy)
+    return played
+
+
+def test_battery_simulates_each_distinct_play_once_from_the_memo(monkeypatch):
+    # loopback: every action stays in an end component, so freezing plays
+    # uniform's row and one simulation serves both labels
+    pm = example_model("loopback")
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    played = _spy_simulate(monkeypatch)
     statuses = {r.name: r.status for r in run_checks(an)}
     assert statuses["freezing-lower-bound"] == statuses["positive-definition-sim"] == "pass"
-    labels = [s.label for s in played]
-    assert len(labels) == len(set(labels)), labels
+    assert len(played) == 1 and played[0] is an.cache[("uniform",)]
+    # funnel: an action leaves an end component, so freezing is a play of its own
+    pm = example_model("funnel")
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    played = _spy_simulate(monkeypatch)
+    assert all(r.status != "fail" for r in run_checks(an))
+    assert len(played) == 2
     assert played[0] is an.cache[("uniform",)]
     assert played[1] is an.cache[("freezing", an.s0.bits)]
+
+
+def ref_traces(ctx):
+    """Reference: each strategy the battery reads simulated on its own, to its
+    own window, in label order (uniform, freezing, the witnesses)."""
+    an = ctx.analysis
+    m = an.mdp
+    strategies = {"uniform": checks._uniform(m, an.cache),
+                  "freezing": checks._freezing(m, an.s0, an.lasso, an.mec, an.cache)}
+    for verdict in an.verdicts.values():
+        if verdict.witness is not None:
+            strategies.setdefault(verdict.witness.label, verdict.witness)
+    windows = {"uniform": an.switch + an.lasso.period}
+    nsteps = checks._bound(an, ("strongly", "bounded"), "N_adversarial")
+    if nsteps is not None:
+        windows["freezing"] = an.switch + 3 * nsteps.value
+    for _, label, steps in ctx.claims:
+        windows[label] = max(windows.get(label, 0), steps[-1])
+    return {label: checks.simulate(m, s, an.initial, max(ctx.horizon, windows.get(label, 0)))
+            for label, s in strategies.items()}
+
+
+def _assert_traces_as_simulated(ctx):
+    expected = ref_traces(ctx)
+    assert list(ctx.traces) == list(expected)
+    for label, ref in expected.items():
+        trace = ctx.traces[label]
+        assert trace.nums == ref.nums, label
+        assert trace.totals == ref.totals, label
+        assert (trace.strategy_label, trace.horizon) == (ref.strategy_label, ref.horizon)
+
+
+def test_shared_plays_give_each_label_its_own_simulation(sample_analyses):
+    fresh = [analyze(inst.mdp, inst.initial, inst.target) for inst in corpus(20261019, 30)]
+    merged = 0
+    for an in [*sample_analyses, *fresh]:
+        ctx = CheckContext(an)
+        _assert_traces_as_simulated(ctx)
+        merged += len({id(t.nums[0]) for t in ctx.traces.values()}) < len(ctx.traces)
+    assert merged > len(sample_analyses) // 2   # most models share a play
+
+
+def _after_switch(an):
+    """Uniform play, then action a at every state from the switch on."""
+    m, sw = an.mdp, an.switch
+    return StrategySpec("freezing", tuple(range(sw + 1)), sw,
+                        ({},) * sw + ({q: {0: Fraction(1)} for q in range(m.n)},),
+                        uniform_strategy(m).default)
+
+
+def _unplayed_default(an):
+    """Uniform's row forced at every state, beside a default row it never plays."""
+    m = an.mdp
+    row = uniform_strategy(m).default
+    return StrategySpec("freezing", (0,), 0, ({q: dict(row) for q in range(m.n)},),
+                        {0: Fraction(1, 3), 1: Fraction(2, 3)})
+
+
+def _masses(trace):
+    return [{q: Fraction(v, total) for q, v in nums.items()}
+            for nums, total in zip(trace.nums, trace.totals)]
+
+
+@pytest.mark.parametrize("plant", [_after_switch, _unplayed_default])
+def test_plays_that_differ_are_not_merged(monkeypatch, plant):
+    # loopback's freezing shares uniform's play; a planted freezing that leaves
+    # q1 only by a from the switch on (the same steps to the switch), or that
+    # has a default row of denominator 3 (the same masses over other totals),
+    # is its own play
+    pm = example_model("loopback")
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    planted = plant(an)
+    monkeypatch.setattr(checks, "_freezing", lambda *args: planted)
+    ctx = CheckContext(an)
+    assert ctx.traces["freezing"] is not ctx.traces["uniform"]
+    _assert_traces_as_simulated(ctx)
+    uni, frz = (_masses(ctx.traces[label]) for label in ("uniform", "freezing"))
+    assert uni[:an.switch + 1] == frz[:an.switch + 1]
+    assert ctx.traces["uniform"].totals != ctx.traces["freezing"].totals or uni != frz
+
+
+def test_play_key_reads_rows_by_value_without_zeros():
+    half = Fraction(1, 2)
+
+    def key(default, forced=None):
+        return checks._play_key(StrategySpec("s", (0,), 0, (forced or {},), default))
+    assert key({0: half, 2: half}) == key({0: half, 1: Fraction(0), 2: half},
+                                          {1: {0: half, 2: half}})
+    assert key({0: half, 2: half}, {1: {0: Fraction(1)}}) == "s"
 
 
 def ref_sync_count_cap(ctx, threshold, strict):
@@ -574,6 +676,26 @@ def test_certificate_recheck_reads_each_pre_chain_once(long_lasso, monkeypatch):
     yes = sum(v.answer for (_, win), v in long_lasso.verdicts.items()
               if win in ("sure", "almost-sure", "limit-sure"))
     assert sum(longest.values()) <= len(pre_calls) <= sum(longest.values()) + 2 * yes
+
+
+def test_battery_walks_the_predecessor_chain_once(long_lasso, monkeypatch):
+    # lasso-integrity leaves its verified Pre^i(T) for certificate-recheck, so
+    # the battery walks T's 30,030-step chain once
+    pre_calls = []
+    pre = checks._pre
+    monkeypatch.setattr(checks, "_pre", lambda m, y: pre_calls.append(y) or pre(m, y))
+    ctx = CheckContext(long_lasso)
+    statuses = {name: fn(ctx)[0] for name, fn in ALL_CHECKS.items()}   # run_checks' order
+    assert "fail" not in statuses.values(), statuses
+    assert statuses["lasso-integrity"] == statuses["certificate-recheck"] == "pass"
+    tl = long_lasso.target_lasso
+    chain = ctx.pre_chains[long_lasso.target.bits]
+    assert chain[:len(tl.supports)] == [s.bits for s in tl.supports]
+    # two chain walks (T's and one more), then one Pre per trap and per
+    # almost-sure weakly condition
+    yes = sum(v.answer for (_, win), v in long_lasso.verdicts.items()
+              if win in ("sure", "almost-sure", "limit-sure"))
+    assert len(pre_calls) <= 2 * (tl.start + tl.period) + 2 * yes
 
 
 def _flipped(lasso, index):

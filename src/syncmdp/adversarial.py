@@ -103,8 +103,11 @@ class AdvVerdictDetail:
     graph_test: bool | None = None
 
 
-def _first_missing(supports, t, offset=0):
-    return next((offset + i for i, s in enumerate(supports) if not s & t), None)
+def _lasso_misses(lasso, t, te):
+    """The indices of the distinct supports of the lasso that miss t, and of
+    those that miss te: the one scan behind the positive/bounded verdicts."""
+    supports = [s.bits for s in lasso.distinct()]
+    return [frozenset(i for i, s in enumerate(supports) if not s & x.bits) for x in (t, te)]
 
 
 def _graph_test_weakly(m, lasso, t):
@@ -141,35 +144,36 @@ def _decide(m, win, sync_mode, t, s0, cache, limits):
     """Positive or bounded membership from conditions on the support lasso.
 
     Positive modes ask whether the target meets the supports; bounded modes
-    ask it of the target inside the end components on the loop.
+    ask it of the target inside the end components on the loop. The cells of
+    one (s0, t) read one memoized scan: the supports that miss either target.
     """
     _check_question(sync_mode, t, s0)
     lasso = _support_lasso(m, s0, cache, limits)
     mec = _mec(m, cache)
-    supports, loop = lasso.distinct(), lasso.loop()
+    miss, miss_te = _cached(cache, ("lasso-misses", s0.bits, t.bits),
+                            lambda: _lasso_misses(lasso, t, t & mec.union))
     l, p, sw = lasso.start, lasso.period, switch_point(lasso)
-    te = t & mec.union
-    cond1 = all(s & t for s in supports)
-    cond2 = all(s & te for s in loop)
+    cond1, cond2 = not miss, not any(i >= l for i in miss_te)
     hit = graph_test = None
 
     if sync_mode == "eventually":
         # bounded coincides with positive here; uniform play is a witness of both
-        hit = next((i for i, s in enumerate(supports) if s & t), None)
+        hit = next((i for i in range(l + p) if i not in miss), None)
         failing = None if hit is not None else 0
     elif sync_mode == "weakly" and win == "positive":
-        hit = next((l + i for i, s in enumerate(loop) if s & t), None)
+        hit = next((i for i in range(l, l + p) if i not in miss), None)
         failing = None if hit is not None else l
         graph_test = _graph_test_weakly(m, lasso, t)
     elif sync_mode == "weakly":
-        hit = next((i for i, s in enumerate(supports) if s & te), None)
+        hit = next((i for i in range(l + p) if i not in miss_te), None)
         failing = None if hit is not None else 0
     elif sync_mode == "strongly":
-        failing = _first_missing(loop, t if win == "positive" else te, offset=l)
+        misses = miss if win == "positive" else miss_te
+        failing = min((i for i in misses if i >= l), default=None)
     else:  # always
-        failing = _first_missing(supports, t)
+        failing = min(miss, default=None)
         if failing is None and win == "bounded":
-            failing = _first_missing(loop, te, offset=l)
+            failing = min((i for i in miss_te if i >= l), default=None)
     answer = failing is None
 
     detail = AdvVerdictDetail(cond1, cond2, failing, l, p, sw, graph_test=graph_test)

@@ -9,7 +9,7 @@ read only `succ`, and take from the deciders only `decide_limit_sure`'s
 certificates of the two conditions of an almost-sure weakly verdict.
 
 The checks read trace and profile steps as target numerators over totals and
-supports as bit masks; a `Fraction` is built only for a value a check reports.
+supports as bit masks; only a value a check reports is a `Fraction` (`rational_obj`).
 Each artifact is computed once per analysis in its `CheckContext`: the traces
 (one simulation per distinct play, cut per strategy), the enumeration (at a
 depth read off the history tree's node counts), the step profile and the
@@ -29,7 +29,8 @@ from operator import or_
 from .adversarial import _freezing, _uniform, matrix_squares, post_image, rows_image
 from .bounds import compute_bound
 from .classic import decide_limit_sure
-from .model import BudgetExceeded, ONE, SupportSet, _iter_bits, counter_product, lift_with_counter
+from .model import (BudgetExceeded, ONE, SupportSet, _iter_bits, counter_product,
+                    lift_with_counter, rational_obj)
 from .oracle import (_clears, _numerator_in, enumerate_pure_strategies, enumeration_depth,
                      max_mass_at_step, simulate)
 from .regions import almost_sure_reach_region
@@ -219,8 +220,8 @@ def check_step_decay_cap(ctx):
         return "skip", {"reason": "sure eventually holds"}
     step, value = _under_cap(ctx.profile, a.alpha0, a.alpha)
     if step is not None:
-        return "fail", {"step": step, "value": str(value)}
-    return "pass", {"horizon": ctx.horizon, "min_slack": str(value)}
+        return "fail", {"step": step, "value": rational_obj(value)}
+    return "pass", {"horizon": ctx.horizon, "min_slack": rational_obj(value)}
 
 
 def check_eventually_isolation(ctx):
@@ -234,8 +235,8 @@ def check_eventually_isolation(ctx):
     eps = cert.value
     step, value = _under_cap(ctx.profile, eps)
     if step is not None:
-        return "fail", {"eps": str(eps)}
-    return "pass", {"eps_log10": cert.log10, "observed_gap": str(value + eps)}
+        return "fail", {"eps": rational_obj(eps)}
+    return "pass", {"eps_log10": cert.log10, "observed_gap": rational_obj(value + eps)}
 
 
 def check_reach_value_cap(ctx):
@@ -247,8 +248,8 @@ def check_reach_value_cap(ctx):
                         a.alpha, a.alpha0).value
     step, value = _under_cap(ctx.profile, cap)
     if step is not None:
-        return "fail", {"step": step, "value": str(value)}
-    return "pass", {"cap": str(cap), "observed_gap": str(value + cap)}
+        return "fail", {"step": step, "value": rational_obj(value)}
+    return "pass", {"cap": rational_obj(cap), "observed_gap": rational_obj(value + cap)}
 
 
 def _prefix_dip(mode, win, kind, ctx):
@@ -267,9 +268,9 @@ def _prefix_dip(mode, win, kind, ctx):
     for trace in traces:
         prefix = [masses[id(nums)] for nums in trace.nums[:n + 1]]
         if len(prefix) > n and all(_clears(v, total, threshold) for v, total in prefix):
-            return "fail", {"eps": str(cert.value), "strategy": trace.strategy_label,
-                            "prefix": [str(Fraction(v, total)) for v, total in prefix]}
-    return "pass", {"eps": str(cert.value)}
+            return "fail", {"eps": rational_obj(cert.value), "strategy": trace.strategy_label,
+                            "prefix": [rational_obj(Fraction(v, total)) for v, total in prefix]}
+    return "pass", {"eps": rational_obj(cert.value)}
 
 
 def _synced(masses, eps=None):
@@ -337,7 +338,8 @@ def check_freezing_bound(ctx):
     for i in range(start, h + 1):
         v, total = _numerator_in(a.target, trace.nums[i]), trace.totals[i]
         if not _clears(v, total, cert.value, strict=False):
-            return "fail", {"step": i, "mass": str(Fraction(v, total)), "eps": str(cert.value)}
+            return "fail", {"step": i, "mass": rational_obj(Fraction(v, total)),
+                            "eps": rational_obj(cert.value)}
     return "pass", {"from_step": start, "to_step": h, "eps_log10": cert.log10}
 
 

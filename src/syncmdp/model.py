@@ -11,6 +11,7 @@ a sum is one integer sum over the least common denominator.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,6 +95,31 @@ def format_rational(value):
     return f"{value.numerator}/{value.denominator}"
 
 
+# Reports write a rational's digits only while its numerator and denominator
+# each have at most 4,300 digits (CPython's default int-to-str limit).
+DIGIT_CEILING = 10 ** 4300
+
+
+def log10_of(value):
+    """log10 of a rational or int, from its numerator and denominator (None unless positive)."""
+    return (math.log10(value.numerator) - math.log10(value.denominator)
+            if value.numerator > 0 else None)
+
+
+def rational_obj(value):
+    """A rational as reports write it: "p/q", or past the digit limit null plus log10."""
+    if abs(value.numerator) < DIGIT_CEILING and value.denominator < DIGIT_CEILING:
+        return format_rational(value)
+    return {"exact": None, "log10": log10_of(value)}
+
+
+def _sum_text(values):
+    """"sums to p/q", or past the digit limit "does not sum to 1" and the sum's log10."""
+    total = rational_obj(sum(values, ZERO))
+    return (f"sums to {total}" if isinstance(total, str)
+            else f"does not sum to 1 (log10 of the sum: {total['log10']!r})")
+
+
 @dataclass(frozen=True)
 class SupportSet:
     """Subset of the state space as a fixed-width bit vector."""
@@ -161,7 +187,7 @@ class Dist:
     The states are checked in index order, each for its range and then for the
     sign of its numerator; the positive masses must then sum to exactly 1, one
     integer sum over their least common denominator (`_sums_to_one`). The
-    `Fraction` total is built only for the "sums to" message.
+    `Fraction` total is built only for the message (`_sum_text`).
     """
 
     width: int
@@ -179,7 +205,7 @@ class Dist:
             if p.numerator:
                 clean[q] = p
         if not _sums_to_one(clean.values()):
-            raise ValueError(f"distribution sums to {format_rational(sum(clean.values(), ZERO))}")
+            raise ValueError(f"distribution {_sum_text(clean.values())}")
         object.__setattr__(self, "mass", clean)
 
     @classmethod
@@ -315,8 +341,8 @@ class StrategySpec:
         for row in self.rows():
             values = row.values()
             if any(p.numerator < 0 for p in values) or not _sums_to_one(values):
-                raise ValueError(f"action row {row} is not a distribution "
-                                 f"(sums to {format_rational(sum(values, ZERO))})")
+                shown = row if all(isinstance(rational_obj(p), str) for p in values) else list(row)
+                raise ValueError(f"action row {shown} is not a distribution ({_sum_text(values)})")
 
     def next(self, j):
         """The position after position j."""

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, product as iproduct, repeat
 from operator import mul
 
-from .model import BudgetExceeded, format_rational
+from .model import BudgetExceeded, _sum_text
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def _checked(nums, total):
     """The step `nums`, once its numerators are found to sum to exactly `total`."""
     mass_sum = sum(nums.values())
     if mass_sum != total:
-        raise ValueError(f"distribution sums to {format_rational(Fraction(mass_sum, total))}")
+        raise ValueError(f"distribution {_sum_text([Fraction(mass_sum, total)])}")
     return nums
 
 

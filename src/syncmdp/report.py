@@ -18,9 +18,18 @@ _LEAVES = {str: _quote, int: int.__repr__, type(None): {None: "null"}.__getitem_
                              else "-Infinity" if x == -math.inf else float.__repr__(x))}
 
 
+class SharedObj(dict):
+    """A report dict that several cells hold (a bound certificate's): `to_json`
+    writes it once per indent and keeps the texts on it. Do not mutate it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.texts = {}
+
+
 def to_json(obj):
     """`json.dumps(obj, indent=2)`, byte for byte: the one writer of report JSON,
-    with one string join per container instead of the stdlib's generators."""
+    one string join per container (per indent, for a `SharedObj`), no generators."""
     return _encode(obj, "\n")
 
 
@@ -30,10 +39,16 @@ def _encode(obj, pad):
         items = [w(v) if (w := _LEAVES.get(type(v))) else _encode(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
     if isinstance(obj, dict):
+        texts = obj.texts if type(obj) is SharedObj else None
+        if texts and pad in texts:
+            return texts[pad]
         items = [(_quote(k) if type(k) is str else _key(k)) + ": "
                  + (w(v) if (w := _LEAVES.get(type(v))) else _encode(v, inner))
                  for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+        text = "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+        if texts is not None:
+            texts[pad] = text
+        return text
     return _scalar(obj)
 
 

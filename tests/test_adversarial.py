@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from syncmdp import (SupportSet, decide_bounded, decide_positive, freezing_strategy,
+from syncmdp import (SYNC_MODES, SupportSet, adversarial, analyze, decide_bounded,
+                     decide_positive, freezing_strategy,
                      matrix_power_witness, mec_decomposition, simulate,
                      support_lasso, switch_point, uniform_strategy)
-from syncmdp.adversarial import rows_image
+from syncmdp.adversarial import AdvVerdictDetail, _graph_test_weakly, rows_image
+from syncmdp.randgen import corpus, random_instance
 from syncmdp.model import GuardExceeded
 
 from conftest import ABSORBING, build, target_masses
@@ -155,3 +159,81 @@ def test_condition_flags_match_verdicts(twophase):
     bnd_always = decide_bounded(m, "always", t, s0)
     assert not bnd_always.answer  # condition1 fails at step 0
     assert bnd_always.detail.failing_index == 0
+
+
+def old_decide(m, win, sync_mode, t, s0):
+    """Reference: a positive/bounded cell as scanning the support lasso anew per
+    cell decided it: (answer, detail, certificate, witness label)."""
+    lasso = support_lasso(m, s0)
+    mec = mec_decomposition(m)
+    supports, loop = lasso.distinct(), lasso.loop()
+    l, p, sw = lasso.start, lasso.period, switch_point(lasso)
+    te = t & mec.union
+    cond1 = all(s & t for s in supports)
+    cond2 = all(s & te for s in loop)
+
+    def first_missing(seq, x, offset=0):
+        return next((offset + i for i, s in enumerate(seq) if not s & x), None)
+
+    hit = graph_test = None
+    if sync_mode == "eventually":
+        hit = next((i for i, s in enumerate(supports) if s & t), None)
+        failing = None if hit is not None else 0
+    elif sync_mode == "weakly" and win == "positive":
+        hit = next((l + i for i, s in enumerate(loop) if s & t), None)
+        failing = None if hit is not None else l
+        graph_test = _graph_test_weakly(m, lasso, t)
+    elif sync_mode == "weakly":
+        hit = next((i for i, s in enumerate(supports) if s & te), None)
+        failing = None if hit is not None else 0
+    elif sync_mode == "strongly":
+        failing = first_missing(loop, t if win == "positive" else te, offset=l)
+    else:
+        failing = first_missing(supports, t)
+        if failing is None and win == "bounded":
+            failing = first_missing(loop, te, offset=l)
+    answer = failing is None
+    cert = {"kind": f"{win}-{sync_mode}", "loop_start": l, "period": p}
+    if win == "bounded":
+        cert["switch"] = sw
+    if answer and hit is not None:
+        cert["hit_index"] = hit
+    label = None
+    if answer:
+        label = "freezing" if win == "bounded" and sync_mode != "eventually" else "uniform"
+    return answer, AdvVerdictDetail(cond1, cond2, failing, l, p, sw, graph_test), cert, label
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 8), st.integers(1, 6))
+def test_cells_match_the_per_cell_scan(seed, n, max_denominator):
+    inst = random_instance(random.Random(seed), n=n, max_actions=3,
+                           max_denominator=max_denominator)
+    an = analyze(inst.mdp, inst.initial, inst.target)
+    for mode in SYNC_MODES:
+        for win in ("positive", "bounded"):
+            v = an.verdicts[(mode, win)]
+            got = v.answer, v.detail, v.certificate, v.witness and v.witness.label
+            assert got == old_decide(inst.mdp, win, mode, inst.target, inst.s0)
+
+
+def test_one_lasso_scan_per_initial_support_and_target(monkeypatch):
+    scans = []
+
+    def counting(lasso, t, te):
+        scans.append((lasso.supports[0].bits, t.bits))
+        return misses(lasso, t, te)
+
+    misses = adversarial._lasso_misses
+    monkeypatch.setattr(adversarial, "_lasso_misses", counting)
+    for inst in corpus(20260810, 20):
+        scans.clear()
+        m, s0, t = inst.mdp, inst.s0, inst.target
+        an = analyze(m, inst.initial, t)
+        other = SupportSet(m.n, ~t.bits & (1 << m.n) - 1)
+        questions = [(decide, mode, target) for decide in (decide_positive, decide_bounded)
+                     for mode in SYNC_MODES for target in (t, other)]
+        # more cells asked on the same memo read its scan of each target
+        memo = [decide(m, mode, target, s0, cache=an.cache) for decide, mode, target in questions]
+        assert scans == [(s0.bits, t.bits), (s0.bits, other.bits)]
+        assert memo == [decide(m, mode, target, s0) for decide, mode, target in questions]

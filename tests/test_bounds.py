@@ -1,12 +1,16 @@
 import json
 import math
 from fractions import Fraction
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from syncmdp import (Dist, analyze, attach_bounds, compute_bound, decide_bounded,
-                     decide_limit_sure, decide_sure, format_rational,
-                     min_initial_probability, min_positive_probability)
+from syncmdp import (SYNC_MODES, WIN_MODES, Dist, SupportSet, Verdict, analyze,
+                     attach_bounds, compute_bound, decide_bounded, decide_limit_sure,
+                     decide_sure, format_rational, min_initial_probability,
+                     min_positive_probability)
 from syncmdp.bounds import KINDS
 
 H = Fraction(1, 2)
@@ -210,3 +214,104 @@ def test_shared_certificates_within_one_analysis(funnel):
         for cert in bounds:
             key = json.dumps(cert.to_obj(), sort_keys=True)
             assert by_obj.setdefault(key, cert) is cert
+
+
+def _old_cert(kind, n, a_count, alpha, alpha0, support=None):
+    """Reference: a bound as one formula evaluation per call made it (each
+    certificate validating, taking the log10s and formatting its inputs anew):
+    (value, log10, formula_only, report object)."""
+    def log10(x):
+        return math.log10(x.numerator) - math.log10(x.denominator)
+
+    inputs = {"n": n, "a_count": a_count, "alpha": format_rational(alpha),
+              "alpha0": format_rational(alpha0)}
+    if support is not None:
+        inputs["alpha0_support"] = list(support)
+    counts = {"N_weakly": 2 ** n, "N_adversarial": n + n * n, "gap_strongly": (n, n)}
+    if kind in counts:
+        count = counts[kind]
+        exact = list(count) if isinstance(count, tuple) else str(count)
+        return count, None, False, {"kind": kind, "exact": exact, "log10": None,
+                                    "inputs": inputs}
+    exponent, base, denom_pow = {
+        "lemma1_reach": (n, alpha, 0),
+        "eps_eventually": ((n + 1) * 2 ** n, alpha, 0),
+        "eps_weakly": ((n + 2) * 4 ** n, alpha, 2 ** n + 1),
+        "eps_always": (n, alpha, 1),
+        "eps_strongly": (2 * n, alpha, 2),
+        "eps_adversarial": (n + n * n, Fraction(alpha, a_count), 0),
+    }[kind]
+    lg = log10(alpha0) + exponent * log10(base)
+    if denom_pow:
+        lg -= denom_pow * math.log10(n) if n > 1 else 0.0
+    bits = base.numerator.bit_length() + base.denominator.bit_length()
+    formula_only = exponent * max(bits, 1) > 1 << 24
+    value = exact = None
+    if not formula_only:
+        value = alpha0 * base ** exponent
+        if denom_pow:
+            value /= Fraction(n) ** denom_pow
+        if value.numerator < 10 ** 4300 and value.denominator < 10 ** 4300:
+            exact = format_rational(value)
+    return value, lg, formula_only, {"kind": kind, "exact": exact, "log10": lg,
+                                     "inputs": inputs}
+
+
+@st.composite
+def bound_cases(draw):
+    """(verdicts, model stub, d0, alpha): every cell answered at random, the
+    limit-sure eventually no-verdict exposing a random sub-support of d0 or none.
+    Sizes 1..7 evaluate every bound (n >= 5 with a small alpha passes the digit
+    limit); n = 12 makes eps_weakly formula-only."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12]))
+    a_count = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 12))
+    alpha = Fraction(draw(st.integers(1, q)), q)   # numerators > 1 included
+    support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(support), max_size=len(support)))
+    d0 = Dist(n, {s: Fraction(w, sum(weights)) for s, w in zip(support, weights)})
+    verdicts = {}
+    for cell in product(SYNC_MODES, WIN_MODES):
+        cert = None
+        if cell == ("eventually", "limit-sure") and draw(st.booleans()):
+            exposed = draw(st.lists(st.sampled_from(support), min_size=1, unique=True))
+            cert = {"failing_subsupport": SupportSet.of(n, exposed)}
+        verdicts[cell] = Verdict(draw(st.booleans()), certificate=cert)
+    return verdicts, SimpleNamespace(n=n, action_count=a_count), d0, alpha
+
+
+@settings(max_examples=80, deadline=None)
+@given(bound_cases())
+def test_attach_bounds_matches_the_per_call_formula(case):
+    verdicts, m, d0, alpha = case
+    bounds = attach_bounds(verdicts, m, d0, alpha, min_initial_probability(d0))
+    assert set(bounds) == set(verdicts)
+    for cell, cert in ((cell, c) for cell, certs in bounds.items() for c in certs):
+        exposed = (verdicts[cell].certificate or {}).get("failing_subsupport")
+        support = list(exposed) if exposed else None
+        a0 = min(d0.mass[q] for q in support) if support else min(d0.mass.values())
+        value, log10, formula_only, obj = _old_cert(cert.kind, m.n, m.action_count,
+                                                    alpha, a0, support)
+        event(f"{cert.kind}: " + ("formula-only" if formula_only else
+                                  "past the digit limit" if obj["exact"] is None else "exact"))
+        event(f"exposed sub-support: {support is not None}")
+        event(f"base numerator > 1: {cert.base.numerator > 1}")
+        assert cert.formula_only == formula_only
+        assert cert.log10 == log10   # bit for bit, not approximately
+        assert cert.value == value
+        assert cert.to_obj() == obj
+        assert json.dumps(cert.to_obj()) == json.dumps(obj)   # key order too
+
+
+def test_compute_bound_is_one_maker_call():
+    # alpha = 3/4 over 2 actions: log10(3/8) is not log10(3/4) - log10(2) in floats
+    for n, alpha, alpha0 in [(3, Fraction(3, 4), Fraction(2, 5)), (6, Fraction(1, 6), 1),
+                             (12, H, Fraction(1, 3))]:
+        for kind in KINDS:
+            if kind == "eps_weakly" and n < 2:
+                continue
+            cert = compute_bound(kind, n, 2, alpha, alpha0)
+            value, log10, formula_only, obj = _old_cert(kind, n, 2, Fraction(alpha),
+                                                        Fraction(alpha0))
+            assert (cert.log10, cert.formula_only, cert.to_obj()) == (log10, formula_only, obj)
+            assert cert.value == value

@@ -530,3 +530,54 @@ def test_regions_json_file_matches_stdout(capsys, tmp_path, which):
                        "target", "--which", which, "--json", str(out_path))
     assert code == 0
     assert out_path.read_text() == out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# the step profile's totals grow as 4^i: past step ~7,100 the least slack of
+# `step-decay-cap` is a rational of more than 4,300 digits
+SLOW_DECAY = {
+    "states": ["a", "b", "c", "t"], "actions": ["x"],
+    "transitions": [
+        *({"from": s, "action": "x", "to": to, "prob": p}
+          for s in ("a", "c") for to, p in (("a", "1/2"), ("b", "1/4"), ("t", "1/4"))),
+        {"from": "b", "action": "x", "to": "t", "prob": "1"},
+        {"from": "t", "action": "x", "to": "t", "prob": "1"},
+    ],
+    "initial": {"a": "1/2", "c": "1/2"},
+    "targets": {"goal": ["t"]},
+}
+
+
+def test_verify_reports_a_rational_past_the_digit_limit(capsys, tmp_path):
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps(SLOW_DECAY))
+    out_path = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", "--model", str(path), "--target", "goal",
+                       "--horizon", "10000", "--json", str(out_path))
+    assert code == 0 and err == ""
+    info = {item["name"]: item for item in json.loads(out_path.read_text())["oracle"]}
+    decay = info["step-decay-cap"]
+    assert decay["status"] == "pass"
+    slack = decay["info"]["min_slack"]
+    assert slack["exact"] is None and -3100 < slack["log10"] < -2900
+
+
+@pytest.mark.parametrize("where", ["initial", "transitions"])
+def test_sum_past_the_digit_limit_is_a_located_input_error(capsys, tmp_path, where):
+    # six masses 1/(10^900 + k): their sum's denominator has about 5,400 digits
+    masses = {f"s{k}": f"1/{10 ** 900 + k}" for k in range(6)}
+    doc = {"states": list(masses), "actions": ["a"],
+           "transitions": [{"from": s, "action": "a", "to": s, "prob": "1"} for s in masses],
+           "initial": {"s0": "1"}, "targets": {"t": ["s0"]}}
+    if where == "initial":
+        doc["initial"] = masses
+    else:
+        doc["transitions"][0:1] = [{"from": "s0", "action": "a", "to": s, "prob": p}
+                                   for s, p in masses.items()]
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "analyze", "--model", str(path), "--target", "t")
+    prefix = {"initial": "input error: initial: distribution does not sum to 1",
+              "transitions": "input error: transitions: distribution for (s0, a) "
+                             "distribution does not sum to 1"}[where]
+    assert code == 2 and err.startswith(prefix + " (log10 of the sum: -899.2")
+    assert err.endswith(")\n") and "Exceeds the limit" not in err

@@ -7,7 +7,7 @@ from syncmdp import (Dist, ModelFormatError, StrategySpec, SupportSet,
                      min_initial_probability, min_positive_probability, model_to_obj,
                      parse_model, parse_rational, serialize_model, simulate,
                      uniform_strategy)
-from syncmdp.model import _check_question
+from syncmdp.model import ONE, _check_question, rational_obj
 
 from conftest import ABSORBING, as_dists, build, exact_counter_product
 
@@ -239,3 +239,26 @@ def test_mode_query_validation():
         _check_question("always", t, SupportSet(3))
     with pytest.raises(ValueError, match="target and initial support widths differ"):
         _check_question("always", t, SupportSet.of(4, [0]))
+
+
+def test_rational_obj_switches_to_log10_past_the_digit_limit():
+    assert rational_obj(Fraction(3, 10 ** 4299)) == "3/1" + "0" * 4299
+    assert rational_obj(Fraction(-7)) == "-7"
+    past = rational_obj(Fraction(1, 10 ** 4300))
+    assert past == {"exact": None, "log10": -4300.0}
+    assert rational_obj(-(10 ** 4300)) == {"exact": None, "log10": None}
+
+
+def test_sums_past_the_digit_limit_give_their_log10():
+    masses = {k: Fraction(1, 10 ** 900 + k) for k in range(6)}
+    with pytest.raises(ValueError, match=r"^distribution does not sum to 1 "
+                                         r"\(log10 of the sum: -899\.2"):
+        Dist(6, masses)
+    uniform = {0: ONE}
+    with pytest.raises(ValueError, match=r"^action row \{0: Fraction\(1, 1000.*\(log10 of "
+                                         r"the sum: -899\.2"):
+        StrategySpec("bad", (0,), 0, ({},), masses)
+    # a row whose entries are past the limit names its actions instead
+    with pytest.raises(ValueError, match=r"^action row \[0\] is not a distribution "
+                                         r"\(does not sum to 1 \(log10 of the sum: -5000\.0\)\)$"):
+        StrategySpec("bad", (0,), 0, ({0: {0: Fraction(1, 10 ** 5000)}},), uniform)

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from syncmdp import analyze, decide_limit_sure, example_model, run_checks
 from syncmdp.examples import EXAMPLE_MODELS
 from syncmdp.randgen import corpus
+from syncmdp import report as report_module
 from syncmdp.report import build_report, render_text, to_json
 
 from conftest import build
@@ -132,3 +134,33 @@ def test_shared_certificate_is_formatted_once():
     always = [report["verdicts"]["always"][win]["bounds"]
               for win in ("sure", "almost-sure", "limit-sure")]
     assert always[0] == always[1] == always[2] != []
+
+
+
+def test_each_distinct_certificate_is_written_once_per_indent(monkeypatch):
+    # the key "log10" appears only in bound certificates: the spy counts certificate writes
+    quoted = Counter()
+    quote = report_module._quote
+
+    def spy(text):
+        quoted[text] += 1
+        return quote(text)
+
+    monkeypatch.setattr(report_module, "_quote", spy)
+    for inst in corpus(20260810, 40):
+        an = analyze(inst.mdp, inst.initial, inst.target)
+        distinct = {id(c) for certs in an.bounds.values() for c in certs}
+        for strategies in (False, True):
+            full = build_report(an, "target", include_strategies=strategies)
+            cells = [cell for row in full["verdicts"].values() for cell in row.values()]
+            writes = []
+            for objs in ([full], [full], cells, cells):
+                quoted.clear()
+                for obj in objs:   # a report, then its cells as `--query` writes them
+                    assert to_json(obj) == json.dumps(obj, indent=2)
+                writes.append(quoted["log10"])
+            # once at the report's indent, once at a cell's; the repeats reuse the
+            # texts, and so does the second report (with strategy tables), whose
+            # cells hold the same certificate objects
+            once = 0 if strategies else len(distinct)
+            assert writes == [once, 0, once, 0]

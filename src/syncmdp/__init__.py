@@ -3,10 +3,9 @@ rational arithmetic, explicit isolation bounds, and brute-force oracles.
 """
 
 from .adversarial import (AdvVerdictDetail, decide_bounded, decide_positive,
-                          freezing_strategy, matrix_power_witness,
-                          support_lasso, switch_point)
+                          freezing_strategy, support_lasso, switch_point)
 from .bounds import BoundCert, attach_bounds, compute_bound
-from .checks import CheckResult, run_checks
+from .checks import CheckResult, matrix_power_witness, run_checks
 from .classic import (decide_almost_sure, decide_limit_sure, decide_sure,
                       synthesize_sure_eventually_strategy)
 from .engine import ConsistencyError, ModelAnalysis, analyze, check_consistency

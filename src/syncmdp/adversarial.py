@@ -1,6 +1,7 @@
 """Positive and bounded winning modes: support analysis under uniform play,
-end-component conditions, the freezing witness strategy, and an independent
-matrix-power verifier for support-lasso claims.
+end-component conditions and the freezing witness strategy. This module only
+decides: the oracle battery (`checks`) verifies the support lasso with its own
+Post step and boolean matrix powers.
 """
 
 from __future__ import annotations
@@ -11,28 +12,20 @@ from functools import reduce
 from operator import or_
 
 from .model import (DEFAULT_LIMITS, StrategySpec, SupportSet, Verdict, _cached,
-                    _check_question, _iter_bits, _uniform_row, uniform_strategy)
+                    _check_question, _uniform_row, uniform_strategy)
 from .regions import _closure, iterate_lasso, mec_decomposition
 
 
-def rows_image(rows, s):
-    """Row-or of a boolean matrix over a source support."""
-    bits = 0
-    for q in s:
-        bits |= rows[q]
-    return SupportSet(s.width, bits)
-
-
-def post_image(m, s):
-    """One-step support image when every action is played with positive probability."""
-    return rows_image(m.post, s)
+def _post(m, s):
+    """The support after one step from s when every action is played."""
+    return SupportSet(s.width, reduce(or_, (m.post[q] for q in s), 0))
 
 
 def support_lasso(m, s0, max_len=None):
     """Support sequence under the all-actions uniform strategy, as a lasso from s0."""
     if not s0:
         raise ValueError("initial support must be nonempty")
-    return iterate_lasso(lambda s: post_image(m, s), s0, max_len, "support-lasso")
+    return iterate_lasso(lambda s: _post(m, s), s0, max_len, "support-lasso")
 
 
 def _support_lasso(m, s0, cache, limits):
@@ -55,30 +48,6 @@ def _freezing(m, s0, lasso, mec, cache):
 def switch_point(lasso):
     """Freezing switch index: the concrete lasso closure l + p."""
     return lasso.start + lasso.period
-
-
-def _bool_mul(a, b):
-    return [reduce(or_, (b[q] for q in _iter_bits(row)), 0) for row in a]
-
-
-def matrix_squares(m, i):
-    """M^(2^j) for each j with 2^j <= i (M's rows are m.post), each the square
-    of the one before."""
-    squares = []
-    while i >> len(squares):
-        squares.append(_bool_mul(squares[-1], squares[-1]) if squares else list(m.post))
-    return squares
-
-
-def matrix_power_witness(m, i):
-    """Exact-step boolean reachability M^i (M's rows are m.post), by successive squaring."""
-    if i < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = [1 << q for q in range(m.n)]
-    for j, square in enumerate(matrix_squares(m, i)):
-        if i >> j & 1:
-            result = _bool_mul(result, square)
-    return tuple(result)
 
 
 @dataclass(frozen=True)

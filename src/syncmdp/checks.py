@@ -2,18 +2,19 @@
 verdicts imply, verified against exact simulation, backward induction,
 brute-force strategy enumeration and support-mask certificates. The simulated
 strategies are the analysis's own witnesses (from its memo). `lasso-integrity`
-steps the support lasso by Post and checks it against boolean matrix powers at
-O(log(l + p)) points, and `reach-value-cap` and `region-dp-agreement` reuse the
-almost-sure reach region. The mask certificates (`_safe_reach`, `_certified`)
-read only `succ`, and take from the deciders only `decide_limit_sure`'s
-certificates of the two conditions of an almost-sure weakly verdict.
+steps the support lasso by its own Post and checks it against boolean matrix
+powers at O(log(l + p)) points, and `reach-value-cap` and `region-dp-agreement`
+reuse the almost-sure reach region. The mask certificates (`_safe_reach`,
+`_certified`) read only `succ`. Of the deciders the battery takes only the uniform
+and freezing strategies and `decide_limit_sure`, whose certificates of the two
+conditions of an almost-sure weakly verdict it proves in turn.
 
 The checks read trace and profile steps as target numerators over totals and
 supports as bit masks; only a value a check reports is a `Fraction` (`rational_obj`).
 Each artifact is computed once per analysis in its `CheckContext`: the traces
 (one simulation per distinct play, cut per strategy), the enumeration (at a
 depth read off the history tree's node counts), the step profile and the
-Pre^i chains the certificates read, Pre^i(T) as `lasso-integrity` verified it.
+Pre^i chains `lasso-integrity` and the certificates read; no check needs another.
 
 A check returns `(status, info)`; `run_checks` names its `CheckResult` by the
 check's `ALL_CHECKS` key.
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property, partial, reduce
 from operator import or_
 
-from .adversarial import _freezing, _uniform, matrix_squares, post_image, rows_image
+from .adversarial import _freezing, _uniform
 from .bounds import compute_bound
 from .classic import decide_limit_sure
 from .model import (BudgetExceeded, ONE, SupportSet, _iter_bits, counter_product,
@@ -64,7 +65,7 @@ class CheckContext:
         self.enum_depth = enum_depth
         self.horizon = (horizon if horizon is not None
                         else min(max(50, 4 * analysis.switch), MAX_HORIZON))
-        self.pre_chains = {}   # the Pre^i(y) chains by y; lasso-integrity leaves T's
+        self.pre_chains = {}   # the Pre^i(y) chains by start mask y, read by _pre_power
 
     @cached_property
     def traces(self):
@@ -82,15 +83,7 @@ class CheckContext:
             w = verdict.witness
             if w is not None and w.label not in strategies:
                 strategies[w.label] = w
-        # positive-definition-sim, freezing-lower-bound and witness-soundness
-        # read past the horizon: the sure witnesses to the last step they claim
-        windows = {"uniform": a.switch + a.lasso.period}
-        nsteps = _bound(a, ("strongly", "bounded"), "N_adversarial")
-        if nsteps is not None:
-            windows["freezing"] = a.switch + 3 * nsteps.value
-        for _, label, steps in self.claims:
-            windows[label] = max(windows.get(label, 0), steps[-1])
-        horizons = {label: max(self.horizon, windows.get(label, 0)) for label in strategies}
+        horizons = {label: max(self.horizon, self.windows.get(label, 0)) for label in strategies}
         keys = {label: _play_key(s) for label, s in strategies.items()}
         plays = {}   # play key -> [the strategy of its first label, the longest horizon]
         for label, s in strategies.items():
@@ -99,6 +92,20 @@ class CheckContext:
         simulated = {key: simulate(m, s, a.initial, h) for key, (s, h) in plays.items()}
         return {label: replace(simulated[keys[label]].cut(h), strategy_label=label)
                 for label, h in horizons.items()}
+
+    @cached_property
+    def windows(self):
+        """The last step a check reads past the horizon, by strategy: switch + period of
+        uniform play, switch + 3 N_adversarial of freezing play (on bounded strongly
+        yes) and the last step each sure witness claims."""
+        a = self.analysis
+        windows = {"uniform": a.switch + a.lasso.period}
+        nsteps = _bound(a, ("strongly", "bounded"), "N_adversarial")
+        if nsteps is not None:
+            windows["freezing"] = a.switch + 3 * nsteps.value
+        for _, label, steps in self.claims:
+            windows[label] = max(windows.get(label, 0), steps[-1])
+        return windows
 
     @cached_property
     def claims(self):
@@ -158,13 +165,43 @@ def _play_key(strategy):
     return rows.pop() if len(rows) == 1 else strategy.label
 
 
+def rows_image(rows, s):
+    """Row-or of a boolean matrix over a source support."""
+    return SupportSet(s.width, reduce(or_, (rows[q] for q in s), 0))
+
+
+def _bool_mul(a, b):
+    return [reduce(or_, (b[q] for q in _iter_bits(row)), 0) for row in a]
+
+
+def matrix_squares(m, i):
+    """M^(2^j) for each j with 2^j <= i (M's rows are m.post), each the square
+    of the one before."""
+    squares = []
+    while i >> len(squares):
+        squares.append(_bool_mul(squares[-1], squares[-1]) if squares else list(m.post))
+    return squares
+
+
+def matrix_power_witness(m, i):
+    """Exact-step boolean reachability M^i (M's rows are m.post), by successive squaring."""
+    if i < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = [1 << q for q in range(m.n)]
+    for j, square in enumerate(matrix_squares(m, i)):
+        if i >> j & 1:
+            result = _bool_mul(result, square)
+    return tuple(result)
+
+
 def check_lasso_integrity(ctx):
     """Lasso closure bounds and closure, Post and Pre steps, and matrix-power agreement.
 
     The support lasso starts at s0, steps by Post and closes on its loop, so
     every later step repeats the loop. Boolean matrix powers, by repeated
     squaring, confirm its supports at l, at l + p and at the powers of two up
-    to l + p: O(log(l + p)) matrix products in all."""
+    to l + p: O(log(l + p)) matrix products in all. The predecessor lasso is
+    read against the chain Pre^i(T) of `ctx.pre_chains`."""
     a = ctx.analysis
     m, lasso = a.mdp, a.lasso
     l, p = lasso.start, lasso.period
@@ -174,7 +211,7 @@ def check_lasso_integrity(ctx):
     if supports[0] != a.s0 or supports[l + p:] != (supports[l],):
         return "fail", {"reason": "support lasso does not run from s0 to its loop"}
     for i in range(l + p):
-        if post_image(m, supports[i]) != supports[i + 1]:
+        if rows_image(m.post, supports[i]) != supports[i + 1]:
             return "fail", {"reason": f"support step broken at {i}"}
     squares = matrix_squares(m, l + p)
     for i in sorted({l, l + p, *(1 << j for j in range(len(squares)))}):
@@ -185,16 +222,13 @@ def check_lasso_integrity(ctx):
             return "fail", {"reason": f"matrix power disagrees at step {i}"}
     tl = a.target_lasso
     k, r = tl.start, tl.period
-    if k + r > 2 ** a.mdp.n:
+    if k + r > 2 ** m.n:
         return "fail", {"reason": "predecessor lasso exceeds 2^n"}
     if tl.supports[0] != a.target or tl.supports[k + r:] != (tl.supports[k],):
         return "fail", {"reason": "predecessor lasso does not run from the target to its loop"}
-    chain = [a.target.bits]
     for i in range(k + r):
-        chain.append(_pre(a.mdp, chain[-1]))
-        if chain[-1] != tl.supports[i + 1].bits:
+        if _pre_power(m, a.target.bits, i + 1, ctx.pre_chains) != tl.supports[i + 1].bits:
             return "fail", {"reason": f"predecessor step broken at {i}"}
-    ctx.pre_chains.setdefault(a.target.bits, chain)   # certificate-recheck reads Pre^i(T) here
     return "pass", {"loop_start": l, "period": p, "pre_k": k, "pre_r": r}
 
 
@@ -331,22 +365,21 @@ def check_freezing_bound(ctx):
     nsteps = _bound(a, ("strongly", "bounded"), "N_adversarial")
     if cert is None or cert.value is None or nsteps is None:
         return "skip", {"reason": "no exact bound"}
-    n_adv = nsteps.value
-    h = a.switch + 3 * n_adv
     trace = ctx.traces["freezing"]
-    start = a.switch + n_adv
-    for i in range(start, h + 1):
+    start = a.switch + nsteps.value
+    for i in range(start, ctx.windows["freezing"] + 1):
         v, total = _numerator_in(a.target, trace.nums[i]), trace.totals[i]
         if not _clears(v, total, cert.value, strict=False):
             return "fail", {"step": i, "mass": rational_obj(Fraction(v, total)),
                             "eps": rational_obj(cert.value)}
-    return "pass", {"from_step": start, "to_step": h, "eps_log10": cert.log10}
+    return "pass", {"from_step": start, "to_step": ctx.windows["freezing"],
+                    "eps_log10": cert.log10}
 
 
 def check_positive_definition(ctx):
     """Positive verdicts match the definition on one extra lasso period of play."""
     a = ctx.analysis
-    window = a.switch + a.lasso.period
+    window = ctx.windows["uniform"]
     masses = [_numerator_in(a.target, nums)
               for nums in ctx.traces["uniform"].nums[:window + 1]]
     l = a.lasso.start
@@ -528,15 +561,12 @@ ALL_CHECKS = {
 }
 
 
-def run_checks(analysis, horizon=None, budget=DEFAULT_CHECK_BUDGET,
-               enum_depth=DEFAULT_ENUM_DEPTH, names=None):
+def run_checks(analysis, horizon=None, budget=DEFAULT_CHECK_BUDGET, enum_depth=DEFAULT_ENUM_DEPTH):
     """Run the invariant battery, each check named by its `ALL_CHECKS` key;
     budget blowups mark single checks as skipped."""
     ctx = CheckContext(analysis, horizon=horizon, budget=budget, enum_depth=enum_depth)
     results = []
     for name, fn in ALL_CHECKS.items():
-        if names is not None and name not in names:
-            continue
         try:
             status, info = fn(ctx)
         except BudgetExceeded as exc:

@@ -15,8 +15,8 @@ Almost-sure weakly searches for T' <= T with (1) s0 limit-sure eventually in T'
 and (2) T' limit-sure eventually in Pre(T'). Let W(Y) be the states q with {q}
 limit-sure eventually in Y, and F(X) = T & W(Pre(X)). Limit-sure eventually is
 monotone in the initial support, so every T' passing (2) has T' <= F(T'); F is
-monotone, so by Knaster-Tarski every such T' lies in Z = gfp F, and the search
-walks only the subsets of Z.
+monotone, so by Knaster-Tarski every such T' lies in Z = gfp F: the search walks
+the subsets of Z, and prunes nothing else.
 """
 
 from __future__ import annotations
@@ -68,19 +68,30 @@ def _subsets_desc(z, t, limits):
         yield from map(sum, combinations(members, size))
 
 
-def _step_into(m, q, target, dirac):
-    """The Dirac row (one shared object per action, from `dirac`) of the first
-    action keeping every successor of q inside `target`."""
-    return next(dirac[a] for a, s in enumerate(m.succ[q]) if s & target.bits == s)
-
-
-def _countdown_rows(m, chain, levels):
-    """Forced rows of a countdown through `chain`: at level j >= 1, every state of
-    chain[j] steps into chain[j-1]; level 0 forces nothing, and neither does a
-    one-action model, whose Dirac row is the default row."""
+def _forced_rows(m, positions):
+    """One forced-row dict per position, a list of (sources, into) pairs: each source
+    state plays the Dirac row (one shared object per action) of its first action
+    keeping all its successors in `into`. One action forces nothing (the default row)."""
     dirac = [{a: ONE} for a in range(m.action_count)]
-    return tuple({q: _step_into(m, q, chain[j - 1], dirac) for q in chain[j]}
-                 if j and m.action_count > 1 else {} for j in levels)
+    return tuple({q: next(dirac[a] for a, s in enumerate(m.succ[q]) if s & into.bits == s)
+                  for sources, into in pairs for q in sources}
+                 if m.action_count > 1 else {} for pairs in positions)
+
+
+def _countdown_strategy(m, lasso, k, r=None):
+    """Countdown through the predecessor lasso Pre^j of a set: level j >= 1 pushes
+    the mass of Pre^j into Pre^(j-1), level 0 forces nothing. The memory runs k, ...,
+    0 and stays at 0; with a period r, ("down", k..1), then ("cyc", phi) at level
+    r - phi cycles the recurrent set through its r-step loop."""
+    if r is None:
+        label, memory = f"countdown[{k}]", tuple(range(k, -1, -1))
+        levels = memory
+    else:
+        label = f"countdown-cycle[{k},{r}]"
+        memory = tuple([("down", j) for j in range(k, 0, -1)] + [("cyc", phi) for phi in range(r)])
+        levels = [*range(k, 0, -1), *range(r, 0, -1)]
+    rows = _forced_rows(m, [[(lasso.at(j), lasso.at(j - 1))] if j else [] for j in levels])
+    return StrategySpec(label, memory, k, rows, _uniform_row(m))
 
 
 def synthesize_sure_eventually_strategy(m, t, s0, k, *, cache=None, limits=DEFAULT_LIMITS):
@@ -90,37 +101,16 @@ def synthesize_sure_eventually_strategy(m, t, s0, k, *, cache=None, limits=DEFAU
     whole mass in t at step k exactly.
     """
     lasso = _lasso(m, t, cache, limits)
-    chain = [lasso.at(j) for j in range(k + 1)]
-    if not s0 <= chain[k]:
+    if not s0 <= lasso.at(k):
         raise ValueError("initial support is not contained in the k-fold predecessor")
-    memory = tuple(range(k, -1, -1))
-    return StrategySpec(f"countdown[{k}]", memory, k, _countdown_rows(m, chain, memory),
-                        _uniform_row(m))
+    return _countdown_strategy(m, lasso, k)
 
 
 def _reach_then_stay_strategy(m, safe, layers, label):
     """Memoryless: walk down the attractor layers into `safe`, then stay (with
-    layers == [safe], the stay-safe witness of sure always). A one-action model
-    forces nothing: its Dirac row is the default row."""
-    forced = {}
-    if m.action_count > 1:
-        dirac = [{a: ONE} for a in range(m.action_count)]
-        forced = {q: _step_into(m, q, safe, dirac) for q in safe}
-        for lower, layer in zip(layers, layers[1:]):
-            forced.update((q, _step_into(m, q, lower, dirac)) for q in layer - lower)
-    return StrategySpec(label, (0,), 0, (forced,), _uniform_row(m))
-
-
-def _cycle_strategy(m, k, r, lasso_of_s):
-    """Countdown into the recurrent set, then cycle it through its r-step loop.
-
-    Memory ("down", j) pushes Pre^j into Pre^(j-1); ("cyc", phi) sits at level r - phi.
-    """
-    chain = [lasso_of_s.at(j) for j in range(max(k, r) + 1)]
-    memory = [("down", j) for j in range(k, 0, -1)] + [("cyc", phi) for phi in range(r)]
-    levels = [j if kind == "down" else r - j for kind, j in memory]
-    return StrategySpec(f"countdown-cycle[{k},{r}]", tuple(memory), k,
-                        _countdown_rows(m, chain, levels), _uniform_row(m))
+    layers == [safe], the stay-safe witness of sure always)."""
+    pairs = [(safe, safe)] + [(layer - lower, lower) for lower, layer in zip(layers, layers[1:])]
+    return StrategySpec(label, (0,), 0, _forced_rows(m, [pairs]), _uniform_row(m))
 
 
 def decide_sure(m, sync_mode, t, s0, *, cache=None, limits=DEFAULT_LIMITS):
@@ -158,7 +148,7 @@ def _decide_sure(m, sync_mode, t, s0, cache, limits):
         k = next((i for i, sup in enumerate(sl.distinct()) if s0 <= sup), None) if s else None
         if k is None:
             return Verdict(False)
-        witness = _cycle_strategy(m, k, r, sl)
+        witness = _countdown_strategy(m, sl, k, r)
         cert = {"kind": "sure-weakly", "set": s, "k": k, "r": r}
         return Verdict(True, witness=witness, certificate=cert)
 
@@ -267,23 +257,19 @@ def decide_almost_sure(m, sync_mode, t, s0, *, cache=None, limits=DEFAULT_LIMITS
 
 def _decide_almost_sure(m, sync_mode, t, s0, cache, limits):
     if sync_mode == "weakly":
-        # Mass in T' is mass in any superset: skip subsets of sets s0 cannot limit-sure
-        # reach, T among them. A T' passing condition (2) lies in the gfp Z of the module
-        # docstring, and the subsets of Z keep their order among those of T.
+        # A T' passing condition (2) lies in the gfp Z of the module docstring, and
+        # the subsets of Z keep their order among those of T. Mass in T' is mass in
+        # any superset, so when s0 cannot limit-sure reach T, or Z, no subset passes.
         # T''s pre-lasso put Pre(T') in the Pre map, and Pre(T')'s lasso is T''s shifted by one.
         if _limit_eventually(m, t, s0, cache, limits) is None:
             return Verdict(False)
         pre_map = _pre_map(m, cache)
         z = _weakly_bound(m, t, cache, limits)
-        failed = []
         for bits in _subsets_desc(z, t, limits):
-            if any(bits & ~f == 0 for f in failed):
-                continue
             t2 = SupportSet(t.width, bits)
             if _limit_eventually(m, t2, s0, cache, limits) is None:
                 if t2 == z:
                     break
-                failed.append(bits)
             elif _limit_eventually(m, SupportSet(t.width, pre_map[bits]), t2,
                                    cache, limits) is not None:
                 return Verdict(True, certificate={"kind": "almost-sure-weakly", "t_prime": t2})

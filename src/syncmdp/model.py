@@ -522,10 +522,10 @@ def parse_model(doc):
                     f"missing distribution for ({states[q]}, {actions[a]})", "transitions")
             try:
                 row.append(Dist(n, mass))
-            except ValueError as exc:
-                raise ModelFormatError(
-                    f"distribution for ({states[q]}, {actions[a]}) {exc}",
-                    "transitions") from exc
+            except ValueError as exc:   # Dist's message starts with "distribution"
+                detail = str(exc).removeprefix("distribution ")
+                raise ModelFormatError(f"distribution for ({states[q]}, {actions[a]}) {detail}",
+                                       "transitions") from exc
         rows.append(row)
     mdp = Mdp(states, actions, rows)
 

@@ -13,11 +13,12 @@ import pytest
 
 from syncmdp import ParsedModel, analyze, decide_limit_sure, decide_sure, example_model
 from syncmdp import serialize_model
-from syncmdp.checks import run_checks
 from syncmdp.cli import main
 from syncmdp.engine import check_consistency
 from syncmdp.randgen import corpus, random_instance
 from syncmdp.report import REPORT_VERSION, build_report, render_text
+
+from conftest import run_named
 
 CORPUS_SEED = 20260810
 CORPUS_COUNT = 500
@@ -64,7 +65,7 @@ def _run(analyses, names, horizon=None, **kw):
     failures = []
     ran = 0
     for an in analyses:
-        for result in run_checks(an, horizon=horizon, names=names, **kw):
+        for result in run_named(an, horizon=horizon, names=names, **kw):
             if result.status == "fail":
                 failures.append((an, result))
             elif result.status == "pass":

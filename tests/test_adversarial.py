@@ -8,7 +8,8 @@ from syncmdp import (SYNC_MODES, SupportSet, adversarial, analyze, decide_bounde
                      decide_positive, freezing_strategy,
                      matrix_power_witness, mec_decomposition, simulate,
                      support_lasso, switch_point, uniform_strategy)
-from syncmdp.adversarial import AdvVerdictDetail, _graph_test_weakly, rows_image
+from syncmdp.adversarial import AdvVerdictDetail, _graph_test_weakly
+from syncmdp.checks import rows_image
 from syncmdp.randgen import corpus, random_instance
 from syncmdp.model import GuardExceeded
 

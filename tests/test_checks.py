@@ -2,6 +2,7 @@
 assertions for the checks the other test modules do not already drive.
 """
 
+import ast
 import json
 import math
 import time
@@ -13,15 +14,16 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syncmdp import (BudgetExceeded, GuardExceeded, Lasso, SupportSet, adversarial, analyze,
-                     StrategySpec, checks, classic, compute_bound, enumerate_pure_strategies,
-                     example_model, regions, uniform_strategy)
+from syncmdp import (BudgetExceeded, ConsistencyError, GuardExceeded, Lasso, SupportSet,
+                     adversarial, analyze, StrategySpec, checks, classic, compute_bound,
+                     enumerate_pure_strategies, example_model, regions, uniform_strategy)
 from syncmdp.checks import (ALL_CHECKS, CheckContext, _certified, _synced,
                             check_reach_value_cap, check_region_dp, run_checks)
 from syncmdp.oracle import _clears
 from syncmdp.randgen import corpus
 
-from conftest import ABSORBING, build, prime_cycles, synchronized_positions, wide_instances
+from conftest import (ABSORBING, build, prime_cycles, run_named, synchronized_positions,
+                      wide_instances)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -63,7 +65,7 @@ def test_fresh_seeds_zero_failures(seed, tier):
 def test_no_false_failure_on_a_correct_engine(seed, count, index, horizon, names):
     inst = corpus(seed, count)[index]
     an = analyze(inst.mdp, inst.initial, inst.target)
-    results = run_checks(an, horizon=horizon, names=names)
+    results = run_named(an, horizon=horizon, names=names)
     assert [(r.name, r.status) for r in results] == [(name, "pass") for name in
                                                      ALL_CHECKS if name in names]
 
@@ -95,11 +97,20 @@ def test_funnel_positive_definition_and_monotonicity():
     assert results["support-monotonicity"].status == "pass"
 
 
-def test_names_filter_restricts_run():
-    pm = example_model("drain")
-    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
-    results = run_checks(an, names={"lasso-integrity"})
-    assert [r.name for r in results] == ["lasso-integrity"]
+def test_checks_imports_of_the_deciders_only_their_strategies_and_limit_sure():
+    # the battery verifies the deciders with its own code: of adversarial it reads
+    # only the memoized uniform and freezing strategies, of classic only the
+    # limit-sure certificates it proves in turn
+    imported = {}
+    for node in ast.walk(ast.parse(Path(checks.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module is not None:
+            module = node.module.removeprefix("syncmdp.")
+            imported.setdefault(module, set()).update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):   # whole modules
+            for alias in node.names:
+                imported.setdefault(alias.name.removeprefix("syncmdp."), set()).add("*")
+    assert imported.get("adversarial") == {"_freezing", "_uniform"}
+    assert imported.get("classic") == {"decide_limit_sure"}
 
 
 def test_check_context_default_horizon():
@@ -301,7 +312,7 @@ def test_full_sync_count_cap_counts_a_mass_of_exactly_one():
     # exactly the non-strict threshold 1, over the cap 2^1
     pm = build(ABSORBING)
     an = _not_weakly(analyze(pm.mdp, pm.initial, pm.targets["target"]), "sure")
-    (result,) = run_checks(an, names={"full-sync-count-cap"})
+    (result,) = run_named(an, names={"full-sync-count-cap"})
     assert (result.status, result.info) == ("fail", {"strategy": "uniform", "count": 51})
 
 
@@ -313,7 +324,7 @@ def test_near_sync_count_cap_is_strict_at_the_threshold(monkeypatch, eps, status
     pm = example_model("twophase")
     an = _not_weakly(analyze(pm.mdp, pm.initial, pm.targets["target"]), "almost-sure")
     monkeypatch.setattr(checks, "_bound", lambda analysis, cell, kind: _Planted(eps))
-    (result,) = run_checks(an, names={"near-sync-count-cap"})
+    (result,) = run_named(an, names={"near-sync-count-cap"})
     assert result.status == status
 
 
@@ -357,7 +368,7 @@ def test_near_sync_count_cap_counts_full_mass_under_a_tiny_eps(monkeypatch):
     an = _not_weakly(analyze(pm.mdp, pm.initial, pm.targets["target"]), "almost-sure")
     monkeypatch.setattr(checks, "_bound",
                         lambda analysis, cell, kind: _Planted(Fraction(1, 2 ** 4000)))
-    (result,) = run_checks(an, names={"near-sync-count-cap"})
+    (result,) = run_named(an, names={"near-sync-count-cap"})
     assert (result.status, result.info) == ("fail", {"strategy": "uniform", "count": 51})
 
 
@@ -368,7 +379,7 @@ def test_freezing_bound_passes_a_mass_of_exactly_eps(monkeypatch, eps, status):
     an = analyze(pm.mdp, pm.initial, pm.targets["target"])
     planted = {"eps_adversarial": _Planted(eps), "N_adversarial": _Planted(2)}
     monkeypatch.setattr(checks, "_bound", lambda analysis, cell, kind: planted.get(kind))
-    (result,) = run_checks(an, names={"freezing-lower-bound"})
+    (result,) = run_named(an, names={"freezing-lower-bound"})
     assert result.status == status
     if status == "fail":
         assert result.info == {"step": an.switch + 2, "mass": "1/2", "eps": str(eps)}
@@ -385,7 +396,7 @@ def test_step_decay_cap_passes_a_mass_of_exactly_its_cap(alpha, status):
     # alpha0 = 1: the cap 1 - alpha0 * alpha^i is 1/2 at step 1 for alpha = 1/2
     pm = example_model("twophase")
     an = analyze(pm.mdp, pm.initial, pm.targets["target"])
-    (result,) = run_checks(replace(an, alpha=alpha), names={"step-decay-cap"})
+    (result,) = run_named(replace(an, alpha=alpha), names={"step-decay-cap"})
     assert (result.status, result.info) == (status, {
         "pass": {"horizon": 50, "min_slack": "0"},
         "fail": {"step": 1, "value": "1/2"}}[status])
@@ -397,7 +408,7 @@ def test_eventually_isolation_passes_a_mass_of_exactly_its_cap(monkeypatch, eps,
     pm = example_model("twophase")
     an = analyze(pm.mdp, pm.initial, pm.targets["target"])
     monkeypatch.setattr(checks, "_bound", lambda analysis, cell, kind: _Planted(eps))
-    (result,) = run_checks(an, names={"eventually-isolation"})
+    (result,) = run_named(an, names={"eventually-isolation"})
     assert (result.status, result.info) == (status, {
         "pass": {"eps_log10": None, "observed_gap": "1/2"},
         "fail": {"eps": str(eps)}}[status])
@@ -496,9 +507,9 @@ def test_witness_soundness_reads_past_a_zero_horizon(mode, certificate):
     pm = build(json.loads((GOLDEN_DIR / "prime-cycles.model.json").read_text()))
     an = analyze(pm.mdp, pm.initial, pm.targets["target"])
     planted = _planted_witness(an, mode, certificate)
-    (result,) = run_checks(planted, horizon=0, names={"witness-soundness"})
+    (result,) = run_named(planted, horizon=0, names={"witness-soundness"})
     assert result.status == "fail" and result.info["mode"] == f"sure {mode}"
-    (result,) = run_checks(an, horizon=0, names={"witness-soundness"})
+    (result,) = run_named(an, horizon=0, names={"witness-soundness"})
     assert result.status == "pass"
 
 
@@ -531,7 +542,7 @@ def test_always_prefix_dip_catches_a_wrong_no():
     eps = compute_bound("eps_always", an.mdp.n, an.mdp.action_count, an.alpha, an.alpha0)
     bounds = {**an.bounds, ("always", "sure"): [eps]}
     planted = replace(an, verdicts=verdicts, bounds=bounds)
-    (result,) = run_checks(planted, names={"always-prefix-dip"})
+    (result,) = run_named(planted, names={"always-prefix-dip"})
     assert (result.status, result.info) == ("fail", {
         "eps": "1/3", "strategy": "pure[0,0,0,0,0,0,0]", "prefix": ["1", "1", "1", "1"]})
 
@@ -570,9 +581,9 @@ def test_lasso_integrity_steps_the_predecessor_lasso_by_pre(name):
     an = analyze(pm.mdp, pm.initial, pm.targets["target"])
     tl = an.target_lasso
     full = Lasso((SupportSet.full(an.mdp.n),) * len(tl.supports), tl.start, tl.period)
-    (result,) = run_checks(replace(an, target_lasso=full), names={"lasso-integrity"})
+    (result,) = run_named(replace(an, target_lasso=full), names={"lasso-integrity"})
     assert result.status == "fail"
-    (result,) = run_checks(an, names={"lasso-integrity"})
+    (result,) = run_named(an, names={"lasso-integrity"})
     assert result.status == "pass"
 
 
@@ -615,11 +626,11 @@ def test_certificate_recheck_catches_a_region_primitive_mutant(monkeypatch, prim
     # the deciders answer yes from an over-approximated region; the masks prove
     # each certificate without the primitive, so they do not share its bug
     pm = build(LEAK)
-    (result,) = run_checks(analyze(pm.mdp, pm.initial, pm.targets["goal"]),
+    (result,) = run_named(analyze(pm.mdp, pm.initial, pm.targets["goal"]),
                            names={"certificate-recheck"})
     assert result.status == "pass"
     monkeypatch.setattr(classic, primitive, mutant)
-    (result,) = run_checks(analyze(pm.mdp, pm.initial, pm.targets["goal"]),
+    (result,) = run_named(analyze(pm.mdp, pm.initial, pm.targets["goal"]),
                            names={"certificate-recheck"})
     assert (result.status, result.info) == ("fail", cell)
 
@@ -639,6 +650,37 @@ def test_certificate_recheck_rejects_a_product_region_with_an_extra_state():
         assert not _certified(m, t, s0, planted), q
 
 
+def _drop_highest(post):
+    """A mutant of the deciders' support step: a support of at least two states
+    steps to its image without the image's highest state."""
+    def step(m, s):
+        image = post(m, s)
+        if len(s) < 2:
+            return image
+        return SupportSet(image.width, image.bits & ~(1 << image.bits.bit_length() - 1))
+    return step
+
+
+def test_lasso_integrity_catches_a_support_step_mutant(monkeypatch):
+    # the battery steps the lasso with its own Post, so a bug inside the deciders'
+    # step fails it on every model whose lasso the bug changes (113 here; the
+    # consistency gate rejects 10 more first), not only where other checks notice
+    instances = corpus(20260810, 150)
+    lassos = [adversarial.support_lasso(inst.mdp, inst.initial.support()) for inst in instances]
+    monkeypatch.setattr(adversarial, "_post", _drop_highest(adversarial._post))
+    changed = caught = 0
+    for inst, lasso in zip(instances, lassos):
+        try:
+            an = analyze(inst.mdp, inst.initial, inst.target)
+        except ConsistencyError:
+            continue
+        if an.lasso != lasso:
+            changed += 1
+            (result,) = run_named(an, {"lasso-integrity"})
+            caught += result.status == "fail"
+    assert caught == changed == 113
+
+
 @pytest.fixture(scope="module")
 def long_lasso():
     # cycles of lengths 2..13 with mass on the cycle starts: the support lasso
@@ -651,9 +693,9 @@ def long_lasso():
 
 def test_lasso_integrity_makes_logarithmically_many_matrix_products(long_lasso, monkeypatch):
     calls = []
-    bool_mul = adversarial._bool_mul
-    monkeypatch.setattr(adversarial, "_bool_mul", lambda a, b: calls.append(1) or bool_mul(a, b))
-    (result,) = run_checks(long_lasso, names={"lasso-integrity"})
+    bool_mul = checks._bool_mul
+    monkeypatch.setattr(checks, "_bool_mul", lambda a, b: calls.append(1) or bool_mul(a, b))
+    (result,) = run_named(long_lasso, names={"lasso-integrity"})
     assert result.status == "pass"
     lasso = long_lasso.lasso
     assert 0 < len(calls) <= math.log2(lasso.start + lasso.period)
@@ -669,7 +711,7 @@ def test_certificate_recheck_reads_each_pre_chain_once(long_lasso, monkeypatch):
         return pre_power(m, y, k, chains)
     monkeypatch.setattr(checks, "_pre", lambda m, y: pre_calls.append(y) or pre(m, y))
     monkeypatch.setattr(checks, "_pre_power", read)
-    (result,) = run_checks(long_lasso, names={"certificate-recheck"})
+    (result,) = run_named(long_lasso, names={"certificate-recheck"})
     assert result.status == "pass"
     assert max(longest.values()) == 30030
     # beyond the chains, one Pre per trap and per almost-sure weakly condition
@@ -679,8 +721,8 @@ def test_certificate_recheck_reads_each_pre_chain_once(long_lasso, monkeypatch):
 
 
 def test_battery_walks_the_predecessor_chain_once(long_lasso, monkeypatch):
-    # lasso-integrity leaves its verified Pre^i(T) for certificate-recheck, so
-    # the battery walks T's 30,030-step chain once
+    # lasso-integrity and certificate-recheck read Pre^i(T) off one chain of
+    # the context, so the battery walks T's 30,030-step chain once
     pre_calls = []
     pre = checks._pre
     monkeypatch.setattr(checks, "_pre", lambda m, y: pre_calls.append(y) or pre(m, y))
@@ -718,5 +760,5 @@ def _flipped(lasso, index):
      "predecessor lasso does not run from the target to its loop"),
 ], ids=["step-0", "step-12345", "short-period", "full-predecessor"])
 def test_lasso_integrity_catches_a_planted_long_lasso(long_lasso, plant, reason):
-    (result,) = run_checks(replace(long_lasso, **plant(long_lasso)), names={"lasso-integrity"})
+    (result,) = run_named(replace(long_lasso, **plant(long_lasso)), names={"lasso-integrity"})
     assert (result.status, result.info) == ("fail", {"reason": reason})

@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from syncmdp import (Dist, SupportSet, decide_almost_sure, decide_limit_sure,
-                     decide_sure, simulate, synthesize_sure_eventually_strategy)
+                     decide_sure, pre, simulate, synthesize_sure_eventually_strategy)
 from syncmdp import classic
 from syncmdp.checks import _certified
-from syncmdp.model import GuardExceeded, Limits
+from syncmdp.model import DEFAULT_LIMITS, GuardExceeded, Limits
+from syncmdp.randgen import corpus, random_instance
 from syncmdp.regions import pre_lasso
 
 from conftest import ABSORBING, build, feeder_cycle, target_masses
@@ -259,6 +261,47 @@ def test_almost_sure_weakly_skips_subsets_of_an_unreachable_target(monkeypatch):
                            cache={})
     assert not v.answer
     assert len(tried) <= 2
+
+
+def _large_tier(seed):
+    """34 models for each n = 8, 12, 16 from `random.Random(seed)` per n, with 3
+    actions and denominators <= 6 (the benchmark's large tier)."""
+    models = []
+    for n in (8, 12, 16):
+        rng = random.Random(seed)
+        models.extend(random_instance(rng, n=n, max_actions=3, max_denominator=6)
+                      for _ in range(34))
+    return models
+
+
+def _unpruned_almost_sure_weakly(m, t, s0):
+    """Reference: the first subset T' of the fixpoint bound Z, in `_subsets_desc`
+    order, with s0 limit-sure eventually in T' and T' limit-sure eventually in
+    Pre(T'), trying every subset; None when none qualifies."""
+    cache = {}
+    z = classic._weakly_bound(m, t, cache, DEFAULT_LIMITS)
+    for bits in classic._subsets_desc(z, t, DEFAULT_LIMITS):
+        t2 = SupportSet(t.width, bits)
+        if (classic._limit_eventually(m, t2, s0, cache, DEFAULT_LIMITS) is not None
+                and classic._limit_eventually(m, pre(m, t2), t2, cache,
+                                              DEFAULT_LIMITS) is not None):
+            return t2
+    return None
+
+
+@pytest.mark.parametrize("models", [
+    # the large tier of seed 11 holds 62 subsets that a search skipping the
+    # subsets of failed sets never tries, and each corpus 2
+    pytest.param(lambda: _large_tier(11), id="large-11"),
+    pytest.param(lambda: corpus(20260810, 500), id="corpus-20260810"),
+    pytest.param(lambda: corpus(20260811, 500), id="corpus-20260811"),
+])
+def test_almost_sure_weakly_matches_an_unpruned_search(models):
+    for index, inst in enumerate(models()):
+        m, t, s0 = inst.mdp, inst.target, inst.initial.support()
+        v = decide_almost_sure(m, "weakly", t, s0)
+        found = v.certificate["t_prime"] if v.answer else None
+        assert found == _unpruned_almost_sure_weakly(m, t, s0), index
 
 
 def test_support_only_dependence(funnel):

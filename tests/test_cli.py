@@ -578,6 +578,6 @@ def test_sum_past_the_digit_limit_is_a_located_input_error(capsys, tmp_path, whe
     code, _, err = run(capsys, "analyze", "--model", str(path), "--target", "t")
     prefix = {"initial": "input error: initial: distribution does not sum to 1",
               "transitions": "input error: transitions: distribution for (s0, a) "
-                             "distribution does not sum to 1"}[where]
+                             "does not sum to 1"}[where]
     assert code == 2 and err.startswith(prefix + " (log10 of the sum: -899.2")
     assert err.endswith(")\n") and "Exceeds the limit" not in err

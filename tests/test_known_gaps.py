@@ -8,9 +8,9 @@ battery passes on it.
 from fractions import Fraction
 
 from syncmdp import (analyze, compute_bound, decide_sure, enumerate_pure_strategies,
-                     max_mass_at_step, run_checks)
+                     max_mass_at_step)
 
-from conftest import as_fractions, build, target_masses
+from conftest import as_fractions, build, run_named, target_masses
 
 SWAP = {
     "states": ["q0", "x", "y"],
@@ -52,6 +52,6 @@ def test_counterexample_matrix_is_otherwise_consistent():
     analysis = analyze(pm.mdp, pm.initial, pm.targets["goal"])
     assert not analysis.answer("always", "sure")
     assert analysis.answer("weakly", "sure")  # alternate x at every other step
-    results = run_checks(analysis, names={"always-prefix-dip", "strongly-prefix-dip"})
+    results = run_named(analysis, names={"always-prefix-dip", "strongly-prefix-dip"})
     assert [(r.name, r.status) for r in results] == [("always-prefix-dip", "pass"),
                                                      ("strongly-prefix-dip", "pass")]

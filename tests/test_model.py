@@ -54,7 +54,7 @@ def test_parse_sum_violation():
     }
     with pytest.raises(ModelFormatError) as err:
         build(doc)
-    assert "sums to 2/3" in str(err.value)
+    assert str(err.value) == "transitions: distribution for (q0, a) sums to 2/3"
 
 
 def test_parse_errors_located():

@@ -13,9 +13,8 @@ from syncmdp import (Dist, Mdp, ModelFormatError, ParsedModel, PreMap, StrategyS
                      iterate_lasso, matrix_power_witness, mec_decomposition,
                      model_to_obj, parse_model, pre, pre_lasso, serialize_model, simulate,
                      support_lasso, sure_safety_region, uniform_strategy)
-from syncmdp.adversarial import post_image, rows_image
-from syncmdp.checks import CheckContext, check_region_dp
-from syncmdp.classic import _cycle_strategy, _limit_eventually, _weakly_bound
+from syncmdp.checks import CheckContext, check_region_dp, rows_image
+from syncmdp.classic import _countdown_strategy, _limit_eventually, _weakly_bound
 from syncmdp.model import DEFAULT_LIMITS
 from syncmdp.oracle import max_mass_at_step
 from syncmdp.regions import _apre
@@ -92,7 +91,7 @@ def test_step_is_exact_and_stays_in_image(inst):
     m, d0, _ = inst
     d1 = as_dists(simulate(m, uniform_strategy(m), d0, 1), m.n)[1]
     assert sum(d1.mass.values()) == 1
-    assert d1.support() <= post_image(m, d0.support())
+    assert d1.support() <= rows_image(m.post, d0.support())
 
 
 @given(instances(), st.integers(1, 3), st.integers(0, 2))
@@ -285,7 +284,7 @@ def test_sure_weakly_fixpoint_matches_subset_search(m, data):
             continue
         s, k, r, sl = ref
         assert v.certificate == {"kind": "sure-weakly", "set": s, "k": k, "r": r}
-        assert v.witness == _cycle_strategy(m, k, r, sl)
+        assert v.witness == _countdown_strategy(m, sl, k, r)
 
 
 # every T' passing condition (2) of the almost-sure weakly search lies in the

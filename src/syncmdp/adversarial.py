@@ -11,17 +11,17 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from .model import (DEFAULT_LIMITS, StrategySpec, SupportSet, Verdict, _cached,
-                    _check_question, _uniform_row, uniform_strategy)
+from .model import (DEFAULT_LIMITS, StrategySpec, Verdict, _cached, _check_question,
+                    _iter_bits, _uniform_row, uniform_strategy)
 from .regions import _closure, iterate_lasso, mec_decomposition
 
 
-def _post(m, s):
-    """The support after one step from s when every action is played."""
-    return SupportSet(s.width, reduce(or_, (m.post[q] for q in s), 0))
+def _post(m, bits):
+    """The support mask after one step from `bits` when every action is played."""
+    return reduce(or_, (m.post[q] for q in _iter_bits(bits)), 0)
 
 
-def support_lasso(m, s0, max_len=None):
+def support_lasso(m, s0, max_len=DEFAULT_LIMITS.max_lasso):
     """Support sequence under the all-actions uniform strategy, as a lasso from s0."""
     if not s0:
         raise ValueError("initial support must be nonempty")

@@ -7,9 +7,9 @@ A verdict does not repeat its question: a coinciding mode returns the stronger
 mode's verdict itself.
 
 All deciders work on initial supports (winning is support-only). The memo
-`cache` dict of one analysis, keyed by set bits, holds predecessor lassos, the
-PreMap they step through, regions and counter-product skeletons across the
-many sub-queries a full matrix run triggers.
+`cache` dict of one analysis, keyed by set bits, holds what the sub-queries of
+a full matrix run read again: verdicts, predecessor lassos and their PreMap,
+limit-sure eventually answers, safety regions and counter-product regions.
 
 Almost-sure weakly searches for T' <= T with (1) s0 limit-sure eventually in T'
 and (2) T' limit-sure eventually in Pre(T'). Let W(Y) be the states q with {q}
@@ -42,11 +42,8 @@ def _product_region(m, lasso, cache):
     """Almost-sure region for reaching R x {0} in the counter product M x [r],
     where R is the recurrent support of the predecessor lasso and r its period."""
     r, big_r = lasso.period, lasso.supports[lasso.start]
-
-    def make():
-        prod = _cached(cache, ("product", r), lambda: counter_product(m, r))
-        return almost_sure_reach_region(prod, lift_with_counter(big_r, r, 0))
-    return _cached(cache, ("product-as-region", r, big_r.bits), make)
+    return _cached(cache, ("product-as-region", r, big_r.bits), lambda: almost_sure_reach_region(
+        counter_product(m, r), lift_with_counter(big_r, r, 0)))
 
 
 def _safety(m, t, cache):
@@ -94,18 +91,6 @@ def _countdown_strategy(m, lasso, k, r=None):
     return StrategySpec(label, memory, k, rows, _uniform_row(m))
 
 
-def synthesize_sure_eventually_strategy(m, t, s0, k, *, cache=None, limits=DEFAULT_LIMITS):
-    """Countdown witness: at memory j, push all mass from Pre^j(T) into Pre^(j-1)(T).
-
-    Requires s0 inside the k-fold predecessor of t; simulation then puts the
-    whole mass in t at step k exactly.
-    """
-    lasso = _lasso(m, t, cache, limits)
-    if not s0 <= lasso.at(k):
-        raise ValueError("initial support is not contained in the k-fold predecessor")
-    return _countdown_strategy(m, lasso, k)
-
-
 def _reach_then_stay_strategy(m, safe, layers, label):
     """Memoryless: walk down the attractor layers into `safe`, then stay (with
     layers == [safe], the stay-safe witness of sure always)."""
@@ -130,8 +115,8 @@ def _decide_sure(m, sync_mode, t, s0, cache, limits):
         k = next((i for i, sup in enumerate(lasso.distinct()) if s0 <= sup), None)
         if k is None:
             return Verdict(False)
-        witness = synthesize_sure_eventually_strategy(m, t, s0, k, cache=cache, limits=limits)
-        return Verdict(True, witness=witness, certificate={"kind": "sure-eventually", "k": k})
+        return Verdict(True, witness=_countdown_strategy(m, lasso, k),
+                       certificate={"kind": "sure-eventually", "k": k})
 
     if sync_mode == "weakly":
         # Pre is monotone, so the recurring subsets S of t (S <= Pre^r(S), r >= 1) are
@@ -161,7 +146,7 @@ def _decide_sure(m, sync_mode, t, s0, cache, limits):
         return Verdict(False, certificate={"kind": "sure-always", "region": region})
 
     safe = _safety(m, t, cache)   # strongly
-    layers = _cached(cache, ("reach-layers", safe.bits), lambda: reach_layers(m, safe))
+    layers = reach_layers(m, safe)
     region = layers[-1]
     cert = {"kind": "sure-strongly", "safety_region": safe, "reach_region": region}
     if s0 <= region:
@@ -188,16 +173,14 @@ def _limit_eventually(m, t, s0, cache, limits):
 def _weakly_bound(m, t, cache, limits):
     """Z = gfp of X -> T & W(Pre(X)), iterated down from T: each round keeps the
     states q of X with {q} limit-sure eventually in Pre(X), so at most |T| rounds."""
-    def make():
-        pre_map, x = _pre_map(m, cache), t
-        while True:
-            y = SupportSet(t.width, pre_map[x.bits])
-            nxt = SupportSet.of(t.width, [q for q in x if _limit_eventually(
-                m, y, SupportSet(t.width, 1 << q), cache, limits) is not None])
-            if nxt == x:
-                return x
-            x = nxt
-    return _cached(cache, ("weakly-bound", t.bits), make)
+    pre_map, x = _pre_map(m, cache), t
+    while True:
+        y = SupportSet(t.width, pre_map[x.bits])
+        nxt = SupportSet.of(t.width, [q for q in x if _limit_eventually(
+            m, y, SupportSet(t.width, 1 << q), cache, limits) is not None])
+        if nxt == x:
+            return x
+        x = nxt
 
 
 def _expose_failing_subsupport(m, t, s0, cache, limits):
@@ -292,8 +275,7 @@ def _decide_almost_sure(m, sync_mode, t, s0, cache, limits):
         return _coinciding(m, sync_mode, t, s0, cache, limits)
 
     safe = _safety(m, t, cache)   # strongly
-    region = _cached(cache, ("as-reach", safe.bits),
-                     lambda: almost_sure_reach_region(m, safe))
+    region = almost_sure_reach_region(m, safe)
     cert = {"kind": "almost-sure-strongly", "safety_region": safe,
             "as_reach_region": region}
     return Verdict(s0 <= region, certificate=cert)

@@ -1,5 +1,5 @@
-"""Support-set fixpoints: predecessor operators, winning regions for safety and
-reachability, and maximal end-component decomposition.
+"""Support-set fixpoints: predecessor operators, the one lasso builder, winning
+regions for safety and reachability, and maximal end-component decomposition.
 
 All routines are pure functions over a support skeleton (model.Skeleton; an
 Mdp is one). Sets are SupportSet bit vectors outside and raw bit masks inside,
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .model import GuardExceeded, SupportSet, _iter_bits
+from .model import DEFAULT_LIMITS, GuardExceeded, SupportSet, _iter_bits
 
 
 def _width_check(m, s):
@@ -65,9 +65,6 @@ class Lasso:
         """All pairwise-distinct supports (everything before the closing repeat)."""
         return self.supports[:-1]
 
-    def loop(self):
-        return self.supports[self.start:self.start + self.period]
-
     def at(self, i):
         """Support at an arbitrary iteration index i >= 0."""
         if i < len(self.supports):
@@ -76,27 +73,25 @@ class Lasso:
 
 
 def iterate_lasso(step, start, max_len, stage):
-    """Iterate `step` from `start` until the first repeated support.
-
-    More than `max_len` distinct supports (when not None) trips the guard of `stage`.
-    """
-    seen = {}   # support -> index, in iteration order
-    cur = start
+    """Iterate the bit-mask `step` from the SupportSet `start` until the first
+    repeated support; more than `max_len` distinct supports trip the guard of `stage`."""
+    seen = {}   # mask -> index, in iteration order
+    cur = start.bits
     while cur not in seen:
-        if max_len is not None and len(seen) >= max_len:
+        if len(seen) >= max_len:
             raise GuardExceeded(stage, f"no repetition within {max_len} supports")
         seen[cur] = len(seen)
         cur = step(cur)
     k = seen[cur]
-    return Lasso((*seen, cur), k, len(seen) - k)
+    return Lasso(tuple(SupportSet(start.width, b) for b in (*seen, cur)), k, len(seen) - k)
 
 
-def pre_lasso(m, t, max_len=None, pre_map=None):
+def pre_lasso(m, t, max_len=DEFAULT_LIMITS.max_lasso, pre_map=None):
     """The iterated-predecessor lasso of a target set, stepping through `pre_map`
     (a PreMap of `m`; a fresh one when None)."""
+    _width_check(m, t)
     step = (PreMap(m) if pre_map is None else pre_map).__getitem__
-    bits = iterate_lasso(step, _width_check(m, t), max_len, "pre-lasso")
-    return Lasso(tuple(SupportSet(m.n, b) for b in bits.supports), bits.start, bits.period)
+    return iterate_lasso(step, t, max_len, "pre-lasso")
 
 
 def sure_safety_region(m, t):

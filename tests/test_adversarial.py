@@ -167,7 +167,7 @@ def old_decide(m, win, sync_mode, t, s0):
     cell decided it: (answer, detail, certificate, witness label)."""
     lasso = support_lasso(m, s0)
     mec = mec_decomposition(m)
-    supports, loop = lasso.distinct(), lasso.loop()
+    supports, loop = lasso.distinct(), lasso.supports[lasso.start:lasso.start + lasso.period]
     l, p, sw = lasso.start, lasso.period, switch_point(lasso)
     te = t & mec.union
     cond1 = all(s & t for s in supports)

@@ -651,13 +651,13 @@ def test_certificate_recheck_rejects_a_product_region_with_an_extra_state():
 
 
 def _drop_highest(post):
-    """A mutant of the deciders' support step: a support of at least two states
-    steps to its image without the image's highest state."""
-    def step(m, s):
-        image = post(m, s)
-        if len(s) < 2:
+    """A mutant of the deciders' mask support step: a support of at least two
+    states steps to its image without the image's highest state."""
+    def step(m, bits):
+        image = post(m, bits)
+        if bits.bit_count() < 2:
             return image
-        return SupportSet(image.width, image.bits & ~(1 << image.bits.bit_length() - 1))
+        return image & ~(1 << image.bit_length() - 1)
     return step
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from syncmdp import (Dist, SupportSet, decide_almost_sure, decide_limit_sure,
-                     decide_sure, pre, simulate, synthesize_sure_eventually_strategy)
+                     decide_sure, pre, simulate)
 from syncmdp import classic
 from syncmdp.checks import _certified
 from syncmdp.model import DEFAULT_LIMITS, GuardExceeded, Limits
@@ -98,14 +98,14 @@ def test_twophase_sure_weakly_certificate(twophase):
 
 def test_countdown_strategy_twophase(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
-    s = synthesize_sure_eventually_strategy(m, t, m.support(["q1"]), 1)
+    s = classic._countdown_strategy(m, pre_lasso(m, t), 1)
     trace = simulate(m, s, Dist.dirac(m.n, m.state_index("q1")), 3)
     assert target_masses(trace, t)[1] == 1
 
 
 def test_countdown_zero_steps(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
-    s = synthesize_sure_eventually_strategy(m, t, m.support(["q3"]), 0)
+    s = classic._countdown_strategy(m, pre_lasso(m, t), 0)
     trace = simulate(m, s, Dist.dirac(m.n, m.state_index("q3")), 2)
     assert target_masses(trace, t)[0] == 1
 
@@ -113,15 +113,27 @@ def test_countdown_zero_steps(twophase):
 def test_countdown_holds_self_loop(funnel):
     m = funnel.mdp
     t = m.support(["q1"])
-    s = synthesize_sure_eventually_strategy(m, t, t, 1)
+    s = classic._countdown_strategy(m, pre_lasso(m, t), 1)
     trace = simulate(m, s, Dist.dirac(m.n, m.state_index("q1")), 1)
     assert all(v == 1 for v in target_masses(trace, t))
 
 
-def test_countdown_precondition(twophase):
-    m, t = twophase.mdp, twophase.targets["target"]
-    with pytest.raises(ValueError):
-        synthesize_sure_eventually_strategy(m, t, m.support(["q0"]), 1)
+def test_countdown_precondition(drain, funnel, loopback, twophase):
+    # the countdown of k levels puts all mass in T at step k only from inside
+    # Pre^k(T): sure eventually picks the first such k, and answers no (q0 of
+    # twophase) where there is none
+    for pm in (drain, funnel, loopback, twophase):
+        m, t = pm.mdp, pm.targets["target"]
+        lasso = pre_lasso(m, t)
+        for s0 in [pm.initial.support()] + [m.support([q]) for q in m.states]:
+            v = decide_sure(m, "eventually", t, s0)
+            fits = [i for i, sup in enumerate(lasso.distinct()) if s0 <= sup]
+            assert v.answer == bool(fits)
+            if v.answer:
+                k = v.certificate["k"]
+                assert k == fits[0] and s0 <= lasso.at(k)
+    assert not decide_sure(twophase.mdp, "eventually", twophase.targets["target"],
+                           twophase.mdp.support(["q0"])).answer
 
 
 def test_witnesses_simulate_correctly(funnel, twophase):
@@ -261,6 +273,30 @@ def test_almost_sure_weakly_skips_subsets_of_an_unreachable_target(monkeypatch):
                            cache={})
     assert not v.answer
     assert len(tried) <= 2
+
+
+def test_almost_sure_weakly_search_does_not_skip_past_an_unreachable_subset():
+    # s0 -> s1 -> s4 -> s0 is a 3-cycle, s2 feeds it and s3 is absorbing; from
+    # {s4}, with T = Z = {s2, s3, s4}: T fails (2), {s2, s3} is out of reach,
+    # {s2, s4} fails (2) and {s3, s4} is the first hit. A search skipping the
+    # subsets that share a state with an unreachable one answers {s4} instead.
+    names = [f"s{i}" for i in range(5)]
+    edges = [("s0", "s1"), ("s1", "s4"), ("s4", "s0"), ("s2", "s1"), ("s3", "s3")]
+    pm = build({
+        "states": names, "actions": ["a"],
+        "transitions": [{"from": q, "action": "a", "to": nxt, "prob": "1"}
+                        for q, nxt in edges],
+        "initial": {"s4": "1"},
+        "targets": {"target": ["s2", "s3", "s4"]},
+    })
+    m, t, s0 = pm.mdp, pm.targets["target"], pm.initial.support()
+    cache = {}
+    assert classic._weakly_bound(m, t, cache, DEFAULT_LIMITS) == t
+    assert classic._limit_eventually(m, m.support(["s2", "s3"]), s0, cache,
+                                     DEFAULT_LIMITS) is None
+    v = decide_almost_sure(m, "weakly", t, s0)
+    assert v.answer and v.certificate["t_prime"] == m.support(["s3", "s4"])
+    assert _certified(m, t, s0, v.certificate)
 
 
 def _large_tier(seed):

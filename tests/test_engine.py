@@ -6,7 +6,8 @@ import pytest
 
 from syncmdp import (Verdict, analyze, decide_almost_sure, decide_bounded,
                      decide_limit_sure, decide_positive, decide_sure, example_model)
-from syncmdp import classic, engine, model
+from syncmdp import adversarial, classic, engine, model
+from syncmdp.checks import run_checks
 from syncmdp.examples import EXAMPLE_MODELS
 from syncmdp.randgen import corpus
 from syncmdp.engine import check_consistency
@@ -142,3 +143,22 @@ def test_each_witness_is_built_once_per_analysis(monkeypatch):
         assert sorted(built) == sorted(witnesses.values())
         assert len(set(built)) == len(built)
         assert sure == almost_sure == Counter(SYNC_MODES)
+
+
+def test_every_memo_kind_written_is_read(monkeypatch):
+    # a memo entry that no later query reads again is only bookkeeping: over
+    # analyze and the battery on 150 corpus models, every kind of key the
+    # deciders write is also read back at least once
+    written, read = Counter(), Counter()
+    cached = model._cached
+
+    def counting(cache, key, make):
+        if cache is not None:
+            (read if key in cache else written)[key[0]] += 1
+        return cached(cache, key, make)
+
+    for mod in (model, classic, adversarial):
+        monkeypatch.setattr(mod, "_cached", counting)
+    for inst in corpus(20260810, 150):
+        run_checks(analyze(inst.mdp, inst.initial, inst.target))
+    assert written and set(written) <= set(read), set(written) - set(read)

@@ -126,7 +126,8 @@ def test_pre_lassos_through_one_shared_pre_map_match_fresh_ones(m, data):
     shared = PreMap(m)
     for _ in range(data.draw(st.integers(1, 8))):
         t = data.draw(supports(m.n))
-        fresh = iterate_lasso(lambda y: pre(m, y), t, None, "pre-lasso")
+        fresh = iterate_lasso(lambda y: pre(m, SupportSet(m.n, y)).bits, t,
+                              DEFAULT_LIMITS.max_lasso, "pre-lasso")
         assert pre_lasso(m, t, pre_map=shared) == fresh
     for bits, nxt in shared.items():
         assert SupportSet(m.n, nxt) == pre(m, SupportSet(m.n, bits))

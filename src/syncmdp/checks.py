@@ -5,9 +5,10 @@ strategies are the analysis's own witnesses (from its memo). `lasso-integrity`
 steps the support lasso by its own Post and checks it against boolean matrix
 powers at O(log(l + p)) points, and `reach-value-cap` and `region-dp-agreement`
 reuse the almost-sure reach region. The mask certificates (`_safe_reach`,
-`_certified`) read only `succ`. Of the deciders the battery takes only the uniform
-and freezing strategies and `decide_limit_sure`, whose certificates of the two
-conditions of an almost-sure weakly verdict it proves in turn.
+`_certified`) read only supports, and step M x [r] on counter masks. Of the
+deciders the battery takes only the uniform and freezing strategies and
+`decide_limit_sure`, whose certificates of the two conditions of an almost-sure
+weakly verdict it proves in turn.
 
 The checks read trace and profile steps as target numerators over totals and
 supports as bit masks; only a value a check reports is a `Fraction` (`rational_obj`).
@@ -25,13 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from operator import or_
+from operator import and_, or_
 
 from .adversarial import _freezing, _uniform
 from .bounds import compute_bound
 from .classic import decide_limit_sure
-from .model import (BudgetExceeded, ONE, SupportSet, _iter_bits, counter_product,
-                    lift_with_counter, rational_obj)
+from .model import BudgetExceeded, ONE, SupportSet, _iter_bits, rational_obj
 from .oracle import (_clears, _numerator_in, enumerate_pure_strategies, enumeration_depth,
                      max_mass_at_step, simulate)
 from .regions import almost_sure_reach_region
@@ -416,17 +416,26 @@ def _mask(nums):
     return sum(1 << q for q in nums)
 
 
-def _safe_reach(m, t, y):
-    """The states (masks throughout) that reach t through actions keeping all
-    their successors in y: from those of y, uniform play over such actions
-    stays in y and reaches t from all of it, so it reaches t almost surely."""
-    keep = {q: reduce(or_, (s for s in m.succ[q] if s & ~y == 0), 0)
-            for q in _iter_bits(y & ~t)}
-    reached, grown = 0, t
+def _safe_reach(m, t, y, r=1):
+    """The states of M x [r] (r = 1 is M) that reach t through actions keeping all
+    their successors in y: from those of y, uniform play over such actions stays in
+    y and reaches t from all of it, so it reaches t almost surely. A mask holds <q, i>
+    at bit q r + (r-1-i): one r-bit block per state, and a step from counter i lands
+    on counter i-1 mod r, so seen from a predecessor a block is rotated right."""
+    def rot(blocks):   # per state, the counters whose step lands in the state's block
+        return [b >> 1 | (b & 1) << r - 1 for b in blocks]
+    tb, yb = ([bits >> q * r & (1 << r) - 1 for q in range(m.n)] for bits in (t, y))
+    into_y = rot(yb)
+    # per state, each action kept at some counter of y - t: (those counters, its successors)
+    kept = [[(k, d.mass) for d in row
+             if (k := yq & ~tq & reduce(and_, (into_y[p] for p in d.mass)))]
+            for row, tq, yq in zip(m.delta, tb, yb)]
+    reached, grown = None, tb
     while grown != reached:
-        reached = grown
-        grown = reduce(or_, (1 << q for q, s in keep.items() if s & reached), reached)
-    return reached
+        reached, into = grown, rot(grown)
+        grown = [b | reduce(or_, (k & reduce(or_, (into[p] for p in succs))
+                                  for k, succs in acts), 0) for b, acts in zip(reached, kept)]
+    return sum(b << q * r for q, b in enumerate(reached))
 
 
 def _region_failure(m, states, reason):
@@ -518,10 +527,11 @@ def _certified(m, t, s0, cert, cache=None, chains=None):
         safe, region = cert["safety_region"].bits, cert["as_reach_region"].bits
         return (_trap(m, tb, safe) and region & ~_safe_reach(m, safe, region) == 0
                 and s0b & ~region == 0)
-    if kind == "limit-sure-eventually":   # via the counter product
-        region, goal = cert["product_region"].bits, lift_with_counter(cert["R"], r, 0).bits
-        return (region & ~_safe_reach(counter_product(m, r), goal, region) == 0
-                and lift_with_counter(s0, r, cert["phase"]).bits & ~region == 0)
+    if kind == "limit-sure-eventually":   # via the counter product, from s0 x {phase}
+        region, phase = cert["product_region"].bits, cert["phase"]
+        goal = sum(1 << q * r + r - 1 for q in cert["R"])
+        return (0 <= phase < r and region & ~_safe_reach(m, goal, region, r) == 0
+                and sum(1 << q * r + r - 1 - phase for q in s0) & ~region == 0)
     t2 = cert["t_prime"]   # almost-sure weakly, or eventually via weakly
     if t2.bits & ~tb:
         return False

@@ -9,7 +9,8 @@ mode's verdict itself.
 All deciders work on initial supports (winning is support-only). The memo
 `cache` dict of one analysis, keyed by set bits, holds what the sub-queries of
 a full matrix run read again: verdicts, predecessor lassos and their PreMap,
-limit-sure eventually answers, safety regions and counter-product regions.
+limit-sure eventually answers, safety regions and the almost-sure regions of
+the counter products M x [r].
 
 Almost-sure weakly searches for T' <= T with (1) s0 limit-sure eventually in T'
 and (2) T' limit-sure eventually in Pre(T'). Let W(Y) be the states q with {q}
@@ -21,10 +22,12 @@ the subsets of Z, and prunes nothing else.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 from .model import (DEFAULT_LIMITS, ONE, GuardExceeded, StrategySpec, SupportSet, Verdict,
-                    _cached, _check_question, _uniform_row, counter_product, lift_with_counter)
+                    _cached, _check_question, _uniform_row)
 from .regions import (PreMap, almost_sure_reach_region, pre_lasso, reach_layers,
                       sure_safety_region)
 
@@ -42,8 +45,8 @@ def _product_region(m, lasso, cache):
     """Almost-sure region for reaching R x {0} in the counter product M x [r],
     where R is the recurrent support of the predecessor lasso and r its period."""
     r, big_r = lasso.period, lasso.supports[lasso.start]
-    return _cached(cache, ("product-as-region", r, big_r.bits), lambda: almost_sure_reach_region(
-        counter_product(m, r), lift_with_counter(big_r, r, 0)))
+    return _cached(cache, ("product-as-region", r, big_r.bits),
+                   lambda: almost_sure_reach_region(m, big_r, r))
 
 
 def _safety(m, t, cache):
@@ -158,14 +161,16 @@ def _decide_sure(m, sync_mode, t, s0, cache, limits):
 def _limit_eventually(m, t, s0, cache, limits):
     """Memoized core of limit-sure eventually: "sure" when s0 lies inside some
     Pre^i(t), else the first counter phase whose lift of s0 lies in the
-    product region, else None (not limit-sure winning)."""
+    product region, else None (not limit-sure winning). Counter tt is bit
+    r-1-tt of each state's block, so the first phase is the highest bit set in
+    all of s0's blocks."""
     def make():
         lasso = _lasso(m, t, cache, limits)
         if any(s0 <= sup for sup in lasso.distinct()):
             return "sure"
-        region = _product_region(m, lasso, cache).bits
-        wide = lift_with_counter(s0, lasso.period, 0).bits   # phase tt: shifted down by tt
-        return next((tt for tt in range(lasso.period) if wide >> tt & ~region == 0), None)
+        region, r = _product_region(m, lasso, cache).bits, lasso.period
+        phase = r - reduce(and_, (region >> q * r & (1 << r) - 1 for q in s0)).bit_length()
+        return phase if phase < r else None
 
     return _cached(cache, ("limit-event", t.bits, s0.bits), make)
 

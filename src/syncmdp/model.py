@@ -223,23 +223,10 @@ class Dist:
         return f"Dist({{{inner}}}, width={self.width})"
 
 
-class Skeleton:
-    """Support skeleton of an MDP, all that the support operators read: succ[q][a]
-    is the bit mask of Supp(delta(q, a)), post[q] the union of succ[q]."""
-
-    def __init__(self, n, succ):
-        self.n = n
-        self.succ = succ
-        self.post = tuple(reduce(or_, row) for row in succ)
-
-    @property
-    def action_count(self):
-        return len(self.succ[0])
-
-
-class Mdp(Skeleton):
-    """Finite MDP (Q, A, delta) with a total, exact transition function, serving
-    as its own support skeleton."""
+class Mdp:
+    """Finite MDP (Q, A, delta) with a total, exact transition function and its
+    support skeleton, all that the support operators read: succ[q][a] is the bit
+    mask of Supp(delta(q, a)), post[q] the union of succ[q]."""
 
     def __init__(self, states, actions, delta):
         states = tuple(states)
@@ -270,8 +257,13 @@ class Mdp(Skeleton):
         self.actions = actions
         self.delta = tuple(rows)
         self._state_index = {s: i for i, s in enumerate(states)}
-        super().__init__(n, tuple(tuple(sum(1 << q for q in d.mass) for d in row)
-                                  for row in self.delta))
+        self.n = n
+        self.succ = tuple(tuple(sum(1 << q for q in d.mass) for d in row) for row in self.delta)
+        self.post = tuple(reduce(or_, row) for row in self.succ)
+
+    @property
+    def action_count(self):
+        return len(self.actions)
 
     def state_index(self, name):
         if name not in self._state_index:
@@ -405,37 +397,6 @@ def product_state_names(states, r):
     """Names "q@i" of the product states, in product index order: <q, i> has index
     q*r + (r-1-i), the counters of each state declared r-1 .. 0."""
     return [f"{s}@{i}" for s in states for i in range(r - 1, -1, -1)]
-
-
-MAX_PRODUCT_BITS = 1 << 28   # successor-mask bits (n r)^2 |A| a counter product may hold
-
-
-def counter_product(m, r):
-    """Support skeleton of M x [r], which tracks the step count modulo r: every
-    action moves <q, i> to the successors of q at counter i-1 mod r. A product
-    whose n r states would carry more than MAX_PRODUCT_BITS mask bits trips the
-    `counter-product` guard before anything is built."""
-    if r < 1:
-        raise ValueError("counter modulus must be at least 1")
-    size = m.n * r
-    if size * size * m.action_count > MAX_PRODUCT_BITS:
-        raise GuardExceeded("counter-product",
-                            f"M x [{r}] on {m.n} states has {size} states, "
-                            f"{size * size * m.action_count} mask bits, "
-                            f"guard is {MAX_PRODUCT_BITS}")
-    rows = []
-    for row in m.succ:
-        wide = [sum(1 << q * r for q in _iter_bits(s)) for s in row]   # s x {r-1}
-        # counter i sits at offset r-1-i; counter i-1 mod r at offset r-i mod r
-        rows.extend(tuple(w << (off + 1) % r for w in wide) for off in range(r))
-    return Skeleton(m.n * r, tuple(rows))
-
-
-def lift_with_counter(s, r, t):
-    """Support s x {t} inside the counter product."""
-    if not 0 <= t < r:
-        raise ValueError("counter value out of range")
-    return SupportSet(s.width * r, sum(1 << q * r + r - 1 - t for q in s))
 
 
 # --- model documents ------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Support-set fixpoints: predecessor operators, the one lasso builder, winning
 regions for safety and reachability, and maximal end-component decomposition.
 
-All routines are pure functions over a support skeleton (model.Skeleton; an
-Mdp is one). Sets are SupportSet bit vectors outside and raw bit masks inside,
-and every fixpoint is iterated to exact stabilization.
+All routines are pure functions of an Mdp's supports. Sets are SupportSet bit
+vectors outside and raw bit masks inside (for the counter product M x [r], one
+r-bit counter mask per state), and every fixpoint is iterated to exact stabilization.
 """
 
 from __future__ import annotations
@@ -21,16 +21,31 @@ def _width_check(m, s):
     return s.bits
 
 
-def _apre(succ, y, x=-1):
-    """Mask of the states with an action keeping all successors in y and hitting x;
-    every action hits the default x = -1 (all bits), which makes it Pre(y)."""
+def _apre(succ, y):
+    """Mask Pre(y): the states with an action keeping all successors in y."""
     bits = 0
     for q, row in enumerate(succ):
         for s in row:
-            if s & y == s and s & x:
+            if s & y == s:
                 bits |= 1 << q
                 break
     return bits
+
+
+def _counter_apre(m, y, x, r):
+    """APre(Y, X) in M x [r] on counter masks: per state, the counters at which some
+    action keeps all its successors in Y and hits X (a step rotates their masks right)."""
+    out = []
+    for row in m.delta:
+        bits = 0
+        for d in row:
+            keep, hit = -1, 0
+            for q2 in d.mass:
+                keep &= y[q2]
+                hit |= x[q2]
+            bits |= keep & hit
+        out.append(bits >> 1 | (bits & 1) << r - 1)
+    return out
 
 
 def pre(m, y):
@@ -116,16 +131,25 @@ def sure_reach_region(m, s):
     return reach_layers(m, s)[-1]
 
 
-def almost_sure_reach_region(m, t):
-    """States almost-sure winning for reaching `t`: nu Y. mu X. t u APre(Y, X)."""
+MAX_PRODUCT_STATES = 1 << 21   # states n r of the largest counter product M x [r]
+
+
+def almost_sure_reach_region(m, t, r=1):
+    """States almost-sure winning for reaching t x {0} in M x [r], which counts steps
+    modulo r (r = 1 is M): nu Y. mu X. (t x {0}) u APre(Y, X), <q, i> at bit
+    q r + (r-1-i). A product past MAX_PRODUCT_STATES trips the guard first."""
     tbits = _width_check(m, t)
-    y = (1 << m.n) - 1
+    if m.n * r > MAX_PRODUCT_STATES:
+        raise GuardExceeded("counter-product", f"M x [{r}] on {m.n} states has {m.n * r} "
+                            f"states, guard is {MAX_PRODUCT_STATES}")
+    goal = [(tbits >> q & 1) << r - 1 for q in range(m.n)]
+    y = [(1 << r) - 1] * m.n
     while True:
-        x = 0
-        while (nxt := tbits | _apre(m.succ, y, x)) != x:
+        x = [0] * m.n
+        while (nxt := [g | b for g, b in zip(goal, _counter_apre(m, y, x, r))]) != x:
             x = nxt
         if x == y:
-            return SupportSet(m.n, y)
+            return SupportSet(m.n * r, sum(b << q * r for q, b in enumerate(y)))
         y = x
 
 

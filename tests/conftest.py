@@ -140,7 +140,7 @@ def prime_cycles(lengths=(2, 3, 5, 7, 11, 13), spread=False):
 
 def exact_counter_product(m, r):
     """Reference M x [r] with exact distributions, to check the package's
-    support-only `counter_product` against: product state <q, i> has index
+    counter masks against: product state <q, i> has index
     q*r + (r-1-i), and every action moves <q, i> to the successors of q at
     counter i-1 mod r with the same probabilities."""
     names = [f"{s}@{i}" for s in m.states for i in range(r - 1, -1, -1)]

@@ -608,13 +608,14 @@ def _safety_one_round(m, t):
     return SupportSet(m.n, t.bits & regions._apre(m.succ, (1 << m.n) - 1))
 
 
-def _as_reach_outer_once(m, t):
-    """`almost_sure_reach_region` with its outer loop run once: the states that
-    reach t with positive probability."""
-    x = 0
-    while (nxt := t.bits | regions._apre(m.succ, (1 << m.n) - 1, x)) != x:
+def _as_reach_outer_once(m, t, r=1):
+    """`almost_sure_reach_region` with its outer loop run once: the states of
+    M x [r] that reach t x {0} with positive probability."""
+    goal, full = [(t.bits >> q & 1) << r - 1 for q in range(m.n)], [(1 << r) - 1] * m.n
+    x = [0] * m.n
+    while (nxt := [g | b for g, b in zip(goal, regions._counter_apre(m, full, x, r))]) != x:
         x = nxt
-    return SupportSet(m.n, x)
+    return SupportSet(m.n * r, sum(b << q * r for q, b in enumerate(x)))
 
 
 @pytest.mark.parametrize("primitive, mutant, cell", [
@@ -633,6 +634,48 @@ def test_certificate_recheck_catches_a_region_primitive_mutant(monkeypatch, prim
     (result,) = run_named(analyze(pm.mdp, pm.initial, pm.targets["goal"]),
                            names={"certificate-recheck"})
     assert (result.status, result.info) == ("fail", cell)
+
+
+# q0 splits its mass between q1 and the absorbing sink x; q1 steps to q2, where a
+# returns to q1 and b moves on to y, and y drains into x. The pre-lasso of the
+# target {y} runs {y}, {q2}, {q1}, {q2}: R = {q2} recurs with period 2, and q0
+# reaches {q2} x {0} with probability 1/2 only
+CYCLE_LEAK = {
+    "states": ["q0", "q1", "q2", "y", "x"],
+    "actions": ["a", "b"],
+    "transitions": [
+        *({"from": "q0", "action": a, "to": q, "prob": "1/2"} for a in "ab" for q in ("q1", "x")),
+        *({"from": "q1", "action": a, "to": "q2", "prob": "1"} for a in "ab"),
+        {"from": "q2", "action": "a", "to": "q1", "prob": "1"},
+        {"from": "q2", "action": "b", "to": "y", "prob": "1"},
+        *({"from": q, "action": a, "to": "x", "prob": "1"} for a in "ab" for q in ("y", "x")),
+    ],
+    "initial": {"q0": "1"},
+    "targets": {"target": ["y"]},
+}
+
+
+def _product_outer_once(m, t, r=1):
+    """`almost_sure_reach_region` with its outer loop run once on M x [r], r > 1, only."""
+    return (_as_reach_outer_once if r > 1 else regions.almost_sure_reach_region)(m, t, r)
+
+
+def test_certificate_recheck_catches_a_product_region_mutant(monkeypatch):
+    # with the outer loop run once, <q0, 0> joins the region of M x [2] (it reaches
+    # {q2} x {0} with probability 1/2), and limit-sure eventually alone turns yes, at
+    # phase 0; no product table is left to compare with, so the battery's own
+    # counter-mask step must reject the region
+    pm = build(CYCLE_LEAK)
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    assert not an.verdicts[("eventually", "limit-sure")].answer
+    (result,) = run_named(an, names={"certificate-recheck"})
+    assert result.status == "pass"
+    monkeypatch.setattr(classic, "almost_sure_reach_region", _product_outer_once)
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    cert = an.verdicts[("eventually", "limit-sure")].certificate
+    assert (cert["via"], cert["r"], cert["phase"]) == ("product", 2, 0)
+    (result,) = run_named(an, names={"certificate-recheck"})
+    assert (result.status, result.info) == ("fail", {"mode": "eventually", "win": "limit-sure"})
 
 
 def test_certificate_recheck_rejects_a_product_region_with_an_extra_state():

@@ -308,15 +308,35 @@ def test_replay_pins_a_default_horizon_clamped_to_the_bound(capsys, monkeypatch)
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_counter_product_guard_trips_before_building(capsys, tmp_path, command):
-    # mass on every state of cycles 2..13 lies in no Pre^i of the cycle starts,
-    # so limit-sure eventually asks for M x [30030]: 1,231,230 states
+    # mass on every state of cycles 3..13 lies in no Pre^i of the cycle starts,
+    # so limit-sure eventually asks for M x [60060]: 2,582,580 states, past the
+    # guard on the product's states, which trips before the region's fixpoint
     path = tmp_path / "primes.json"
-    path.write_text(json.dumps(prime_cycles(spread=True)))
+    path.write_text(json.dumps(prime_cycles((3, 4, 5, 7, 11, 13), spread=True)))
     code, out, err = run(capsys, command, "--model", str(path), "--target", "target")
     assert (code, out) == (3, "")
     assert err.startswith("guard tripped at stage counter-product: ")
-    assert "M x [30030] on 41 states has 1231230 states" in err
+    assert "M x [60060] on 43 states has 2582580 states, guard is 2097152" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_counter_product_region_on_counter_masks(capsys, tmp_path, command):
+    # M x [2310] on 28 states has 64,680 states: its region is 28 counter masks of
+    # 2,310 bits, so no product table is built. Every state's mass reaches its
+    # cycle start at a different phase, so limit-sure eventually is a no
+    path = tmp_path / "primes.json"
+    path.write_text(json.dumps(prime_cycles((2, 3, 5, 7, 11), spread=True)))
+    out_path = tmp_path / "report.json"
+    code, _, err = run(capsys, command, "--model", str(path), "--target", "target",
+                       "--json", str(out_path))
+    assert (code, err) == (0, "")
+    report = json.loads(out_path.read_text())
+    cert = report["verdicts"]["eventually"]["limit-sure"]["certificate"]
+    assert (cert["r"], cert["via"]) == (2310, None)
+    statuses = {item["name"]: item["status"] for item in report["oracle"] or ()}
+    assert "fail" not in statuses.values()
+    assert bool(statuses) == (command == "verify")
 
 
 # one action over three states, every probability the text "10/20"

@@ -7,17 +7,17 @@ from types import SimpleNamespace
 
 from hypothesis import event, given, settings, strategies as st
 
-from syncmdp import (Dist, Mdp, ModelFormatError, ParsedModel, PreMap, StrategySpec,
-                     SupportSet, almost_sure_reach_region, analyze, counter_product,
-                     decide_almost_sure, decide_limit_sure, decide_sure, format_rational,
+from syncmdp import (Dist, Lasso, Mdp, ModelFormatError, ParsedModel, PreMap, StrategySpec,
+                     SupportSet, almost_sure_reach_region, analyze, decide_almost_sure,
+                     decide_limit_sure, decide_sure, format_rational,
                      iterate_lasso, matrix_power_witness, mec_decomposition,
                      model_to_obj, parse_model, pre, pre_lasso, serialize_model, simulate,
                      support_lasso, sure_safety_region, uniform_strategy)
-from syncmdp.checks import CheckContext, check_region_dp, rows_image
+from syncmdp.checks import CheckContext, _safe_reach, check_region_dp, rows_image
 from syncmdp.classic import _countdown_strategy, _limit_eventually, _weakly_bound
 from syncmdp.model import DEFAULT_LIMITS
 from syncmdp.oracle import max_mass_at_step
-from syncmdp.regions import _apre
+from syncmdp.regions import _counter_apre
 
 from conftest import as_dists, as_fractions, exact_counter_product, target_masses
 
@@ -67,11 +67,18 @@ def test_successor_table_is_the_support_of_delta(m):
         assert SupportSet(m.n, m.post[q]) == union
 
 
+def _apre_mask(m, y, x):
+    """APre(y, x) of M on masks, through the counter masks at r = 1 (one bit per state)."""
+    def blocks(bits):
+        return [bits >> q & 1 for q in range(m.n)]
+    return sum(b << q for q, b in enumerate(_counter_apre(m, blocks(y), blocks(x), 1)))
+
+
 @given(instances())
 @settings(max_examples=60, deadline=None)
 def test_apre_with_full_set_is_pre(inst):
     m, _, t = inst
-    assert _apre(m.succ, t.bits, SupportSet.full(m.n).bits) == pre(m, t).bits
+    assert _apre_mask(m, t.bits, SupportSet.full(m.n).bits) == pre(m, t).bits
 
 
 @given(instances(), st.data())
@@ -81,8 +88,8 @@ def test_pre_monotone(inst, data):
     y1 = SupportSet(m.n, y2.bits & data.draw(st.integers(0, (1 << m.n) - 1)))
     assert pre(m, y1) <= pre(m, y2)
     x = data.draw(supports(m.n)).bits
-    assert _apre(m.succ, y1.bits, x) & ~_apre(m.succ, y2.bits, x) == 0
-    assert _apre(m.succ, y2.bits, x & y1.bits) & ~_apre(m.succ, y2.bits, x | y1.bits) == 0
+    assert _apre_mask(m, y1.bits, x) & ~_apre_mask(m, y2.bits, x) == 0
+    assert _apre_mask(m, y2.bits, x & y1.bits) & ~_apre_mask(m, y2.bits, x | y1.bits) == 0
 
 
 @given(instances())
@@ -111,13 +118,34 @@ def test_product_projection_commutes_with_step(inst, r, t_raw):
     assert projected == stepped_base.mass
 
 
-@given(mdps(max_states=6, max_actions=3), st.integers(1, 5))
-@settings(max_examples=60, deadline=None)
-def test_counter_product_is_the_support_skeleton_of_the_exact_product(m, r):
-    prod, ref = counter_product(m, r), exact_counter_product(m, r)
-    assert (prod.n, prod.action_count) == (ref.n, ref.action_count)
-    assert prod.succ == ref.succ
-    assert prod.post == ref.post
+def _lift(s, r, i):
+    """s x {i} in M x [r], whose state <q, i> has index q r + (r-1-i)."""
+    return SupportSet.of(s.width * r, (q * r + r - 1 - i for q in s))
+
+
+@given(st.integers(1, 3).flatmap(lambda k: mdps(max_states=5, max_actions=3, max_support=k)),
+       st.integers(1, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_counter_masks_agree_with_the_exact_counter_product(m, r, data):
+    # the region and the battery's safe reach on counter masks are the exact
+    # product's, state for state, and the limit-sure phase is the first counter
+    # whose lift of s0 lies in the exact product's region; narrow supports make
+    # the cycles on which counters run out of phase
+    prod = exact_counter_product(m, r)
+    big_r = data.draw(supports(m.n))
+    ref = almost_sure_reach_region(prod, _lift(big_r, r, 0))
+    assert almost_sure_reach_region(m, big_r, r) == ref
+    t = data.draw(st.integers(0, (1 << prod.n) - 1))
+    y = data.draw(st.integers(0, (1 << prod.n) - 1))
+    assert _safe_reach(m, t, y, r) == _safe_reach(prod, t, y)
+    # the phase scan reads R and r off the target's memoized pre-lasso; a stand-in
+    # lasso on which R recurs with period r puts the drawn pair there
+    target, s0 = data.draw(supports(m.n)), data.draw(supports(m.n, nonempty=True))
+    cache = {("pre-lasso", target.bits): Lasso((big_r,) * (r + 1), 0, r)}
+    phase = _limit_eventually(m, target, s0, cache, DEFAULT_LIMITS)
+    event("sure" if phase == "sure" else "product" if phase is not None else "none")
+    assert phase == ("sure" if s0 <= big_r else
+                     next((i for i in range(r) if _lift(s0, r, i) <= ref), None))
 
 
 @given(mdps(max_states=6, max_actions=3), st.data())

@@ -4,9 +4,9 @@ from syncmdp import (SupportSet, almost_sure_reach_region,
                      mec_decomposition, pre, pre_lasso, reach_layers,
                      sure_reach_region, sure_safety_region)
 from syncmdp.model import GuardExceeded
-from syncmdp.regions import _apre
+from syncmdp.regions import _apre, _counter_apre
 
-from conftest import build
+from conftest import build, prime_cycles
 
 
 def names(m, s):
@@ -22,9 +22,14 @@ def test_pre_examples(funnel):
 
 def test_apre_examples(funnel):
     m = funnel.mdp
-    bits = _apre(m.succ, m.support(["q1", "q2"]).bits, m.support(["q2"]).bits)
-    assert names(m, SupportSet(m.n, bits)) == {"q1"}
-    assert _apre(m.succ, m.support(["q1"]).bits, 0) == 0
+    assert names(m, SupportSet(m.n, _apre(m.succ, m.support(["q1", "q2"]).bits))) == {"q1"}
+    # on counter masks at r = 1 (one bit per state), q1 keeps {q1, q2} and hits {q2} by b
+    assert _counter_apre(m, [0, 1, 1, 0], [0, 0, 1, 0], 1) == [0, 1, 0, 0]
+    assert _counter_apre(m, [0, 1, 0, 0], [0] * 4, 1) == [0] * 4
+    # on the 3-cycle c3_0 -> c3_1 -> c3_2 at r = 3, counter i is bit 2 - i: c3_0 at
+    # counter 1 steps to c3_1 at counter 0
+    m = build(prime_cycles((3,))).mdp
+    assert _counter_apre(m, [0b111] * 3, [0, 0b100, 0], 3) == [0b010, 0, 0]
 
 
 def test_pre_lasso_funnel(funnel):

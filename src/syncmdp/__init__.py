@@ -5,10 +5,10 @@ rational arithmetic, explicit isolation bounds, and brute-force oracles.
 from .adversarial import (AdvVerdictDetail, decide_bounded, decide_positive,
                           freezing_strategy, support_lasso, switch_point)
 from .bounds import BoundCert, attach_bounds, compute_bound
-from .checks import CheckResult, matrix_power_witness, run_checks
+from .checks import CheckResult, run_checks
 from .classic import decide_almost_sure, decide_limit_sure, decide_sure
 from .engine import ConsistencyError, ModelAnalysis, analyze, check_consistency
-from .examples import example_model, example_path, example_text
+from .examples import example_model, example_path
 from .model import (BudgetExceeded, Dist, GuardExceeded, Limits, Mdp,
                     ModelFormatError, ParsedModel, StrategySpec, SupportSet,
                     SYNC_MODES, Verdict, WIN_MODES, format_rational, load_model,

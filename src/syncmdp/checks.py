@@ -183,17 +183,6 @@ def matrix_squares(m, i):
     return squares
 
 
-def matrix_power_witness(m, i):
-    """Exact-step boolean reachability M^i (M's rows are m.post), by successive squaring."""
-    if i < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = [1 << q for q in range(m.n)]
-    for j, square in enumerate(matrix_squares(m, i)):
-        if i >> j & 1:
-            result = _bool_mul(result, square)
-    return tuple(result)
-
-
 def check_lasso_integrity(ctx):
     """Lasso closure bounds and closure, Post and Pre steps, and matrix-power agreement.
 

@@ -194,7 +194,7 @@ def main(argv=None):
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except GuardExceeded as exc:
-        print(f"guard tripped at stage {exc.stage}: {exc}", file=sys.stderr)
+        print(f"guard tripped at stage {exc}", file=sys.stderr)
         return 3
     except ConsistencyError as exc:
         print("internal consistency gate failed (engine bug):", file=sys.stderr)

@@ -10,20 +10,14 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .model import parse_model
+from .model import load_model
 
 EXAMPLE_MODELS = ("drain", "funnel", "loopback", "twophase")
 
 
-def example_text(name):
-    if name not in EXAMPLE_MODELS:
-        raise KeyError(f"unknown example {name!r}; choices: {EXAMPLE_MODELS}")
-    return resources.files(__package__).joinpath(f"models/{name}.json").read_text("utf-8")
-
-
 def example_model(name):
     """ParsedModel for one of the bundled models; target set is named "target"."""
-    return parse_model(example_text(name))
+    return load_model(example_path(name))
 
 
 def example_path(name):

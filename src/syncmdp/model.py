@@ -391,14 +391,6 @@ class Verdict:
     detail: object | None = None
 
 
-# --- tracking-counter product -------------------------------------------------
-
-def product_state_names(states, r):
-    """Names "q@i" of the product states, in product index order: <q, i> has index
-    q*r + (r-1-i), the counters of each state declared r-1 .. 0."""
-    return [f"{s}@{i}" for s in states for i in range(r - 1, -1, -1)]
-
-
 # --- model documents ------------------------------------------------------------
 
 @dataclass

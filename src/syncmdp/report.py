@@ -1,5 +1,6 @@
 """Report assembly: JSON schema (versioned) and its writer, and human-readable
-rendering for one analyzed model, with optional oracle-check results.
+rendering for one analyzed model, with optional oracle-check results. Sets are
+written by state name, and the state <q, i> of the counter product M x [r] as "q@i".
 """
 
 from __future__ import annotations
@@ -7,7 +8,7 @@ from __future__ import annotations
 import math
 from json.encoder import encode_basestring_ascii as _quote
 
-from .model import SYNC_MODES, WIN_MODES, SupportSet, format_rational, product_state_names
+from .model import SYNC_MODES, WIN_MODES, SupportSet, format_rational
 
 REPORT_VERSION = 2
 
@@ -84,27 +85,25 @@ def _strategy_obj(strategy, m):
     }
 
 
-def _jsonable(value, states, product_names=None):
+def _jsonable(value, states, r):
     if isinstance(value, SupportSet):
         if value.width == len(states):
             return list(value.names(states))
-        if product_names is not None and value.width == len(product_names):
-            return list(value.names(product_names))
+        if r and value.width == len(states) * r:
+            # a set over the counter product: bit b is <states[b // r], r-1 - b % r>
+            return [f"{states[b // r]}@{r - 1 - b % r}" for b in value]
         return list(value)
     if isinstance(value, dict):
-        return {k: _jsonable(v, states, product_names) for k, v in value.items()}
+        return {k: _jsonable(v, states, r) for k, v in value.items()}
     return value
 
 
 def _verdict_obj(verdict, bounds, m, include_strategies):
-    product_names = None
     cert = verdict.certificate
-    if cert and "r" in cert:
-        # limit-sure certificates carry sets over the counter product
-        product_names = product_state_names(m.states, cert["r"])
     return {
         "answer": "yes" if verdict.answer else "no",
-        "certificate": _jsonable(cert, m.states, product_names),
+        # limit-sure certificates carry sets over the counter product M x [r]
+        "certificate": _jsonable(cert, m.states, cert and cert.get("r")),
         "detail": None if verdict.detail is None else dict(vars(verdict.detail)),
         "bounds": [b.to_obj() for b in bounds],
         "witness": (_strategy_obj(verdict.witness, m) if include_strategies

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import strategies as st
 
-from syncmdp import BudgetExceeded, CheckResult, Dist, Mdp, example_model, parse_model
-from syncmdp.checks import ALL_CHECKS, CheckContext
+from syncmdp import (BudgetExceeded, CheckResult, Dist, Mdp, SupportSet, example_model,
+                     parse_model)
+from syncmdp.checks import ALL_CHECKS, CheckContext, matrix_squares, rows_image
 
 
 @pytest.fixture(scope="session")
@@ -151,6 +153,16 @@ def exact_counter_product(m, r):
             rows.append([Dist(m.n * r, {q2 * r + (r - 1 - j): p for q2, p in d.mass.items()})
                          for d in m.delta[q]])
     return Mdp(names, m.actions, rows)
+
+
+def matrix_power(m, i):
+    """Rows of the boolean matrix M^i (M's rows are m.post): row q is {q} M^i,
+    composed through the square M^(2^j) of each bit j of i, as the
+    lasso-integrity check composes s0 M^i."""
+    squares = matrix_squares(m, i)
+    bits = [j for j in range(len(squares)) if i >> j & 1]
+    return tuple(reduce(lambda s, j: rows_image(squares[j], s), bits, SupportSet(m.n, 1 << q)).bits
+                 for q in range(m.n))
 
 
 @st.composite

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from syncmdp import (SYNC_MODES, SupportSet, adversarial, analyze, decide_bounded,
-                     decide_positive, freezing_strategy,
-                     matrix_power_witness, mec_decomposition, simulate,
+                     decide_positive, freezing_strategy, mec_decomposition, simulate,
                      support_lasso, switch_point, uniform_strategy)
 from syncmdp.adversarial import AdvVerdictDetail, _graph_test_weakly
 from syncmdp.checks import rows_image
 from syncmdp.randgen import corpus, random_instance
 from syncmdp.model import GuardExceeded
 
-from conftest import ABSORBING, build, target_masses
+from conftest import ABSORBING, build, matrix_power, target_masses
 
 
 def names(m, s):
@@ -56,8 +55,8 @@ def test_support_lasso_guard(funnel):
 
 def test_matrix_power_identity_and_one(drain):
     m = drain.mdp
-    assert matrix_power_witness(m, 0) == (0b01, 0b10)
-    assert matrix_power_witness(m, 1) == m.post
+    assert matrix_power(m, 0) == (0b01, 0b10)
+    assert matrix_power(m, 1) == m.post
     assert m.post == (0b11, 0b10)
 
 
@@ -67,7 +66,7 @@ def test_matrix_power_matches_lasso(funnel, loopback, twophase):
         s0 = pm.initial.support()
         lasso = support_lasso(m, s0)
         for i in range(lasso.start + lasso.period + 1):
-            assert rows_image(matrix_power_witness(m, i), s0) == lasso.at(i)
+            assert rows_image(matrix_power(m, i), s0) == lasso.at(i)
 
 
 def test_drain_positive_vs_bounded(drain):

@@ -211,7 +211,7 @@ def test_subset_width_guard_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", "--model", str(narrow), "--target", "target",
                        "--subset-width", "1")
     assert code == 3
-    assert err == ("guard tripped at stage subset-search: subset-search: fixpoint bound "
+    assert err == ("guard tripped at stage subset-search: fixpoint bound "
                    "has 2 of the target's 2 states, guard is 1\n")
     code, out, err = run(capsys, "analyze", "--model", str(narrow), "--target", "target",
                          "--query", "weakly:almost-sure")

@@ -10,7 +10,7 @@ from hypothesis import event, given, settings, strategies as st
 from syncmdp import (Dist, Lasso, Mdp, ModelFormatError, ParsedModel, PreMap, StrategySpec,
                      SupportSet, almost_sure_reach_region, analyze, decide_almost_sure,
                      decide_limit_sure, decide_sure, format_rational,
-                     iterate_lasso, matrix_power_witness, mec_decomposition,
+                     iterate_lasso, mec_decomposition,
                      model_to_obj, parse_model, pre, pre_lasso, serialize_model, simulate,
                      support_lasso, sure_safety_region, uniform_strategy)
 from syncmdp.checks import CheckContext, _safe_reach, check_region_dp, rows_image
@@ -19,7 +19,8 @@ from syncmdp.model import DEFAULT_LIMITS
 from syncmdp.oracle import max_mass_at_step
 from syncmdp.regions import _counter_apre
 
-from conftest import as_dists, as_fractions, exact_counter_product, target_masses
+from conftest import (as_dists, as_fractions, exact_counter_product, matrix_power,
+                      target_masses)
 
 
 @st.composite
@@ -194,7 +195,7 @@ def test_support_lasso_matches_matrix_powers(inst):
     lasso = support_lasso(m, s0)
     assert lasso.start + lasso.period <= 2 ** m.n
     for i in range(lasso.start + lasso.period + 1):
-        assert rows_image(matrix_power_witness(m, i), s0) == lasso.at(i)
+        assert rows_image(matrix_power(m, i), s0) == lasso.at(i)
 
 
 @given(instances())

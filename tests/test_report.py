@@ -2,11 +2,12 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syncmdp import analyze, decide_limit_sure, example_model, run_checks
+from syncmdp import SupportSet, Verdict, analyze, decide_limit_sure, example_model, run_checks
 from syncmdp.examples import EXAMPLE_MODELS
 from syncmdp.randgen import corpus
 from syncmdp import report as report_module
@@ -53,6 +54,23 @@ def test_report_serializes_product_certificates():
     assert "c0@0" in region and all("@" in name for name in region)
     assert "x@0" in text
     assert render_text(report)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_sets_are_named_by_the_counter_layout(data):
+    n, r = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    states = [f"s{q}" for q in range(n)]
+    bits = data.draw(st.integers(0, 2 ** (n * r) - 1))
+    own = data.draw(st.integers(0, 2 ** n - 1))
+    cert = {"r": r, "product_region": SupportSet(n * r, bits), "set": SupportSet(n, own)}
+    obj = report_module._verdict_obj(Verdict(True, certificate=cert), [],
+                                     SimpleNamespace(states=states), False)["certificate"]
+    # the product state <q, i> has index q*r + (r-1-i); at r = 1 the set has width n
+    table = [f"{s}@{i}" for s in states for i in range(r - 1, -1, -1)] if r > 1 else states
+    assert obj["product_region"] == [table[b] for b in range(n * r) if bits >> b & 1]
+    assert obj["set"] == [states[q] for q in range(n) if own >> q & 1]
+    assert obj["r"] == r
 
 
 def test_report_round_trips_examples():

@@ -116,7 +116,7 @@ def _decide(m, win, sync_mode, t, s0, cache, limits):
     ask it of the target inside the end components on the loop. The cells of
     one (s0, t) read one memoized scan: the supports that miss either target.
     """
-    _check_question(sync_mode, t, s0)
+    cache = _check_question(sync_mode, t, s0, cache)
     lasso = _support_lasso(m, s0, cache, limits)
     mec = _mec(m, cache)
     miss, miss_te = _cached(cache, ("lasso-misses", s0.bits, t.bits),

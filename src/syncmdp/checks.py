@@ -487,11 +487,10 @@ def _trap(m, t, y):
     return y & ~t == 0 and y & ~_pre(m, y) == 0
 
 
-def _certified(m, t, s0, cert, cache=None, chains=None):
+def _certified(m, t, s0, cert, cache, chains):
     """Whether the yes-certificate `cert` proves its cell for target t from s0 on masks
-    of `succ`, and for almost-sure weakly the limit-sure ones of its two conditions.
-    `chains` keeps the Pre^i chains it reads (a fresh one when None)."""
-    chains = {} if chains is None else chains
+    of `succ`, and for almost-sure weakly the limit-sure ones of its two conditions,
+    decided through the memo `cache`. `chains` keeps the Pre^i chains it reads."""
     kind, tb, s0b = cert["kind"], t.bits, s0.bits
     if kind == "limit-sure-eventually":
         k, r, big_r = cert["k"], cert["r"], cert["R"].bits

@@ -6,11 +6,12 @@ battery (`checks`) proves each yes-certificate on support masks itself.
 A verdict does not repeat its question: a coinciding mode returns the stronger
 mode's verdict itself.
 
-All deciders work on initial supports (winning is support-only). The memo
-`cache` dict of one analysis, keyed by set bits, holds what the sub-queries of
-a full matrix run read again: verdicts, predecessor lassos and their PreMap,
-limit-sure eventually answers, safety regions and the almost-sure regions of
-the counter products M x [r].
+All deciders work on initial supports (winning is support-only). Every call
+answers through a memo, the `cache` dict of one analysis (a fresh one when a
+call passes none). Keyed by set bits, it holds what the sub-queries of a full
+matrix run read again: verdicts, predecessor lassos and their PreMap, limit-sure
+eventually answers, safety regions and the almost-sure regions of the counter
+products M x [r].
 
 Almost-sure weakly searches for T' <= T with (1) s0 limit-sure eventually in T'
 and (2) T' limit-sure eventually in Pre(T'). Let W(Y) be the states q with {q}
@@ -107,7 +108,7 @@ def decide_sure(m, sync_mode, t, s0, *, cache=None, limits=DEFAULT_LIMITS):
     Memoized per analysis: the almost-sure and limit-sure deciders delegate
     here for always and eventually, and share the verdict and its witness.
     """
-    _check_question(sync_mode, t, s0)
+    cache = _check_question(sync_mode, t, s0, cache)
     return _cached(cache, ("sure", sync_mode, t.bits, s0.bits),
                    lambda: _decide_sure(m, sync_mode, t, s0, cache, limits))
 
@@ -209,7 +210,7 @@ def _coinciding(m, sync_mode, t, s0, cache, limits):
 
 def decide_limit_sure(m, sync_mode, t, s0, *, cache=None, limits=DEFAULT_LIMITS):
     """Limit-sure winning; weakly/strongly/always delegate to their coinciding modes."""
-    _check_question(sync_mode, t, s0)
+    cache = _check_question(sync_mode, t, s0, cache)
     if sync_mode != "eventually":
         return _coinciding(m, sync_mode, t, s0, cache, limits)
 
@@ -238,7 +239,7 @@ def decide_almost_sure(m, sync_mode, t, s0, *, cache=None, limits=DEFAULT_LIMITS
     Memoized per analysis like `decide_sure`: limit-sure weakly and strongly
     and almost-sure eventually delegate here and share the verdict.
     """
-    _check_question(sync_mode, t, s0)
+    cache = _check_question(sync_mode, t, s0, cache)
     return _cached(cache, ("almost-sure", sync_mode, t.bits, s0.bits),
                    lambda: _decide_almost_sure(m, sync_mode, t, s0, cache, limits))
 

@@ -1,7 +1,8 @@
 """Exact data model for MDPs viewed as transformers of probability distributions.
 
 States and actions live in declaration order and are referred to by index in
-every algorithm; the JSON front end resolves names exactly once. Probabilities
+every algorithm. Names resolve once, at the document boundary (`parse_model`
+in, the reports out): no model object keeps a name index. Probabilities
 are `fractions.Fraction` end to end, so all invariants in this package are
 checked with exact equality (masses sum to 1, never "close to 1"). The checks
 read numerators and denominators as integers: a sign is a numerator's sign and
@@ -140,10 +141,6 @@ class SupportSet:
             bits |= 1 << q
         return cls(width, bits)
 
-    @classmethod
-    def full(cls, width):
-        return cls(width, (1 << width) - 1)
-
     def __contains__(self, q):
         return 0 <= q < self.width and self.bits >> q & 1 == 1
 
@@ -212,9 +209,6 @@ class Dist:
     def dirac(cls, width, q):
         return cls(width, {q: ONE})
 
-    def __getitem__(self, q):
-        return self.mass.get(q, ZERO)
-
     def support(self):
         return SupportSet.of(self.width, self.mass)
 
@@ -256,7 +250,6 @@ class Mdp:
         self.states = states
         self.actions = actions
         self.delta = tuple(rows)
-        self._state_index = {s: i for i, s in enumerate(states)}
         self.n = n
         self.succ = tuple(tuple(sum(1 << q for q in d.mass) for d in row) for row in self.delta)
         self.post = tuple(reduce(or_, row) for row in self.succ)
@@ -264,14 +257,6 @@ class Mdp:
     @property
     def action_count(self):
         return len(self.actions)
-
-    def state_index(self, name):
-        if name not in self._state_index:
-            raise KeyError(f"unknown state {name!r}")
-        return self._state_index[name]
-
-    def support(self, names):
-        return SupportSet.of(self.n, (self.state_index(s) for s in names))
 
     def __eq__(self, other):
         return (isinstance(other, Mdp) and self.states == other.states
@@ -355,9 +340,7 @@ def _uniform_row(m):
 
 
 def _cached(cache, key, make):
-    """The deciders' memo: `cache[key]`, made on first use (no memo when cache is None)."""
-    if cache is None:
-        return make()
+    """The deciders' memo: `cache[key]`, made on first use."""
     if key not in cache:
         cache[key] = make()
     return cache[key]
@@ -368,15 +351,17 @@ def uniform_strategy(m):
     return StrategySpec("uniform", (0,), 0, ({},), _uniform_row(m))
 
 
-def _check_question(sync_mode, t, s0):
+def _check_question(sync_mode, t, s0, cache):
     """Reject a question no decider answers: an unknown sync mode, a target and
-    an initial support of different widths, or an empty initial support."""
+    an initial support of different widths, or an empty initial support. Returns
+    the memo the decider answers through: `cache`, or a fresh one when None."""
     if sync_mode not in SYNC_MODES:
         raise ValueError(f"unknown sync mode {sync_mode!r}")
     if t.width != s0.width:
         raise ValueError("target and initial support widths differ")
     if not s0:
         raise ValueError("initial support must be nonempty")
+    return {} if cache is None else cache
 
 
 @dataclass(frozen=True)

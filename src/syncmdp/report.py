@@ -1,6 +1,7 @@
 """Report assembly: JSON schema (versioned) and its writer, and human-readable
 rendering for one analyzed model, with optional oracle-check results. Sets are
 written by state name, and the state <q, i> of the counter product M x [r] as "q@i".
+The writer takes what the CLI writes: str keys and leaves of exact builtin types.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from .model import SYNC_MODES, WIN_MODES, SupportSet, format_rational
 
 REPORT_VERSION = 2
 
-# Writers of the leaves by exact type; _scalar also takes their subclasses.
+# Writers of the leaves, by exact type.
 _LEAVES = {str: _quote, int: int.__repr__, type(None): {None: "null"}.__getitem__,
            bool: {True: "true", False: "false"}.__getitem__,
            float: lambda x: ("NaN" if x != x else "Infinity" if x == math.inf
@@ -29,8 +30,9 @@ class SharedObj(dict):
 
 
 def to_json(obj):
-    """`json.dumps(obj, indent=2)`, byte for byte: the one writer of report JSON,
-    one string join per container (per indent, for a `SharedObj`), no generators."""
+    """`json.dumps(obj, indent=2)`, byte for byte, of str keys and leaves of the exact
+    types str, int, float, bool and None (any other raises `TypeError`): the one writer
+    of report JSON, one string join per container (per indent, for a `SharedObj`)."""
     return _encode(obj, "\n")
 
 
@@ -43,27 +45,16 @@ def _encode(obj, pad):
         texts = obj.texts if type(obj) is SharedObj else None
         if texts and pad in texts:
             return texts[pad]
-        items = [(_quote(k) if type(k) is str else _key(k)) + ": "
+        items = [_quote(k) + ": "   # a non-str key raises TypeError in _quote
                  + (w(v) if (w := _LEAVES.get(type(v))) else _encode(v, inner))
                  for k, v in obj.items()]
         text = "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
         if texts is not None:
             texts[pad] = text
         return text
-    return _scalar(obj)
-
-
-def _scalar(value):
-    for kind in (type(value), str, int, float):  # exact type, then e.g. IntEnum
-        if kind in _LEAVES and isinstance(value, kind):
-            return _LEAVES[kind](value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _key(key):
-    if key is None or isinstance(key, (str, int, float)):
-        return _quote(key if isinstance(key, str) else _scalar(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    if (w := _LEAVES.get(type(obj))) is None:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    return w(obj)
 
 
 def _strategy_obj(strategy, m):
@@ -89,10 +80,8 @@ def _jsonable(value, states, r):
     if isinstance(value, SupportSet):
         if value.width == len(states):
             return list(value.names(states))
-        if r and value.width == len(states) * r:
-            # a set over the counter product: bit b is <states[b // r], r-1 - b % r>
-            return [f"{states[b // r]}@{r - 1 - b % r}" for b in value]
-        return list(value)
+        # a set over the counter product M x [r]: bit b is <states[b // r], r-1 - b % r>
+        return [f"{states[b // r]}@{r - 1 - b % r}" for b in value]
     if isinstance(value, dict):
         return {k: _jsonable(v, states, r) for k, v in value.items()}
     return value

@@ -34,6 +34,11 @@ def build(doc):
     return parse_model(doc)
 
 
+def support(m, names):
+    """The support set of the states named in `names` (test shorthand)."""
+    return SupportSet.of(m.n, (m.states.index(name) for name in names))
+
+
 def run_named(analysis, names, **context):
     """The `CheckResult`s of the checks named in `names` alone, in the battery's
     order, on one `CheckContext(analysis, **context)`; as in `run_checks`, a
@@ -194,4 +199,4 @@ def wide_instances(draw, max_states=6, min_actions=1, max_actions=3, max_support
     m = Mdp([f"s{i}" for i in range(n)], [f"a{j}" for j in range(a_count)], delta)
     d0 = Dist(n, draw(rows(range(n), max_support=max_support)))
     t = {q for q in range(n) if draw(st.booleans())}
-    return m, d0, m.support(m.states[q] for q in t)
+    return m, d0, SupportSet.of(n, t)

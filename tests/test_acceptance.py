@@ -18,7 +18,7 @@ from syncmdp.engine import check_consistency
 from syncmdp.randgen import corpus, random_instance
 from syncmdp.report import REPORT_VERSION, build_report, render_text
 
-from conftest import run_named
+from conftest import run_named, support
 
 CORPUS_SEED = 20260810
 CORPUS_COUNT = 500
@@ -91,10 +91,10 @@ def test_criterion_1_example_regression():
 
     f4 = example_model("twophase")
     m4, t4 = f4.mdp, f4.targets["target"]
-    both = m4.support(["q1", "q3"])
+    both = support(m4, ["q1", "q3"])
     assert decide_limit_sure(m4, "eventually", t4, both).answer is False
-    assert decide_sure(m4, "eventually", t4, m4.support(["q1"])).answer is True
-    assert decide_sure(m4, "eventually", t4, m4.support(["q3"])).answer is True
+    assert decide_sure(m4, "eventually", t4, support(m4, ["q1"])).answer is True
+    assert decide_sure(m4, "eventually", t4, support(m4, ["q3"])).answer is True
 
     f1 = example_model("drain")
     an1 = analyze(f1.mdp, f1.initial, f1.targets["target"])

@@ -122,7 +122,7 @@ def test_freezing_rows(funnel, loopback):
     mec = mec_decomposition(m)
     frz = freezing_strategy(m, lasso, mec)
     sw = switch_point(lasso)
-    q1 = m.state_index("q1")
+    q1 = m.states.index("q1")
     # a step counter saturating at the switch, the only position with forced rows
     assert (frz.memory, frz.loop_start) == (tuple(range(sw + 1)), sw)
     assert not any(frz.forced[:sw])
@@ -132,7 +132,7 @@ def test_freezing_rows(funnel, loopback):
     lasso2 = support_lasso(m2, funnel.initial.support())
     frz2 = freezing_strategy(m2, lasso2, mec_decomposition(m2))
     sw2 = switch_point(lasso2)
-    q1 = m2.state_index("q1")
+    q1 = m2.states.index("q1")
     assert frz2.forced[sw2][q1] == {0: Fraction(1)}  # action b leaves the MEC {q1}
     # before the switch everything is uniform
     assert q1 not in frz2.forced[0]

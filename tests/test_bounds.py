@@ -102,7 +102,7 @@ def test_weakly_below_eventually_below_alpha0():
 def test_attach_twophase_eps_eventually(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     half = Fraction(1, 2)
-    d0 = Dist(m.n, {m.state_index("q1"): half, m.state_index("q3"): half})
+    d0 = Dist(m.n, {m.states.index("q1"): half, m.states.index("q3"): half})
     v = decide_limit_sure(m, "eventually", t, d0.support())
     bounds = attach_bounds({("eventually", "limit-sure"): v}, m, d0,
                            *_alphas(m, d0))[("eventually", "limit-sure")]
@@ -124,7 +124,7 @@ def test_attach_loopback_bounded_weakly(loopback):
 
 def test_attach_leaves_unmatched_verdicts_alone(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
-    d0 = Dist.dirac(m.n, m.state_index("q3"))
+    d0 = Dist.dirac(m.n, m.states.index("q3"))
     v = decide_sure(m, "eventually", t, d0.support())
     assert v.answer
     cell = ("eventually", "sure")
@@ -153,7 +153,7 @@ def test_refined_alpha0_via_failing_subsupport():
     eps = next(b for b in bounds if b.kind == "eps_eventually")
     # alpha0 refined to d0(x) = 3/4 instead of the full-support minimum 1/4
     assert eps.inputs["alpha0"] == Fraction(3, 4)
-    assert eps.inputs["alpha0_support"] == [m.state_index("x")]
+    assert eps.inputs["alpha0_support"] == [m.states.index("x")]
     assert eps.value == Fraction(3, 4)  # alpha = 1 so the power vanishes
 
 

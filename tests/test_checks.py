@@ -566,7 +566,7 @@ def test_region_dp_agreement_catches_a_slow_winner_left_out():
     pm = build(SLOW)
     an = analyze(pm.mdp, pm.initial, pm.targets["goal"])
     ctx = CheckContext(an)
-    assert ctx.reach_region == SupportSet.full(2)
+    assert ctx.reach_region == SupportSet(2, 0b11)
     assert check_region_dp(ctx) == ("pass", {"layers": 0, "region": ["q0", "q1"]})
     ctx.reach_region = pm.targets["goal"]   # the planted region leaves q0 out
     assert check_region_dp(ctx) == ("fail", {
@@ -580,7 +580,8 @@ def test_lasso_integrity_steps_the_predecessor_lasso_by_pre(name):
     pm = example_model(name)
     an = analyze(pm.mdp, pm.initial, pm.targets["target"])
     tl = an.target_lasso
-    full = Lasso((SupportSet.full(an.mdp.n),) * len(tl.supports), tl.start, tl.period)
+    n = an.mdp.n
+    full = Lasso((SupportSet(n, (1 << n) - 1),) * len(tl.supports), tl.start, tl.period)
     (result,) = run_named(replace(an, target_lasso=full), names={"lasso-integrity"})
     assert result.status == "fail"
     (result,) = run_named(an, names={"lasso-integrity"})
@@ -684,13 +685,13 @@ def test_certificate_recheck_rejects_a_product_region_with_an_extra_state():
     pm = example_model("funnel")
     m, t, s0 = pm.mdp, pm.targets["target"], pm.initial.support()
     cert = classic.decide_limit_sure(m, "eventually", t, s0).certificate
-    assert cert["via"] == "product" and _certified(m, t, s0, cert)
+    assert cert["via"] == "product" and _certified(m, t, s0, cert, {}, {})
     region = cert["product_region"]
     outside = [q for q in range(region.width) if q not in region]
     assert outside
     for q in outside:
         planted = {**cert, "product_region": region | SupportSet.of(region.width, [q])}
-        assert not _certified(m, t, s0, planted), q
+        assert not _certified(m, t, s0, planted, {}, {}), q
 
 
 def _drop_highest(post):
@@ -797,7 +798,7 @@ def _flipped(lasso, index):
     # a period one short: every step holds, but step l + p - 1 does not repeat step l
     (lambda an: {"lasso": Lasso(an.lasso.supports[:-1], an.lasso.start, an.lasso.period - 1)},
      "support lasso does not run from s0 to its loop"),
-    (lambda an: {"target_lasso": Lasso((SupportSet.full(an.mdp.n),)
+    (lambda an: {"target_lasso": Lasso((SupportSet(an.mdp.n, (1 << an.mdp.n) - 1),)
                                        * len(an.target_lasso.supports),
                                        an.target_lasso.start, an.target_lasso.period)},
      "predecessor lasso does not run from the target to its loop"),

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from syncmdp import (Dist, SupportSet, decide_almost_sure, decide_limit_sure,
+from syncmdp import (Dist, PreMap, SupportSet, decide_almost_sure, decide_limit_sure,
                      decide_sure, pre, simulate)
 from syncmdp import classic
 from syncmdp.checks import _certified
@@ -11,7 +11,7 @@ from syncmdp.model import DEFAULT_LIMITS, GuardExceeded, Limits
 from syncmdp.randgen import corpus, random_instance
 from syncmdp.regions import pre_lasso
 
-from conftest import ABSORBING, build, feeder_cycle, target_masses
+from conftest import ABSORBING, build, feeder_cycle, support, target_masses
 
 
 def test_funnel_eventually_modes(funnel):
@@ -45,11 +45,11 @@ def test_loopback_almost_sure_weakly(loopback):
 
 def test_twophase_eventually(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
-    v1 = decide_sure(m, "eventually", t, m.support(["q1"]))
+    v1 = decide_sure(m, "eventually", t, support(m, ["q1"]))
     assert v1.answer and v1.certificate["k"] == 1
-    v3 = decide_sure(m, "eventually", t, m.support(["q3"]))
+    v3 = decide_sure(m, "eventually", t, support(m, ["q3"]))
     assert v3.answer and v3.certificate["k"] == 0
-    both = m.support(["q1", "q3"])
+    both = support(m, ["q1", "q3"])
     assert not decide_sure(m, "eventually", t, both).answer
     v = decide_limit_sure(m, "eventually", t, both)
     assert not v.answer
@@ -59,7 +59,7 @@ def test_twophase_eventually(twophase):
 def test_always_full_target_trivial(funnel, twophase):
     for pm in (funnel, twophase):
         m = pm.mdp
-        assert decide_sure(m, "always", SupportSet.full(m.n), pm.initial.support()).answer
+        assert decide_sure(m, "always", support(m, m.states), pm.initial.support()).answer
 
 
 def test_weakly_empty_target_no(funnel):
@@ -87,34 +87,34 @@ def test_absorbing_dirac_all_limit_modes_yes():
 
 
 def test_twophase_sure_weakly_certificate(twophase):
-    m, t, s0 = twophase.mdp, twophase.targets["target"], twophase.mdp.support(["q1"])
+    m, t, s0 = twophase.mdp, twophase.targets["target"], support(twophase.mdp, ["q1"])
     v = decide_sure(m, "weakly", t, s0)
     assert v.answer
     cert = v.certificate
     assert set(cert["set"].names(m.states)) == {"q2", "q3"}
     assert cert["k"] == 1 and cert["r"] == 2
-    assert _certified(m, t, s0, v.certificate)
+    assert _certified(m, t, s0, v.certificate, {}, {})
 
 
 def test_countdown_strategy_twophase(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     s = classic._countdown_strategy(m, pre_lasso(m, t), 1)
-    trace = simulate(m, s, Dist.dirac(m.n, m.state_index("q1")), 3)
+    trace = simulate(m, s, Dist.dirac(m.n, m.states.index("q1")), 3)
     assert target_masses(trace, t)[1] == 1
 
 
 def test_countdown_zero_steps(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     s = classic._countdown_strategy(m, pre_lasso(m, t), 0)
-    trace = simulate(m, s, Dist.dirac(m.n, m.state_index("q3")), 2)
+    trace = simulate(m, s, Dist.dirac(m.n, m.states.index("q3")), 2)
     assert target_masses(trace, t)[0] == 1
 
 
 def test_countdown_holds_self_loop(funnel):
     m = funnel.mdp
-    t = m.support(["q1"])
+    t = support(m, ["q1"])
     s = classic._countdown_strategy(m, pre_lasso(m, t), 1)
-    trace = simulate(m, s, Dist.dirac(m.n, m.state_index("q1")), 1)
+    trace = simulate(m, s, Dist.dirac(m.n, m.states.index("q1")), 1)
     assert all(v == 1 for v in target_masses(trace, t))
 
 
@@ -125,7 +125,7 @@ def test_countdown_precondition(drain, funnel, loopback, twophase):
     for pm in (drain, funnel, loopback, twophase):
         m, t = pm.mdp, pm.targets["target"]
         lasso = pre_lasso(m, t)
-        for s0 in [pm.initial.support()] + [m.support([q]) for q in m.states]:
+        for s0 in [pm.initial.support()] + [support(m, [q]) for q in m.states]:
             v = decide_sure(m, "eventually", t, s0)
             fits = [i for i, sup in enumerate(lasso.distinct()) if s0 <= sup]
             assert v.answer == bool(fits)
@@ -133,23 +133,23 @@ def test_countdown_precondition(drain, funnel, loopback, twophase):
                 k = v.certificate["k"]
                 assert k == fits[0] and s0 <= lasso.at(k)
     assert not decide_sure(twophase.mdp, "eventually", twophase.targets["target"],
-                           twophase.mdp.support(["q0"])).answer
+                           support(twophase.mdp, ["q0"])).answer
 
 
 def test_witnesses_simulate_correctly(funnel, twophase):
     # sure-always witness keeps the full mass inside the target forever
     m = funnel.mdp
-    t = m.support(["q1", "q3"])
-    v = decide_sure(m, "always", t, m.support(["q1"]))
+    t = support(m, ["q1", "q3"])
+    v = decide_sure(m, "always", t, support(m, ["q1"]))
     assert v.answer and v.witness is not None
-    trace = simulate(m, v.witness, Dist.dirac(m.n, m.state_index("q1")), 10)
+    trace = simulate(m, v.witness, Dist.dirac(m.n, m.states.index("q1")), 10)
     assert all(v == 1 for v in target_masses(trace, t))
 
     # sure-weakly witness re-synchronizes every r steps
     m4, t4 = twophase.mdp, twophase.targets["target"]
-    v = decide_sure(m4, "weakly", t4, m4.support(["q1"]))
+    v = decide_sure(m4, "weakly", t4, support(m4, ["q1"]))
     k, r = v.certificate["k"], v.certificate["r"]
-    trace = simulate(m4, v.witness, Dist.dirac(m4.n, m4.state_index("q1")), k + 4 * r)
+    trace = simulate(m4, v.witness, Dist.dirac(m4.n, m4.states.index("q1")), k + 4 * r)
     for i in range(k, k + 4 * r + 1, r):
         assert target_masses(trace, t4)[i] == 1
 
@@ -193,7 +193,7 @@ def test_sure_strongly_witness():
     assert v.answer and v.witness is not None
     trace = simulate(m, v.witness, pm.initial, 6)
     assert all(v == 1 for v in target_masses(trace, t)[m.n:])
-    assert _certified(m, t, s0, v.certificate)
+    assert _certified(m, t, s0, v.certificate, {}, {})
 
 
 def test_certificates_recheck_on_examples(drain, funnel, loopback, twophase):
@@ -202,14 +202,14 @@ def test_certificates_recheck_on_examples(drain, funnel, loopback, twophase):
         for mode in ("always", "eventually", "weakly", "strongly"):
             for decide in (decide_sure, decide_almost_sure, decide_limit_sure):
                 v = decide(m, mode, t, s0)
-                assert not v.answer or _certified(m, t, s0, v.certificate)
+                assert not v.answer or _certified(m, t, s0, v.certificate, {}, {})
 
 
 def test_subset_search_guard(funnel):
     # the guard bounds the fixpoint bound Z, not the target: funnel's Z is empty
     # ({q2} cannot limit-sure return to Pre({q2})), so width 0 decides it unwalked
     m = funnel.mdp
-    assert not decide_almost_sure(m, "weakly", m.support(["q2"]), funnel.initial.support(),
+    assert not decide_almost_sure(m, "weakly", support(m, ["q2"]), funnel.initial.support(),
                                   limits=Limits(subset_width=0)).answer
     # Z = T = {a0, b0} fails the second condition, so its proper subsets are walked
     pm = build(feeder_cycle(1))
@@ -220,7 +220,7 @@ def test_subset_search_guard(funnel):
     assert str(exc.value) == ("subset-search: fixpoint bound has 2 of the target's 2 states, "
                               "guard is 1")
     v = decide_almost_sure(m, "weakly", t, s0, limits=Limits(subset_width=2))
-    assert v.answer and v.certificate["t_prime"] == m.support(["a0"])
+    assert v.answer and v.certificate["t_prime"] == support(m, ["a0"])
 
 
 def test_sure_weakly_builds_at_most_one_lasso_per_target_state(monkeypatch):
@@ -292,11 +292,11 @@ def test_almost_sure_weakly_search_does_not_skip_past_an_unreachable_subset():
     m, t, s0 = pm.mdp, pm.targets["target"], pm.initial.support()
     cache = {}
     assert classic._weakly_bound(m, t, cache, DEFAULT_LIMITS) == t
-    assert classic._limit_eventually(m, m.support(["s2", "s3"]), s0, cache,
+    assert classic._limit_eventually(m, support(m, ["s2", "s3"]), s0, cache,
                                      DEFAULT_LIMITS) is None
     v = decide_almost_sure(m, "weakly", t, s0)
-    assert v.answer and v.certificate["t_prime"] == m.support(["s3", "s4"])
-    assert _certified(m, t, s0, v.certificate)
+    assert v.answer and v.certificate["t_prime"] == support(m, ["s3", "s4"])
+    assert _certified(m, t, s0, v.certificate, {}, {})
 
 
 def _large_tier(seed):
@@ -343,10 +343,26 @@ def test_almost_sure_weakly_matches_an_unpruned_search(models):
 def test_support_only_dependence(funnel):
     # two distributions with equal support get identical verdicts
     m, t = funnel.mdp, funnel.targets["target"]
-    s0 = m.support(["q0", "q1"])
+    s0 = support(m, ["q0", "q1"])
     for mode in ("eventually", "weakly"):
         for decide in (decide_sure, decide_almost_sure, decide_limit_sure):
             assert decide(m, mode, t, s0).answer == decide(m, mode, t, s0).answer
     d_a = Dist(4, {0: Fraction(1, 4), 1: Fraction(3, 4)})
     d_b = Dist(4, {0: Fraction(1, 2), 1: Fraction(1, 2)})
     assert d_a.support() == d_b.support() == s0
+
+
+def test_a_direct_call_answers_through_one_memo(loopback, monkeypatch):
+    # a decider called without `cache` starts one memo for the whole call: the
+    # almost-sure weakly search reads one PreMap across all its sub-queries
+    built = []
+
+    class CountedPreMap(PreMap):
+        def __init__(self, m):
+            built.append(m)
+            super().__init__(m)
+
+    monkeypatch.setattr(classic, "PreMap", CountedPreMap)
+    m, t = loopback.mdp, loopback.targets["target"]
+    assert decide_almost_sure(m, "weakly", t, loopback.initial.support()).answer
+    assert built == [m]

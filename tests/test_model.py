@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from syncmdp import (Dist, ModelFormatError, StrategySpec, SupportSet, format_rational,
+from syncmdp import (Dist, Mdp, ModelFormatError, StrategySpec, SupportSet, format_rational,
                      min_initial_probability, min_positive_probability, model_to_obj,
                      parse_model, parse_rational, serialize_model, simulate,
                      uniform_strategy)
@@ -139,9 +139,9 @@ def test_product_twophase_period_two(twophase):
     m = twophase.mdp
     prod = exact_counter_product(m, 2)
     assert prod.n == 10
-    q1_1 = prod.state_index("q1@1")
-    q2_0 = prod.state_index("q2@0")
-    assert prod.delta[q1_1][0][q2_0] == 1
+    q1_1 = prod.states.index("q1@1")
+    q2_0 = prod.states.index("q2@0")
+    assert prod.delta[q1_1][0].mass.get(q2_0, 0) == 1
 
 
 def test_product_preserves_mass_and_alpha(funnel):
@@ -177,7 +177,7 @@ def test_support_set_ops():
     assert list(s - t) == [0]
     assert s & t <= s and not s <= t
     assert len(s) == 2 and 3 in s and 1 not in s
-    assert list(SupportSet.full(5) - s) == [1, 2, 4]
+    assert list(SupportSet(5, 0b11111) - s) == [1, 2, 4]
     assert not SupportSet(5)
     with pytest.raises(ValueError):
         s | SupportSet.of(4, [1])
@@ -192,7 +192,7 @@ def test_dist_validation():
         Dist(2, {0: Fraction(3, 2), 1: Fraction(-1, 2)})
     d = Dist(3, {0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(0)})
     assert list(d.support()) == [0, 1]
-    assert (d[1], d[2]) == (Fraction(1, 2), 0)
+    assert d.mass == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
 
 def test_strategy_validation(funnel):
@@ -210,18 +210,37 @@ def test_strategy_validation(funnel):
     assert [counter.next(j) for j in range(3)] == [1, 2, 1]
 
 
+@pytest.mark.parametrize("states, actions, delta, message", [
+    ([], ["a"], [], "at least one state"),
+    (["q"], [], [[]], "at least one action"),
+    (["q", "q"], ["a"], [[Dist.dirac(2, 0)]] * 2, "duplicate state names"),
+    (["q"], ["a", "a"], [[Dist.dirac(1, 0)] * 2], "duplicate action names"),
+    (["q", "r"], ["a"], [[Dist.dirac(2, 0)]], r"missing or malformed distribution for \(r, a\)"),
+    (["q"], ["a", "b"], [[Dist.dirac(1, 0)]], r"missing or malformed distribution for \(q, b\)"),
+    (["q"], ["a"], [[{0: ONE}]], r"missing or malformed distribution for \(q, a\)"),
+    (["q"], ["a"], [[Dist.dirac(2, 0)]], r"missing or malformed distribution for \(q, a\)"),
+], ids=["no-states", "no-actions", "duplicate-states", "duplicate-actions", "missing-row",
+        "missing-action", "not-a-dist", "wrong-width"])
+def test_mdp_rejects_a_malformed_model(states, actions, delta, message):
+    with pytest.raises(ValueError, match=message):
+        Mdp(states, actions, delta)
+
+
 def test_mode_query_validation():
     # the question every decider checks first: a known sync mode, a nonempty
-    # initial support, and a target of the same width
+    # initial support, and a target of the same width; it hands back the memo
+    # the decider answers through, a fresh one when the caller passes none
     t = SupportSet.of(3, [0])
     s0 = SupportSet.of(3, [1])
-    _check_question("always", t, s0)
+    cache = {("mec",): None}
+    assert _check_question("always", t, s0, cache) is cache
+    assert _check_question("always", t, s0, None) == {}
     with pytest.raises(ValueError, match="unknown sync mode 'sometimes'"):
-        _check_question("sometimes", t, s0)
+        _check_question("sometimes", t, s0, None)
     with pytest.raises(ValueError, match="initial support must be nonempty"):
-        _check_question("always", t, SupportSet(3))
+        _check_question("always", t, SupportSet(3), None)
     with pytest.raises(ValueError, match="target and initial support widths differ"):
-        _check_question("always", t, SupportSet.of(4, [0]))
+        _check_question("always", t, SupportSet.of(4, [0]), None)
 
 
 def test_rational_obj_switches_to_log10_past_the_digit_limit():

@@ -8,27 +8,27 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syncmdp import (BudgetExceeded, Dist, GuardExceeded, StrategySpec, SupportSet, analyze,
+from syncmdp import (BudgetExceeded, Dist, GuardExceeded, StrategySpec, analyze,
                      enumerate_pure_strategies, freezing_strategy, max_mass_at_step, simulate,
                      uniform_strategy)
 from syncmdp.checks import _mask
 from syncmdp.model import ZERO
 from syncmdp.oracle import _clears, _numerator_in, _numerators, _transition_numerators
 
-from conftest import (ABSORBING, CHAIN, as_dists, as_fractions, build, mass_in, rows,
+from conftest import (ABSORBING, CHAIN, as_dists, as_fractions, build, mass_in, rows, support,
                       synchronized_positions, target_masses, wide_instances)
 
 
 def hold_strategy(m, plan):
     """Memoryless strategy playing a fixed action per state (dict by name)."""
-    forced = {m.state_index(name): {m.actions.index(a): Fraction(1)}
+    forced = {m.states.index(name): {m.actions.index(a): Fraction(1)}
               for name, a in plan.items()}
     return StrategySpec("hold", (0,), 0, (forced,), uniform_strategy(m).default)
 
 
 def switch_strategy(m, state, first, then, at):
     """Plays `first` at `state` before step `at`, `then` afterwards."""
-    q = m.state_index(state)
+    q = m.states.index(state)
     before = {q: {m.actions.index(first): Fraction(1)}}
     after = {q: {m.actions.index(then): Fraction(1)}}
     return StrategySpec(f"switch@{at}", tuple(range(at + 1)), at, (before,) * at + (after,),
@@ -39,15 +39,15 @@ def test_simulate_drain_geometric(drain):
     m = drain.mdp
     trace = simulate(m, uniform_strategy(m), drain.initial, 3)
     for i, d in enumerate(as_dists(trace, m.n)):
-        assert d[m.state_index("q0")] == Fraction(1, 2) ** i
+        assert d.mass.get(m.states.index("q0"), 0) == Fraction(1, 2) ** i
 
 
 def test_simulate_loopback_hold_a(loopback):
     m = loopback.mdp
     trace = simulate(m, hold_strategy(m, {"q1": "a"}), loopback.initial, 6)
-    q1 = m.state_index("q1")
+    q1 = m.states.index("q1")
     for k, d in enumerate(as_dists(trace, m.n)):
-        assert d[q1] == 1 - Fraction(1, 2) ** k
+        assert d.mass.get(q1, 0) == 1 - Fraction(1, 2) ** k
 
 
 def test_simulate_absorbing_constant():
@@ -74,14 +74,14 @@ def test_max_mass_funnel(funnel):
 def test_max_mass_twophase_half(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     half = Fraction(1, 2)
-    d0 = Dist(m.n, {m.state_index("q1"): half, m.state_index("q3"): half})
+    d0 = Dist(m.n, {m.states.index("q1"): half, m.states.index("q3"): half})
     profile = as_fractions(max_mass_at_step(m, t, d0, 50))
     assert all(v == Fraction(1, 2) for v in profile)
 
 
 def test_max_mass_full_target(funnel):
     m = funnel.mdp
-    profile = as_fractions(max_mass_at_step(m, SupportSet.full(m.n), funnel.initial, 5))
+    profile = as_fractions(max_mass_at_step(m, support(m, m.states), funnel.initial, 5))
     assert all(v == 1 for v in profile)
 
 
@@ -444,6 +444,6 @@ def test_merged_rows_simulate_like_the_per_action_kernel(inst, data, h):
 def test_simulate_rejects_a_step_that_does_not_sum_to_one(funnel):
     m = funnel.mdp
     leaky = StrategySpec("leaky", (0,), 0, ({},), {0: Fraction(1)})
-    leaky.forced[0][m.state_index("q0")] = {0: Fraction(1, 2)}  # bypasses validation
+    leaky.forced[0][m.states.index("q0")] = {0: Fraction(1, 2)}  # bypasses validation
     with pytest.raises(ValueError, match="distribution sums to 1/2"):
         simulate(m, leaky, funnel.initial, 1)

@@ -9,7 +9,8 @@ from hypothesis import event, given, settings, strategies as st
 
 from syncmdp import (Dist, Lasso, Mdp, ModelFormatError, ParsedModel, PreMap, StrategySpec,
                      SupportSet, almost_sure_reach_region, analyze, decide_almost_sure,
-                     decide_limit_sure, decide_sure, format_rational,
+                     decide_bounded, decide_limit_sure, decide_positive, decide_sure,
+                     format_rational,
                      iterate_lasso, mec_decomposition,
                      model_to_obj, parse_model, pre, pre_lasso, serialize_model, simulate,
                      support_lasso, sure_safety_region, uniform_strategy)
@@ -79,7 +80,7 @@ def _apre_mask(m, y, x):
 @settings(max_examples=60, deadline=None)
 def test_apre_with_full_set_is_pre(inst):
     m, _, t = inst
-    assert _apre_mask(m, t.bits, SupportSet.full(m.n).bits) == pre(m, t).bits
+    assert _apre_mask(m, t.bits, (1 << m.n) - 1) == pre(m, t).bits
 
 
 @given(instances(), st.data())
@@ -382,6 +383,22 @@ def test_limit_sure_eventually_is_monotone_in_the_target(m, data):
 def test_full_matrix_is_consistent(inst):
     m, d0, t = inst
     analyze(m, d0, t)  # raises ConsistencyError on any identity violation
+
+
+@given(instances(max_states=5, max_actions=3))
+@settings(max_examples=60, deadline=None)
+def test_a_decider_without_a_memo_gives_the_memoized_verdict(inst):
+    # a call without `cache` answers through a fresh memo of its own: the same
+    # answer, certificate and witness as its cell of the engine's one-memo matrix
+    m, d0, t = inst
+    s0 = d0.support()
+    deciders = {"sure": decide_sure, "almost-sure": decide_almost_sure,
+                "limit-sure": decide_limit_sure, "positive": decide_positive,
+                "bounded": decide_bounded}
+    for (mode, win), v in analyze(m, d0, t).verdicts.items():
+        fresh = deciders[win](m, mode, t, s0)
+        assert (fresh.answer, fresh.certificate, fresh.witness and fresh.witness.label) \
+            == (v.answer, v.certificate, v.witness and v.witness.label), (mode, win)
 
 
 @given(instances(), st.integers(1, 12))

@@ -2,8 +2,8 @@
 rational arithmetic, explicit isolation bounds, and brute-force oracles.
 """
 
-from .adversarial import (AdvVerdictDetail, decide_bounded, decide_positive,
-                          freezing_strategy, support_lasso, switch_point)
+from .adversarial import (decide_bounded, decide_positive, freezing_strategy,
+                          support_lasso, switch_point)
 from .bounds import BoundCert, attach_bounds, compute_bound
 from .checks import CheckResult, run_checks
 from .classic import decide_almost_sure, decide_limit_sure, decide_sure
@@ -17,6 +17,6 @@ from .model import (BudgetExceeded, Dist, GuardExceeded, Limits, Mdp,
 from .oracle import Trace, enumerate_pure_strategies, max_mass_at_step, simulate
 from .regions import (EcDecomposition, Lasso, PreMap, almost_sure_reach_region,
                       iterate_lasso, mec_decomposition, pre, pre_lasso,
-                      reach_layers, sure_reach_region, sure_safety_region)
+                      reach_layers, sure_safety_region)
 
 __version__ = "0.1.0"

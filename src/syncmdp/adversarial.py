@@ -1,12 +1,12 @@
 """Positive and bounded winning modes: support analysis under uniform play,
-end-component conditions and the freezing witness strategy. This module only
-decides: the oracle battery (`checks`) verifies the support lasso with its own
-Post step and boolean matrix powers.
+end-component conditions and the freezing witness strategy. A verdict's detail
+is a plain dict of the support-lasso facts, like its certificate. This module
+only decides: the oracle battery (`checks`) verifies the support lasso with its
+own Post step and boolean matrix powers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -48,28 +48,6 @@ def _freezing(m, s0, lasso, mec, cache):
 def switch_point(lasso):
     """Freezing switch index: the concrete lasso closure l + p."""
     return lasso.start + lasso.period
-
-
-@dataclass(frozen=True)
-class AdvVerdictDetail:
-    """Support-lasso facts behind a positive/bounded verdict.
-
-    condition1: every support (prefix and loop) meets the target.
-    condition2: every loop support meets the target inside the end components.
-    failing_index is the smallest failing index of the condition that decided a
-    "no" (for existential conditions, the first index the condition ranges
-    over, since every index fails). graph_test is the reachable-and-self-
-    reaching test, reported on every positive weakly verdict (None elsewhere)
-    beside the definition-faithful answer, which it does not decide.
-    """
-
-    condition1: bool
-    condition2: bool
-    failing_index: int | None
-    loop_start: int
-    period: int
-    switch: int
-    graph_test: bool | None = None
 
 
 def _lasso_misses(lasso, t, te):
@@ -115,6 +93,11 @@ def _decide(m, win, sync_mode, t, s0, cache, limits):
     Positive modes ask whether the target meets the supports; bounded modes
     ask it of the target inside the end components on the loop. The cells of
     one (s0, t) read one memoized scan: the supports that miss either target.
+    The verdict's detail is a plain dict: condition1 (every support meets t),
+    condition2 (every loop support meets t inside the end components), the
+    deciding condition's failing_index (its first index if existential), the
+    lasso's loop_start, period and switch, and graph_test (positive weakly
+    only, None elsewhere; the reachable-and-self-reaching test, not decisive).
     """
     cache = _check_question(sync_mode, t, s0, cache)
     lasso = _support_lasso(m, s0, cache, limits)
@@ -145,7 +128,8 @@ def _decide(m, win, sync_mode, t, s0, cache, limits):
             failing = min((i for i in miss_te if i >= l), default=None)
     answer = failing is None
 
-    detail = AdvVerdictDetail(cond1, cond2, failing, l, p, sw, graph_test=graph_test)
+    detail = {"condition1": cond1, "condition2": cond2, "failing_index": failing,
+              "loop_start": l, "period": p, "switch": sw, "graph_test": graph_test}
     cert = {"kind": f"{win}-{sync_mode}", "loop_start": l, "period": p}
     if win == "bounded":
         cert["switch"] = sw

@@ -19,7 +19,7 @@ from .engine import ConsistencyError, analyze
 from .model import (GuardExceeded, Limits, ModelFormatError, SYNC_MODES,
                     WIN_MODES, load_model)
 from .regions import (almost_sure_reach_region, mec_decomposition, pre_lasso,
-                      sure_reach_region, sure_safety_region)
+                      reach_layers, sure_safety_region)
 from .report import build_report, render_text, to_json
 
 REGION_KINDS = ("pre-lasso", "mec", "safety", "reach", "almost-sure")
@@ -171,7 +171,7 @@ def _cmd_regions(args):
     elif args.which == "safety":
         out = {"safety": list(sure_safety_region(m, s).names(m.states))}
     elif args.which == "reach":
-        out = {"reach": list(sure_reach_region(m, s).names(m.states))}
+        out = {"reach": list(reach_layers(m, s)[-1].names(m.states))}
     else:
         out = {"almost-sure": list(almost_sure_reach_region(m, s).names(m.states))}
     _emit(args, out)

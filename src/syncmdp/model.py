@@ -57,12 +57,12 @@ class Limits:
 DEFAULT_LIMITS = Limits()
 
 
-_RATIONAL_RE = re.compile(r"\A(\d+)\s*(?:/\s*(\d+))?\Z")
+_RATIONAL_RE = re.compile(r"\s*([0-9]+)\s*(?:/\s*([0-9]+))?\s*", re.ASCII)
 
 
 def parse_rational(text, location=None):
-    """Parse a decimal-integer "p" or "p/q" string into an exact Fraction."""
-    if not isinstance(text, str) or (m := _RATIONAL_RE.match(text.strip())) is None:
+    """Parse an ASCII decimal-integer "p" or "p/q" string into an exact Fraction."""
+    if not isinstance(text, str) or (m := _RATIONAL_RE.fullmatch(text)) is None:
         raise ModelFormatError(f"malformed rational {text!r}", location)
     try:
         num, den = int(m.group(1)), int(m.group(2) or 1)
@@ -225,14 +225,11 @@ class Mdp:
     def __init__(self, states, actions, delta):
         states = tuple(states)
         actions = tuple(actions)
-        if not states:
-            raise ValueError("an MDP needs at least one state")
-        if not actions:
-            raise ValueError("an MDP needs at least one action")
-        if len(set(states)) != len(states):
-            raise ValueError("duplicate state names")
-        if len(set(actions)) != len(actions):
-            raise ValueError("duplicate action names")
+        for names, what in ((states, "state"), (actions, "action")):
+            if not names:
+                raise ValueError(f"an MDP needs at least one {what}")
+            if len(set(names)) != len(names):
+                raise ValueError(f"duplicate {what} names")
         n = len(states)
         rows = []
         for q in range(n):
@@ -257,10 +254,6 @@ class Mdp:
     @property
     def action_count(self):
         return len(self.actions)
-
-    def __eq__(self, other):
-        return (isinstance(other, Mdp) and self.states == other.states
-                and self.actions == other.actions and self.delta == other.delta)
 
     def __repr__(self):
         return f"Mdp(n={self.n}, actions={list(self.actions)})"
@@ -373,7 +366,7 @@ class Verdict:
     answer: bool
     witness: StrategySpec | None = None
     certificate: dict | None = None
-    detail: object | None = None
+    detail: dict | None = None
 
 
 # --- model documents ------------------------------------------------------------
@@ -407,16 +400,12 @@ def parse_model(doc):
 
     states = doc["states"]
     actions = doc["actions"]
-    if (not isinstance(states, list) or not states
-            or any(not isinstance(s, str) or not s for s in states)):
-        raise ModelFormatError("must be a nonempty list of names", "states")
-    if len(set(states)) != len(states):
-        raise ModelFormatError("duplicate state name", "states")
-    if (not isinstance(actions, list) or not actions
-            or any(not isinstance(a, str) or not a for a in actions)):
-        raise ModelFormatError("must be a nonempty list of names", "actions")
-    if len(set(actions)) != len(actions):
-        raise ModelFormatError("duplicate action name", "actions")
+    for names, what in ((states, "state"), (actions, "action")):
+        if (not isinstance(names, list) or not names
+                or any(not isinstance(x, str) or not x for x in names)):
+            raise ModelFormatError("must be a nonempty list of names", f"{what}s")
+        if len(set(names)) != len(names):
+            raise ModelFormatError(f"duplicate {what} name", f"{what}s")
     sidx = {s: i for i, s in enumerate(states)}
     aidx = {a: i for i, a in enumerate(actions)}
     n = len(states)

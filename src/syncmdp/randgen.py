@@ -21,10 +21,6 @@ class RandomInstance:
     initial: Dist
     target: SupportSet
 
-    @property
-    def s0(self):
-        return self.initial.support()
-
 
 def random_dist(rng, n, max_denominator=4):
     """Random exact distribution with denominator at most max_denominator."""

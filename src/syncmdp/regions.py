@@ -119,16 +119,11 @@ def sure_safety_region(m, t):
 
 
 def reach_layers(m, s):
-    """Increasing attractor layers for forced reachability of `s`."""
+    """Increasing attractor layers for forced reachability of `s`; the last is its region."""
     layers = [s]
     while (nxt := s | pre(m, layers[-1])) != layers[-1]:
         layers.append(nxt)
     return layers
-
-
-def sure_reach_region(m, s):
-    """States from which some strategy forces every compatible path into `s`."""
-    return reach_layers(m, s)[-1]
 
 
 MAX_PRODUCT_STATES = 1 << 21   # states n r of the largest counter product M x [r]

@@ -93,7 +93,7 @@ def _verdict_obj(verdict, bounds, m, include_strategies):
         "answer": "yes" if verdict.answer else "no",
         # limit-sure certificates carry sets over the counter product M x [r]
         "certificate": _jsonable(cert, m.states, cert and cert.get("r")),
-        "detail": None if verdict.detail is None else dict(vars(verdict.detail)),
+        "detail": verdict.detail,
         "bounds": [b.to_obj() for b in bounds],
         "witness": (_strategy_obj(verdict.witness, m) if include_strategies
                     else verdict.witness and verdict.witness.label),

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from syncmdp import (SYNC_MODES, SupportSet, adversarial, analyze, decide_bounded,
                      decide_positive, freezing_strategy, mec_decomposition, simulate,
                      support_lasso, switch_point, uniform_strategy)
-from syncmdp.adversarial import AdvVerdictDetail, _graph_test_weakly
+from syncmdp.adversarial import _graph_test_weakly
 from syncmdp.checks import rows_image
 from syncmdp.randgen import corpus, random_instance
 from syncmdp.model import GuardExceeded
@@ -79,8 +79,8 @@ def test_drain_positive_vs_bounded(drain):
         v = decide_bounded(m, mode, t, s0)
         assert not v.answer
     v = decide_bounded(m, "strongly", t, s0)
-    assert v.detail.failing_index == 1  # first loop support {q0,q1} misses EC target
-    assert not v.detail.condition2
+    assert v.detail["failing_index"] == 1  # first loop support {q0,q1} misses EC target
+    assert not v.detail["condition2"]
 
 
 def test_funnel_positive_weakly_graph_test_discrepancy(funnel):
@@ -89,7 +89,7 @@ def test_funnel_positive_weakly_graph_test_discrepancy(funnel):
     m, t = funnel.mdp, funnel.targets["target"]
     v = decide_positive(m, "weakly", t, funnel.initial.support())
     assert v.answer
-    assert v.detail.graph_test is False
+    assert v.detail["graph_test"] is False
     # exact simulation confirms the definition-faithful answer
     trace = simulate(m, uniform_strategy(m), funnel.initial, 12)
     assert all(v > 0 for v in target_masses(trace, t)[2:])
@@ -153,12 +153,12 @@ def test_condition_flags_match_verdicts(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     s0 = twophase.initial.support()
     pos_always = decide_positive(m, "always", t, s0)
-    assert not pos_always.answer and pos_always.detail.failing_index == 0
+    assert not pos_always.answer and pos_always.detail["failing_index"] == 0
     bnd_strong = decide_bounded(m, "strongly", t, s0)
-    assert bnd_strong.answer and bnd_strong.detail.condition2
+    assert bnd_strong.answer and bnd_strong.detail["condition2"]
     bnd_always = decide_bounded(m, "always", t, s0)
     assert not bnd_always.answer  # condition1 fails at step 0
-    assert bnd_always.detail.failing_index == 0
+    assert bnd_always.detail["failing_index"] == 0
 
 
 def old_decide(m, win, sync_mode, t, s0):
@@ -201,7 +201,9 @@ def old_decide(m, win, sync_mode, t, s0):
     label = None
     if answer:
         label = "freezing" if win == "bounded" and sync_mode != "eventually" else "uniform"
-    return answer, AdvVerdictDetail(cond1, cond2, failing, l, p, sw, graph_test), cert, label
+    detail = {"condition1": cond1, "condition2": cond2, "failing_index": failing,
+              "loop_start": l, "period": p, "switch": sw, "graph_test": graph_test}
+    return answer, detail, cert, label
 
 
 @settings(max_examples=80, deadline=None)
@@ -214,7 +216,8 @@ def test_cells_match_the_per_cell_scan(seed, n, max_denominator):
         for win in ("positive", "bounded"):
             v = an.verdicts[(mode, win)]
             got = v.answer, v.detail, v.certificate, v.witness and v.witness.label
-            assert got == old_decide(inst.mdp, win, mode, inst.target, inst.s0)
+            assert got == old_decide(inst.mdp, win, mode, inst.target,
+                                     inst.initial.support())
 
 
 def test_one_lasso_scan_per_initial_support_and_target(monkeypatch):
@@ -228,7 +231,7 @@ def test_one_lasso_scan_per_initial_support_and_target(monkeypatch):
     monkeypatch.setattr(adversarial, "_lasso_misses", counting)
     for inst in corpus(20260810, 20):
         scans.clear()
-        m, s0, t = inst.mdp, inst.s0, inst.target
+        m, s0, t = inst.mdp, inst.initial.support(), inst.target
         an = analyze(m, inst.initial, t)
         other = SupportSet(m.n, ~t.bits & (1 << m.n) - 1)
         questions = [(decide, mode, target) for decide in (decide_positive, decide_bounded)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -112,6 +113,9 @@ MALFORMED = [
     ({"transitions": [{"from": ["t"], "action": "a", "to": "t", "prob": "1"}]},
      "transitions[0]"),
     ({"initial": {"t": "1" * 5001}}, "initial"),
+    # an Arabic-Indic one: only ASCII digits are rationals
+    ({"transitions": [{"from": "t", "action": "a", "to": "t", "prob": "\u0661"}]},
+     "transitions[0]"),
 ]
 
 
@@ -171,6 +175,23 @@ def test_usage_error(capsys):
 
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
+
+
+def test_readme_usage_lists_every_flag_of_each_command():
+    # each `syncmdp <cmd>` line of README's CLI block, with its continuation
+    # lines, names exactly the options that command's parser takes
+    readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("syncmdp "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    parsed = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+              for name, p in subparsers.items()}
+    assert documented == parsed
 
 
 def test_analyze_with_strategy_tables(capsys, tmp_path):
@@ -359,7 +380,8 @@ def halves_with(tmp_path, prob):
 
 
 @pytest.mark.parametrize("prob", [0.5, 1, True, ["1"], {}, None, "1/0", "-1/2",
-                                  "1 0/20", "10/2 0", "10 20"])
+                                  "1 0/20", "10/2 0", "10 20", "\uff11/\uff12",
+                                  "\u00a010/20"])
 def test_malformed_prob_after_cached_repeats(capsys, tmp_path, prob):
     # transitions[0..3] parse "10/20" once and reuse it; the fifth prob is
     # malformed and is reported at its own location, whatever the cache holds

@@ -34,7 +34,7 @@ def brute_traces(inst):
 def test_sure_eventually_against_brute_force():
     checked = 0
     for inst in tiny_instances(99, 50):
-        m, t, s0 = inst.mdp, inst.target, inst.s0
+        m, t, s0 = inst.mdp, inst.target, inst.initial.support()
         h, traces = brute_traces(inst)
         v = decide_sure(m, "eventually", t, s0)
         witness_k = v.certificate["k"] if v.answer else None
@@ -50,7 +50,7 @@ def test_sure_eventually_against_brute_force():
 
 def test_sure_always_bounded_safety_against_brute_force():
     for inst in tiny_instances(111, 50):
-        m, t, s0 = inst.mdp, inst.target, inst.s0
+        m, t, s0 = inst.mdp, inst.target, inst.initial.support()
         h, traces = brute_traces(inst)
         safe = t
         for _ in range(h):
@@ -62,7 +62,7 @@ def test_sure_always_bounded_safety_against_brute_force():
 
 def test_positive_eventually_against_brute_force():
     for inst in tiny_instances(123, 50):
-        m, t, s0 = inst.mdp, inst.target, inst.s0
+        m, t, s0 = inst.mdp, inst.target, inst.initial.support()
         h, traces = brute_traces(inst)
         v = decide_positive(m, "eventually", t, s0)
         hit = v.certificate.get("hit_index") if v.answer else None

@@ -17,7 +17,11 @@ def test_parse_rational():
     assert parse_rational("7") == 7
     assert parse_rational("2/4") == Fraction(1, 2)
     assert parse_rational(" 3 / 9 ") == Fraction(1, 3)
-    for bad in ("0.5", "1e3", "-1/2", "1/-2", "", "a", "1/0", 5, None):
+    assert parse_rational("\t1/2\n") == Fraction(1, 2)
+    # only ASCII digits and whitespace: no other script's digits, no full-width
+    # forms, no no-break space
+    for bad in ("0.5", "1e3", "-1/2", "1/-2", "", "a", "1/0", 5, None,
+                "\u0661/\u0662", "\uff11/\uff12", "\u00a01/2"):
         with pytest.raises(ModelFormatError):
             parse_rational(bad)
 
@@ -88,7 +92,6 @@ def test_parse_errors_located():
 def test_serialize_roundtrip_identity(drain, funnel, loopback, twophase):
     for pm in (drain, funnel, loopback, twophase):
         again = parse_model(serialize_model(pm))
-        assert again.mdp == pm.mdp
         assert again.initial == pm.initial
         assert again.targets == pm.targets
         assert model_to_obj(again) == model_to_obj(pm)
@@ -219,8 +222,10 @@ def test_strategy_validation(funnel):
     (["q"], ["a", "b"], [[Dist.dirac(1, 0)]], r"missing or malformed distribution for \(q, b\)"),
     (["q"], ["a"], [[{0: ONE}]], r"missing or malformed distribution for \(q, a\)"),
     (["q"], ["a"], [[Dist.dirac(2, 0)]], r"missing or malformed distribution for \(q, a\)"),
+    # two faults at once: the states are checked before the actions
+    (["q", "q"], [], [[], []], "duplicate state names"),
 ], ids=["no-states", "no-actions", "duplicate-states", "duplicate-actions", "missing-row",
-        "missing-action", "not-a-dist", "wrong-width"])
+        "missing-action", "not-a-dist", "wrong-width", "duplicate-states-and-no-actions"])
 def test_mdp_rejects_a_malformed_model(states, actions, delta, message):
     with pytest.raises(ValueError, match=message):
         Mdp(states, actions, delta)

@@ -169,7 +169,8 @@ def test_serialize_parse_identity(inst):
     m, d0, t = inst
     pm = ParsedModel(m, d0, {"t": t})
     again = parse_model(serialize_model(pm))
-    assert again.mdp == m and again.initial == d0 and again.targets == {"t": t}
+    assert model_to_obj(again) == model_to_obj(pm)
+    assert again.initial == d0 and again.targets == {"t": t}
 
 
 @given(instances())

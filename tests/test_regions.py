@@ -2,7 +2,7 @@ import pytest
 
 from syncmdp import (SupportSet, almost_sure_reach_region,
                      mec_decomposition, pre, pre_lasso, reach_layers,
-                     sure_reach_region, sure_safety_region)
+                     sure_safety_region)
 from syncmdp.model import GuardExceeded
 from syncmdp.regions import _apre, _counter_apre
 
@@ -69,8 +69,8 @@ def test_safety_examples(drain, funnel):
 
 def test_reach_examples(funnel):
     m = funnel.mdp
-    assert sure_reach_region(m, support(m, m.states)) == support(m, m.states)
-    assert names(m, sure_reach_region(m, support(m, ["q1"]))) == {"q1"}
+    assert reach_layers(m, support(m, m.states))[-1] == support(m, m.states)
+    assert names(m, reach_layers(m, support(m, ["q1"]))[-1]) == {"q1"}
     chain = build({
         "states": ["q", "r"], "actions": ["a"],
         "transitions": [
@@ -79,7 +79,7 @@ def test_reach_examples(funnel):
         ],
         "initial": {"q": "1"},
     }).mdp
-    assert names(chain, sure_reach_region(chain, support(chain, ["r"]))) == {"q", "r"}
+    assert names(chain, reach_layers(chain, support(chain, ["r"]))[-1]) == {"q", "r"}
     layers = reach_layers(chain, support(chain, ["r"]))
     assert [names(chain, s) for s in layers] == [{"r"}, {"q", "r"}]
 

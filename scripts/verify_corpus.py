@@ -13,32 +13,21 @@ from collections import Counter
 
 from syncmdp import GuardExceeded, analyze, serialize_model
 from syncmdp.checks import DEFAULT_ENUM_DEPTH, MAX_HORIZON, run_checks
-from syncmdp.cli import horizon_int, nonnegative_int
+from syncmdp.cli import int_in
 from syncmdp.model import ParsedModel
 from syncmdp.randgen import ACTION_NAMES, corpus
-
-
-def int_in(lo, hi=None):
-    """argparse type of a tier size: an integer of at least lo (and at most hi)."""
-    def tier_size(text):
-        value = int(text)
-        if value < lo or hi is not None and value > hi:
-            span = f"from {lo} to {hi}" if hi is not None else f"of at least {lo}"
-            raise argparse.ArgumentTypeError(f"expected an integer {span}, got {text}")
-        return value
-    return tier_size
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=20260810)
-    parser.add_argument("--count", type=nonnegative_int, default=500)
+    parser.add_argument("--count", type=int_in(0), default=500)
     parser.add_argument("--max-states", type=int_in(1), default=5)
     parser.add_argument("--max-actions", type=int_in(1, len(ACTION_NAMES)), default=2)
     parser.add_argument("--max-denominator", type=int_in(1), default=4)
-    parser.add_argument("--horizon", type=horizon_int, default=50,
+    parser.add_argument("--horizon", type=int_in(0, MAX_HORIZON), default=50,
                         help=f"oracle horizon, at most {MAX_HORIZON} steps")
-    parser.add_argument("--enum-depth", type=nonnegative_int, default=DEFAULT_ENUM_DEPTH)
+    parser.add_argument("--enum-depth", type=int_in(0), default=DEFAULT_ENUM_DEPTH)
     args = parser.parse_args()
 
     t0 = time.time()

@@ -1,7 +1,8 @@
 """Command-line front end: analyze a model (full verdict matrix), verify it
 against the oracle battery, or print region computations.
 
-Exit codes: 0 analysis complete, 1 usage error, 2 input error, 3 guard tripped,
+Exit codes, all returned by `main`: 0 analysis complete, 1 usage error (any malformed flag),
+2 input error (the model document; the file system for --model/--json), 3 guard tripped,
 4 internal consistency gate failed (an engine bug, reported with diagnostics),
 5 `verify` found a failed oracle check (named on stderr, then a command replaying it).
 """
@@ -25,32 +26,30 @@ from .report import build_report, render_text, to_json
 REGION_KINDS = ("pre-lasso", "mec", "safety", "reach", "almost-sure")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+def int_in(lo, hi=None):
+    """argparse type of an integer flag: an integer of at least lo (and at most hi)."""
+    def integer(text):   # argparse names a ValueError by this: "invalid integer value"
+        value = int(text)
+        if value < lo or hi is not None and value > hi:
+            span = f"from {lo} to {hi}" if hi is not None else f"of at least {lo}"
+            raise argparse.ArgumentTypeError(f"expected an integer {span}, got {text}")
+        return value
+    return integer
 
 
-def nonnegative_int(text):
-    """argparse type of the guard and horizon flags."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
-
-
-def horizon_int(text):
-    """argparse type of the horizon flags: a nonnegative integer up to MAX_HORIZON."""
-    if (value := nonnegative_int(text)) > MAX_HORIZON:
-        raise argparse.ArgumentTypeError(f"expected at most {MAX_HORIZON} steps, got {text}")
-    return value
+def query_cell(text):
+    """argparse type of --query: the (mode, win) cell named MODE:WINMODE."""
+    mode, _, win = text.partition(":")
+    if mode not in SYNC_MODES or win not in WIN_MODES:
+        raise argparse.ArgumentTypeError(
+            f"expected MODE:WINMODE, one of {SYNC_MODES} : {WIN_MODES}, got {text!r}")
+    return mode, win
 
 
 @functools.cache  # parse_args leaves the parser unchanged: build it once per process
 def _build_parser():
-    parser = _Parser(prog="syncmdp",
-                     description="Qualitative analysis of synchronizing MDPs")
+    parser = argparse.ArgumentParser(prog="syncmdp",
+                                     description="Qualitative analysis of synchronizing MDPs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, target=True):
@@ -58,26 +57,26 @@ def _build_parser():
         if target:
             p.add_argument("--target", required=True, help="named target set")
         p.add_argument("--json", help="write the JSON report to this path")
-        p.add_argument("--max-lasso", type=nonnegative_int, default=Limits.max_lasso,
+        p.add_argument("--max-lasso", type=int_in(0), default=Limits.max_lasso,
                        help="guard: longest support lasso explored")
-        p.add_argument("--subset-width", type=nonnegative_int, default=Limits.subset_width,
+        p.add_argument("--subset-width", type=int_in(0), default=Limits.subset_width,
                        help="guard: widest fixpoint bound the almost-sure weakly search walks "
                             "the subsets of")
 
     p_an = sub.add_parser("analyze", help="full 4x5 verdict matrix with bounds")
     common(p_an)
-    p_an.add_argument("--query", help="restrict output to one MODE:WINMODE cell")
+    p_an.add_argument("--query", type=query_cell, help="restrict output to one MODE:WINMODE cell")
     p_an.add_argument("--strategies", action="store_true",
                       help="include full witness strategy tables in the JSON report")
 
     p_ve = sub.add_parser("verify", help="run the oracle invariant battery")
     common(p_ve)
-    p_ve.add_argument("--budget", type=nonnegative_int, default=DEFAULT_CHECK_BUDGET,
+    p_ve.add_argument("--budget", type=int_in(0), default=DEFAULT_CHECK_BUDGET,
                       help="guard: strategy enumeration work budget")
-    p_ve.add_argument("--horizon", type=horizon_int, default=None,
+    p_ve.add_argument("--horizon", type=int_in(0, MAX_HORIZON), default=None,
                       help=f"simulation/DP horizon <= {MAX_HORIZON} "
                            "(default max(50, 4*switch), clamped to that bound)")
-    p_ve.add_argument("--enum-depth", type=nonnegative_int, default=DEFAULT_ENUM_DEPTH,
+    p_ve.add_argument("--enum-depth", type=int_in(0), default=DEFAULT_ENUM_DEPTH,
                       help="pure-strategy enumeration depth at tiny scale")
 
     p_re = sub.add_parser("regions", help="print one region computation")
@@ -108,37 +107,25 @@ def _emit(args, obj, text=None):
     print(data if text is None else text)
 
 
-def _parse_query(text):
-    try:
-        mode, win = text.split(":")
-    except ValueError:
-        raise ModelFormatError("query must look like MODE:WINMODE") from None
-    if mode not in SYNC_MODES or win not in WIN_MODES:
-        raise ModelFormatError(
-            f"query must be one of {SYNC_MODES} : {WIN_MODES}")
-    return mode, win
+def _analyze(args):
+    pm, limits = _load(args)
+    return analyze(pm.mdp, pm.initial, _named_set(pm, args.target), limits=limits)
 
 
 def _cmd_analyze(args):
-    query = _parse_query(args.query) if args.query else None
-    pm, limits = _load(args)
-    target = _named_set(pm, args.target)
-    analysis = analyze(pm.mdp, pm.initial, target, limits=limits)
-    report = build_report(analysis, args.target, model_path=args.model,
+    report = build_report(_analyze(args), args.target, model_path=args.model,
                           include_strategies=args.strategies)
-    if query:
-        mode, win = query
+    if args.query:
+        mode, win = args.query
         cell = report["verdicts"][mode][win]
         _emit(args, cell, f"{mode}:{win} = {cell['answer']}")
-        return 0
-    _emit(args, report, render_text(report))
+    else:
+        _emit(args, report, render_text(report))
     return 0
 
 
 def _cmd_verify(args):
-    pm, limits = _load(args)
-    target = _named_set(pm, args.target)
-    analysis = analyze(pm.mdp, pm.initial, target, limits=limits)
+    analysis = _analyze(args)
     results = run_checks(analysis, horizon=args.horizon, budget=args.budget,
                          enum_depth=args.enum_depth)
     report = build_report(analysis, args.target, oracle_results=results,
@@ -179,11 +166,10 @@ def _cmd_regions(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 1
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 0 after --help and 2 on a usage error
+        return 1 if exc.code else 0
     try:
         if args.command == "analyze":
             return _cmd_analyze(args)

@@ -58,6 +58,7 @@ DEFAULT_LIMITS = Limits()
 
 
 _RATIONAL_RE = re.compile(r"\s*([0-9]+)\s*(?:/\s*([0-9]+))?\s*", re.ASCII)
+_LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")   # JSON can escape one; UTF-8 cannot encode it
 
 
 def parse_rational(text, location=None):
@@ -406,6 +407,8 @@ def parse_model(doc):
             raise ModelFormatError("must be a nonempty list of names", f"{what}s")
         if len(set(names)) != len(names):
             raise ModelFormatError(f"duplicate {what} name", f"{what}s")
+        if any(_LONE_SURROGATE.search(x) for x in names):
+            raise ModelFormatError(f"a {what} name holds a lone surrogate", f"{what}s")
     sidx = {s: i for i, s in enumerate(states)}
     aidx = {a: i for i, a in enumerate(actions)}
     n = len(states)
@@ -471,6 +474,8 @@ def parse_model(doc):
         raise ModelFormatError("must be an object", "targets")
     targets = {}
     for name, members in doc.get("targets", {}).items():
+        if _LONE_SURROGATE.search(name):
+            raise ModelFormatError("a target name holds a lone surrogate", "targets")
         loc = f"targets[{name}]"
         if not isinstance(members, list):
             raise ModelFormatError("target must be a list of state names", loc)

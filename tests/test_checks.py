@@ -806,3 +806,87 @@ def _flipped(lasso, index):
 def test_lasso_integrity_catches_a_planted_long_lasso(long_lasso, plant, reason):
     (result,) = run_named(replace(long_lasso, **plant(long_lasso)), names={"lasso-integrity"})
     assert (result.status, result.info) == ("fail", {"reason": reason})
+
+
+def _funnel_analysis(target="target"):
+    pm = example_model("funnel")
+    return analyze(pm.mdp, pm.initial, pm.targets[target])
+
+
+def _with_cell(an, cell, **change):
+    """The analysis with the verdict of `cell` replaced by a copy under `change`."""
+    verdicts = dict(an.verdicts)
+    verdicts[cell] = replace(verdicts[cell], **change)
+    return replace(an, verdicts=verdicts)
+
+
+# q0, q1, q2 step to the absorbing t: the predecessor lasso of {t} grows for k = 3
+# steps, so a support strictly inside it (not its start, not its loop) can be planted
+CHAIN = {
+    "states": ["q0", "q1", "q2", "t"],
+    "actions": ["a"],
+    "transitions": [{"from": q, "action": "a", "to": r, "prob": "1"}
+                    for q, r in (("q0", "q1"), ("q1", "q2"), ("q2", "t"), ("t", "t"))],
+    "initial": {"q0": "1"},
+    "targets": {"target": ["t"]},
+}
+
+
+def test_lasso_integrity_catches_a_planted_closure_or_predecessor_step(monkeypatch):
+    an = _funnel_analysis()   # l = 3, p = 1, k = 1, r = 1 and 2^n = 16
+    for plant, reason in [
+            ({"lasso": replace(an.lasso, period=16)}, "closure 3+16 exceeds 2^n"),
+            ({"target_lasso": replace(an.target_lasso, period=16)},
+             "predecessor lasso exceeds 2^n")]:
+        (result,) = run_named(replace(an, **plant), names={"lasso-integrity"})
+        assert (result.status, result.info) == ("fail", {"reason": reason})
+    pm = build(CHAIN)
+    chain = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    assert (chain.target_lasso.start, chain.target_lasso.period) == (3, 1)
+    (result,) = run_named(replace(chain, target_lasso=_flipped(chain.target_lasso, 1)),
+                          names={"lasso-integrity"})
+    assert (result.status, result.info) == ("fail", {"reason": "predecessor step broken at 0"})
+    squares = checks.matrix_squares   # every power of M planted as the zero matrix
+    monkeypatch.setattr(checks, "matrix_squares", lambda m, i: [[0] * m.n] * len(squares(m, i)))
+    (result,) = run_named(an, names={"lasso-integrity"})
+    assert (result.status, result.info) == ("fail", {"reason": "matrix power disagrees at step 1"})
+
+
+def test_positive_definition_catches_a_flipped_verdict():
+    an = _funnel_analysis()
+    assert an.answer("weakly", "positive")
+    (result,) = run_named(_with_cell(an, ("weakly", "positive"), answer=False),
+                          names={"positive-definition-sim"})
+    assert (result.status, result.info) == ("fail", {"mode": "weakly", "expected": True})
+
+
+def test_support_monotonicity_catches_a_planted_uniform_play_or_ec_union():
+    an = _funnel_analysis()
+    # "uniform" play of action a alone never moves q1 on to q2; freezing play does at step 2
+    narrow = StrategySpec("uniform", (0,), 0, ({},), {0: 1})
+    (result,) = run_named(replace(an, cache={**an.cache, ("uniform",): narrow}),
+                          names={"support-monotonicity"})
+    assert (result.status, result.info) == (
+        "fail", {"step": 2, "reason": "freezing support escapes uniform"})
+    # past the switch (4), frozen q1 feeds q2 no more, while uniform play still does
+    everything = replace(an.mec, union=SupportSet(an.mdp.n, (1 << an.mdp.n) - 1))
+    (result,) = run_named(replace(an, mec=everything), names={"support-monotonicity"})
+    assert (result.status, result.info) == (
+        "fail", {"step": 5, "reason": "EC-intersection mismatch"})
+
+
+def test_certificate_recheck_catches_a_planted_period_or_t_prime():
+    an = _funnel_analysis()
+    cell = ("eventually", "limit-sure")
+    cert = an.verdicts[cell].certificate
+    assert (cert["via"], cert["r"]) == ("product", 1)
+    (result,) = run_named(_with_cell(an, cell, certificate={**cert, "r": 0}),
+                          names={"certificate-recheck"})
+    assert (result.status, result.info) == ("fail", {"mode": "eventually", "win": "limit-sure"})
+    an = _funnel_analysis("plateau")   # T = {q1, q3}
+    cell = ("weakly", "almost-sure")
+    cert = an.verdicts[cell].certificate
+    outside = SupportSet.of(an.mdp.n, [0, 2])   # {q0, q2}
+    (result,) = run_named(_with_cell(an, cell, certificate={**cert, "t_prime": outside}),
+                          names={"certificate-recheck"})
+    assert (result.status, result.info) == ("fail", {"mode": "weakly", "win": "almost-sure"})

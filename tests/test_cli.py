@@ -1,15 +1,17 @@
 import argparse
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from syncmdp import (SupportSet, analyze, checks, cli, example_path, serialize_model,
-                     example_model)
+from syncmdp import (SupportSet, Verdict, analyze, checks, cli, engine, example_model,
+                     example_path, serialize_model)
 from syncmdp.cli import main
 from syncmdp.report import build_report
 
@@ -63,9 +65,20 @@ def test_analyze_single_query(capsys):
 
 
 def test_analyze_bad_query(capsys):
-    code, _, err = run(capsys, "analyze", "--model", example_path("funnel"),
-                       "--target", "target", "--query", "nope")
-    assert code == 2 and "query" in err
+    # a malformed flag is a usage error, like any other flag value
+    code, out, err = run(capsys, "analyze", "--model", example_path("funnel"),
+                         "--target", "target", "--query", "nope")
+    assert code == 1 and "argument --query: expected MODE:WINMODE" in err and out == ""
+
+
+@pytest.mark.parametrize("query", ["eventually", "eventually:sure:x", ":sure", "eventually:",
+                                   "Eventually:sure", "sure:eventually"])
+def test_query_that_names_no_cell_is_a_usage_error(capsys, query):
+    code, out, err = run(capsys, "analyze", "--model", example_path("funnel"),
+                         "--target", "target", "--query", query)
+    assert code == 1 and out == ""
+    assert "syncmdp analyze: error: argument --query: expected MODE:WINMODE" in err
+    assert f"got {query!r}" in err
 
 
 def test_missing_target_is_input_error(capsys):
@@ -106,6 +119,10 @@ def test_engine_key_error_is_not_an_input_error(capsys, monkeypatch):
     assert "input error" not in capsys.readouterr().err
 
 
+def self_loops(states, actions):
+    return [{"from": q, "action": a, "to": q, "prob": "1"} for q in states for a in actions]
+
+
 # Wrong-typed or oversized fields: each must be an input error at its location.
 MALFORMED = [
     ({"transitions": 5}, "transitions"),
@@ -116,6 +133,12 @@ MALFORMED = [
     # an Arabic-Indic one: only ASCII digits are rationals
     ({"transitions": [{"from": "t", "action": "a", "to": "t", "prob": "\u0661"}]},
      "transitions[0]"),
+    # JSON can escape a lone surrogate, but no UTF-8 output can print a name holding one
+    ({"states": ["t", "\ud800"], "transitions": self_loops(["t", "\ud800"], ["a"])}, "states"),
+    ({"actions": ["a", "b\udcff"], "transitions": self_loops(["t"], ["a", "b\udcff"])},
+     "actions"),
+    ({"targets": {"target": ["t"], "\udfff": ["t"]}}, "targets"),
+    ({"targets": {"target": ["t", "t"]}}, "targets[target]"),
 ]
 
 
@@ -126,6 +149,28 @@ def test_malformed_field_is_located_input_error(capsys, tmp_path, change, locati
     code, _, err = run(capsys, "analyze", "--model", str(bad), "--target", "target")
     assert code == 2
     assert f"input error: {location}: " in err
+
+
+def test_lone_surrogate_name_is_an_input_error_without_a_traceback(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(ABSORBING, states=["t", "\ud800"],
+                                   transitions=self_loops(["t", "\ud800"], ["a"]))))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "syncmdp", "analyze", "--model", str(bad),
+                           "--target", "target"], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "input error: states: " in done.stderr and "Traceback" not in done.stderr
+
+
+def test_consistency_gate_failure_exit_code(capsys, monkeypatch):
+    # bounded always "yes" without positive always: the gate names the identity
+    monkeypatch.setattr(engine, "decide_bounded", lambda *args, **kwargs: Verdict(True))
+    code, out, err = run(capsys, "analyze", "--model", example_path("funnel"),
+                         "--target", "target")
+    assert code == 4 and out == ""
+    assert err.startswith("internal consistency gate failed (engine bug):\n")
+    assert "\n  bounded always without positive always\n" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -148,10 +193,30 @@ def test_bad_flag_values_are_usage_errors(capsys, argv):
     assert "error: " in err and "Traceback" not in err
 
 
-def test_horizon_flags_stop_at_their_bound():
-    assert cli.horizon_int(str(cli.MAX_HORIZON)) == cli.MAX_HORIZON
-    with pytest.raises(argparse.ArgumentTypeError, match="at most 10000 steps, got 10001"):
-        cli.horizon_int(str(cli.MAX_HORIZON + 1))
+def test_horizon_flags_stop_at_their_bound(capsys):
+    args = ["verify", "--model", example_path("funnel"), "--target", "target", "--horizon"]
+    assert cli._build_parser().parse_args([*args, str(cli.MAX_HORIZON)]).horizon == 10000
+    code, _, err = run(capsys, *args, str(cli.MAX_HORIZON + 1))
+    assert code == 1
+    assert "argument --horizon: expected an integer from 0 to 10000, got 10001" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--max-lasso", "-1"], "argument --max-lasso: expected an integer of at least 0, got -1"),
+    (["--subset-width", "ten"], "argument --subset-width: invalid integer value: 'ten'"),
+])
+def test_integer_flag_messages(capsys, argv, message):
+    code, out, err = run(capsys, "analyze", "--model", example_path("funnel"),
+                         "--target", "target", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: syncmdp analyze ")
+    assert f"syncmdp analyze: error: {message}\n" in err
+
+
+def test_query_cell_names_a_cell_of_the_matrix():
+    assert cli.query_cell("strongly:bounded") == ("strongly", "bounded")
+    cells = {cli.query_cell(f"{mode}:{win}") for mode in cli.SYNC_MODES for win in cli.WIN_MODES}
+    assert len(cells) == 20
 
 
 def test_zero_flag_values_are_accepted(capsys):
@@ -165,7 +230,7 @@ def test_bad_query_is_rejected_before_the_analysis(capsys):
     # a one-support lasso guard would trip (exit 3) if the analysis ran first
     code, out, err = run(capsys, "analyze", "--model", example_path("funnel"),
                          "--target", "target", "--max-lasso", "1", "--query", "nope")
-    assert code == 2 and "query" in err and out == ""
+    assert code == 1 and "argument --query:" in err and out == ""
 
 
 def test_usage_error(capsys):

@@ -81,11 +81,12 @@ def test_verify_corpus_passes_the_tier_flags_to_the_generator(monkeypatch, capsy
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    pytest.param("--horizon", "-2", "expected a nonnegative integer, got -2", id="--horizon"),
-    pytest.param("--enum-depth", "-2", "expected a nonnegative integer, got -2",
+    pytest.param("--horizon", "-2", "expected an integer from 0 to 10000, got -2",
+                 id="--horizon"),
+    pytest.param("--enum-depth", "-2", "expected an integer of at least 0, got -2",
                  id="--enum-depth"),
     # the traces and the step profile grow with the square of the horizon
-    pytest.param("--horizon", "10001", "expected at most 10000 steps, got 10001",
+    pytest.param("--horizon", "10001", "expected an integer from 0 to 10000, got 10001",
                  id="--horizon-past-bound"),
 ])
 def test_verify_corpus_rejects_a_negative_horizon_or_depth(monkeypatch, capsys, flag, value,
@@ -99,7 +100,7 @@ def test_verify_corpus_rejects_a_negative_horizon_or_depth(monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--count", "-1", "expected a nonnegative integer, got -1"),
+    ("--count", "-1", "expected an integer of at least 0, got -1"),
     ("--max-states", "0", "expected an integer of at least 1, got 0"),
     ("--max-denominator", "0", "expected an integer of at least 1, got 0"),
     ("--max-actions", "5", "expected an integer from 1 to 4, got 5"),

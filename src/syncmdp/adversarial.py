@@ -1,8 +1,9 @@
 """Positive and bounded winning modes: support analysis under uniform play,
-end-component conditions and the freezing witness strategy. A verdict's detail
-is a plain dict of the support-lasso facts, like its certificate. This module
-only decides: the oracle battery (`checks`) verifies the support lasso with its
-own Post step and boolean matrix powers.
+end-component conditions and the freezing witness strategy. A verdict's
+certificate is a plain dict of the support-lasso facts; a "no" names the
+failing index on the lasso. This module only decides: the oracle battery
+(`checks`) verifies the support lasso with its own Post step and boolean
+matrix powers.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from operator import or_
 
 from .model import (DEFAULT_LIMITS, StrategySpec, Verdict, _cached, _check_question,
                     _iter_bits, _uniform_row, uniform_strategy)
-from .regions import _closure, iterate_lasso, mec_decomposition
+from .regions import iterate_lasso, mec_decomposition
 
 
 def _post(m, bits):
@@ -57,12 +58,6 @@ def _lasso_misses(lasso, t, te):
     return [frozenset(i for i, s in enumerate(supports) if not s & x.bits) for x in (t, te)]
 
 
-def _graph_test_weakly(m, lasso, t):
-    """Some reachable target state reaches itself in >= 1 step of the all-actions graph."""
-    reachable = reduce(or_, lasso.distinct())
-    return any(_closure(m.post[q], m.post) >> q & 1 for q in reachable & t)
-
-
 def freezing_strategy(m, lasso, mec):
     """Uniform play until the lasso closes, then only end-component-internal actions.
 
@@ -93,20 +88,18 @@ def _decide(m, win, sync_mode, t, s0, cache, limits):
     Positive modes ask whether the target meets the supports; bounded modes
     ask it of the target inside the end components on the loop. The cells of
     one (s0, t) read one memoized scan: the supports that miss either target.
-    The verdict's detail is a plain dict: condition1 (every support meets t),
-    condition2 (every loop support meets t inside the end components), the
-    deciding condition's failing_index (its first index if existential), the
-    lasso's loop_start, period and switch, and graph_test (positive weakly
-    only, None elsewhere; the reachable-and-self-reaching test, not decisive).
+    The certificate holds the lasso's loop_start and period (and switch, for
+    bounded), then the hit_index of a "yes" found by a search, or the
+    failing_index of a "no": the first support the deciding condition fails at
+    (for an existential condition, the first index it searched).
     """
     cache = _check_question(sync_mode, t, s0, cache)
     lasso = _support_lasso(m, s0, cache, limits)
     mec = _mec(m, cache)
     miss, miss_te = _cached(cache, ("lasso-misses", s0.bits, t.bits),
                             lambda: _lasso_misses(lasso, t, t & mec.union))
-    l, p, sw = lasso.start, lasso.period, switch_point(lasso)
-    cond1, cond2 = not miss, not any(i >= l for i in miss_te)
-    hit = graph_test = None
+    l, p = lasso.start, lasso.period
+    hit = None
 
     if sync_mode == "eventually":
         # bounded coincides with positive here; uniform play is a witness of both
@@ -115,7 +108,6 @@ def _decide(m, win, sync_mode, t, s0, cache, limits):
     elif sync_mode == "weakly" and win == "positive":
         hit = next((i for i in range(l, l + p) if i not in miss), None)
         failing = None if hit is not None else l
-        graph_test = _graph_test_weakly(m, lasso, t)
     elif sync_mode == "weakly":
         hit = next((i for i in range(l + p) if i not in miss_te), None)
         failing = None if hit is not None else 0
@@ -128,16 +120,16 @@ def _decide(m, win, sync_mode, t, s0, cache, limits):
             failing = min((i for i in miss_te if i >= l), default=None)
     answer = failing is None
 
-    detail = {"condition1": cond1, "condition2": cond2, "failing_index": failing,
-              "loop_start": l, "period": p, "switch": sw, "graph_test": graph_test}
     cert = {"kind": f"{win}-{sync_mode}", "loop_start": l, "period": p}
     if win == "bounded":
-        cert["switch"] = sw
-    if answer and hit is not None:
+        cert["switch"] = switch_point(lasso)
+    if not answer:
+        cert["failing_index"] = failing
+    elif hit is not None:
         cert["hit_index"] = hit
     witness = None
     if answer and win == "bounded" and sync_mode != "eventually":
         witness = _freezing(m, s0, lasso, mec, cache)
     elif answer:
         witness = _uniform(m, cache)
-    return Verdict(answer, witness=witness, certificate=cert, detail=detail)
+    return Verdict(answer, witness=witness, certificate=cert)

@@ -21,7 +21,6 @@ from functools import cached_property
 
 from .model import (DIGIT_CEILING, ONE, format_rational, log10_of, min_initial_probability,
                     rational_obj)
-from .report import SharedObj
 
 # kind -> n -> (exponent, denom_pow) of alpha0 * base^exponent / n^denom_pow,
 # whose base is alpha, or alpha / a_count for eps_adversarial
@@ -94,14 +93,9 @@ class BoundCert:
         return exact if isinstance(exact, str) else None
 
     def to_obj(self):
-        """The report object, built once and shared by every cell carrying this
-        certificate: read it, do not mutate it."""
-        return self._report_obj
-
-    @cached_property
-    def _report_obj(self):
-        return SharedObj({"kind": self.kind, "exact": self._exact(), "log10": self.log10,
-                          "inputs": self.shown})
+        """The certificate as reports write it, once per report (its bound table)."""
+        return {"kind": self.kind, "exact": self._exact(), "log10": self.log10,
+                "inputs": self.shown}
 
 
 class _Maker:

@@ -118,6 +118,8 @@ def _cmd_analyze(args):
     if args.query:
         mode, win = args.query
         cell = report["verdicts"][mode][win]
+        # self-contained: the cell's bound certificates, not indices into the report's table
+        cell = {**cell, "bounds": [report["bounds"][i] for i in cell["bounds"]]}
         _emit(args, cell, f"{mode}:{win} = {cell['answer']}")
     else:
         _emit(args, report, render_text(report))

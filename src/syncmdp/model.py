@@ -367,7 +367,6 @@ class Verdict:
     answer: bool
     witness: StrategySpec | None = None
     certificate: dict | None = None
-    detail: dict | None = None
 
 
 # --- model documents ------------------------------------------------------------

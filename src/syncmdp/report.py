@@ -1,6 +1,9 @@
 """Report assembly: JSON schema (versioned) and its writer, and human-readable
-rendering for one analyzed model, with optional oracle-check results. Sets are
-written by state name, and the state <q, i> of the counter product M x [r] as "q@i".
+rendering for one analyzed model, with optional oracle-check results. Each fact
+is written once: each distinct bound certificate in one table that the cells
+index into. Sets are written by state name, except the long ones as lowercase hex
+strings: a lasso support as a state mask (bit q is state q), and a set over the
+counter product M x [r] as one counter mask per state (bit i is counter i).
 The writer takes what the CLI writes: str keys and leaves of exact builtin types.
 """
 
@@ -11,7 +14,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .model import SYNC_MODES, WIN_MODES, SupportSet, format_rational
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 # Writers of the leaves, by exact type.
 _LEAVES = {str: _quote, int: int.__repr__, type(None): {None: "null"}.__getitem__,
@@ -20,19 +23,10 @@ _LEAVES = {str: _quote, int: int.__repr__, type(None): {None: "null"}.__getitem_
                              else "-Infinity" if x == -math.inf else float.__repr__(x))}
 
 
-class SharedObj(dict):
-    """A report dict that several cells hold (a bound certificate's): `to_json`
-    writes it once per indent and keeps the texts on it. Do not mutate it."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.texts = {}
-
-
 def to_json(obj):
     """`json.dumps(obj, indent=2)`, byte for byte, of str keys and leaves of the exact
     types str, int, float, bool and None (any other raises `TypeError`): the one writer
-    of report JSON, one string join per container (per indent, for a `SharedObj`)."""
+    of report JSON, one string join per container."""
     return _encode(obj, "\n")
 
 
@@ -42,16 +36,10 @@ def _encode(obj, pad):
         items = [w(v) if (w := _LEAVES.get(type(v))) else _encode(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
     if isinstance(obj, dict):
-        texts = obj.texts if type(obj) is SharedObj else None
-        if texts and pad in texts:
-            return texts[pad]
         items = [_quote(k) + ": "   # a non-str key raises TypeError in _quote
                  + (w(v) if (w := _LEAVES.get(type(v))) else _encode(v, inner))
                  for k, v in obj.items()]
-        text = "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
-        if texts is not None:
-            texts[pad] = text
-        return text
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
     if (w := _LEAVES.get(type(obj))) is None:
         raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
     return w(obj)
@@ -76,34 +64,49 @@ def _strategy_obj(strategy, m):
     }
 
 
-def _jsonable(value, states, r):
-    if isinstance(value, SupportSet):
-        if value.width == len(states):
-            return list(value.names(states))
-        # a set over the counter product M x [r]: bit b is <states[b // r], r-1 - b % r>
-        return [f"{states[b // r]}@{r - 1 - b % r}" for b in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v, states, r) for k, v in value.items()}
-    return value
+def _masks(supports):
+    """Supports of M as hex state masks."""
+    return [format(s.bits, "x") for s in supports]
 
 
-def _verdict_obj(verdict, bounds, m, include_strategies):
-    cert = verdict.certificate
-    return {
-        "answer": "yes" if verdict.answer else "no",
-        # limit-sure certificates carry sets over the counter product M x [r]
-        "certificate": _jsonable(cert, m.states, cert and cert.get("r")),
-        "detail": verdict.detail,
-        "bounds": [b.to_obj() for b in bounds],
-        "witness": (_strategy_obj(verdict.witness, m) if include_strategies
-                    else verdict.witness and verdict.witness.label),
-    }
+def _counter_masks(region, n):
+    """A set over M x [r] as one hex counter mask per state, bit i for counter i.
+    The set holds <q, i> at bit q r + (r-1-i), so its reversed binary text holds
+    state q's counters r-1 down to 0 in the run q r .. q r + r-1: read as a
+    binary number, that run has counter i at bit i."""
+    r = region.width // n
+    text = format(region.bits, f"0{region.width}b")[::-1]
+    return [format(int(text[q * r:q * r + r], 2), "x") for q in range(n)]
+
+
+def _certificate_obj(cert, states):
+    if cert is None:
+        return None
+    return {k: _counter_masks(v, len(states)) if k == "product_region"
+            else list(v.names(states)) if isinstance(v, SupportSet) else v
+            for k, v in cert.items()}
 
 
 def build_report(analysis, target_name, oracle_results=None, model_path=None,
                  include_strategies=False):
-    """Versioned JSON-ready report for one analysis."""
+    """Versioned JSON-ready report for one analysis. Each distinct bound certificate
+    is written once, in the top-level "bounds" table; a cell lists its indices."""
     m = analysis.mdp
+    table, index = [], {}   # the certificates in first-use order; id -> table index
+
+    def cell(verdict, bounds):
+        for b in bounds:
+            if id(b) not in index:
+                index[id(b)] = len(table)
+                table.append(b.to_obj())
+        return {
+            "answer": "yes" if verdict.answer else "no",
+            "certificate": _certificate_obj(verdict.certificate, m.states),
+            "bounds": [index[id(b)] for b in bounds],
+            "witness": (_strategy_obj(verdict.witness, m) if include_strategies
+                        else verdict.witness and verdict.witness.label),
+        }
+
     report = {
         "report-version": REPORT_VERSION,
         "model": {
@@ -120,23 +123,23 @@ def build_report(analysis, target_name, oracle_results=None, model_path=None,
             "end-components": [list(c.names(m.states)) for c in analysis.mec.components],
             "ec-union": list(analysis.mec.union.names(m.states)),
             "support-lasso": {
-                "prefix": [list(s.names(m.states)) for s in analysis.lasso.distinct()],
+                "prefix": _masks(analysis.lasso.distinct()),
                 "loop-start": analysis.lasso.start,
                 "period": analysis.lasso.period,
             },
             "pre-lasso": {
-                "supports": [list(s.names(m.states)) for s in analysis.target_lasso.distinct()],
+                "supports": _masks(analysis.target_lasso.distinct()),
                 "k": analysis.target_lasso.start,
                 "r": analysis.target_lasso.period,
             },
             "switch-point": analysis.switch,
         },
         "verdicts": {
-            mode: {win: _verdict_obj(analysis.verdicts[(mode, win)],
-                                     analysis.bounds[(mode, win)], m, include_strategies)
+            mode: {win: cell(analysis.verdicts[(mode, win)], analysis.bounds[(mode, win)])
                    for win in WIN_MODES}
             for mode in SYNC_MODES
         },
+        "bounds": table,
         "oracle": None,
     }
     if oracle_results is not None:
@@ -169,7 +172,8 @@ def render_text(report):
     bound_lines = []
     for mode in SYNC_MODES:
         for win in WIN_MODES:
-            for b in report["verdicts"][mode][win]["bounds"]:
+            for i in report["verdicts"][mode][win]["bounds"]:
+                b = report["bounds"][i]
                 val = b["exact"]
                 if b["log10"] is not None and (
                         val is None or isinstance(val, str) and not -6 < b["log10"] < 6):

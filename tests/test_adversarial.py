@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from syncmdp import (SYNC_MODES, SupportSet, adversarial, analyze, decide_bounded,
                      decide_positive, freezing_strategy, mec_decomposition, simulate,
                      support_lasso, switch_point, uniform_strategy)
-from syncmdp.adversarial import _graph_test_weakly
 from syncmdp.checks import rows_image
 from syncmdp.randgen import corpus, random_instance
 from syncmdp.model import GuardExceeded
@@ -79,17 +78,30 @@ def test_drain_positive_vs_bounded(drain):
         v = decide_bounded(m, mode, t, s0)
         assert not v.answer
     v = decide_bounded(m, "strongly", t, s0)
-    assert v.detail["failing_index"] == 1  # first loop support {q0,q1} misses EC target
-    assert not v.detail["condition2"]
+    assert v.certificate["failing_index"] == 1  # first loop support {q0,q1} misses EC target
+
+
+def closure(start, post):
+    """The states reachable from the mask `start` in >= 0 steps of the all-actions graph."""
+    seen, frontier = start, start
+    while frontier:
+        step = 0
+        for q in SupportSet(len(post), frontier):
+            step |= post[q]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
 
 
 def test_funnel_positive_weakly_graph_test_discrepancy(funnel):
-    # the loop support contains q2 (mass keeps flowing in), yet no target
-    # state can reach itself; both answers are reported
+    # the loop support contains q2 (mass keeps flowing in), yet the graph test
+    # "some reachable target state reaches itself in >= 1 step" says no
     m, t = funnel.mdp, funnel.targets["target"]
-    v = decide_positive(m, "weakly", t, funnel.initial.support())
+    s0 = funnel.initial.support()
+    v = decide_positive(m, "weakly", t, s0)
     assert v.answer
-    assert v.detail["graph_test"] is False
+    reachable = SupportSet(m.n, closure(s0.bits, m.post))
+    assert not any(closure(m.post[q], m.post) >> q & 1 for q in reachable & t)
     # exact simulation confirms the definition-faithful answer
     trace = simulate(m, uniform_strategy(m), funnel.initial, 12)
     assert all(v > 0 for v in target_masses(trace, t)[2:])
@@ -153,36 +165,33 @@ def test_condition_flags_match_verdicts(twophase):
     m, t = twophase.mdp, twophase.targets["target"]
     s0 = twophase.initial.support()
     pos_always = decide_positive(m, "always", t, s0)
-    assert not pos_always.answer and pos_always.detail["failing_index"] == 0
+    assert not pos_always.answer and pos_always.certificate["failing_index"] == 0
     bnd_strong = decide_bounded(m, "strongly", t, s0)
-    assert bnd_strong.answer and bnd_strong.detail["condition2"]
+    assert bnd_strong.answer and "failing_index" not in bnd_strong.certificate
     bnd_always = decide_bounded(m, "always", t, s0)
-    assert not bnd_always.answer  # condition1 fails at step 0
-    assert bnd_always.detail["failing_index"] == 0
+    assert not bnd_always.answer  # the initial support misses the target
+    assert bnd_always.certificate["failing_index"] == 0
 
 
 def old_decide(m, win, sync_mode, t, s0):
     """Reference: a positive/bounded cell as scanning the support lasso anew per
-    cell decided it: (answer, detail, certificate, witness label)."""
+    cell decided it: (answer, certificate, witness label)."""
     lasso = support_lasso(m, s0)
     mec = mec_decomposition(m)
     supports, loop = lasso.distinct(), lasso.supports[lasso.start:lasso.start + lasso.period]
-    l, p, sw = lasso.start, lasso.period, switch_point(lasso)
+    l, p = lasso.start, lasso.period
     te = t & mec.union
-    cond1 = all(s & t for s in supports)
-    cond2 = all(s & te for s in loop)
 
     def first_missing(seq, x, offset=0):
         return next((offset + i for i, s in enumerate(seq) if not s & x), None)
 
-    hit = graph_test = None
+    hit = None
     if sync_mode == "eventually":
         hit = next((i for i, s in enumerate(supports) if s & t), None)
         failing = None if hit is not None else 0
     elif sync_mode == "weakly" and win == "positive":
         hit = next((l + i for i, s in enumerate(loop) if s & t), None)
         failing = None if hit is not None else l
-        graph_test = _graph_test_weakly(m, lasso, t)
     elif sync_mode == "weakly":
         hit = next((i for i, s in enumerate(supports) if s & te), None)
         failing = None if hit is not None else 0
@@ -195,15 +204,15 @@ def old_decide(m, win, sync_mode, t, s0):
     answer = failing is None
     cert = {"kind": f"{win}-{sync_mode}", "loop_start": l, "period": p}
     if win == "bounded":
-        cert["switch"] = sw
-    if answer and hit is not None:
+        cert["switch"] = switch_point(lasso)
+    if not answer:
+        cert["failing_index"] = failing
+    elif hit is not None:
         cert["hit_index"] = hit
     label = None
     if answer:
         label = "freezing" if win == "bounded" and sync_mode != "eventually" else "uniform"
-    detail = {"condition1": cond1, "condition2": cond2, "failing_index": failing,
-              "loop_start": l, "period": p, "switch": sw, "graph_test": graph_test}
-    return answer, detail, cert, label
+    return answer, cert, label
 
 
 @settings(max_examples=80, deadline=None)
@@ -215,7 +224,7 @@ def test_cells_match_the_per_cell_scan(seed, n, max_denominator):
     for mode in SYNC_MODES:
         for win in ("positive", "bounded"):
             v = an.verdicts[(mode, win)]
-            got = v.answer, v.detail, v.certificate, v.witness and v.witness.label
+            got = v.answer, v.certificate, v.witness and v.witness.label
             assert got == old_decide(inst.mdp, win, mode, inst.target,
                                      inst.initial.support())
 

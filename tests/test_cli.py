@@ -30,7 +30,7 @@ def test_analyze_funnel_matrix(capsys, tmp_path):
                        "--target", "target", "--json", str(out_path))
     assert code == 0
     report = json.loads(out_path.read_text())
-    assert report["report-version"] == 2
+    assert report["report-version"] == 3
     row = report["verdicts"]["eventually"]
     assert row["sure"]["answer"] == "no"
     assert row["almost-sure"]["answer"] == "no"
@@ -597,7 +597,8 @@ def test_analyze_bound_beyond_digit_limit(capsys, tmp_path):
     for win in ("almost-sure", "limit-sure"):
         cell = report["verdicts"]["weakly"][win]
         assert cell["answer"] == "no"
-        eps = next(b for b in cell["bounds"] if b["kind"] == "eps_weakly")
+        eps = next(b for b in map(report["bounds"].__getitem__, cell["bounds"])
+                   if b["kind"] == "eps_weakly")
         assert eps["exact"] is None
         assert math.isfinite(eps["log10"]) and eps["log10"] < -4300
     assert "eps_weakly = 10^-4338.63" in out
@@ -627,7 +628,10 @@ def test_query_json_file_is_the_cell_as_indent_2_json(capsys, tmp_path):
     report = build_report(analyze(pm.mdp, pm.initial, pm.targets["target"]), "target")
     cell = report["verdicts"]["always"]["limit-sure"]
     assert cell["bounds"]  # a cell carrying a shared certificate
-    assert out_path.read_text() == json.dumps(cell, indent=2) + "\n"
+    # self-contained: the certificates themselves, not indices into the report's table
+    bounds = [report["bounds"][i] for i in cell["bounds"]]
+    assert all(b["kind"] == "eps_always" for b in bounds)
+    assert out_path.read_text() == json.dumps({**cell, "bounds": bounds}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("which", ["pre-lasso", "mec", "almost-sure"])

@@ -2,12 +2,14 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syncmdp import SupportSet, Verdict, analyze, decide_limit_sure, example_model, run_checks
+from syncmdp import (SupportSet, analyze, decide_limit_sure, example_model, load_model,
+                     run_checks)
+from syncmdp.bounds import BoundCert
 from syncmdp.examples import EXAMPLE_MODELS
 from syncmdp.randgen import corpus
 from syncmdp import report as report_module
@@ -50,27 +52,76 @@ def test_report_serializes_product_certificates():
     text = json.dumps(report)  # must be JSON-clean end to end
     cell = report["verdicts"]["eventually"]["limit-sure"]
     assert cell["answer"] == "yes"
-    region = cell["certificate"]["product_region"]
-    assert "c0@0" in region and all("@" in name for name in region)
-    assert "x@0" in text
+    # one counter mask per state (x, c0, c1), bit i for counter i: x wins at
+    # either counter, c0 at counter 0 and c1, a step before it, at counter 1
+    assert cell["certificate"]["product_region"] == ["3", "1", "2"]
+    assert '"product_region": [' in text
     assert render_text(report)
+
+
+def counter_layout(masks, r):
+    """The product set a certificate's counter masks stand for: <q, i> at bit
+    q*r + (r-1-i), bit i of the mask of state q."""
+    bits = 0
+    for q, mask in enumerate(masks):
+        assert mask == mask.lower() and int(mask, 16) >> r == 0
+        bits |= sum(1 << q * r + r - 1 - i for i in range(r) if int(mask, 16) >> i & 1)
+    return bits
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_product_sets_are_named_by_the_counter_layout(data):
+def test_product_sets_are_counter_masks(data):
     n, r = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
     states = [f"s{q}" for q in range(n)]
     bits = data.draw(st.integers(0, 2 ** (n * r) - 1))
     own = data.draw(st.integers(0, 2 ** n - 1))
     cert = {"r": r, "product_region": SupportSet(n * r, bits), "set": SupportSet(n, own)}
-    obj = report_module._verdict_obj(Verdict(True, certificate=cert), [],
-                                     SimpleNamespace(states=states), False)["certificate"]
-    # the product state <q, i> has index q*r + (r-1-i); at r = 1 the set has width n
-    table = [f"{s}@{i}" for s in states for i in range(r - 1, -1, -1)] if r > 1 else states
-    assert obj["product_region"] == [table[b] for b in range(n * r) if bits >> b & 1]
+    obj = report_module._certificate_obj(cert, states)
+    assert len(obj["product_region"]) == n
+    assert counter_layout(obj["product_region"], r) == bits
     assert obj["set"] == [states[q] for q in range(n) if own >> q & 1]
     assert obj["r"] == r
+
+
+def state_names(mask, states):
+    return [states[q] for q in range(len(states)) if int(mask, 16) >> q & 1]
+
+
+def round_trip_analyses():
+    for name in EXAMPLE_MODELS:
+        pm = example_model(name)
+        yield analyze(pm.mdp, pm.initial, pm.targets["target"])
+    pm = load_model(Path(__file__).parent / "golden" / "prime-cycles.model.json")
+    yield analyze(pm.mdp, pm.initial, pm.targets["target"])
+    for inst in corpus(20260810, 150):
+        yield analyze(inst.mdp, inst.initial, inst.target)
+
+
+def test_report_writes_each_fact_of_the_analysis_once():
+    products = 0
+    for an in round_trip_analyses():
+        report = build_report(an, "target")
+        states = report["model"]["states"]
+        table = report["bounds"]
+        assert len({json.dumps(b, sort_keys=True) for b in table}) == len(table)
+        for (mode, win), certs in an.bounds.items():
+            cell = report["verdicts"][mode][win]
+            assert [table[i] for i in cell["bounds"]] == [b.to_obj() for b in certs]
+            cert = an.verdicts[(mode, win)].certificate
+            if cert and "product_region" in cert:
+                products += 1
+                region = cert["product_region"]
+                masks = cell["certificate"]["product_region"]
+                assert len(masks) == an.mdp.n
+                assert counter_layout(masks, region.width // an.mdp.n) == region.bits
+        for section, key, lasso in (("support-lasso", "prefix", an.lasso),
+                                    ("pre-lasso", "supports", an.target_lasso)):
+            masks = report["model"][section][key]
+            assert [state_names(mask, states) for mask in masks] == [
+                list(s.names(states)) for s in lasso.distinct()]
+            assert all(mask == format(int(mask, 16), "x") for mask in masks)
+    assert products > 0
 
 
 def test_report_round_trips_examples():
@@ -79,7 +130,7 @@ def test_report_round_trips_examples():
         analysis = analyze(pm.mdp, pm.initial, pm.targets["target"])
         report = build_report(analysis, "target", include_strategies=True)
         assert json.loads(json.dumps(report)) == report
-        assert report["report-version"] == 2
+        assert report["report-version"] == 3
         assert render_text(report)
 
 
@@ -142,27 +193,27 @@ def test_writer_matches_stdlib_on_reports():
         assert to_json(report) == json.dumps(report, indent=2)
 
 
-def test_shared_certificate_is_formatted_once():
+def test_shared_certificate_is_formatted_once(monkeypatch):
     pm = example_model("funnel")
     an = analyze(pm.mdp, pm.initial, pm.targets["target"])
-    seen = {}
-    shared = 0
-    for cell, certs in an.bounds.items():
-        for cert in certs:
-            first = seen.setdefault(id(cert), (cell, cert.to_obj()))
-            if first[0] != cell:
-                shared += 1
-                assert cert.to_obj() == first[1]
-                assert cert.to_obj() is first[1]
-    assert shared > 0
+    cells = Counter(id(cert) for certs in an.bounds.values() for cert in certs)
+    assert max(cells.values()) > 1   # a certificate several cells carry
+    calls = Counter()
+    to_obj = BoundCert.to_obj
+
+    def spy(cert):
+        calls[id(cert)] += 1
+        return to_obj(cert)
+
+    monkeypatch.setattr(BoundCert, "to_obj", spy)
     report = build_report(an, "target")
+    assert calls == dict.fromkeys(cells, 1) and len(report["bounds"]) == len(cells)
     always = [report["verdicts"]["always"][win]["bounds"]
               for win in ("sure", "almost-sure", "limit-sure")]
     assert always[0] == always[1] == always[2] != []
 
 
-
-def test_each_distinct_certificate_is_written_once_per_indent(monkeypatch):
+def test_each_distinct_certificate_is_written_once_per_report(monkeypatch):
     # the key "log10" appears only in bound certificates: the spy counts certificate writes
     quoted = Counter()
     quote = report_module._quote
@@ -177,15 +228,6 @@ def test_each_distinct_certificate_is_written_once_per_indent(monkeypatch):
         distinct = {id(c) for certs in an.bounds.values() for c in certs}
         for strategies in (False, True):
             full = build_report(an, "target", include_strategies=strategies)
-            cells = [cell for row in full["verdicts"].values() for cell in row.values()]
-            writes = []
-            for objs in ([full], [full], cells, cells):
-                quoted.clear()
-                for obj in objs:   # a report, then its cells as `--query` writes them
-                    assert to_json(obj) == json.dumps(obj, indent=2)
-                writes.append(quoted["log10"])
-            # once at the report's indent, once at a cell's; the repeats reuse the
-            # texts, and so does the second report (with strategy tables), whose
-            # cells hold the same certificate objects
-            once = 0 if strategies else len(distinct)
-            assert writes == [once, 0, once, 0]
+            quoted.clear()
+            assert to_json(full) == json.dumps(full, indent=2)
+            assert quoted["log10"] == len(distinct)

@@ -128,8 +128,8 @@ def test_report_digest():
     assert done.returncode == 0, done.stderr
     line = json.loads(done.stdout)
     assert line == {
-        "analyze": "9a341ad7b4656c8cb9ad96fb94666e8574193a5a584ecbbbb13a06b82fb561ef",
-        "verify": "312aa1d8227564ef91a56a7506b17177be6b02f89135752aa1f44efe4bad60d9",
+        "analyze": "2bf9690b57cfec8b46b3b0d5da46928176626559c0db07e475d60f0139e93954",
+        "verify": "fdc0c38f32c390c46098aaa5f84f0fa1eda2938f7eadb5c7dda1ce3530037683",
         "models": {"analyze": 2 * 3 + 3 * 3, "verify": 3 + 4},
     }
 
@@ -142,7 +142,7 @@ def test_verify_reports_are_pinned():
     models = script["verify_tier"](script["VERIFY_COUNT"])
     assert len(models) == 150 + 4
     assert script["digest"](models, verify=True) == (
-        "fd37657a3111a5f354a1a4deb467604eeb0aa1f043c69e0e44a7536c99383302")
+        "ee9e715aca783d44f954eddb936d7340fdf68b56da79fb1ff6ae6eb305e071db")
 
 
 def test_report_digest_cli_mode():

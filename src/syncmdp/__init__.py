@@ -11,7 +11,7 @@ from .engine import ConsistencyError, ModelAnalysis, analyze, check_consistency
 from .examples import example_model, example_path
 from .model import (BudgetExceeded, Dist, GuardExceeded, Limits, Mdp,
                     ModelFormatError, ParsedModel, StrategySpec, SupportSet,
-                    SYNC_MODES, Verdict, WIN_MODES, format_rational, load_model,
+                    SYNC_MODES, Verdict, WIN_MODES, load_model,
                     min_initial_probability, min_positive_probability, model_to_obj,
                     parse_model, parse_rational, serialize_model, uniform_strategy)
 from .oracle import Trace, enumerate_pure_strategies, max_mass_at_step, simulate

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .model import (DIGIT_CEILING, ONE, format_rational, log10_of, min_initial_probability,
-                    rational_obj)
+from .model import DIGIT_CEILING, ONE, log10_of, min_initial_probability, rational_obj
 
 # kind -> n -> (exponent, denom_pow) of alpha0 * base^exponent / n^denom_pow,
 # whose base is alpha, or alpha / a_count for eps_adversarial
@@ -113,7 +112,7 @@ class _Maker:
         self.inputs = {"n": n, "a_count": a_count, "alpha": alpha, "alpha0": alpha0}
         if support is not None:
             self.inputs["alpha0_support"] = list(support)
-        self.shown = {key: format_rational(val) if isinstance(val, Fraction) else val
+        self.shown = {key: str(val) if isinstance(val, Fraction) else val
                       for key, val in self.inputs.items()}
         self.log_alpha0 = log10_of(alpha0)
         self.log_n = math.log10(n) if n > 1 else 0.0

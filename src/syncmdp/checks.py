@@ -70,7 +70,8 @@ class CheckContext:
     @cached_property
     def traces(self):
         """One trace per strategy the checks read (uniform and freezing play, the
-        witnesses, in that order), to the longest window a check reads of it.
+        witnesses, in that order), to the longest window a check reads of it, and
+        at least to step n, which the prefix dips read at any horizon.
         Each distinct play is simulated once, to the longest window among its
         strategies, and every label gets its own cut of the shared step dicts."""
         a = self.analysis
@@ -83,7 +84,8 @@ class CheckContext:
             w = verdict.witness
             if w is not None and w.label not in strategies:
                 strategies[w.label] = w
-        horizons = {label: max(self.horizon, self.windows.get(label, 0)) for label in strategies}
+        horizons = {label: max(self.horizon, m.n, self.windows.get(label, 0))
+                    for label in strategies}
         keys = {label: _play_key(s) for label, s in strategies.items()}
         plays = {}   # play key -> [the strategy of its first label, the longest horizon]
         for label, s in strategies.items():
@@ -130,11 +132,12 @@ class CheckContext:
     @cached_property
     def count_traces(self):
         """(traces, masses) for the prefix dips and sync-count caps: the simulated
-        traces cut to the horizon, then the enumerated ones; masses[id(step)] is
-        (target numerator, total) of each distinct step dict (a play several
-        labels share, or a prefix the enumerated strategies share, is one),
-        summed once."""
-        traces = [t.cut(self.horizon) for t in self.traces.values()] + self.enumerated[1]
+        traces cut to the horizon or to step n, the later, then the enumerated
+        ones; masses[id(step)] is (target numerator, total) of each distinct step
+        dict (a play several labels share, or a prefix the enumerated strategies
+        share, is one), summed once."""
+        cut = max(self.horizon, self.analysis.mdp.n)
+        traces = [t.cut(cut) for t in self.traces.values()] + self.enumerated[1]
         steps = {id(nums): (nums, total)
                  for trace in traces for nums, total in zip(trace.nums, trace.totals)}
         return traces, {key: (_numerator_in(self.analysis.target, nums), total)
@@ -258,7 +261,7 @@ def check_eventually_isolation(ctx):
     eps = cert.value
     step, value = _under_cap(ctx.profile, eps)
     if step is not None:
-        return "fail", {"eps": rational_obj(eps)}
+        return "fail", {"step": step, "value": rational_obj(value), "eps": rational_obj(eps)}
     return "pass", {"eps_log10": cert.log10, "observed_gap": rational_obj(value + eps)}
 
 
@@ -278,7 +281,8 @@ def check_reach_value_cap(ctx):
 def _prefix_dip(mode, win, kind, ctx):
     """Not `win` `mode`: every strategy has a step i <= n with target mass at
     most 1 - eps, tested on each trace of `count_traces` that has n + 1 steps
-    (the per-step optimum need not dip: strategies may dip at different steps)."""
+    (the per-step optimum need not dip: strategies may dip at different steps).
+    Every simulated trace has them, whatever the horizon."""
     a = ctx.analysis
     if a.answer(mode, win):
         return "skip", {"reason": f"{win} {mode} holds"}
@@ -318,11 +322,17 @@ def _sync_count_cap(win, ctx):
     """Not `win` weakly: at most 2^n synchronized positions along any strategy.
 
     Sure: positions with all mass in the target. Almost-sure: positions with
-    mass strictly above 1 - eps_weakly.
+    mass strictly above 1 - eps_weakly. Skipped when no trace has more than 2^n
+    steps, as none can then exceed the cap.
     """
     a = ctx.analysis
     if a.answer("weakly", win):
         return "skip", {"reason": f"{win} weakly holds"}
+    cap = 2 ** a.mdp.n
+    traces, masses = ctx.count_traces
+    if all(len(trace.nums) <= cap for trace in traces):
+        return "skip", {"reason": f"no trace has more than 2^n = {cap} steps "
+                                  f"at horizon {ctx.horizon}"}
     eps = None
     if win == "almost-sure":
         if a.mdp.n < 2:
@@ -331,9 +341,7 @@ def _sync_count_cap(win, ctx):
         if cert is None or cert.value is None:
             return "skip", {"reason": "no exact bound"}
         eps = cert.value
-    cap = 2 ** a.mdp.n
     depth, enumerated = ctx.enumerated
-    traces, masses = ctx.count_traces
     synced = _synced(masses, eps)
     for trace in traces:
         count = sum(id(nums) in synced for nums in trace.nums)

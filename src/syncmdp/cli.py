@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import shlex
 import sys
 
@@ -21,7 +22,7 @@ from .model import (GuardExceeded, Limits, ModelFormatError, SYNC_MODES,
                     WIN_MODES, load_model)
 from .regions import (almost_sure_reach_region, mec_decomposition, pre_lasso,
                       reach_layers, sure_safety_region)
-from .report import build_report, render_text, to_json
+from .report import build_report, render_text
 
 REGION_KINDS = ("pre-lasso", "mec", "safety", "reach", "almost-sure")
 
@@ -99,8 +100,8 @@ def _named_set(pm, name):
 
 
 def _emit(args, obj, text=None):
-    """Write obj as JSON to the --json path, if given, and print text (default: that JSON)."""
-    data = to_json(obj) if args.json or text is None else None
+    """Write json.dumps(obj) to the --json path, if given, and print text (default: that JSON)."""
+    data = json.dumps(obj) if args.json or text is None else None
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(data + "\n")

@@ -90,13 +90,6 @@ def _iter_bits(bits):
         bits ^= low
 
 
-def format_rational(value):
-    value = value if isinstance(value, Fraction) else Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 # Reports write a rational's digits only while its numerator and denominator
 # each have at most 4,300 digits (CPython's default int-to-str limit).
 DIGIT_CEILING = 10 ** 4300
@@ -111,7 +104,7 @@ def log10_of(value):
 def rational_obj(value):
     """A rational as reports write it: "p/q", or past the digit limit null plus log10."""
     if abs(value.numerator) < DIGIT_CEILING and value.denominator < DIGIT_CEILING:
-        return format_rational(value)
+        return str(value)
     return {"exact": None, "log10": log10_of(value)}
 
 
@@ -214,7 +207,7 @@ class Dist:
         return SupportSet.of(self.width, self.mass)
 
     def __repr__(self):
-        inner = ", ".join(f"{q}: {format_rational(p)}" for q, p in self.mass.items())
+        inner = ", ".join(f"{q}: {p}" for q, p in self.mass.items())
         return f"Dist({{{inner}}}, width={self.width})"
 
 
@@ -499,12 +492,12 @@ def model_to_obj(pm):
         for a in range(m.action_count):
             for q2, p in sorted(m.delta[q][a].mass.items()):
                 transitions.append({"from": m.states[q], "action": m.actions[a],
-                                    "to": m.states[q2], "prob": format_rational(p)})
+                                    "to": m.states[q2], "prob": str(p)})
     return {
         "states": list(m.states),
         "actions": list(m.actions),
         "transitions": transitions,
-        "initial": {m.states[q]: format_rational(p) for q, p in pm.initial.mass.items()},
+        "initial": {m.states[q]: str(p) for q, p in pm.initial.mass.items()},
         "targets": {name: list(s.names(m.states)) for name, s in pm.targets.items()},
     }
 

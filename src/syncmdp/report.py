@@ -1,48 +1,17 @@
-"""Report assembly: JSON schema (versioned) and its writer, and human-readable
-rendering for one analyzed model, with optional oracle-check results. Each fact
-is written once: each distinct bound certificate in one table that the cells
-index into. Sets are written by state name, except the long ones as lowercase hex
-strings: a lasso support as a state mask (bit q is state q), and a set over the
-counter product M x [r] as one counter mask per state (bit i is counter i).
-The writer takes what the CLI writes: str keys and leaves of exact builtin types.
+"""Report assembly: JSON schema (versioned) and human-readable rendering for
+one analyzed model, with optional oracle-check results. Each fact is written
+once: each distinct bound certificate in one table that the cells index into.
+Sets are written by state name, except the long ones as lowercase hex strings: a
+lasso support as a state mask (bit q is state q), and a set over the counter
+product M x [r] as one counter mask per state (bit i is counter i). A report
+holds only str keys and leaves of the exact types str, int, float, bool and None.
 """
 
 from __future__ import annotations
 
-import math
-from json.encoder import encode_basestring_ascii as _quote
-
-from .model import SYNC_MODES, WIN_MODES, SupportSet, format_rational
+from .model import SYNC_MODES, WIN_MODES, SupportSet
 
 REPORT_VERSION = 3
-
-# Writers of the leaves, by exact type.
-_LEAVES = {str: _quote, int: int.__repr__, type(None): {None: "null"}.__getitem__,
-           bool: {True: "true", False: "false"}.__getitem__,
-           float: lambda x: ("NaN" if x != x else "Infinity" if x == math.inf
-                             else "-Infinity" if x == -math.inf else float.__repr__(x))}
-
-
-def to_json(obj):
-    """`json.dumps(obj, indent=2)`, byte for byte, of str keys and leaves of the exact
-    types str, int, float, bool and None (any other raises `TypeError`): the one writer
-    of report JSON, one string join per container."""
-    return _encode(obj, "\n")
-
-
-def _encode(obj, pad):
-    inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
-        items = [w(v) if (w := _LEAVES.get(type(v))) else _encode(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
-    if isinstance(obj, dict):
-        items = [_quote(k) + ": "   # a non-str key raises TypeError in _quote
-                 + (w(v) if (w := _LEAVES.get(type(v))) else _encode(v, inner))
-                 for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
-    if (w := _LEAVES.get(type(obj))) is None:
-        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-    return w(obj)
 
 
 def _strategy_obj(strategy, m):
@@ -57,7 +26,7 @@ def _strategy_obj(strategy, m):
         "label": strategy.label,
         "memory_size": len(strategy.memory),
         "initial_memory": repr(strategy.memory[0]),
-        "choice": {key + name: {m.actions[a]: format_rational(p)
+        "choice": {key + name: {m.actions[a]: str(p)
                                 for a, p in forced.get(q, strategy.default).items()}
                    for key, forced, _ in cells for q, name in enumerate(m.states)},
         "update": {key + name: nxt for key, _, nxt in cells for name in m.states},
@@ -115,9 +84,9 @@ def build_report(analysis, target_name, oracle_results=None, model_path=None,
             "actions": list(m.actions),
             "n": m.n,
             "action-count": m.action_count,
-            "alpha": format_rational(analysis.alpha),
-            "alpha0": format_rational(analysis.alpha0),
-            "initial": {m.states[q]: format_rational(p)
+            "alpha": str(analysis.alpha),
+            "alpha0": str(analysis.alpha0),
+            "initial": {m.states[q]: str(p)
                         for q, p in analysis.initial.mass.items()},
             "target": {"name": target_name, "states": list(analysis.target.names(m.states))},
             "end-components": [list(c.names(m.states)) for c in analysis.mec.components],

@@ -9,7 +9,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from syncmdp import (SYNC_MODES, WIN_MODES, Dist, SupportSet, Verdict, analyze,
                      attach_bounds, compute_bound, decide_bounded, decide_limit_sure,
-                     decide_sure, format_rational, min_initial_probability,
+                     decide_sure, min_initial_probability,
                      min_positive_probability)
 from syncmdp.bounds import KINDS
 
@@ -192,7 +192,7 @@ def test_digit_limit_boundary():
     assert over.to_obj()["exact"] is None
     assert over.value == tenth ** 4300  # still exact for the checks
     with pytest.raises(ValueError):
-        format_rational(over.value)
+        str(over.value)
     assert over.to_obj()["log10"] == pytest.approx(-4300)
 
 
@@ -223,8 +223,8 @@ def _old_cert(kind, n, a_count, alpha, alpha0, support=None):
     def log10(x):
         return math.log10(x.numerator) - math.log10(x.denominator)
 
-    inputs = {"n": n, "a_count": a_count, "alpha": format_rational(alpha),
-              "alpha0": format_rational(alpha0)}
+    inputs = {"n": n, "a_count": a_count, "alpha": str(alpha),
+              "alpha0": str(alpha0)}
     if support is not None:
         inputs["alpha0_support"] = list(support)
     counts = {"N_weakly": 2 ** n, "N_adversarial": n + n * n, "gap_strongly": (n, n)}
@@ -252,7 +252,7 @@ def _old_cert(kind, n, a_count, alpha, alpha0, support=None):
         if denom_pow:
             value /= Fraction(n) ** denom_pow
         if value.numerator < 10 ** 4300 and value.denominator < 10 ** 4300:
-            exact = format_rational(value)
+            exact = str(value)
     return value, lg, formula_only, {"kind": kind, "exact": exact, "log10": lg,
                                      "inputs": inputs}
 

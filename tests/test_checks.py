@@ -251,9 +251,10 @@ def test_play_key_reads_rows_by_value_without_zeros():
 
 def ref_sync_count_cap(ctx, threshold, strict):
     """Reference: the first trace over the 2^n cap by a `Fraction` count of each
-    trace (the simulated ones cut to the horizon), as the cap reports it."""
+    trace (the simulated ones cut to the horizon or to step n, the later), as the
+    cap reports it."""
     a = ctx.analysis
-    within = [t.cut(ctx.horizon) for t in ctx.traces.values()]
+    within = [t.cut(max(ctx.horizon, a.mdp.n)) for t in ctx.traces.values()]
     for trace in [*within, *ctx.enumerated[1]]:
         count = len(synchronized_positions(trace, a.target, threshold, strict=strict))
         if count > 2 ** a.mdp.n:
@@ -282,15 +283,41 @@ def test_sync_count_caps_count_like_the_oracle(sample_analyses, monkeypatch, hor
             for name, threshold, strict in (("full-sync-count-cap", 1, False),
                                             ("near-sync-count-cap", Fraction(1, 2), True)):
                 status, info = ALL_CHECKS[name](ctx)
-                if status == "skip":
-                    assert name == "near-sync-count-cap" and an.mdp.n < 2
-                    continue
                 ref = ref_sync_count_cap(ctx, threshold, strict)
+                if status == "skip":
+                    # eps_weakly is undefined for n = 1; no trace past 2^n steps can fail
+                    short = all(len(t.nums) <= 2 ** an.mdp.n for t in ctx.count_traces[0])
+                    assert (name == "near-sync-count-cap" and an.mdp.n < 2
+                            or short and "2^n" in info["reason"])
+                    continue
                 assert status == ("pass" if ref is None else "fail")
                 if ref is not None:
                     assert info == ref
                     failed += 1
     assert failed
+
+
+# q0 -> q1 -> ... -> q5 -> q5, target {q0}: weakly fails, and at the default
+# horizon 50 no trace has more than 2^6 = 64 steps
+CHAIN6 = {
+    "states": [f"q{i}" for i in range(6)], "actions": ["a"],
+    "transitions": [{"from": f"q{i}", "action": "a", "to": f"q{min(i + 1, 5)}", "prob": "1"}
+                    for i in range(6)],
+    "initial": {"q0": "1"},
+    "targets": {"target": ["q0"]},
+}
+
+
+@pytest.mark.parametrize("horizon, status", [(None, "skip"), (64, "pass")])
+def test_sync_count_caps_skip_when_no_trace_is_past_2_to_the_n(horizon, status):
+    pm = build(CHAIN6)
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    results = run_named(an, names={"full-sync-count-cap", "near-sync-count-cap"},
+                        horizon=horizon)
+    assert [r.status for r in results] == [status, status]
+    if status == "skip":
+        assert {r.info["reason"] for r in results} == {
+            "no trace has more than 2^n = 64 steps at horizon 50"}
 
 
 class _Planted:
@@ -411,7 +438,18 @@ def test_eventually_isolation_passes_a_mass_of_exactly_its_cap(monkeypatch, eps,
     (result,) = run_named(an, names={"eventually-isolation"})
     assert (result.status, result.info) == (status, {
         "pass": {"eps_log10": None, "observed_gap": "1/2"},
-        "fail": {"eps": str(eps)}}[status])
+        "fail": {"step": 1, "value": "1/2", "eps": str(eps)}}[status])
+
+
+@pytest.mark.parametrize("name", ["always-prefix-dip", "strongly-prefix-dip"])
+def test_prefix_dips_read_n_plus_one_steps_at_any_horizon(monkeypatch, name):
+    # drain (n = 2) holds 2^-i in its target at step i: a planted eps = 1 puts
+    # every step above 1 - eps, so each dip fails on steps 0..n even at horizon 0
+    pm = example_model("drain")
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    monkeypatch.setattr(checks, "_bound", lambda analysis, cell, kind: _Planted(1))
+    (result,) = run_named(an, names={name}, horizon=0, enum_depth=0)
+    assert (result.status, result.info["prefix"]) == ("fail", ["1", "1/2", "1/4"])
 
 
 @pytest.mark.parametrize("cap, status", [(Fraction(1, 2), "pass"),

@@ -619,7 +619,7 @@ def test_verify_bound_beyond_digit_limit(capsys, tmp_path):
     assert statuses["near-sync-count-cap"] == "pass"
 
 
-def test_query_json_file_is_the_cell_as_indent_2_json(capsys, tmp_path):
+def test_query_json_file_is_the_cell_as_one_line_json(capsys, tmp_path):
     out_path = tmp_path / "cell.json"
     code, out, _ = run(capsys, "analyze", "--model", example_path("funnel"), "--target",
                        "target", "--query", "always:limit-sure", "--json", str(out_path))
@@ -631,7 +631,7 @@ def test_query_json_file_is_the_cell_as_indent_2_json(capsys, tmp_path):
     # self-contained: the certificates themselves, not indices into the report's table
     bounds = [report["bounds"][i] for i in cell["bounds"]]
     assert all(b["kind"] == "eps_always" for b in bounds)
-    assert out_path.read_text() == json.dumps({**cell, "bounds": bounds}, indent=2) + "\n"
+    assert out_path.read_text() == json.dumps({**cell, "bounds": bounds}) + "\n"
 
 
 @pytest.mark.parametrize("which", ["pre-lasso", "mec", "almost-sure"])
@@ -640,7 +640,7 @@ def test_regions_json_file_matches_stdout(capsys, tmp_path, which):
     code, out, _ = run(capsys, "regions", "--model", example_path("twophase"), "--set",
                        "target", "--which", which, "--json", str(out_path))
     assert code == 0
-    assert out_path.read_text() == out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert out_path.read_text() == out == json.dumps(json.loads(out)) + "\n"
 
 
 # the step profile's totals grow as 4^i: past step ~7,100 the least slack of

@@ -1,7 +1,7 @@
-"""Byte-for-byte snapshots of the JSON reports of every bundled model and of
-the pinned models in tests/golden: the `analyze --strategies` report (verdicts,
-certificates, witness tables, bounds and lassos) and the `verify` report (the
-same verdicts plus the oracle block).
+"""Byte-for-byte snapshots, indented, of the JSON reports of every bundled model
+and of the pinned models in tests/golden: the `analyze --strategies` report
+(verdicts, certificates, witness tables, bounds and lassos) and the `verify`
+report (the same verdicts plus the oracle block).
 
 The pinned `prime-cycles` model is three disjoint deterministic cycles of
 lengths 2, 3 and 5 (period 30), started uniformly on their first states, which
@@ -33,15 +33,18 @@ def snapshot_path(name, command):
 
 
 def report_text(name, command, out_path):
-    """The CLI's JSON report for one model, with `model.path` set to null."""
+    """The CLI's JSON report for one model, indented by `json.dumps(obj, indent=2)`, with
+    `model.path` set to null. The CLI writes it on one line: `json.dumps(obj) + "\n"`."""
     path = MODEL_PATHS[name]
     code = main([command, "--model", path, "--target", "target", *COMMANDS[command],
                  "--json", str(out_path)])
     assert code == 0
     text = Path(out_path).read_text(encoding="utf-8")
-    field = f'"path": {json.dumps(path)},'
-    assert text.count(field) == 1
-    return text.replace(field, '"path": null,')
+    obj = json.loads(text)
+    assert text == json.dumps(obj) + "\n"
+    assert obj["model"]["path"] == path
+    obj["model"]["path"] = None
+    return json.dumps(obj, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("name, command", [

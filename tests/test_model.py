@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from syncmdp import (Dist, Mdp, ModelFormatError, StrategySpec, SupportSet, format_rational,
+from syncmdp import (Dist, Mdp, ModelFormatError, StrategySpec, SupportSet,
                      min_initial_probability, min_positive_probability, model_to_obj,
                      parse_model, parse_rational, serialize_model, simulate,
                      uniform_strategy)
@@ -28,7 +28,7 @@ def test_parse_rational():
 
 def test_format_rational_roundtrip():
     for text in ("0", "1", "1/2", "355/113"):
-        assert format_rational(parse_rational(text)) == text
+        assert str(parse_rational(text)) == text
 
 
 def test_parse_funnel(funnel):

@@ -10,7 +10,6 @@ from hypothesis import event, given, settings, strategies as st
 from syncmdp import (Dist, Lasso, Mdp, ModelFormatError, ParsedModel, PreMap, StrategySpec,
                      SupportSet, almost_sure_reach_region, analyze, decide_almost_sure,
                      decide_bounded, decide_limit_sure, decide_positive, decide_sure,
-                     format_rational,
                      iterate_lasso, mec_decomposition,
                      model_to_obj, parse_model, pre, pre_lasso, serialize_model, simulate,
                      support_lasso, sure_safety_region, uniform_strategy)
@@ -509,14 +508,14 @@ def reference_dist_mass(width, mass):
         if p > 0:
             clean[q] = p
             total += p
-    return clean if total == 1 else f"distribution sums to {format_rational(total)}"
+    return clean if total == 1 else f"distribution sums to {total}"
 
 
 def reference_row_error(row):
     """StrategySpec's row check by a `Fraction` sum: the message, or None."""
     total = sum(row.values(), Fraction(0))
     if total != 1 or any(p < 0 for p in row.values()):
-        return f"action row {row} is not a distribution (sums to {format_rational(total)})"
+        return f"action row {row} is not a distribution (sums to {total})"
     return None
 
 

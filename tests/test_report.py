@@ -132,19 +132,34 @@ def test_report_round_trips_examples():
         assert render_text(report)
 
 
+def assert_plain_json(obj):
+    """Assert obj is dicts with str keys, lists and exact builtin leaves: what json.dumps writes back unchanged."""
+    if type(obj) is dict:
+        assert all(type(k) is str for k in obj)
+        for v in obj.values():
+            assert_plain_json(v)
+    elif type(obj) is list:
+        for v in obj:
+            assert_plain_json(v)
+    else:
+        assert type(obj) in (str, int, float, bool, type(None)), type(obj)
+
+
+@pytest.mark.parametrize("value", [{1: "int key"}, {"k": {(1, 2): "tuple key"}}],
+                         ids=["int-key", "tuple-key"])
+def test_writer_rejects_a_key_that_is_not_a_str(value):
+    # the writer is json.dumps: it coerces an int key to a string and fails on a tuple key,
+    # so the report check must refuse both before anything is written
+    try:
+        assert json.loads(json.dumps(value)) != value
+    except TypeError:
+        pass
+    with pytest.raises(AssertionError):
+        assert_plain_json(value)
+
+
 def test_reports_hold_only_str_keys_and_exact_builtin_leaves():
     # json.dumps would coerce an int key to a string, and write a tuple as a list
-    def walk(obj):
-        if type(obj) is dict:
-            assert all(type(k) is str for k in obj)
-            for v in obj.values():
-                walk(v)
-        elif type(obj) is list:
-            for v in obj:
-                walk(v)
-        else:
-            assert type(obj) in (str, int, float, bool, type(None)), type(obj)
-
     reports = []
     for name in EXAMPLE_MODELS:
         pm = example_model(name)
@@ -154,7 +169,7 @@ def test_reports_hold_only_str_keys_and_exact_builtin_leaves():
     for inst in corpus(20260810, 50):
         reports.append(build_report(analyze(inst.mdp, inst.initial, inst.target), "target"))
     for report in reports:
-        walk(report)
+        assert_plain_json(report)
         assert json.loads(json.dumps(report)) == report
 
 

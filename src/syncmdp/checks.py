@@ -13,9 +13,12 @@ weakly verdict it proves in turn.
 The checks read trace and profile steps as target numerators over totals and
 supports as bit masks; only a value a check reports is a `Fraction` (`rational_obj`).
 Each artifact is computed once per analysis in its `CheckContext`: the traces
-(one simulation per distinct play, cut per strategy), the enumeration (at a
-depth read off the history tree's node counts), the step profile and the
-Pre^i chains `lasso-integrity` and the certificates read; no check needs another.
+(one simulation per distinct play, cut per strategy), the enumeration depth
+(read off the history tree's node counts), the step profile and the Pre^i
+chains `lasso-integrity` and the certificates read; no check needs another.
+The prefix dips search the pure strategies to depth n only, pruning at the
+first step that dips; the full enumeration is built only for the sync caps,
+and only at a depth whose traces can break their 2^n cap.
 
 A check returns `(status, info)`; `run_checks` names its `CheckResult` by the
 check's `ALL_CHECKS` key.
@@ -26,13 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from operator import and_, or_
+from operator import or_
 
 from .adversarial import _freezing, _uniform
 from .bounds import compute_bound
 from .classic import decide_limit_sure
 from .model import BudgetExceeded, ONE, SupportSet, _iter_bits, rational_obj
-from .oracle import (_clears, _numerator_in, enumerate_pure_strategies, enumeration_depth,
+from .oracle import (_clears, _numerator_in, admitted_tree_sizes, enumerate_pure_strategies,
                      max_mass_at_step, simulate)
 from .regions import almost_sure_reach_region
 
@@ -132,16 +135,11 @@ class CheckContext:
     @cached_property
     def count_traces(self):
         """(traces, masses) for the prefix dips and sync-count caps: the simulated
-        traces cut to the horizon or to step n, the later, then the enumerated
-        ones; masses[id(step)] is (target numerator, total) of each distinct step
-        dict (a play several labels share, or a prefix the enumerated strategies
-        share, is one), summed once."""
+        traces cut to the horizon or to step n, the later, and `_step_masses` of
+        them (a play several labels share is one)."""
         cut = max(self.horizon, self.analysis.mdp.n)
-        traces = [t.cut(cut) for t in self.traces.values()] + self.enumerated[1]
-        steps = {id(nums): (nums, total)
-                 for trace in traces for nums, total in zip(trace.nums, trace.totals)}
-        return traces, {key: (_numerator_in(self.analysis.target, nums), total)
-                        for key, (nums, total) in steps.items()}
+        traces = [t.cut(cut) for t in self.traces.values()]
+        return traces, _step_masses(self.analysis.target, traces)
 
     @cached_property
     def reach_region(self):
@@ -149,15 +147,39 @@ class CheckContext:
         return almost_sure_reach_region(self.analysis.mdp, self.analysis.target)
 
     @cached_property
-    def enumerated(self):
-        """Pure-strategy traces at the deepest horizon the budget admits (n <= 4)."""
+    def tree_sizes(self):
+        """The history tree's decision-node count at each horizon up to the
+        enumeration depth (`oracle.admitted_tree_sizes`; empty for n > 4)."""
         a = self.analysis
-        depth = (enumeration_depth(a.mdp, a.initial, self.enum_depth, self.budget)
-                 if a.mdp.n <= 4 else None)
+        return (admitted_tree_sizes(a.mdp, a.initial, self.enum_depth, self.budget)
+                if a.mdp.n <= 4 else [])
+
+    @property
+    def enumeration_depth(self):
+        """The deepest horizon up to `enum_depth` that the budget admits for the
+        pure-strategy enumeration (n <= 4), or None; read off the node counts,
+        without enumerating."""
+        return len(self.tree_sizes) - 1 if self.tree_sizes else None
+
+    @cached_property
+    def enumerated(self):
+        """(depth, traces): the enumeration depth and the trace of every pure
+        strategy at it, built on first read; only the sync caps read it, and
+        only at a depth past 2^n."""
+        depth = self.enumeration_depth
         if depth is None:
             return None, []
+        a = self.analysis
         return depth, list(enumerate_pure_strategies(a.mdp, a.initial, depth,
                                                      budget=self.budget))
+
+
+def _step_masses(t, traces):
+    """{id(step): (target numerator, total)} of each distinct step dict of the
+    traces (a prefix several traces share is one), summed once."""
+    steps = {id(nums): (nums, total)
+             for trace in traces for nums, total in zip(trace.nums, trace.totals)}
+    return {key: (_numerator_in(t, nums), total) for key, (nums, total) in steps.items()}
 
 
 def _play_key(strategy):
@@ -280,24 +302,37 @@ def check_reach_value_cap(ctx):
 
 def _prefix_dip(mode, win, kind, ctx):
     """Not `win` `mode`: every strategy has a step i <= n with target mass at
-    most 1 - eps, tested on each trace of `count_traces` that has n + 1 steps
-    (the per-step optimum need not dip: strategies may dip at different steps).
-    Every simulated trace has them, whatever the horizon."""
+    most 1 - eps (the per-step optimum need not dip: strategies may dip at
+    different steps). Tested on each simulated trace, whatever the horizon
+    (each has n + 1 steps), then, when the enumeration depth is at least n, on
+    every pure strategy, by a search to depth n pruned at each step that dips.
+    Steps 0..n read only the picks at the nodes of depth < n, which come first,
+    so the first strategy found is named as the full enumeration would name
+    it: its picks, then 0 at each node of depth n .. depth - 1."""
     a = ctx.analysis
     if a.answer(mode, win):
         return "skip", {"reason": f"{win} {mode} holds"}
     cert = _bound(a, (mode, win), kind)
     if cert is None or cert.value is None:
         return "skip", {"reason": "no exact bound"}
-    n = a.mdp.n
+    n, t = a.mdp.n, a.target
     threshold = 1 - cert.value
     traces, masses = ctx.count_traces
-    for trace in traces:
-        prefix = [masses[id(nums)] for nums in trace.nums[:n + 1]]
-        if len(prefix) > n and all(_clears(v, total, threshold) for v, total in prefix):
-            return "fail", {"eps": rational_obj(cert.value), "strategy": trace.strategy_label,
-                            "prefix": [rational_obj(Fraction(v, total)) for v, total in prefix]}
-    return "pass", {"eps": rational_obj(cert.value)}
+    found = next((trace for trace in traces if all(
+        _clears(*masses[id(nums)], threshold) for nums in trace.nums[:n + 1])), None)
+    depth = ctx.enumeration_depth
+    if found is None and depth is not None and depth >= n:
+        found = next(enumerate_pure_strategies(
+            a.mdp, a.initial, n, ctx.budget,
+            keep=lambda nums, total: _clears(_numerator_in(t, nums), total, threshold)), None)
+        if found is not None:
+            pad = ",0" * (ctx.tree_sizes[depth] - ctx.tree_sizes[n])
+            found = replace(found, strategy_label=found.strategy_label[:-1] + pad + "]")
+    if found is None:
+        return "pass", {"eps": rational_obj(cert.value)}
+    return "fail", {"eps": rational_obj(cert.value), "strategy": found.strategy_label,
+                    "prefix": [rational_obj(Fraction(_numerator_in(t, nums), total))
+                               for nums, total in zip(found.nums[:n + 1], found.totals)]}
 
 
 def _synced(masses, eps=None):
@@ -322,15 +357,18 @@ def _sync_count_cap(win, ctx):
     """Not `win` weakly: at most 2^n synchronized positions along any strategy.
 
     Sure: positions with all mass in the target. Almost-sure: positions with
-    mass strictly above 1 - eps_weakly. Skipped when no trace has more than 2^n
-    steps, as none can then exceed the cap.
+    mass strictly above 1 - eps_weakly. Counted on the simulated traces, and on
+    the enumerated ones when their depth + 1 steps exceed 2^n. Skipped when no
+    trace has more than 2^n steps, as none can then exceed the cap.
     """
     a = ctx.analysis
     if a.answer("weakly", win):
         return "skip", {"reason": f"{win} weakly holds"}
     cap = 2 ** a.mdp.n
     traces, masses = ctx.count_traces
-    if all(len(trace.nums) <= cap for trace in traces):
+    depth = ctx.enumeration_depth
+    deep = depth is not None and depth + 1 > cap
+    if not deep and all(len(trace.nums) <= cap for trace in traces):
         return "skip", {"reason": f"no trace has more than 2^n = {cap} steps "
                                   f"at horizon {ctx.horizon}"}
     eps = None
@@ -341,7 +379,10 @@ def _sync_count_cap(win, ctx):
         if cert is None or cert.value is None:
             return "skip", {"reason": "no exact bound"}
         eps = cert.value
-    depth, enumerated = ctx.enumerated
+    if deep:
+        enumerated = ctx.enumerated[1]
+        traces = traces + enumerated
+        masses = {**masses, **_step_masses(a.target, enumerated)}
     synced = _synced(masses, eps)
     for trace in traces:
         count = sum(id(nums) in synced for nums in trace.nums)
@@ -349,7 +390,7 @@ def _sync_count_cap(win, ctx):
             return "fail", {"strategy": trace.strategy_label, "count": count}
     info = {"cap": cap, "enumeration_depth": depth}
     if eps is not None:
-        info["enumerated"] = len(enumerated)
+        info["enumerated"] = 0 if depth is None else a.mdp.action_count ** ctx.tree_sizes[depth]
     return "pass", info
 
 
@@ -424,14 +465,27 @@ def _safe_reach(m, t, y, r=1):
     tb, yb = ([bits >> q * r & (1 << r) - 1 for q in range(m.n)] for bits in (t, y))
     into_y = rot(yb)
     # per state, each action kept at some counter of y - t: (those counters, its successors)
-    kept = [[(k, d.mass) for d in row
-             if (k := yq & ~tq & reduce(and_, (into_y[p] for p in d.mass)))]
-            for row, tq, yq in zip(m.delta, tb, yb)]
+    kept = []
+    for row, tq, yq in zip(m.delta, tb, yb):
+        acts = []
+        for d in row:
+            k = yq & ~tq
+            for p in d.mass:
+                k &= into_y[p]
+            if k:
+                acts.append((k, d.mass))
+        kept.append(acts)
     reached, grown = None, tb
     while grown != reached:
         reached, into = grown, rot(grown)
-        grown = [b | reduce(or_, (k & reduce(or_, (into[p] for p in succs))
-                                  for k, succs in acts), 0) for b, acts in zip(reached, kept)]
+        grown = []
+        for b, acts in zip(reached, kept):
+            for k, succs in acts:
+                hit = 0
+                for p in succs:
+                    hit |= into[p]
+                b |= k & hit
+            grown.append(b)
     return sum(b << q * r for q, b in enumerate(reached))
 
 
@@ -478,7 +532,13 @@ def check_witness_soundness(ctx):
 
 def _pre(m, y):
     """Mask Pre: the states with an action keeping all its successors in the mask y."""
-    return sum(1 << q for q, row in enumerate(m.succ) if any(s & ~y == 0 for s in row))
+    out, pre = ~y, 0
+    for q, row in enumerate(m.succ):
+        for s in row:
+            if not s & out:
+                pre |= 1 << q
+                break
+    return pre
 
 
 def _pre_power(m, y, k, chains):

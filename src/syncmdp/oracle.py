@@ -173,19 +173,22 @@ def _budget_error(count, a_count, budget):
     return None
 
 
-def enumeration_depth(m, d0, max_depth, budget):
-    """The deepest horizon h <= max_depth that `enumerate_pure_strategies` admits
-    under the budget, or None. The tree and the strategy count only grow with h,
-    so the node counts are walked upward to the first horizon over the budget."""
-    depth = None
-    for h, count in zip(range(max_depth + 1), _tree_sizes(m, d0, budget)):
+def admitted_tree_sizes(m, d0, max_depth, budget):
+    """The history tree's decision-node count at each horizon h = 0, 1, ..., d,
+    d the deepest horizon <= max_depth that `enumerate_pure_strategies` admits
+    under the budget (empty if it admits none), so d + 1 is the length and
+    |A|^count the strategy count at each h. The tree and the strategy count
+    only grow with h, so the node counts are walked upward to the first
+    horizon over the budget."""
+    sizes = []
+    for count in islice(_tree_sizes(m, d0, budget), max_depth + 1):
         if _budget_error(count, m.action_count, budget):
             break
-        depth = h
-    return depth
+        sizes.append(count)
+    return sizes
 
 
-def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
+def enumerate_pure_strategies(m, d0, h, budget=10 ** 6, keep=None):
     """Stream the trace of every history-dependent pure strategy up to horizon h.
 
     A decision node is a positive-probability history q_0 a_0 q_1 ... q_i with
@@ -199,9 +202,14 @@ def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
     The budget caps the history-tree size and the total enumeration work
     (#strategies = |A|^nodes, times the tree size); exceeding it raises
     BudgetExceeded before any output so the caller can shrink the instance
-    (`enumeration_depth` applies the same rule). One walk over the history
+    (`admitted_tree_sizes` applies the same rule). One walk over the history
     tree shares each prefix's step dicts among the strategies agreeing on it,
     and all traces share one `totals` tuple.
+
+    With a predicate `keep(nums, total)`, a node whose step fails it, the root
+    (step 0) included, is not expanded: exactly the traces whose every step
+    passes come out, in the same order, and a search for the first of them
+    prunes every strategy sharing a failing prefix.
     """
     if h < 0:
         raise ValueError("horizon must be nonnegative")
@@ -240,10 +248,14 @@ def enumerate_pure_strategies(m, d0, h, budget=10 ** 6):
                     if deeper:
                         nxt[c] = v
                     marginal[q2] = marginal.get(q2, 0) + v
-            yield nxt, picks + level_picks, steps + (_checked(marginal, total),)
+            step = _checked(marginal, total)
+            if keep is None or keep(step, total):
+                yield nxt, picks + level_picks, steps + (step,)
 
     total, (init,) = _numerators([d0.mass])
     totals = tuple(accumulate(repeat(den, h), mul, initial=total))
+    if keep is not None and not keep(init, total):
+        return
     root = {j: init[q] for j, q in enumerate(states[0])} if h else {}
     # depth first without recursion: stack[i] yields the nodes of depth i
     stack = [iter([(root, (), (init,))])]

@@ -19,11 +19,12 @@ from syncmdp import (BudgetExceeded, ConsistencyError, GuardExceeded, Lasso, Sup
                      enumerate_pure_strategies, example_model, regions, uniform_strategy)
 from syncmdp.checks import (ALL_CHECKS, CheckContext, _certified, _synced,
                             check_reach_value_cap, check_region_dp, run_checks)
+from syncmdp.model import rational_obj
 from syncmdp.oracle import _clears
 from syncmdp.randgen import corpus
 
 from conftest import (ABSORBING, build, prime_cycles, run_named, synchronized_positions,
-                      wide_instances)
+                      target_masses, wide_instances)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -286,7 +287,8 @@ def test_sync_count_caps_count_like_the_oracle(sample_analyses, monkeypatch, hor
                 ref = ref_sync_count_cap(ctx, threshold, strict)
                 if status == "skip":
                     # eps_weakly is undefined for n = 1; no trace past 2^n steps can fail
-                    short = all(len(t.nums) <= 2 ** an.mdp.n for t in ctx.count_traces[0])
+                    short = all(len(t.nums) <= 2 ** an.mdp.n
+                                for t in [*ctx.count_traces[0], *ctx.enumerated[1]])
                     assert (name == "near-sync-count-cap" and an.mdp.n < 2
                             or short and "2^n" in info["reason"])
                     continue
@@ -583,6 +585,129 @@ def test_always_prefix_dip_catches_a_wrong_no():
     (result,) = run_named(planted, names={"always-prefix-dip"})
     assert (result.status, result.info) == ("fail", {
         "eps": "1/3", "strategy": "pure[0,0,0,0,0,0,0]", "prefix": ["1", "1", "1", "1"]})
+
+
+DIPS = {"always-prefix-dip": ("always", "sure", "eps_always"),
+        "strongly-prefix-dip": ("strongly", "almost-sure", "eps_strongly")}
+
+
+def ref_prefix_dip(mode, win, kind, ctx):
+    """Reference: the full scan of a prefix dip, each simulated trace (cut to the
+    horizon or to step n, the later) and then every pure strategy enumerated to
+    the full depth, the first whose `Fraction` masses at steps 0..n all exceed
+    1 - eps."""
+    a = ctx.analysis
+    if a.answer(mode, win):
+        return "skip", {"reason": f"{win} {mode} holds"}
+    cert = checks._bound(a, (mode, win), kind)
+    if cert is None or cert.value is None:
+        return "skip", {"reason": "no exact bound"}
+    n = a.mdp.n
+    within = [t.cut(max(ctx.horizon, n)) for t in ctx.traces.values()]
+    for trace in [*within, *ctx.enumerated[1]]:
+        prefix = target_masses(trace, a.target)[:n + 1]
+        if len(prefix) > n and all(mass > 1 - cert.value for mass in prefix):
+            return "fail", {"eps": rational_obj(cert.value), "strategy": trace.strategy_label,
+                            "prefix": [rational_obj(mass) for mass in prefix]}
+    return "pass", {"eps": rational_obj(cert.value)}
+
+
+def _dips_and_the_full_scan(an, eps, **context):
+    """(result, reference, context) of each prefix dip with planted "no" answers,
+    eps planted as both dips' bound and no witness, so that only uniform and
+    freezing play are simulated and a strategy that does not dip is left to the
+    pure-strategy search."""
+    verdicts = {cell: replace(v, witness=None) for cell, v in an.verdicts.items()}
+    for mode, win, _ in DIPS.values():
+        verdicts[(mode, win)] = replace(verdicts[(mode, win)], answer=False)
+    planted = replace(an, verdicts=verdicts)
+
+    def bound(analysis, cell, kind):
+        return _Planted(eps) if kind in ("eps_always", "eps_strongly") else real(analysis,
+                                                                                 cell, kind)
+    real = checks._bound
+    out = []
+    with mock.patch.object(checks, "_bound", bound):
+        for name, args in DIPS.items():
+            ctx = CheckContext(planted, **context)
+            out.append((ALL_CHECKS[name](ctx), ref_prefix_dip(*args, ctx), ctx))
+    return out
+
+
+EPS = [Fraction(1), Fraction(1, 2), Fraction(1, 5), Fraction(1, 1000)]
+
+
+@given(wide_instances(max_states=4, max_support=3), st.sampled_from(EPS), st.integers(0, 6),
+       st.sampled_from([None, 0, 2]))
+@settings(max_examples=60, deadline=None)
+def test_prefix_dips_search_like_the_full_scan(inst, eps, enum_depth, horizon):
+    m, d0, t = inst
+    try:
+        an = analyze(m, d0, t)
+    except GuardExceeded:
+        return
+    for found, ref, _ in _dips_and_the_full_scan(an, eps, enum_depth=enum_depth,
+                                                 horizon=horizon):
+        assert found == ref
+
+
+def test_prefix_dips_search_like_the_full_scan_on_the_corpus():
+    # at horizon 0 the simulated traces hold steps 0..n only
+    statuses = set()
+    for inst in corpus(20260810, 150):
+        if inst.mdp.n <= 4:
+            an = analyze(inst.mdp, inst.initial, inst.target)
+            for eps in EPS[:3]:
+                for found, ref, _ in _dips_and_the_full_scan(an, eps, horizon=0):
+                    assert found == ref
+                    statuses.add(found[0])
+    assert statuses == {"pass", "fail"}
+
+
+# q stays in the target under b and leaves for good under a: the strategy
+# that never dips picks b at every node its mass reaches
+KEEP = {
+    "states": ["q", "x"], "actions": ["a", "b"],
+    "transitions": [{"from": "q", "action": "a", "to": "x", "prob": "1"},
+                    {"from": "q", "action": "b", "to": "q", "prob": "1"},
+                    {"from": "x", "action": "a", "to": "x", "prob": "1"},
+                    {"from": "x", "action": "b", "to": "x", "prob": "1"}],
+    "initial": {"q": "1"},
+    "targets": {"target": ["q"]},
+}
+
+
+@pytest.mark.parametrize("horizon", [None, 0])
+def test_prefix_dips_pad_the_strategy_found_at_depth_n(horizon):
+    # n = 2 and the enumeration depth is 3 (nodes 1, 3, 7): the search at depth
+    # 2 finds b, a, b at its 3 nodes, and the 4 nodes of depth 2 read 0
+    pm = build(KEEP)
+    an = analyze(pm.mdp, pm.initial, pm.targets["target"])
+    for found, ref, ctx in _dips_and_the_full_scan(an, Fraction(1, 2), horizon=horizon):
+        assert ctx.tree_sizes == [0, 1, 3, 7]
+        assert found == ref == ("fail", {"eps": "1/2", "strategy": "pure[1,0,1,0,0,0,0]",
+                                         "prefix": ["1", "1", "1"]})
+
+
+def test_battery_enumerates_in_full_only_for_a_cap_past_2_to_the_n():
+    # the dips search to depth n, pruned; the full enumeration runs once, where
+    # its depth + 1 steps pass the 2^n cap and a cap gets past its skips to count
+    full = 0
+    for inst in corpus(20260810, 150):
+        an = analyze(inst.mdp, inst.initial, inst.target)
+        with mock.patch.object(checks, "enumerate_pure_strategies",
+                               wraps=enumerate_pure_strategies) as spy:
+            results = {r.name: r.status for r in run_checks(an)}
+        depth, n = CheckContext(an).enumeration_depth, an.mdp.n
+        counting = {results["full-sync-count-cap"], results["near-sync-count-cap"]} != {"skip"}
+        calls = [c for c in spy.call_args_list if c.kwargs.get("keep") is None]
+        assert len(calls) == (depth is not None and depth + 1 > 2 ** n and counting)
+        assert all(c.args[2] == depth for c in calls)
+        for c in spy.call_args_list:
+            if c.kwargs.get("keep") is not None:
+                assert c.args[2] == n <= depth
+        full += len(calls)
+    assert full == 23
 
 
 # q0 leaves for the absorbing target q1 with probability 1/1000 per step: it

@@ -324,14 +324,23 @@ def test_subset_width_guard_spares_a_target_that_decides_alone(capsys, tmp_path)
 
 
 def test_verify_enumerates_deeper_than_the_recursion_limit(capsys, tmp_path):
-    # sure always fails on the chain, so always-prefix-dip reads the enumeration
+    # weakly fails on the chain (n = 2), and depth + 1 steps pass the cap 2^n,
+    # so both sync caps count along the one pure strategy enumerated to depth
+    # (the prefix dips search only to depth n)
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(CHAIN))
     depth = sys.getrecursionlimit() + 200
     code, out, err = run(capsys, "verify", "--model", str(path), "--target", "target",
-                         "--enum-depth", str(depth))
+                         "--enum-depth", str(depth), "--json", str(tmp_path / "report.json"))
     assert (code, err) == (0, "")
-    assert "always-prefix-dip            pass" in out
+    caps = {item["name"]: item for item in json.loads((tmp_path / "report.json").read_text())[
+        "oracle"] if item["name"].endswith("sync-count-cap")}
+    assert caps == {
+        "full-sync-count-cap": {"name": "full-sync-count-cap", "status": "pass",
+                                "info": {"cap": 4, "enumeration_depth": depth}},
+        "near-sync-count-cap": {"name": "near-sync-count-cap", "status": "pass",
+                                "info": {"cap": 4, "enumeration_depth": depth,
+                                         "enumerated": 1}}}
 
 
 def test_verify_failed_check_exit_code(capsys, tmp_path, monkeypatch):

@@ -352,6 +352,43 @@ def test_enumeration_matches_fraction_loop(inst, h):
         assert trace.horizon == h
 
 
+@given(wide_instances(max_states=3, min_actions=2, max_support=2), st.integers(0, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pruned_enumeration_is_the_full_one_filtered(inst, h, data):
+    # keep is a random threshold on the target numerator over its total, one
+    # of the masses the traces reach or 2, which rejects the root: the pruned
+    # enumeration yields exactly the traces whose every step passes, in order
+    m, d0, t = inst
+    try:
+        expected = list(ref_enumerate_pure_strategies(m, d0, h, budget=5000))
+    except BudgetExceeded:
+        return
+    masses = sorted({mass_in(d, t) for _, dists in expected for d in dists})
+    threshold = data.draw(st.sampled_from([*masses, Fraction(2)]))
+    strict = data.draw(st.booleans())
+
+    def passes(mass):
+        return mass > threshold or not strict and mass == threshold
+
+    def keep(nums, total):
+        return passes(Fraction(_numerator_in(t, nums), total))
+    got = list(enumerate_pure_strategies(m, d0, h, budget=5000, keep=keep))
+    kept = [(s.label, dists) for s, dists in expected
+            if all(passes(mass_in(d, t)) for d in dists)]
+    assert [(trace.strategy_label, as_dists(trace, m.n)) for trace in got] == kept
+    full = list(enumerate_pure_strategies(m, d0, h, budget=5000))
+    assert got == [trace for trace in full
+                   if all(keep(nums, total) for nums, total in zip(trace.nums, trace.totals))]
+    if threshold > 1:
+        assert got == []
+    # a predicate failing only its first call, the root, expands nothing
+    calls = []
+    assert list(enumerate_pure_strategies(m, d0, h, budget=5000,
+                                          keep=lambda nums, total: bool(calls.append(0))
+                                          or len(calls) > 1)) == []
+    assert len(calls) == 1
+
+
 @given(wide_instances(max_states=4), st.integers(0, 5), st.sampled_from([0, 1, 40, 400]))
 @settings(max_examples=40, deadline=None)
 def test_enumeration_guards_match_fraction_loop(inst, h, budget):

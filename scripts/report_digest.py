@@ -24,9 +24,16 @@ prints for the same models: the exit code, the `--json` file, stdout and
 stderr of `analyze --strategies` (analyze tiers) and of `verify` (verify
 tier). Each model is written to `model.json` in one temporary working
 directory, so the path inside the reports is the same on every run. Of the
-package this mode uses only `cli.main`, the model generator and
-`serialize_model`, so it can digest an older commit's CLI as well:
+package this mode uses only `cli.main`, the model generator, `serialize_model`
+and `model_to_obj`, so it can digest an older commit's CLI as well:
 `PYTHONPATH=<old checkout>/src python3 scripts/report_digest.py --cli`.
+It adds a third digest:
+
+cli-input-errors
+    the exit code and stderr of `analyze` on the documents of the models
+    `randgen.corpus(20260812, N)`, each given one to three transition faults
+    by `corrupt_document` (a non-object, a dropped key, a replaced value, a
+    repeated transition) drawn from `random.Random(20260812)`.
 """
 
 import argparse
@@ -39,7 +46,7 @@ import random
 import sys
 import tempfile
 
-from syncmdp import ParsedModel, analyze, example_model, serialize_model
+from syncmdp import ParsedModel, analyze, example_model, model_to_obj, serialize_model
 from syncmdp.checks import run_checks
 from syncmdp.cli import main as cli_main
 from syncmdp.examples import EXAMPLE_MODELS
@@ -49,6 +56,13 @@ from syncmdp.report import build_report
 CORPUS_SEEDS = (20260810, 20260811)
 LARGE_SEED, LARGE_SIZES, LARGE_PER_SIZE = 7, (8, 12, 16), 34
 VERIFY_COUNT = 150
+ERROR_SEED = 20260812
+TRANSITION_KEYS = ("from", "action", "to", "prob")
+# what a fault puts in place of a transition, or of one of its values: names and
+# rationals of the other key, unknown and non-string names, malformed rationals
+NON_OBJECTS = (None, 0, "s0", ["s0", "a", "s0", "1"])
+WRONG_VALUES = (None, 0, 1.5, "", "nope", "s0", "a", ["s0"], {"s0": 1},
+                "1", "1/2", "0", "1/0", "-1/2", " 1 / 2 ", "1/2/3", "2/4")
 
 
 def large_tier(per_size):
@@ -67,6 +81,45 @@ def verify_tier(count):
         pm = example_model(name)
         models.append((pm.mdp, pm.initial, pm.targets["target"]))
     return models
+
+
+def corrupt_document(rng, doc):
+    """A copy of the model document `doc` whose transitions carry one to three
+    faults: a transition replaced by a non-object, a key dropped, a value
+    replaced, or a transition repeated later in the list."""
+    transitions = [dict(tr) for tr in doc["transitions"]]
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(transitions))
+        tr, kind = transitions[pos], rng.randrange(4)
+        if kind == 0:
+            transitions[pos] = rng.choice(NON_OBJECTS)
+        elif kind == 3:
+            transitions.insert(rng.randint(pos + 1, len(transitions)),
+                               dict(tr) if isinstance(tr, dict) else tr)
+        elif isinstance(tr, dict):
+            key = rng.choice(TRANSITION_KEYS)
+            if kind == 1:
+                tr.pop(key, None)
+            else:
+                tr[key] = rng.choice(WRONG_VALUES)
+    return dict(doc, transitions=transitions)
+
+
+def corrupted_documents(count):
+    rng = random.Random(ERROR_SEED)
+    return [corrupt_document(rng, model_to_obj(ParsedModel(i.mdp, i.initial,
+                                                           {"target": i.target})))
+            for i in corpus(ERROR_SEED, count)]
+
+
+def error_record(doc):
+    """Exit code and stderr of `analyze` on the document, run in the current directory."""
+    with open("model.json", "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["analyze", "--model", "model.json", "--target", "target"])
+    return json.dumps({"exit": code, "stderr": err.getvalue()}).encode("utf-8") + b"\n"
 
 
 def report_line(mdp, initial, target, verify):
@@ -130,7 +183,9 @@ def main():
             os.chdir(work)
             try:
                 line = {"cli-analyze": digest(analyzed, False, record=cli_record),
-                        "cli-verify": digest(verified, True, record=cli_record)}
+                        "cli-verify": digest(verified, True, record=cli_record),
+                        "cli-input-errors": hashlib.sha256(b"".join(
+                            map(error_record, corrupted_documents(args.count)))).hexdigest()}
             finally:
                 os.chdir(home)
     else:

@@ -75,11 +75,17 @@ def parse_rational(text, location=None):
 
 
 def _sums_to_one(values):
-    """Whether the rationals `values` sum to exactly 1: one integer sum of the
-    numerators over the least common denominator, where a `Fraction` sum would
-    reduce at every addition."""
-    lcd = lcm(*(p.denominator for p in values))
-    return sum(p.numerator * (lcd // p.denominator) for p in values) == lcd
+    """Whether the rationals `values` sum to exactly 1: one pass of one integer
+    sum over a common denominator, grown by `lcm` only when the next denominator
+    does not divide it, where a `Fraction` sum would reduce at every addition."""
+    num, den = 0, 1
+    for p in values:
+        p_num, p_den = p.numerator, p.denominator
+        if den % p_den:
+            grown = lcm(den, p_den)
+            num, den = num * (grown // den), grown
+        num += p_num * (den // p_den)
+    return num == den
 
 
 def _iter_bits(bits):
@@ -191,9 +197,10 @@ class Dist:
             p = p if isinstance(p, Fraction) else Fraction(p)
             if not 0 <= q < self.width:
                 raise ValueError(f"state index {q} out of range for width {self.width}")
-            if p.numerator < 0:
+            num = p.numerator
+            if num < 0:
                 raise ValueError(f"negative mass {p} at state {q}")
-            if p.numerator:
+            if num:
                 clean[q] = p
         if not _sums_to_one(clean.values()):
             raise ValueError(f"distribution {_sum_text(clean.values())}")
@@ -407,38 +414,47 @@ def parse_model(doc):
 
     def lookup(index, name, what, loc):
         if not isinstance(name, str) or name not in index:
-            raise ModelFormatError(f"unknown {what} {name!r}", loc)
+            raise ModelFormatError(f"unknown {what} {name!r}", loc) from None
         return index[name]
+
+    def raise_fault(tr, loc):
+        """Raise the located error of a transition the loop below could not index: its
+        first failing check of object, keys from/action/to/prob, names from/to/action."""
+        if not isinstance(tr, dict):
+            raise ModelFormatError("transition must be an object", loc) from None
+        for key in ("from", "action", "to", "prob"):
+            if key not in tr:
+                raise ModelFormatError(f"missing key {key!r}", loc) from None
+        lookup(sidx, tr["from"], "state", loc)
+        lookup(sidx, tr["to"], "state", loc)
+        lookup(aidx, tr["action"], "action", loc)
 
     if not isinstance(doc["transitions"], list):
         raise ModelFormatError("must be a list of transition objects", "transitions")
-    masses = {}   # (q, a) -> {q2: p}, in document order
+    na = len(actions)
+    masses = [{} for _ in range(n * na)]   # q * na + a -> {q2: p}, in document order
     probs = {}    # probability text -> its Fraction: each distinct text is parsed once
     for pos, tr in enumerate(doc["transitions"]):
-        loc = f"transitions[{pos}]"
-        if not isinstance(tr, dict):
-            raise ModelFormatError("transition must be an object", loc)
-        for key in ("from", "action", "to", "prob"):
-            if key not in tr:
-                raise ModelFormatError(f"missing key {key!r}", loc)
-        q = lookup(sidx, tr["from"], "state", loc)
-        q2 = lookup(sidx, tr["to"], "state", loc)
-        a = lookup(aidx, tr["action"], "action", loc)
-        mass = masses.setdefault((q, a), {})
+        obj = tr if isinstance(tr, dict) else {}   # a non-object misses like a keyless one
+        try:
+            q, a, q2, text = sidx[obj["from"]], aidx[obj["action"]], sidx[obj["to"]], obj["prob"]
+        except (KeyError, TypeError):
+            raise_fault(tr, f"transitions[{pos}]")
+            raise   # only a dict subclass that indexes unlike it tests keys gets here
+        mass = masses[q * na + a]
         if q2 in mass:
-            raise ModelFormatError(
-                f"duplicate transition ({tr['from']}, {tr['action']}, {tr['to']})", loc)
-        text = tr["prob"]
+            raise ModelFormatError(f"duplicate transition ({tr['from']}, {tr['action']}, "
+                                   f"{tr['to']})", f"transitions[{pos}]")
         try:
             mass[q2] = probs[text]
         except (KeyError, TypeError):   # a miss; a non-string prob misses and fails to parse
-            mass[q2] = probs[text] = parse_rational(text, loc)
+            mass[q2] = probs[text] = parse_rational(text, f"transitions[{pos}]")
 
     rows = []
     for q in range(n):
         row = []
-        for a in range(len(actions)):
-            mass = masses.get((q, a))
+        for a in range(na):
+            mass = masses[q * na + a]
             if not mass:
                 raise ModelFormatError(
                     f"missing distribution for ({states[q]}, {actions[a]})", "transitions")

@@ -1,14 +1,23 @@
+import random
+import runpy
+import traceback
+from collections import UserDict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from syncmdp import (Dist, Mdp, ModelFormatError, StrategySpec, SupportSet,
+from syncmdp import (Dist, Mdp, ModelFormatError, ParsedModel, StrategySpec, SupportSet,
                      min_initial_probability, min_positive_probability, model_to_obj,
                      parse_model, parse_rational, serialize_model, simulate,
                      uniform_strategy)
-from syncmdp.model import ONE, _check_question, rational_obj
+from syncmdp.model import ONE, _check_question, _sums_to_one, rational_obj
+from syncmdp.randgen import corpus
 
 from conftest import ABSORBING, as_dists, build, exact_counter_product
+
+DIGEST_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py"
 
 
 def test_parse_rational():
@@ -87,6 +96,198 @@ def test_parse_errors_located():
         build(bad)
     with pytest.raises(ModelFormatError, match="not valid JSON"):
         parse_model("{")
+
+
+TWO_STATES = {
+    "states": ["q0", "q1"], "actions": ["a"],
+    "transitions": [{"from": "q0", "action": "a", "to": "q0", "prob": "1"},
+                    {"from": "q1", "action": "a", "to": "q1", "prob": "1"}],
+    "initial": {"q0": "1"},
+}
+GOOD = {"from": "q0", "action": "a", "to": "q1", "prob": "0"}
+
+
+def with_transitions(*extra):
+    return dict(TWO_STATES, transitions=TWO_STATES["transitions"] + list(extra))
+
+
+@pytest.mark.parametrize("tr, message", [
+    (["q0", "a", "q1", "0"], "transition must be an object"),
+    ("q0", "transition must be an object"),
+    (None, "transition must be an object"),
+    (UserDict(GOOD), "transition must be an object"),   # a decoded document's mapping
+    ({k: v for k, v in GOOD.items() if k != "from"}, "missing key 'from'"),
+    ({k: v for k, v in GOOD.items() if k != "action"}, "missing key 'action'"),
+    ({k: v for k, v in GOOD.items() if k != "to"}, "missing key 'to'"),
+    ({k: v for k, v in GOOD.items() if k != "prob"}, "missing key 'prob'"),
+    ({}, "missing key 'from'"),
+    ({"from": "qX", "to": "qX", "action": "z"}, "missing key 'prob'"),   # keys before names
+    (dict(GOOD, **{"from": "qX"}), "unknown state 'qX'"),
+    (dict(GOOD, to="qX"), "unknown state 'qX'"),
+    (dict(GOOD, action="z"), "unknown action 'z'"),
+    (dict(GOOD, action="q0"), "unknown action 'q0'"),
+    (dict(GOOD, **{"from": 0}), "unknown state 0"),
+    (dict(GOOD, to=None), "unknown state None"),
+    (dict(GOOD, to=["q1"]), "unknown state ['q1']"),
+    (dict(GOOD, action={"a": 1}), "unknown action {'a': 1}"),
+    (dict(GOOD, action=1.5), "unknown action 1.5"),
+    # names are checked in the order from, to, action
+    (dict(GOOD, **{"from": "qX"}, to=[], action="z"), "unknown state 'qX'"),
+    (dict(GOOD, to=[], action="z"), "unknown state []"),
+    (dict(GOOD, to="q0", prob="1"), "duplicate transition (q0, a, q0)"),
+    (dict(GOOD, to="q0", prob="x"), "duplicate transition (q0, a, q0)"),
+    (dict(GOOD, prob=1), "malformed rational 1"),
+    (dict(GOOD, prob=["0"]), "malformed rational ['0']"),
+    (dict(GOOD, prob="1/2/3"), "malformed rational '1/2/3'"),
+    (dict(GOOD, prob="-1/2"), "malformed rational '-1/2'"),
+    (dict(GOOD, prob="1/0"), "zero denominator in rational '1/0'"),
+])
+def test_transition_faults_give_their_exact_message(tr, message):
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(with_transitions(tr))
+    assert str(err.value) == f"transitions[2]: {message}"
+    assert err.value.location == "transitions[2]"
+    if not message.startswith(("malformed", "zero")):   # a rational fails on a cache miss
+        assert "During handling" not in "".join(traceback.format_exception(err.value))
+
+
+@pytest.mark.parametrize("first, second, message", [
+    ({"action": "a"}, None, "missing key 'from'"),
+    (None, {"action": "a"}, "transition must be an object"),
+    (dict(GOOD, prob="1/0"), [], "zero denominator in rational '1/0'"),
+    (dict(GOOD, action="z"), dict(GOOD, **{"from": "qX"}), "unknown action 'z'"),
+    (dict(GOOD, prob="x"), dict(GOOD, action="z"), "malformed rational 'x'"),
+    (dict(GOOD, to="q0"), dict(GOOD, to="qX"), "duplicate transition (q0, a, q0)"),
+])
+def test_the_first_faulty_transition_is_reported(first, second, message):
+    # the second fault is of a kind checked earlier than the first one
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(with_transitions(first, second))
+    assert str(err.value) == f"transitions[2]: {message}"
+
+
+def ref_parse_transitions(doc):
+    """Reference: the validating transition loop of the earlier parser, which
+    checks every transition in full (an object, the four keys, the names from,
+    to and action, a duplicate, the probability text) before it reads it.
+    Returns the masses, (q, a) -> {q2: p} in document order."""
+    sidx = {s: i for i, s in enumerate(doc["states"])}
+    aidx = {a: i for i, a in enumerate(doc["actions"])}
+
+    def lookup(index, name, what, loc):
+        if not isinstance(name, str) or name not in index:
+            raise ModelFormatError(f"unknown {what} {name!r}", loc)
+        return index[name]
+
+    masses, probs = {}, {}
+    for pos, tr in enumerate(doc["transitions"]):
+        loc = f"transitions[{pos}]"
+        if not isinstance(tr, dict):
+            raise ModelFormatError("transition must be an object", loc)
+        for key in ("from", "action", "to", "prob"):
+            if key not in tr:
+                raise ModelFormatError(f"missing key {key!r}", loc)
+        q = lookup(sidx, tr["from"], "state", loc)
+        q2 = lookup(sidx, tr["to"], "state", loc)
+        a = lookup(aidx, tr["action"], "action", loc)
+        mass = masses.setdefault((q, a), {})
+        if q2 in mass:
+            raise ModelFormatError(
+                f"duplicate transition ({tr['from']}, {tr['action']}, {tr['to']})", loc)
+        text = tr["prob"]
+        try:
+            mass[q2] = probs[text]
+        except (KeyError, TypeError):
+            mass[q2] = probs[text] = parse_rational(text, loc)
+    return masses
+
+
+def outcome(parse, doc):
+    """The model as `model_to_obj` writes it, or the exception's type and message."""
+    try:
+        return model_to_obj(parse(doc))
+    except Exception as exc:   # the failure is what is compared
+        return type(exc), str(exc)
+
+
+def ref_outcome(doc):
+    """The earlier parser's outcome: the reference loop's error, or else the
+    outcome of the document rewritten from the masses it read (the later
+    stages of `parse_model` are unchanged)."""
+    try:
+        masses = ref_parse_transitions(doc)
+    except ModelFormatError as exc:
+        return ModelFormatError, str(exc)
+    states, actions = doc["states"], doc["actions"]
+    rows = [{"from": states[q], "action": actions[a], "to": states[q2], "prob": str(p)}
+            for (q, a), mass in masses.items() for q2, p in mass.items()]
+    return outcome(parse_model, dict(doc, transitions=rows))
+
+
+def corpus_documents(seed, count):
+    return [model_to_obj(ParsedModel(i.mdp, i.initial, {"target": i.target}))
+            for i in corpus(seed, count)]
+
+
+def test_parse_matches_the_validating_loop_on_corrupted_documents():
+    corrupt = runpy.run_path(str(DIGEST_SCRIPT))["corrupt_document"]
+    rng = random.Random(20261021)
+    seen = set()
+    for doc in corpus_documents(20261021, 1000):
+        for bad in (doc, corrupt(rng, doc), corrupt(rng, doc)):
+            expected = ref_outcome(bad)
+            assert outcome(parse_model, bad) == expected
+            if isinstance(expected, tuple):
+                seen.add(expected[1].split(": ")[1].split(" ")[0])
+    # every kind of transition fault occurs, and documents that still parse
+    assert {"transition", "missing", "unknown", "duplicate", "malformed", "zero",
+            "distribution"} <= seen
+
+
+def test_each_distinct_probability_text_is_one_fraction():
+    for doc in corpus_documents(20260810, 60) + [TWO_STATES]:
+        pm = parse_model(doc)
+        sidx = {s: i for i, s in enumerate(pm.mdp.states)}
+        aidx = {a: i for i, a in enumerate(pm.mdp.actions)}
+        by_text = {}
+        for tr in doc["transitions"]:
+            p = pm.mdp.delta[sidx[tr["from"]]][aidx[tr["action"]]].mass[sidx[tr["to"]]]
+            by_text.setdefault(tr["prob"], set()).add(id(p))
+        assert all(len(ids) == 1 for ids in by_text.values())
+        assert len(set().union(*by_text.values())) == len(by_text)
+
+
+HUGE = 10 ** 900 + 1   # HUGE + k for k = 0, 1 are coprime
+DENOMINATORS = [1, 2, 3, 4, 6, 7, 12, HUGE, HUGE + 1, 3 * HUGE]
+
+
+@st.composite
+def rational_lists(draw):
+    """Lists of rationals, zero numerators included, that often sum to 1: with
+    a drawn flag, 1 minus the sum so far is appended."""
+    values = draw(st.lists(st.builds(Fraction, st.integers(-3, 12), st.sampled_from(DENOMINATORS)),
+                           max_size=6))
+    if draw(st.booleans()):
+        values.append(1 - sum(values, Fraction(0)))
+    return draw(st.permutations(values))
+
+
+@given(rational_lists(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_sums_to_one_is_the_exact_sum(values, as_generator):
+    expected = sum(values, Fraction(0)) == 1
+    assert _sums_to_one((p for p in values) if as_generator else values) == expected
+
+
+def test_sums_to_one_edge_cases():
+    assert not _sums_to_one([])
+    assert not _sums_to_one([Fraction(0)])
+    assert _sums_to_one([ONE]) and _sums_to_one([Fraction(0), ONE, Fraction(0)])
+    assert not _sums_to_one([Fraction(HUGE, HUGE + 1)])
+    parts = [Fraction(1, HUGE), Fraction(1, HUGE + 1)]
+    assert _sums_to_one(parts + [1 - sum(parts)])
+    assert _sums_to_one(p for p in parts + [1 - sum(parts)])
+    assert not _sums_to_one(parts + [1 - sum(parts) - Fraction(1, 3 * HUGE)])
 
 
 def test_serialize_roundtrip_identity(drain, funnel, loopback, twophase):

@@ -149,7 +149,8 @@ def test_report_digest_cli_mode():
     done = run_script("report_digest.py", "--cli", "--count", "2")
     assert done.returncode == 0, done.stderr
     line = json.loads(done.stdout)
-    assert len(line["cli-analyze"]) == len(line["cli-verify"]) == 64
+    assert (len(line["cli-analyze"]) == len(line["cli-verify"])
+            == len(line["cli-input-errors"]) == 64)
     assert line["models"] == {"analyze": 2 * 2 + 3 * 2, "verify": 2 + 4}
     again = run_script("report_digest.py", "--cli", "--count", "2")
     assert again.stdout == done.stdout  # the model path inside the reports is fixed

@@ -13,9 +13,10 @@ weakly verdict it proves in turn.
 The checks read trace and profile steps as target numerators over totals and
 supports as bit masks; only a value a check reports is a `Fraction` (`rational_obj`).
 Each artifact is computed once per analysis in its `CheckContext`: the traces
-(one simulation per distinct play, cut per strategy), the enumeration depth
-(read off the history tree's node counts), the step profile and the Pre^i
-chains `lasso-integrity` and the certificates read; no check needs another.
+(one simulation per distinct play, cut per strategy), the target numerator of
+each of their steps (`step_masses`), the enumeration depth (read off the
+history tree's node counts), the step profile and the Pre^i chains
+`lasso-integrity` and the certificates read; no check needs another.
 The prefix dips search the pure strategies to depth n only, pruning at the
 first step that dips; the full enumeration is built only for the sync caps,
 and only at a depth whose traces can break their 2^n cap.
@@ -133,13 +134,17 @@ class CheckContext:
         return max_mass_at_step(a.mdp, a.target, a.initial, self.horizon)
 
     @cached_property
+    def step_masses(self):
+        """`_step_masses` of the simulated traces to their full windows (and of the
+        enumerated ones, once built): the one table every check reads."""
+        return _step_masses(self.analysis.target, self.traces.values())
+
+    @cached_property
     def count_traces(self):
         """(traces, masses) for the prefix dips and sync-count caps: the simulated
-        traces cut to the horizon or to step n, the later, and `_step_masses` of
-        them (a play several labels share is one)."""
+        traces cut to the horizon or to step n, the later, and `step_masses`."""
         cut = max(self.horizon, self.analysis.mdp.n)
-        traces = [t.cut(cut) for t in self.traces.values()]
-        return traces, _step_masses(self.analysis.target, traces)
+        return [t.cut(cut) for t in self.traces.values()], self.step_masses
 
     @cached_property
     def reach_region(self):
@@ -164,22 +169,26 @@ class CheckContext:
     @cached_property
     def enumerated(self):
         """(depth, traces): the enumeration depth and the trace of every pure
-        strategy at it, built on first read; only the sync caps read it, and
-        only at a depth past 2^n."""
+        strategy at it, built on first read, its steps' target numerators added
+        to `step_masses`; only the sync caps read it, and only at a depth past 2^n."""
         depth = self.enumeration_depth
         if depth is None:
             return None, []
         a = self.analysis
-        return depth, list(enumerate_pure_strategies(a.mdp, a.initial, depth,
-                                                     budget=self.budget))
+        traces = list(enumerate_pure_strategies(a.mdp, a.initial, depth, budget=self.budget))
+        self.step_masses.update(_step_masses(a.target, traces))
+        return depth, traces
 
 
 def _step_masses(t, traces):
     """{id(step): (target numerator, total)} of each distinct step dict of the
     traces (a prefix several traces share is one), summed once."""
-    steps = {id(nums): (nums, total)
-             for trace in traces for nums, total in zip(trace.nums, trace.totals)}
-    return {key: (_numerator_in(t, nums), total) for key, (nums, total) in steps.items()}
+    masses = {}
+    for trace in traces:
+        for nums, total in zip(trace.nums, trace.totals):
+            if id(nums) not in masses:
+                masses[id(nums)] = _numerator_in(t, nums), total
+    return masses
 
 
 def _play_key(strategy):
@@ -250,6 +259,7 @@ def _under_cap(profile, cap, ratio=ONE):
     """(i, mass) of the first profile step i whose mass exceeds 1 - cap * ratio^i, else
     (None, the least slack (1 - cap * ratio^i) - mass), by integer cross-multiplication."""
     num, den = cap.numerator, cap.denominator
+    ratio_num, ratio_den = ratio.numerator, ratio.denominator
     least = None   # (numerator, denominator) of the least slack so far
     for i, (v, total) in enumerate(profile):
         slack, scale = (den - num) * total - v * den, den * total
@@ -257,7 +267,7 @@ def _under_cap(profile, cap, ratio=ONE):
             return i, Fraction(v, total)
         if least is None or slack * least[1] < least[0] * scale:
             least = slack, scale
-        num, den = num * ratio.numerator, den * ratio.denominator
+        num, den = num * ratio_num, den * ratio_den
     return None, Fraction(*least)
 
 
@@ -328,11 +338,12 @@ def _prefix_dip(mode, win, kind, ctx):
         if found is not None:
             pad = ",0" * (ctx.tree_sizes[depth] - ctx.tree_sizes[n])
             found = replace(found, strategy_label=found.strategy_label[:-1] + pad + "]")
+            masses = _step_masses(t, [found])
     if found is None:
         return "pass", {"eps": rational_obj(cert.value)}
     return "fail", {"eps": rational_obj(cert.value), "strategy": found.strategy_label,
-                    "prefix": [rational_obj(Fraction(_numerator_in(t, nums), total))
-                               for nums, total in zip(found.nums[:n + 1], found.totals)]}
+                    "prefix": [rational_obj(Fraction(*masses[id(nums)]))
+                               for nums in found.nums[:n + 1]]}
 
 
 def _synced(masses, eps=None):
@@ -341,14 +352,14 @@ def _synced(masses, eps=None):
     least 1/total short of 1, so for a total with 0 < eps * total <= 1 (one
     test per distinct total) a step is synchronized iff v == total; only the
     steps over the other totals are cross-multiplied."""
-    threshold = None if eps is None else 1 - eps
+    num, den = (0, 1) if eps is None else (eps.numerator, eps.denominator)
     exact = {}   # per distinct total: whether v == total decides
     synced = set()
     for key, (v, total) in masses.items():
         full = exact.get(total)
         if full is None:
-            full = exact[total] = eps is None or 0 < eps.numerator * total <= eps.denominator
-        if v == total if full else _clears(v, total, threshold):
+            full = exact[total] = eps is None or 0 < num * total <= den
+        if v == total if full else v * den > (den - num) * total:   # v / total > 1 - eps
             synced.add(key)
     return synced
 
@@ -380,12 +391,13 @@ def _sync_count_cap(win, ctx):
             return "skip", {"reason": "no exact bound"}
         eps = cert.value
     if deep:
-        enumerated = ctx.enumerated[1]
-        traces = traces + enumerated
-        masses = {**masses, **_step_masses(a.target, enumerated)}
+        traces = traces + ctx.enumerated[1]   # which adds their steps to `masses`
     synced = _synced(masses, eps)
     for trace in traces:
-        count = sum(id(nums) in synced for nums in trace.nums)
+        count = 0
+        for nums in trace.nums:
+            if id(nums) in synced:
+                count += 1
         if count > cap:
             return "fail", {"strategy": trace.strategy_label, "count": count}
     info = {"cap": cap, "enumeration_depth": depth}
@@ -403,10 +415,10 @@ def check_freezing_bound(ctx):
     nsteps = _bound(a, ("strongly", "bounded"), "N_adversarial")
     if cert is None or cert.value is None or nsteps is None:
         return "skip", {"reason": "no exact bound"}
-    trace = ctx.traces["freezing"]
+    steps, masses = ctx.traces["freezing"].nums, ctx.step_masses
     start = a.switch + nsteps.value
     for i in range(start, ctx.windows["freezing"] + 1):
-        v, total = _numerator_in(a.target, trace.nums[i]), trace.totals[i]
+        v, total = masses[id(steps[i])]
         if not _clears(v, total, cert.value, strict=False):
             return "fail", {"step": i, "mass": rational_obj(Fraction(v, total)),
                             "eps": rational_obj(cert.value)}
@@ -418,15 +430,11 @@ def check_positive_definition(ctx):
     """Positive verdicts match the definition on one extra lasso period of play."""
     a = ctx.analysis
     window = ctx.windows["uniform"]
-    masses = [_numerator_in(a.target, nums)
-              for nums in ctx.traces["uniform"].nums[:window + 1]]
+    masses = ctx.step_masses
+    hits = [masses[id(nums)][0] > 0 for nums in ctx.traces["uniform"].nums[:window + 1]]
     l = a.lasso.start
-    facts = {
-        "eventually": any(v > 0 for v in masses),
-        "always": all(v > 0 for v in masses),
-        "weakly": any(v > 0 for v in masses[l:]),
-        "strongly": all(v > 0 for v in masses[l:]),
-    }
+    facts = {"eventually": any(hits), "always": all(hits),
+             "weakly": any(hits[l:]), "strongly": all(hits[l:])}
     for mode, expected in facts.items():
         if a.answer(mode, "positive") != expected:
             return "fail", {"mode": mode, "expected": expected}
@@ -440,6 +448,8 @@ def check_support_monotonicity(ctx):
     frz = ctx.traces["freezing"].nums
     union = a.mec.union.bits
     for i in range(ctx.horizon + 1):
+        if uni[i] is frz[i]:   # a step of one play both share
+            continue
         su = _mask(uni[i])
         sf = _mask(frz[i])
         if sf & ~su:
@@ -451,7 +461,10 @@ def check_support_monotonicity(ctx):
 
 def _mask(nums):
     """The support of a trace step as a bit mask."""
-    return sum(1 << q for q in nums)
+    mask = 0
+    for q in nums:
+        mask |= 1 << q
+    return mask
 
 
 def _safe_reach(m, t, y, r=1):
@@ -522,10 +535,12 @@ def check_region_dp(ctx):
 
 def check_witness_soundness(ctx):
     """Each synthesized classic witness achieves exactly what its verdict claims."""
+    masses = ctx.step_masses
     for mode, label, steps in ctx.claims:
-        trace = ctx.traces[label]
+        nums = ctx.traces[label].nums
         for i in steps:
-            if _numerator_in(ctx.analysis.target, trace.nums[i]) != trace.totals[i]:
+            v, total = masses[id(nums[i])]
+            if v != total:
                 return "fail", {"mode": f"sure {mode}", "step": i}
     return "pass", {}
 

@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import lcm
 from operator import or_
 
@@ -255,6 +255,15 @@ class Mdp:
     @property
     def action_count(self):
         return len(self.actions)
+
+    @cached_property
+    def transition_numerators(self):
+        """(LCD, rows[q][a]): delta(q, a) as (successor, numerator) pairs over the LCD
+        of every transition probability, the oracle kernels' delta (built once)."""
+        den = lcm(*{p.denominator for row in self.delta for d in row for p in d.mass.values()})
+        return den, tuple(tuple(tuple((q2, p.numerator * (den // p.denominator))
+                                      for q2, p in d.mass.items()) for d in row)
+                          for row in self.delta)
 
     def __repr__(self):
         return f"Mdp(n={self.n}, actions={list(self.actions)})"

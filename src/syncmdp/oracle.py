@@ -7,10 +7,10 @@ Nothing here shares code paths with the deciders, nor do the battery's mask
 certificates (`checks._safe_reach`, `checks._certified`).
 
 The kernels run on integer numerators over one common denominator per step
-(the LCD of the transition rows, times that of the strategy's choice rows,
-times that of d0), so their inner loops only multiply and add integers;
-`simulate` merges each action row at a state into one successor row first, so
-a step is one multiply-add per (state, successor). A trace is those integers:
+(the LCD of the transition rows, kept on the model as `Mdp.transition_numerators`,
+times that of the strategy's choice rows, times that of d0), in plain loops that
+only multiply and add integers; `simulate` steps by one table of merged rows per
+forced-row dict, one multiply-add per (state, successor). A trace is those integers:
 step i is {q: numerator} over the total `totals[i]`, checked to sum to exactly
 it; the step profile's step i is the optimal target numerator over its total.
 The battery reads them as integers and builds a `Fraction` only for a value it
@@ -53,8 +53,11 @@ def _checked(nums, total):
 
 def _numerator_in(t, nums):
     """The numerator (over its step's total) of the mass a step puts in the set t."""
-    bits = t.bits
-    return sum(w for q, w in nums.items() if bits >> q & 1)
+    bits, v = t.bits, 0
+    for q, w in nums.items():
+        if bits >> q & 1:
+            v += w
+    return v
 
 
 def _clears(v, total, threshold, strict=True):
@@ -70,50 +73,47 @@ def _numerators(rows):
                  for row in rows]
 
 
-def _transition_numerators(m):
-    """(LCD, rows[q][a]): the successor (state, numerator) pairs of delta(q, a)."""
-    den, flat = _numerators([d.mass for row in m.delta for d in row])
-    a_count = m.action_count
-    return den, [[tuple(flat[q * a_count + a].items()) for a in range(a_count)]
-                 for q in range(m.n)]
-
-
 def simulate(m, strategy, d0, h):
     """Exact trace of length h+1 under a counting strategy: the state distribution
     is all there is to track, and the strategy's position moves by `next(j)`.
 
-    A state q under an action row steps by one merged row, built on first use:
-    each successor q2 once, in the order it first comes (by action, then
-    successor), with the numerator sum over the row's actions of p_a * p."""
+    Each forced-row dict gets one table, built on first use: table[q] is state q's
+    merged row (once per action row and state), each successor q2 once in the order
+    it first comes (by action, then successor), its numerator summed over the actions."""
     if h < 0:
         raise ValueError("horizon must be nonnegative")
-    den, rows = _transition_numerators(m)
+    den, rows = m.transition_numerators
     distinct = strategy.rows()   # scale each shared row object once
     choice_den, scaled = _numerators(distinct)
     actions = {id(row): tuple((a, pa) for a, pa in nums.items() if pa)
                for row, nums in zip(distinct, scaled)}
-    merged = {key: [None] * m.n for key in actions}
+    merged, tables = {}, {}   # by (id(action row), state); by id(forced-row dict)
 
-    def merge(key, q):
-        succ, out = rows[q], {}
-        for a, pa in actions[key]:
-            for q2, p in succ[a]:
-                out[q2] = out.get(q2, 0) + pa * p
-        merged[key][q] = out = tuple(out.items())
+    def table(forced):
+        out = tables[id(forced)] = []
+        for q, succ in enumerate(rows):
+            key = id(forced.get(q, strategy.default)), q
+            if key not in merged:
+                row = {}
+                for a, pa in actions[key[0]]:
+                    for q2, p in succ[a]:
+                        row[q2] = row.get(q2, 0) + pa * p
+                merged[key] = tuple(row.items())
+            out.append(merged[key])
         return out
 
     total, (dist,) = _numerators([d0.mass])
-    default = strategy.default
     step = den * choice_den
     nums, totals = [dist], [total]
     j = 0
     for _ in range(h):
         forced = strategy.forced[j]
+        succ = tables.get(id(forced)) or table(forced)
         nxt = {}
+        get = nxt.get
         for q, w in dist.items():
-            key = id(forced.get(q, default))
-            for q2, p in merged[key][q] or merge(key, q):
-                nxt[q2] = nxt.get(q2, 0) + w * p
+            for q2, p in succ[q]:
+                nxt[q2] = get(q2, 0) + w * p
         dist = nxt
         j = strategy.next(j)
         total *= step
@@ -130,14 +130,26 @@ def max_mass_at_step(m, t, d0, h):
     """
     if h < 0:
         raise ValueError("horizon must be nonnegative")
-    den, rows = _transition_numerators(m)
+    den, rows = m.transition_numerators
     total, (init,) = _numerators([d0.mass])
     w = [1 if q in t else 0 for q in range(m.n)]
-    values = [(sum(p * w[q] for q, p in init.items()), total)]
-    for _ in range(h):
-        w = [max(sum(p * w[q2] for q2, p in succ) for succ in rows[q]) for q in range(m.n)]
-        total *= den
-        values.append((sum(p * w[q] for q, p in init.items()), total))
+    values = []
+    for i in range(h + 1):
+        if i:   # one step back: each state's best row for the w of the step before
+            best = []
+            for succ in rows:
+                top = 0
+                for row in succ:
+                    v = 0
+                    for q2, p in row:
+                        v += p * w[q2]
+                    top = v if v > top else top
+                best.append(top)
+            w, total = best, total * den
+        v = 0
+        for q, p in init.items():
+            v += p * w[q]
+        values.append((v, total))
     return tuple(values)
 
 
@@ -218,7 +230,7 @@ def enumerate_pure_strategies(m, d0, h, budget=10 ** 6, keep=None):
     error = _budget_error(count, m.action_count, budget)
     if error:
         raise error
-    den, rows = _transition_numerators(m)
+    den, rows = m.transition_numerators
     # the children of node j of a level under action a are consecutive in the
     # next level, from first[depth][j] + offset[q][a] on, one per successor
     offset = [list(accumulate(map(len, row), initial=0)) for row in rows]

@@ -751,6 +751,27 @@ def test_lasso_integrity_steps_the_predecessor_lasso_by_pre(name):
     assert result.status == "pass"
 
 
+def test_each_step_target_mass_is_summed_once(monkeypatch):
+    # LEAK runs freezing-lower-bound, positive-definition-sim, witness-soundness
+    # (on one sure claim) and both prefix dips; at an enumeration depth below n
+    # the dips do not search the pure strategies (which sums each step it
+    # builds), so every target sum is of a step of the simulated traces
+    pm = build(LEAK)
+    an = analyze(pm.mdp, pm.initial, pm.targets["goal"])
+    ctx = CheckContext(an, enum_depth=an.mdp.n - 1)
+    assert ctx.claims
+    distinct = {id(nums) for trace in ctx.traces.values() for nums in trace.nums}
+    summed = []
+    numerator_in = checks._numerator_in
+    monkeypatch.setattr(checks, "_numerator_in",
+                        lambda t, nums: summed.append(nums) or numerator_in(t, nums))
+    results = {r.name: r.status for r in run_checks(an, enum_depth=an.mdp.n - 1)}
+    watched = ("always-prefix-dip", "strongly-prefix-dip", "freezing-lower-bound",
+               "positive-definition-sim", "witness-soundness")
+    assert [results[name] for name in watched] == ["pass"] * len(watched)
+    assert len(summed) == len({id(nums) for nums in summed}) == len(distinct) == 51
+
+
 # q0 splits its mass between the absorbing t and the absorbing sink x: {t} is the
 # safety region of the target {q0, t}, and q0 reaches t with probability 1/2 only
 LEAK = {

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import sys
 from dataclasses import dataclass
@@ -8,12 +9,13 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syncmdp import (BudgetExceeded, Dist, GuardExceeded, StrategySpec, analyze,
+from syncmdp import (BudgetExceeded, Dist, GuardExceeded, StrategySpec, Trace, analyze, checks,
                      enumerate_pure_strategies, freezing_strategy, max_mass_at_step, simulate,
                      uniform_strategy)
-from syncmdp.checks import _mask
+from syncmdp.checks import _mask, run_checks
 from syncmdp.model import ZERO
-from syncmdp.oracle import _clears, _numerator_in, _numerators, _transition_numerators
+from syncmdp.oracle import _clears, _numerator_in, _numerators
+from syncmdp.randgen import corpus, random_instance
 
 from conftest import (ABSORBING, CHAIN, as_dists, as_fractions, build, mass_in, rows, support,
                       synchronized_positions, target_masses, wide_instances)
@@ -430,7 +432,7 @@ def per_action_simulate(m, strategy, d0, h):
     """Reference: `simulate`'s kernel before each row's actions were merged, one
     multiply-add per (state, action, successor) and step. Returns the steps'
     numerator dicts and totals."""
-    den, succ_rows = _transition_numerators(m)
+    den, succ_rows = m.transition_numerators
     distinct = strategy.rows()
     choice_den, scaled = _numerators(distinct)
     actions = {id(row): tuple((a, pa) for a, pa in nums.items() if pa)
@@ -468,6 +470,11 @@ def test_merged_rows_simulate_like_the_per_action_kernel(inst, data, h):
     except GuardExceeded:
         an = None
     strategies = [uniform_strategy(m), data.draw(memory_strategies(m))]
+    # freezing-shaped: one {} shared by every position before the switch
+    switch = data.draw(st.integers(0, 4))
+    frozen = data.draw(memory_strategies(m, max_memory=1)).forced[0]
+    strategies.append(StrategySpec("frozen", tuple(range(switch + 1)), switch,
+                                   ({},) * switch + (frozen,), uniform_strategy(m).default))
     if an is not None:
         strategies.append(freezing_strategy(m, an.lasso, an.mec))
         strategies += [v.witness for v in an.verdicts.values() if v.witness is not None]
@@ -484,3 +491,49 @@ def test_simulate_rejects_a_step_that_does_not_sum_to_one(funnel):
     leaky.forced[0][m.states.index("q0")] = {0: Fraction(1, 2)}  # bypasses validation
     with pytest.raises(ValueError, match="distribution sums to 1/2"):
         simulate(m, leaky, funnel.initial, 1)
+    # a leak at forced position 2 of three, the loop back to position 1: the
+    # steps up to position 2 sum to one, the step after it does not
+    late = StrategySpec("late", (0, 1, 2), 1, ({}, {}, {}), {0: Fraction(1)})
+    late.forced[2].update({q: {0: Fraction(1, 2)} for q in range(m.n)})
+    assert len(simulate(m, late, funnel.initial, 2).nums) == 3
+    with pytest.raises(ValueError, match="distribution sums to 1/2"):
+        simulate(m, late, funnel.initial, 3)
+
+
+def generator_max_mass_at_step(m, t, d0, h):
+    """Reference: `max_mass_at_step`'s kernel with its sums and maxima as nested
+    generators, before they became loops."""
+    den, rows = m.transition_numerators
+    total, (init,) = _numerators([d0.mass])
+    w = [1 if q in t else 0 for q in range(m.n)]
+    values = [(sum(p * w[q] for q, p in init.items()), total)]
+    for _ in range(h):
+        w = [max(sum(p * w[q2] for q2, p in succ) for succ in rows[q]) for q in range(m.n)]
+        total *= den
+        values.append((sum(p * w[q] for q, p in init.items()), total))
+    return tuple(values)
+
+
+def _battery_instances():
+    """corpus 20260810[:40] and the first eight models of the acceptance wide
+    tier (n = 6, up to three actions, denominators <= 8)."""
+    rng = random.Random(20261018)
+    wide = [random_instance(rng, n=6, max_actions=3, max_denominator=8) for _ in range(8)]
+    return corpus(20260810, 40) + wide
+
+
+def test_battery_reads_the_kernels_like_their_references(monkeypatch):
+    # the same results, names, statuses and infos when the battery reads the
+    # per-action simulation and the generator-form step profile instead
+    analyses = []
+    for inst in _battery_instances():
+        try:
+            analyses.append(analyze(inst.mdp, inst.initial, inst.target))
+        except GuardExceeded:
+            pass
+    got = [run_checks(an) for an in analyses]
+    monkeypatch.setattr(checks, "simulate", lambda m, s, d0, h: Trace(
+        *map(tuple, per_action_simulate(m, s, d0, h)), s.label, h))
+    monkeypatch.setattr(checks, "max_mass_at_step", generator_max_mass_at_step)
+    assert got == [run_checks(an) for an in analyses]
+    assert len(analyses) > 40
